@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seqcore import INF, Window, common_window
+from .seqcore import INF, Window, common_window, scan_max, scan_sum
 
 __all__ = [
     "BlockPartition",
@@ -239,8 +239,8 @@ def doubling_lemma_check(
             raise ValueError(
                 f"doubling b_{{k+1}} >= 2 b_k violated at k={kmin + i}"
             )
-    tails = np.cumsum(cc[::-1])[::-1]
-    sups = np.maximum.accumulate(cc[::-1])[::-1]
+    tails = scan_sum(cc, right=True)
+    sups = scan_max(cc, right=True)
     return DoublingQuantities(
         lhs_sum=float(np.sum(tails**alpha * bb)),
         lhs_sup=float(np.sum(sups * bb)),
@@ -282,7 +282,7 @@ def calibrate_doubling_constant(
             cc[rng.integers(0, n)] = rng.uniform(0.5, 2.0)
         else:
             cc = np.full(n, rng.uniform(0.1, 2.0))
-        tails = np.cumsum(cc[::-1])[::-1]
+        tails = scan_sum(cc, right=True)
         num = float(np.sum(tails**alpha * bb))
         den = float(np.sum(cc**alpha * bb))
         if den > 0:

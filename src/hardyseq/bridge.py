@@ -179,26 +179,31 @@ def sup_weighted_tail(u: StepFunction, F: PiecewiseLinear, t) -> Fraction:
 # Full bridge comparison
 # ---------------------------------------------------------------------------
 
-def _pow_exact(x: Fraction, k: int) -> Fraction:
-    return x**k
+def _number_type(x: float) -> tuple[type, int | float]:
+    """Arithmetic for the exponent ``x``: ``Fraction`` with ``int(x)`` when
+    ``x`` is a positive integer, float with ``x`` itself otherwise."""
+    if float(x).is_integer() and x >= 1:
+        return Fraction, int(x)
+    return float, x
 
 
-def _integral_power_affine(A: Fraction, B: Fraction, T: Fraction, q) -> Fraction | float:
-    """``int_0^T (A - B*tau)^q dtau`` for ``A, A - B*T >= 0``.
+def _power_sum(weights, xs, num: type, e) -> Fraction | float:
+    """``sum_i weights_i * xs_i**e`` in the number type ``num``."""
+    return sum((num(c) * num(x) ** e for c, x in zip(weights, xs)), num(0))
 
-    Exact Fraction for positive integer q, float via the same closed form
-    otherwise.
+
+def _integral_power_affine(
+    A: Fraction, B: Fraction, T: Fraction, num: type, q
+) -> Fraction | float:
+    """``int_0^T (A - B*tau)^q dtau`` for ``A, A - B*T >= 0`` and ``T > 0``.
+
+    The endpoints are first converted to ``num`` (exact for ``Fraction``,
+    rounded to float otherwise), then one closed form applies.
     """
-    if T == 0:
-        return Rat(0) if isinstance(q, int) else 0.0
+    A, B, T = num(A), num(B), num(T)
     if B == 0:
-        if isinstance(q, int):
-            return _pow_exact(A, q) * T
-        return float(A) ** q * float(T)
-    if isinstance(q, int):
-        return (_pow_exact(A, q + 1) - _pow_exact(A - B * T, q + 1)) / (B * (q + 1))
-    a, b, tt = float(A), float(B), float(T)
-    return (a ** (q + 1) - (a - b * tt) ** (q + 1)) / (b * (q + 1))
+        return A**q * T
+    return (A ** (q + 1) - (A - B * T) ** (q + 1)) / (B * (q + 1))
 
 
 @dataclass(frozen=True)
@@ -239,12 +244,6 @@ class BridgeCheckResult:
         }
 
 
-def _as_int_exponent(x: float) -> int | None:
-    if float(x).is_integer() and x >= 1:
-        return int(x)
-    return None
-
-
 def bridge_check(
     u: Window,
     v: Window,
@@ -259,9 +258,14 @@ def bridge_check(
     The sequence ``a`` is embedded as a unit-cell step function; weights
     embed likewise.  Returns all four quantities.  For ``form="gop"`` the two
     left sides agree exactly; for ``form="antigop"`` the continuous one is at
-    most the discrete one.  Right sides always agree for embedded data.
-    Exactness flags report whether the comparison ran in rational arithmetic
-    (integer exponents) or floating point.
+    most the discrete one.  For embedded data the two right sides are one
+    sum, computed once and reported in both right-side fields.
+
+    Each side picks its number type once from its exponent: rational
+    (``Fraction``) arithmetic when the exponent is a positive integer, float
+    otherwise, where the exact cell data are rounded to float before they are
+    raised to the power.  ``exact_lhs`` (from ``q``) and ``exact_rhs`` (from
+    ``p``) report which was used.
     """
     common_window(u, v, w, a)
     if not (p > 0 and q > 0):
@@ -276,25 +280,13 @@ def bridge_check(
     W = [_to_fraction(x) for x in w.values]
     A = [_to_fraction(x) for x in a.values]
     n_len = len(A)
-    qi = _as_int_exponent(q)
-    pi = _as_int_exponent(p)
-
-    f = embed_sequence(a)
+    num, e = _number_type(q)
     u_step = StepFunction(u.start, tuple(U))
 
-    # Discrete iterated entries.
-    if form == "gop":
-        inner = []
-        acc = Rat(0)
-        for k in range(n_len):
-            acc += A[k]
-            inner.append(acc)
-    else:
-        inner = [Rat(0)] * n_len
-        acc = Rat(0)
-        for k in range(n_len - 1, -1, -1):
-            acc += A[k]
-            inner[k] = acc
+    # The inner cumulative at the knots gives the discrete inner sums:
+    # sum_{k <= i} a_k = F(i + 1) for gop, sum_{k >= i} a_k = F(i) for antigop.
+    F = cumulative(embed_sequence(a), "from-left" if form == "gop" else "from-right")
+    inner = F.knots[1:] if form == "gop" else F.knots[:-1]
     entries = [Rat(0)] * n_len
     best = Rat(0)
     for i in range(n_len - 1, -1, -1):
@@ -302,84 +294,44 @@ def bridge_check(
         if cand > best:
             best = cand
         entries[i] = best
+    discrete_lhs_pow = _power_sum(W, entries, num, e)
 
-    if qi is not None:
-        discrete_lhs_pow: Fraction | float = sum(
-            (W[i] * _pow_exact(entries[i], qi) for i in range(n_len)), Rat(0)
-        )
-    else:
-        discrete_lhs_pow = sum(float(W[i]) * float(entries[i]) ** q for i in range(n_len))
-
-    # Continuous left side.
     if form == "gop":
-        F = cumulative(f, "from-left")
         sups = [sup_weighted_tail(u_step, F, Rat(n)) for n in u.indices()]
-        if qi is not None:
-            continuous_lhs_pow: Fraction | float = sum(
-                (W[i] * _pow_exact(sups[i], qi) for i in range(n_len)), Rat(0)
-            )
-        else:
-            continuous_lhs_pow = sum(
-                float(W[i]) * float(sups[i]) ** q for i in range(n_len)
-            )
+        continuous_lhs_pow = _power_sum(W, sups, num, e)
     else:
-        G = cumulative(f, "from-right")
-        cell_integrals: list[Fraction | float] = []
+        cell_integrals = []
         for k in range(n_len):
-            n = u.start + k
-            frozen = sup_weighted_tail(u_step, G, Rat(n + 1))
-            g_left = G(Rat(n))
-            moving0 = U[k] * g_left
-            slope = U[k] * A[k]
-            qq: int | float = qi if qi is not None else q
+            frozen = sup_weighted_tail(u_step, F, Rat(u.start + k + 1))
+            moving0 = U[k] * inner[k]
             if moving0 <= frozen:
                 # frozen supremum dominates throughout the cell
-                if qi is not None:
-                    cell = _pow_exact(frozen, qi)
-                else:
-                    cell = float(frozen) ** q
+                cell = num(frozen) ** e
             else:
+                slope = U[k] * A[k]
                 tau = Rat(1) if slope == 0 else min(Rat(1), (moving0 - frozen) / slope)
-                head = _integral_power_affine(moving0, slope, tau, qq)
-                if qi is not None:
-                    cell = head + _pow_exact(frozen, qi) * (1 - tau)
-                else:
-                    cell = head + float(frozen) ** q * float(1 - tau)
+                head = _integral_power_affine(moving0, slope, tau, num, e)
+                cell = head + num(frozen) ** e * num(1 - tau)
             cell_integrals.append(cell)
-        if qi is not None:
-            continuous_lhs_pow = sum(
-                (W[i] * cell_integrals[i] for i in range(n_len)), Rat(0)
-            )
-        else:
-            continuous_lhs_pow = sum(
-                float(W[i]) * cell_integrals[i] for i in range(n_len)
-            )
+        # each cell integral is already a q-th power
+        continuous_lhs_pow = _power_sum(W, cell_integrals, num, 1)
 
     # Right sides: for cell-constant data the integral of f^p v over a cell
-    # is a_n^p v_n, so both reduce to the same rational sum at integer p.
-    if pi is not None:
-        discrete_rhs_pow: Fraction | float = sum(
-            (V[i] * _pow_exact(A[i], pi) for i in range(n_len)), Rat(0)
-        )
-        continuous_rhs_pow: Fraction | float = sum(
-            (V[i] * _pow_exact(f.values[i], pi) * Rat(1) for i in range(n_len)), Rat(0)
-        )
-    else:
-        discrete_rhs_pow = sum(float(V[i]) * float(A[i]) ** p for i in range(n_len))
-        continuous_rhs_pow = sum(
-            float(V[i]) * float(f.values[i]) ** p for i in range(n_len)
-        )
+    # is a_n^p v_n, so both are this one sum.
+    rhs_num, rhs_e = _number_type(p)
+    rhs_pow = _power_sum(V, A, rhs_num, rhs_e)
+    rhs_root = float(rhs_pow) ** (1.0 / p)
 
     return BridgeCheckResult(
         form=form,
         discrete_lhs=float(discrete_lhs_pow) ** (1.0 / q),
         continuous_lhs=float(continuous_lhs_pow) ** (1.0 / q),
-        discrete_rhs=float(discrete_rhs_pow) ** (1.0 / p),
-        continuous_rhs=float(continuous_rhs_pow) ** (1.0 / p),
+        discrete_rhs=rhs_root,
+        continuous_rhs=rhs_root,
         discrete_lhs_pow=discrete_lhs_pow,
         continuous_lhs_pow=continuous_lhs_pow,
-        discrete_rhs_pow=discrete_rhs_pow,
-        continuous_rhs_pow=continuous_rhs_pow,
-        exact_lhs=qi is not None,
-        exact_rhs=pi is not None,
+        discrete_rhs_pow=rhs_pow,
+        continuous_rhs_pow=rhs_pow,
+        exact_lhs=num is Fraction,
+        exact_rhs=rhs_num is Fraction,
     )

@@ -30,6 +30,8 @@ from .seqcore import (
     ext_mul_array,
     ext_pow,
     ext_pow_array,
+    scan_max,
+    scan_sum,
 )
 
 __all__ = [
@@ -56,22 +58,6 @@ class CharacterizationResult:
             "formula_id": self.formula_id,
             "variant": self.variant,
         }
-
-
-def _prefix_sum(x: np.ndarray) -> np.ndarray:
-    return np.cumsum(x)
-
-
-def _suffix_sum(x: np.ndarray) -> np.ndarray:
-    return np.cumsum(x[::-1])[::-1]
-
-
-def _prefix_max(x: np.ndarray) -> np.ndarray:
-    return np.maximum.accumulate(x)
-
-
-def _suffix_max(x: np.ndarray) -> np.ndarray:
-    return np.maximum.accumulate(x[::-1])[::-1]
 
 
 def _iterated_weight(w: np.ndarray, uq: np.ndarray) -> np.ndarray:
@@ -104,12 +90,12 @@ def char_gop(u: Window, v: Window, w: Window, p: float, q: float) -> Characteriz
     V = v.as_array()
     W = w.as_array()
     duq = ext_pow_array(U, q)
-    Wle = _prefix_sum(W)
-    Tge = _suffix_sum(duq * W)
+    Wle = scan_sum(W)
+    Tge = scan_sum(duq * W, right=True)
     case = regime.case_id
 
     if case is RegimeCase.I:
-        Vle = _prefix_sum(ext_pow_array(V, 1.0 / (1.0 - p)))
+        Vle = scan_sum(ext_pow_array(V, 1.0 / (1.0 - p)))
         bracket = duq * Wle + Tge
         prods = ext_mul_array(
             ext_pow_array(bracket, 1.0 / q), ext_pow_array(Vle, (p - 1.0) / p)
@@ -121,20 +107,20 @@ def char_gop(u: Window, v: Window, w: Window, p: float, q: float) -> Characteriz
         r = q / (p - q)
         s = (p - 1.0) * q / (p - q)
         outer = (p - q) / (p * q)
-        Vle = _prefix_sum(ext_pow_array(V, 1.0 / (1.0 - p)))
+        Vle = scan_sum(ext_pow_array(V, 1.0 / (1.0 - p)))
         t1 = ext_mul_array(
             ext_mul_array(ext_pow_array(Tge, r), duq * W), ext_pow_array(Vle, s)
         )
         B1 = ext_pow(float(np.sum(t1)), outer)
-        M = _suffix_max(
-            ext_mul_array(ext_pow_array(U, p * r), ext_pow_array(Vle, s))
+        M = scan_max(
+            ext_mul_array(ext_pow_array(U, p * r), ext_pow_array(Vle, s)), right=True
         )
         t2 = ext_mul_array(ext_mul_array(ext_pow_array(Wle, r), W), M)
         B2 = ext_pow(float(np.sum(t2)), outer)
         return CharacterizationResult(B1 + B2, regime, {"B1": B1, "B2": B2}, "gop-ii")
 
     if case is RegimeCase.III:
-        SV = _prefix_max(ext_pow_array(V, -1.0 / p))
+        SV = scan_max(ext_pow_array(V, -1.0 / p))
         bracket = duq * Wle + Tge
         prods = ext_mul_array(ext_pow_array(bracket, 1.0 / q), SV)
         val = float(np.max(prods))
@@ -144,10 +130,12 @@ def char_gop(u: Window, v: Window, w: Window, p: float, q: float) -> Characteriz
     r = q / (p - q)
     e1 = q / (q - p)
     outer = (p - q) / (p * q)
-    SVle = _prefix_max(ext_pow_array(V, e1))
+    SVle = scan_max(ext_pow_array(V, e1))
     s1 = ext_mul_array(ext_mul_array(ext_pow_array(Tge, r), duq * W), SVle)
     S1 = float(np.sum(s1))
-    M = _suffix_max(ext_mul_array(ext_pow_array(U, p * r), ext_pow_array(V, e1)))
+    M = scan_max(
+        ext_mul_array(ext_pow_array(U, p * r), ext_pow_array(V, e1)), right=True
+    )
     s2 = ext_mul_array(ext_mul_array(ext_pow_array(Wle, r), W), M)
     S2 = float(np.sum(s2))
     val = ext_pow(S1 + S2, outer)
@@ -181,12 +169,12 @@ def char_antigop(
     V = v.as_array()
     W = w.as_array()
     uq = ext_pow_array(U, q)
-    Wle = _prefix_sum(W)
+    Wle = scan_sum(W)
     case = regime.case_id
 
     if case is RegimeCase.I:
         G = _iterated_weight(W, uq)
-        Vge = _suffix_sum(ext_pow_array(V, 1.0 / (1.0 - p)))
+        Vge = scan_sum(ext_pow_array(V, 1.0 / (1.0 - p)), right=True)
         prods = ext_mul_array(
             ext_pow_array(G, 1.0 / q), ext_pow_array(Vge, (p - 1.0) / p)
         )
@@ -198,22 +186,24 @@ def char_antigop(
         s = (p - 1.0) * q / (p - q)
         outer = (p - q) / (p * q)
         G = _iterated_weight(W, uq)
-        Wge = _suffix_sum(W)
-        vsum_left = _prefix_sum(ext_pow_array(V, 1.0 / (1.0 - p)))
-        vsum_right = _suffix_sum(ext_pow_array(V, 1.0 / (1.0 - p)))
+        Wge = scan_sum(W, right=True)
+        vsum_left = scan_sum(ext_pow_array(V, 1.0 / (1.0 - p)))
+        vsum_right = scan_sum(ext_pow_array(V, 1.0 / (1.0 - p)), right=True)
         if variant == "printed":
-            M1 = _suffix_max(
-                ext_mul_array(ext_pow_array(U, p * r), ext_pow_array(vsum_left, s))
+            M1 = scan_max(
+                ext_mul_array(ext_pow_array(U, p * r), ext_pow_array(vsum_left, s)),
+                right=True,
             )
             w_factor = ext_pow_array(W, r)
         else:
-            M1 = _suffix_max(
-                ext_mul_array(ext_pow_array(U, p * r), ext_pow_array(vsum_right, s))
+            M1 = scan_max(
+                ext_mul_array(ext_pow_array(U, p * r), ext_pow_array(vsum_right, s)),
+                right=True,
             )
             w_factor = W
         t1 = ext_mul_array(ext_mul_array(ext_pow_array(Wge, r), w_factor), M1)
         B1 = ext_pow(float(np.sum(t1)), outer)
-        M2 = _suffix_max(ext_mul_array(uq, ext_pow_array(vsum_right, s)))
+        M2 = scan_max(ext_mul_array(uq, ext_pow_array(vsum_right, s)), right=True)
         t2 = ext_mul_array(ext_mul_array(ext_pow_array(G, r), W), M2)
         B2 = ext_pow(float(np.sum(t2)), outer)
         return CharacterizationResult(
@@ -221,9 +211,9 @@ def char_antigop(
         )
 
     if case is RegimeCase.III:
-        bracket = uq * Wle + _suffix_sum(uq * W)
+        bracket = uq * Wle + scan_sum(uq * W, right=True)
         vinv = ext_pow_array(V, -1.0 / p)
-        SV = _prefix_max(vinv) if variant == "printed" else _suffix_max(vinv)
+        SV = scan_max(vinv) if variant == "printed" else scan_max(vinv, right=True)
         prods = ext_mul_array(ext_pow_array(bracket, 1.0 / q), SV)
         val = float(np.max(prods))
         return CharacterizationResult(val, regime, {"B1": val}, "antigop-iii", variant)
@@ -233,12 +223,12 @@ def char_antigop(
     e1 = q / (q - p)
     outer = (p - q) / (p * q)
     G = _iterated_weight(W, uq)
-    SVge = _suffix_max(ext_pow_array(V, e1))
+    SVge = scan_max(ext_pow_array(V, e1), right=True)
     u_exp = r if variant == "printed" else p * r
-    M1 = _suffix_max(ext_mul_array(ext_pow_array(U, u_exp), SVge))
+    M1 = scan_max(ext_mul_array(ext_pow_array(U, u_exp), SVge), right=True)
     t1 = ext_mul_array(ext_mul_array(ext_pow_array(Wle, r), W), M1)
     B1 = ext_pow(float(np.sum(t1)), outer)
-    M2 = _suffix_max(ext_mul_array(uq, SVge))
+    M2 = scan_max(ext_mul_array(uq, SVge), right=True)
     t2 = ext_mul_array(ext_mul_array(ext_pow_array(G, r), W), M2)
     B2 = ext_pow(float(np.sum(t2)), outer)
     return CharacterizationResult(
@@ -258,5 +248,5 @@ def char_linft_exact(u: Window, v: Window, p: float) -> float:
     common_window(u, v)
     u.require_finite("u")
     v.require_finite("v")
-    SV = _suffix_max(ext_pow_array(v.as_array(), -1.0 / p))
+    SV = scan_max(ext_pow_array(v.as_array(), -1.0 / p), right=True)
     return float(np.max(ext_mul_array(u.as_array(), SV)))

@@ -18,7 +18,7 @@ from . import __version__
 from .blocks import block_partition
 from .bridge import bridge_check
 from .charformulas import char_antigop, char_gop
-from .hardyops import RatioProblem, form_by_name
+from .hardyops import FORM_NAMES, RatioProblem, form_by_name
 from .oracle import OracleConfig, brute_force_constant, spike_oracle
 from .seqcore import Window
 from .verification import SweepSpec, run_verification
@@ -158,14 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--weights", required=True)
     o.add_argument("--p", type=float, required=True)
     o.add_argument("--q", type=str, required=True, help="positive float or 'inf'")
-    o.add_argument(
-        "--form",
-        default="gop",
-        choices=[
-            "gop", "antigop", "dual-gop", "dual-antigop",
-            "gop-sup", "antigop-sup", "gop-psum", "antigop-psum",
-        ],
-    )
+    o.add_argument("--form", default="gop", choices=list(FORM_NAMES.values()))
     o.add_argument("--inner-exponent", type=float, default=None,
                    help="r for the psum forms (defaults to p)")
     o.add_argument("--restarts", type=int, default=32)

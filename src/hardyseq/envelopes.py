@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-import numpy as np
-
-from .seqcore import Window
+from .seqcore import Window, scan_max, scan_min
 
 __all__ = ["EnvelopeKind", "envelope", "reduce_weight_monotone"]
 
@@ -41,26 +39,18 @@ class EnvelopeKind(Enum):
         return self.value[1]
 
 
-def _suffix_max(x: np.ndarray) -> np.ndarray:
-    return np.maximum.accumulate(x[::-1])[::-1]
-
-
-def _suffix_min(x: np.ndarray) -> np.ndarray:
-    return np.minimum.accumulate(x[::-1])[::-1]
-
-
 def envelope(u: Window, kind: EnvelopeKind) -> Window:
     """Monotone envelope of ``u`` over the window-restricted index set."""
     u.require_finite("envelope input")
     x = u.as_array()
     if kind is EnvelopeKind.INCREASING_UPPER:
-        y = np.maximum.accumulate(x)
+        y = scan_max(x)
     elif kind is EnvelopeKind.DECREASING_UPPER:
-        y = _suffix_max(x)
+        y = scan_max(x, right=True)
     elif kind is EnvelopeKind.INCREASING_LOWER:
-        y = _suffix_min(x)
+        y = scan_min(x, right=True)
     elif kind is EnvelopeKind.DECREASING_LOWER:
-        y = np.minimum.accumulate(x)
+        y = scan_min(x)
     else:  # pragma: no cover
         raise ValueError(f"unknown envelope kind {kind}")
     return u.with_values(y.tolist())

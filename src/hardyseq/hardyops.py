@@ -27,10 +27,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import INF, Window, common_window, ext_div, ext_mul_array
+from .seqcore import (
+    INF,
+    Window,
+    common_window,
+    ext_div,
+    ext_mul_array,
+    scan_max,
+    scan_sum,
+)
 
 __all__ = [
     "OperatorForm",
+    "FORM_NAMES",
+    "form_by_name",
     "RatioProblem",
     "GOP",
     "ANTIGOP",
@@ -75,21 +85,24 @@ class OperatorForm:
 
     @property
     def name(self) -> str:
-        base = {
-            ("tail", "sum", "left"): "gop",
-            ("tail", "sum", "right"): "antigop",
-            ("head", "sum", "right"): "dual-gop",
-            ("head", "sum", "left"): "dual-antigop",
-            ("tail", "sup", "left"): "gop-sup",
-            ("tail", "sup", "right"): "antigop-sup",
-            ("tail", "psum", "left"): "gop-psum",
-            ("tail", "psum", "right"): "antigop-psum",
-            ("head", "sup", "right"): "dual-gop-sup",
-            ("head", "sup", "left"): "dual-antigop-sup",
-            ("head", "psum", "right"): "dual-gop-psum",
-            ("head", "psum", "left"): "dual-antigop-psum",
-        }
-        return base[(self.outer, self.inner_kind, self.inner_dir)]
+        return FORM_NAMES[(self.outer, self.inner_kind, self.inner_dir)]
+
+
+#: The name of every operator shape, keyed by (outer, inner_kind, inner_dir).
+FORM_NAMES = {
+    ("tail", "sum", "left"): "gop",
+    ("tail", "sum", "right"): "antigop",
+    ("head", "sum", "right"): "dual-gop",
+    ("head", "sum", "left"): "dual-antigop",
+    ("tail", "sup", "left"): "gop-sup",
+    ("tail", "sup", "right"): "antigop-sup",
+    ("tail", "psum", "left"): "gop-psum",
+    ("tail", "psum", "right"): "antigop-psum",
+    ("head", "sup", "right"): "dual-gop-sup",
+    ("head", "sup", "left"): "dual-antigop-sup",
+    ("head", "psum", "right"): "dual-gop-psum",
+    ("head", "psum", "left"): "dual-antigop-psum",
+}
 
 
 # The named forms of the inequalities under study.
@@ -110,20 +123,11 @@ def antigop_psum(r: float) -> OperatorForm:
 
 
 def form_by_name(name: str, r: float = 1.0) -> OperatorForm:
-    table = {
-        "gop": GOP,
-        "antigop": ANTIGOP,
-        "dual-gop": DUAL_GOP,
-        "dual-antigop": DUAL_ANTIGOP,
-        "gop-sup": GOP_SUP,
-        "antigop-sup": ANTIGOP_SUP,
-        "gop-psum": gop_psum(r),
-        "antigop-psum": antigop_psum(r),
-    }
-    try:
-        return table[name]
-    except KeyError:
-        raise ValueError(f"unknown operator form {name!r}") from None
+    """The form named ``name`` in :data:`FORM_NAMES`; ``r`` is the psum exponent."""
+    for (outer, kind, direction), known in FORM_NAMES.items():
+        if known == name:
+            return OperatorForm(outer, kind, direction, r if kind == "psum" else 1.0)
+    raise ValueError(f"unknown operator form {name!r}")
 
 
 @dataclass(frozen=True)
@@ -158,20 +162,8 @@ class RatioProblem:
 
 
 # ---------------------------------------------------------------------------
-# Batched scans (candidates stacked along axis 0)
+# Batched evaluation (candidates stacked along axis 0)
 # ---------------------------------------------------------------------------
-
-def _cums(x: np.ndarray, right: bool) -> np.ndarray:
-    if right:
-        return np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
-    return np.cumsum(x, axis=-1)
-
-
-def _cummax(x: np.ndarray, right: bool) -> np.ndarray:
-    if right:
-        return np.maximum.accumulate(x[..., ::-1], axis=-1)[..., ::-1]
-    return np.maximum.accumulate(x, axis=-1)
-
 
 def _iterated_entries(u: np.ndarray, a: np.ndarray, form: OperatorForm) -> np.ndarray:
     """Entries of the iterated operator for a batch of candidates ``a``.
@@ -181,23 +173,23 @@ def _iterated_entries(u: np.ndarray, a: np.ndarray, form: OperatorForm) -> np.nd
     right = form.inner_dir == "right"
     tail_outer = form.outer == "tail"
     if form.inner_kind == "sum":
-        inner = _cums(a, right)
+        inner = scan_sum(a, right)
         prod = u * inner
     elif form.inner_kind == "sup":
-        inner = _cummax(a, right)
+        inner = scan_max(a, right)
         prod = u * inner
     else:  # psum, entry = (sup u^r * sum a^r)^(1/r), computed on the rooted scale
         r = form.inner_exponent
         if r == 1.0:
-            prod = u * _cums(a, right)
+            prod = u * scan_sum(a, right)
         else:
-            s = _cums(a**r, right)
+            s = scan_sum(a**r, right)
             # Tails with at most one nonzero term have p-norm equal to their
             # max; substituting that exact value avoids the pow round trip.
-            counts = _cums((a > 0).astype(float), right)
-            t = np.where(counts <= 1.0, _cummax(a, right), s ** (1.0 / r))
+            counts = scan_sum((a > 0).astype(float), right)
+            t = np.where(counts <= 1.0, scan_max(a, right), s ** (1.0 / r))
             prod = u * t
-    return _cummax(prod, right=tail_outer)
+    return scan_max(prod, right=tail_outer)
 
 
 def _lhs_batch(w: np.ndarray, q: float, entries: np.ndarray) -> np.ndarray:

@@ -49,14 +49,16 @@ __all__ = [
 ]
 
 _FAMILIES = ("spikes", "blocks", "random-dirichlet", "gradient-polished")
+#: Coordinate-ascent step: initial multiplicative step, and its decay on a
+#: step that finds no better probe.
+_STEP_INIT = 0.5
+_STEP_DECAY = 0.9
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     restarts: int = 32
     iterations: int = 500
-    step_init: float = 0.5
-    step_decay: float = 0.9
     seed: int = 0
     candidate_families: tuple[str, ...] = _FAMILIES
     dirichlet_per_restart: int = 8
@@ -127,7 +129,7 @@ def _polish(
     a = a0.astype(float).copy()
     best = float(_ratio_batch(problem, a[None, :])[0])
     evals = 1
-    step = cfg.step_init
+    step = _STEP_INIT
     idx = np.arange(n)
     for _ in range(cfg.iterations):
         if step < 1e-12 or math.isinf(best):
@@ -142,8 +144,21 @@ def _polish(
             best = float(r[k])
             a = probes[k]
         else:
-            step *= cfg.step_decay
+            step *= _STEP_DECAY
     return a, best, evals
+
+
+def _polish_top(
+    problem: RatioProblem, pool: np.ndarray, ratios: np.ndarray, cfg: OracleConfig
+) -> tuple[np.ndarray, int]:
+    """Polish the ``cfg.restarts`` best candidates; returns (polished, evals)."""
+    polished = []
+    evals = 0
+    for k in np.argsort(ratios)[::-1][: cfg.restarts]:
+        a, _, used = _polish(problem, pool[k], cfg)
+        polished.append(a)
+        evals += used
+    return np.array(polished), evals
 
 
 def spike_oracle(problem: RatioProblem) -> OracleResult:
@@ -169,19 +184,14 @@ def brute_force_constant(
 ) -> OracleResult:
     """Best ratio over all candidate families; a lower bound on the constant."""
     cfg = cfg or OracleConfig()
-    pool, evals = _assemble_pool(problem, cfg)
+    pool = _assemble_pool(problem, cfg)
     ratios = _ratio_batch(problem, pool)
-    evals += len(pool)
+    evals = len(pool)
     if "gradient-polished" in cfg.candidate_families and not np.isinf(ratios).any():
-        order = np.argsort(ratios)[::-1][: cfg.restarts]
-        extra = []
-        for k in order:
-            a, _, used = _polish(problem, pool[k], cfg)
-            extra.append(a)
-            evals += used
-        pool = np.concatenate([pool, np.array(extra)])
-        ratios = np.concatenate([ratios, _ratio_batch(problem, np.array(extra))])
-        evals += len(extra)
+        extra, used = _polish_top(problem, pool, ratios, cfg)
+        pool = np.concatenate([pool, extra])
+        ratios = np.concatenate([ratios, _ratio_batch(problem, extra)])
+        evals += used + len(extra)
     k = int(np.argmax(ratios))
     cert = "exact-spike" if _spike_exact(problem) else "heuristic"
     return OracleResult(
@@ -192,7 +202,7 @@ def brute_force_constant(
     )
 
 
-def _assemble_pool(problem: RatioProblem, cfg: OracleConfig) -> tuple[np.ndarray, int]:
+def _assemble_pool(problem: RatioProblem, cfg: OracleConfig) -> np.ndarray:
     n = problem.size
     parts = []
     if "spikes" in cfg.candidate_families:
@@ -203,7 +213,7 @@ def _assemble_pool(problem: RatioProblem, cfg: OracleConfig) -> tuple[np.ndarray
         parts.append(_dirichlet_pool(problem, cfg))
     if not parts:
         parts.append(_spike_pool(n))
-    return np.concatenate(parts), 0
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -309,19 +319,14 @@ def chain_equivalence_sweep(
     else:
         raise ValueError(f"family must be antigop/gop/simple, got {family!r}")
     problems = [RatioProblem(u, v, w, p, q, f) for f in forms]
-    pool, _ = _assemble_pool(problems[0], cfg)
+    pool = _assemble_pool(problems[0], cfg)
     if "gradient-polished" in cfg.candidate_families:
         extra = []
         for prob in problems:
             r = _ratio_batch(prob, pool)
-            if np.isinf(r).any():
-                continue
-            order = np.argsort(r)[::-1][: cfg.restarts]
-            for k in order:
-                a, _, _ = _polish(prob, pool[k], cfg)
-                extra.append(a)
-        if extra:
-            pool = np.concatenate([pool, np.array(extra)])
+            if not np.isinf(r).any():
+                extra.append(_polish_top(prob, pool, r, cfg)[0])
+        pool = np.concatenate([pool, *extra])
     r1, r2, r3 = (_ratio_batch(prob, pool) for prob in problems)
     violations = int(np.sum((r1 > r2) | (r2 > r3)))
     a1, a2, a3 = float(np.max(r1)), float(np.max(r2)), float(np.max(r3))

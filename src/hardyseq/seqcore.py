@@ -33,6 +33,9 @@ __all__ = [
     "ext_div",
     "ext_pow_array",
     "ext_mul_array",
+    "scan_sum",
+    "scan_max",
+    "scan_min",
 ]
 
 INF = math.inf
@@ -107,6 +110,29 @@ def ext_mul_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         out = np.where(zero, 0.0, x * y)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Running scans along the last axis: prefix (k <= i) or, with ``right``,
+# suffix (k >= i)
+# ---------------------------------------------------------------------------
+
+def scan_sum(x: np.ndarray, right: bool = False) -> np.ndarray:
+    if right:
+        return np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
+    return np.cumsum(x, axis=-1)
+
+
+def scan_max(x: np.ndarray, right: bool = False) -> np.ndarray:
+    if right:
+        return np.maximum.accumulate(x[..., ::-1], axis=-1)[..., ::-1]
+    return np.maximum.accumulate(x, axis=-1)
+
+
+def scan_min(x: np.ndarray, right: bool = False) -> np.ndarray:
+    if right:
+        return np.minimum.accumulate(x[..., ::-1], axis=-1)[..., ::-1]
+    return np.minimum.accumulate(x, axis=-1)
 
 
 # ---------------------------------------------------------------------------

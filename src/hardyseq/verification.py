@@ -1,21 +1,33 @@
 """Seeded verification sweeps: property suites with machine-readable reports.
 
-Each suite draws random instances from a seeded generator, runs a hard
-assertion per instance, and reports statistics.  Failing instances are
-serialized in full so a later run can replay them bit for bit.  All
-randomness flows from the sweep seed; reports are deterministic.
+Each suite draws random instances from a seeded generator and runs one check
+function per instance.  A check takes the instance's inputs (windows and
+scalars) and returns ``(observed, passed)``.  A failing instance is recorded
+as its suite name, its inputs in the wire format (windows as
+``{"start", "values"}``, scalars as numbers or strings) and the observed
+numbers.  :func:`replay_instance` decodes such a record and runs the same
+check, so a replay reproduces the sweep's ``observed`` and verdict bit for
+bit.  All randomness flows from the sweep seed; reports are deterministic.
+
+Observed values per suite: ``chain`` the triple ``[sup, sum, powered sum]``;
+``bridge`` ``{"gop": ..., "antigop": ...}``, the two bridge results;
+``partition`` the invariant report plus the ``partition`` itself; ``linft``
+``{"exact", "spike", "brute"}``; ``equivalence-ratio`` ``{"F", "B",
+"ratio"}``; ``chain-equivalence`` the chain report; ``doubling`` both sides
+of the sum and the sup pair.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from . import blocks, bridge, charformulas, hardyops, oracle
-from .hardyops import ANTIGOP, GOP, ANTIGOP_SUP, RatioProblem
+from .hardyops import ANTIGOP_SUP, RatioProblem
 from .oracle import FAST_CONFIG
 from .seqcore import Window
 
@@ -138,28 +150,127 @@ def _weight_triple(rng: np.random.Generator, n: int, exponent: float) -> tuple[W
 
 
 # ---------------------------------------------------------------------------
+# Checks: one per suite, shared by the sweep and by replay
+# ---------------------------------------------------------------------------
+
+def _check_chain(a: Window, p: float, n: int) -> tuple[Any, bool]:
+    s1, s2, s3 = hardyops.elementary_chain_check(a, p, n)
+    return [s1, s2, s3], s1 <= s2 <= s3
+
+
+def _check_bridge(
+    u: Window, v: Window, w: Window, a: Window, q: float
+) -> tuple[Any, bool]:
+    res = bridge.bridge_check(u, v, w, a, 1.0, q, form="gop")
+    anti = bridge.bridge_check(u, v, w, a, 1.0, q, form="antigop")
+    ok = res.lhs_equal and res.rhs_equal and res.exact_lhs and res.exact_rhs
+    ok = ok and anti.continuous_lhs_pow <= anti.discrete_lhs_pow and anti.rhs_equal
+    return {"gop": res.to_json(), "antigop": anti.to_json()}, ok
+
+
+def _check_partition(w: Window, n0: int) -> tuple[Any, bool]:
+    bp = blocks.block_partition(w, n0)
+    report = blocks.verify_partition_invariants(w, bp)
+    return {**report.to_json(), "partition": bp.to_json()}, report.all_pass
+
+
+def _check_linft(u: Window, v: Window, p: float) -> tuple[Any, bool]:
+    ones = Window(u.start, (1.0,) * len(u))
+    prob = RatioProblem(u, v, ones, p, math.inf, ANTIGOP_SUP)
+    exact = charformulas.char_linft_exact(u, v, p)
+    spike = oracle.spike_oracle(prob)
+    brute = oracle.brute_force_constant(prob, FAST_CONFIG)
+    ok = math.isclose(spike.constant, exact, rel_tol=1e-9, abs_tol=0.0)
+    ok = ok and math.isclose(brute.constant, exact, rel_tol=1e-6, abs_tol=0.0)
+    return {"exact": exact, "spike": spike.constant, "brute": brute.constant}, ok
+
+
+def _check_equivalence(
+    u: Window, v: Window, w: Window, p: float, q: float, form: str
+) -> tuple[Any, bool]:
+    prob = RatioProblem(u, v, w, p, q, hardyops.form_by_name(form))
+    eq = oracle.equivalence_ratio(prob, FAST_CONFIG)
+    observed = {"F": eq.formula, "B": eq.brute, "ratio": eq.ratio}
+    return observed, eq.sentinel or 0 < eq.ratio < math.inf
+
+
+def _check_chain_equivalence(
+    u: Window, v: Window, w: Window, p: float, q: float, family: str
+) -> tuple[Any, bool]:
+    rep = oracle.chain_equivalence_sweep(u, v, w, p, q, FAST_CONFIG, family)
+    ok = not rep.violations and (rep.sentinel or rep.ratio31 < math.inf)
+    return rep.to_json(), ok
+
+
+def _check_doubling(b: Window, c: Window, alpha: float) -> tuple[Any, bool]:
+    out = blocks.doubling_lemma_check(b, c, alpha, b.start, b.last)
+    ok = out.lhs_sum <= 2.0 * out.rhs_sum and out.lhs_sup <= 2.0 * out.rhs_sup
+    return asdict(out), ok
+
+
+_CHECKS: dict[str, Callable[..., tuple[Any, bool]]] = {
+    "chain": _check_chain,
+    "bridge": _check_bridge,
+    "partition": _check_partition,
+    "linft": _check_linft,
+    "equivalence-ratio": _check_equivalence,
+    "chain-equivalence": _check_chain_equivalence,
+    "doubling": _check_doubling,
+}
+
+#: How replay decodes each recorded input field.
+_DECODE: dict[str, Callable[[Any], Any]] = {
+    **dict.fromkeys("abcuvw", Window.from_json),
+    "p": float,
+    "q": float,
+    "alpha": float,
+    "n": int,
+    "n0": int,
+    "form": str,
+    "family": str,
+}
+
+
+def _check(failures: list, suite: str, **inputs: Any) -> Any:
+    """Run the suite's check; record a replayable failure; return observed."""
+    observed, passed = _CHECKS[suite](**inputs)
+    if not passed:
+        encoded = {
+            k: x.to_json() if isinstance(x, Window) else x for k, x in inputs.items()
+        }
+        failures.append({"suite": suite, **encoded, "observed": observed})
+    return observed
+
+
+def replay_instance(entry: dict) -> dict:
+    """Re-run one recorded failure through its suite's check."""
+    suite = entry.get("suite")
+    if suite not in _CHECKS:
+        raise ValueError(f"cannot replay suite {suite!r}")
+    check = _CHECKS[suite]
+    inputs = {k: _DECODE[k](entry[k]) for k in inspect.signature(check).parameters}
+    observed, passed = check(**inputs)
+    return {"suite": suite, "observed": observed, "passed": passed}
+
+
+# ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
 
 def _suite_chain(spec: SweepSpec, rng: np.random.Generator) -> dict:
-    failures = []
+    failures: list = []
     probes = max(spec.ensemble * 25, 100)
     for _ in range(probes):
         n_len = int(rng.choice(spec.window_sizes))
         a = rand_window(rng, n_len, int(rng.integers(-4, 5)), spec.weight_exponent, 0.2)
         p = float(rng.uniform(0.05, 1.0)) if rng.random() < 0.8 else 1.0
         n = int(rng.integers(a.start, a.stop))
-        s1, s2, s3 = hardyops.elementary_chain_check(a, p, n)
-        if not (s1 <= s2 <= s3):
-            failures.append(
-                {"suite": "chain", "a": a.to_json(), "p": p, "n": n, "observed": [s1, s2, s3]}
-            )
+        _check(failures, "chain", a=a, p=p, n=n)
     return {"passed": not failures, "probes": probes, "failures": failures}
 
 
 def _suite_bridge(spec: SweepSpec, rng: np.random.Generator) -> dict:
-    failures = []
-    checks = 0
+    failures: list = []
     for _ in range(spec.ensemble):
         n_len = int(min(max(spec.window_sizes), 12))
         n_len = int(rng.integers(1, n_len + 1))
@@ -168,107 +279,48 @@ def _suite_bridge(spec: SweepSpec, rng: np.random.Generator) -> dict:
         v = rand_dyadic_window(rng, n_len, start)
         w = rand_dyadic_window(rng, n_len, start)
         a = rand_dyadic_window(rng, n_len, start, allow_zero=True)
-        q = int(rng.integers(1, 4))
-        res = bridge.bridge_check(u, v, w, a, 1.0, float(q), form="gop")
-        anti = bridge.bridge_check(u, v, w, a, 1.0, float(q), form="antigop")
-        checks += 1
-        ok = res.lhs_equal and res.rhs_equal and res.exact_lhs and res.exact_rhs
-        ok = ok and anti.continuous_lhs_pow <= anti.discrete_lhs_pow and anti.rhs_equal
-        if not ok:
-            failures.append(
-                {
-                    "suite": "bridge",
-                    "u": u.to_json(),
-                    "v": v.to_json(),
-                    "w": w.to_json(),
-                    "a": a.to_json(),
-                    "q": q,
-                    "observed": res.to_json(),
-                }
-            )
-    return {"passed": not failures, "checks": checks, "failures": failures}
+        q = float(rng.integers(1, 4))
+        _check(failures, "bridge", u=u, v=v, w=w, a=a, q=q)
+    return {"passed": not failures, "checks": spec.ensemble, "failures": failures}
 
 
 def _suite_partition(spec: SweepSpec, rng: np.random.Generator) -> dict:
-    failures = []
+    failures: list = []
     for _ in range(spec.ensemble):
         n_len = int(rng.choice(spec.window_sizes))
         w = rand_window(rng, n_len, int(rng.integers(-4, 5)), spec.weight_exponent, 0.25)
         n0 = int(rng.integers(w.start, w.stop))
-        bp = blocks.block_partition(w, n0)
-        report = blocks.verify_partition_invariants(w, bp)
-        if not report.all_pass:
-            failures.append(
-                {
-                    "suite": "partition",
-                    "w": w.to_json(),
-                    "n0": n0,
-                    "observed": report.to_json(),
-                    "partition": bp.to_json(),
-                }
-            )
+        _check(failures, "partition", w=w, n0=n0)
     return {"passed": not failures, "checks": spec.ensemble, "failures": failures}
 
 
 def _suite_linft(spec: SweepSpec, rng: np.random.Generator) -> dict:
-    failures = []
+    failures: list = []
     for _ in range(spec.ensemble):
         n_len = int(rng.choice(spec.window_sizes))
         start = int(rng.integers(-4, 5))
         u = rand_window(rng, n_len, start, spec.weight_exponent)
         v = rand_window(rng, n_len, start, spec.weight_exponent)
         p = float(rng.choice([0.25, 0.5, 1.0]))
-        ones = Window(start, (1.0,) * n_len)
-        prob = RatioProblem(u, v, ones, p, math.inf, ANTIGOP_SUP)
-        exact = charformulas.char_linft_exact(u, v, p)
-        spike = oracle.spike_oracle(prob)
-        brute = oracle.brute_force_constant(prob, FAST_CONFIG)
-        ok = math.isclose(spike.constant, exact, rel_tol=1e-9, abs_tol=0.0)
-        ok = ok and math.isclose(brute.constant, exact, rel_tol=1e-6, abs_tol=0.0)
-        if not ok:
-            failures.append(
-                {
-                    "suite": "linft",
-                    "u": u.to_json(),
-                    "v": v.to_json(),
-                    "p": p,
-                    "observed": {
-                        "exact": exact,
-                        "spike": spike.constant,
-                        "brute": brute.constant,
-                    },
-                }
-            )
+        _check(failures, "linft", u=u, v=v, p=p)
     return {"passed": not failures, "checks": spec.ensemble, "failures": failures}
 
 
 def _suite_equivalence(spec: SweepSpec, rng: np.random.Generator) -> dict:
-    failures = []
+    failures: list = []
     stats: dict[str, dict] = {}
     for p, q in spec.regimes:
-        for form_name, form in (("gop", GOP), ("antigop", ANTIGOP)):
+        for form in ("gop", "antigop"):
             ratios = []
             for _ in range(spec.ensemble):
                 n_len = int(rng.choice([n for n in spec.window_sizes if n <= 8] or [5]))
                 u, v, w = _weight_triple(rng, n_len, spec.weight_exponent)
-                prob = RatioProblem(u, v, w, p, q, form)
-                eq = oracle.equivalence_ratio(prob, FAST_CONFIG)
-                ratios.append(eq.ratio)
-                if not (eq.sentinel or (0 < eq.ratio < math.inf)):
-                    failures.append(
-                        {
-                            "suite": "equivalence-ratio",
-                            "u": u.to_json(),
-                            "v": v.to_json(),
-                            "w": w.to_json(),
-                            "p": p,
-                            "q": q,
-                            "form": form_name,
-                            "observed": {"F": eq.formula, "B": eq.brute, "ratio": eq.ratio},
-                        }
-                    )
+                observed = _check(
+                    failures, "equivalence-ratio", u=u, v=v, w=w, p=p, q=q, form=form
+                )
+                ratios.append(observed["ratio"])
             arr = np.asarray(ratios)
-            stats[f"{form_name}:p={p},q={q}"] = {
+            stats[f"{form}:p={p},q={q}"] = {
                 "min": float(arr.min()),
                 "median": float(np.median(arr)),
                 "max": float(arr.max()),
@@ -277,7 +329,7 @@ def _suite_equivalence(spec: SweepSpec, rng: np.random.Generator) -> dict:
 
 
 def _suite_chain_equivalence(spec: SweepSpec, rng: np.random.Generator) -> dict:
-    failures = []
+    failures: list = []
     ratios = []
     regimes = [(p, q) for p, q in spec.regimes if p <= 1] or [(1.0, 1.0)]
     for p, q in regimes:
@@ -285,21 +337,10 @@ def _suite_chain_equivalence(spec: SweepSpec, rng: np.random.Generator) -> dict:
             for _ in range(max(spec.ensemble // 4, 1)):
                 n_len = int(rng.choice([n for n in spec.window_sizes if n <= 8] or [5]))
                 u, v, w = _weight_triple(rng, n_len, spec.weight_exponent)
-                rep = oracle.chain_equivalence_sweep(u, v, w, p, q, FAST_CONFIG, family)
-                ratios.append(rep.ratio31)
-                if rep.violations or not (rep.sentinel or rep.ratio31 < math.inf):
-                    failures.append(
-                        {
-                            "suite": "chain-equivalence",
-                            "u": u.to_json(),
-                            "v": v.to_json(),
-                            "w": w.to_json(),
-                            "p": p,
-                            "q": q,
-                            "family": family,
-                            "observed": rep.to_json(),
-                        }
-                    )
+                observed = _check(
+                    failures, "chain-equivalence", u=u, v=v, w=w, p=p, q=q, family=family
+                )
+                ratios.append(observed["ratio_A3_A1"])
     return {
         "passed": not failures,
         "max_ratio_A3_A1": float(max(ratios)) if ratios else None,
@@ -308,7 +349,7 @@ def _suite_chain_equivalence(spec: SweepSpec, rng: np.random.Generator) -> dict:
 
 
 def _suite_doubling(spec: SweepSpec, rng: np.random.Generator) -> dict:
-    failures = []
+    failures: list = []
     probes = max(spec.ensemble * 10, 50)
     for _ in range(probes):
         n_len = int(rng.integers(3, 10))
@@ -316,23 +357,7 @@ def _suite_doubling(spec: SweepSpec, rng: np.random.Generator) -> dict:
         b = Window(0, tuple(np.concatenate([[rng.uniform(0.5, 2.0)], factors]).cumprod()))
         c = rand_window(rng, n_len, 0, spec.weight_exponent, 0.3)
         alpha = float(rng.choice([0.25, 0.5, 1.0]))
-        out = blocks.doubling_lemma_check(b, c, alpha, 0, n_len - 1)
-        ok = out.lhs_sum <= 2.0 * out.rhs_sum and out.lhs_sup <= 2.0 * out.rhs_sup
-        if not ok:
-            failures.append(
-                {
-                    "suite": "doubling",
-                    "b": b.to_json(),
-                    "c": c.to_json(),
-                    "alpha": alpha,
-                    "observed": {
-                        "lhs_sum": out.lhs_sum,
-                        "rhs_sum": out.rhs_sum,
-                        "lhs_sup": out.lhs_sup,
-                        "rhs_sup": out.rhs_sup,
-                    },
-                }
-            )
+        _check(failures, "doubling", b=b, c=c, alpha=alpha)
     return {"passed": not failures, "probes": probes, "failures": failures}
 
 
@@ -360,67 +385,6 @@ def run_verification(spec: SweepSpec) -> dict:
     if spec.replay:
         report["replay"] = [replay_instance(entry) for entry in spec.replay]
     report["passed"] = all(s["passed"] for s in report["suites"].values()) and all(
-        r.get("passed", True) for r in report.get("replay", [])
+        r["passed"] for r in report.get("replay", [])
     )
     return report
-
-
-def replay_instance(entry: dict) -> dict:
-    """Re-run one serialized instance and report the observed numbers."""
-    suite = entry.get("suite")
-    if suite == "chain":
-        a = Window.from_json(entry["a"])
-        s1, s2, s3 = hardyops.elementary_chain_check(a, float(entry["p"]), int(entry["n"]))
-        return {"suite": suite, "observed": [s1, s2, s3], "passed": s1 <= s2 <= s3}
-    if suite == "bridge":
-        u, v, w, a = (Window.from_json(entry[k]) for k in ("u", "v", "w", "a"))
-        res = bridge.bridge_check(u, v, w, a, 1.0, float(entry["q"]), form="gop")
-        return {
-            "suite": suite,
-            "observed": res.to_json(),
-            "passed": res.lhs_equal and res.rhs_equal,
-        }
-    if suite == "partition":
-        w = Window.from_json(entry["w"])
-        bp = blocks.block_partition(w, int(entry["n0"]))
-        rep = blocks.verify_partition_invariants(w, bp)
-        return {"suite": suite, "observed": rep.to_json(), "passed": rep.all_pass}
-    if suite == "linft":
-        u = Window.from_json(entry["u"])
-        v = Window.from_json(entry["v"])
-        p = float(entry["p"])
-        ones = Window(u.start, (1.0,) * len(u))
-        prob = RatioProblem(u, v, ones, p, math.inf, ANTIGOP_SUP)
-        exact = charformulas.char_linft_exact(u, v, p)
-        spike = oracle.spike_oracle(prob).constant
-        return {
-            "suite": suite,
-            "observed": {"exact": exact, "spike": spike},
-            "passed": math.isclose(spike, exact, rel_tol=1e-9, abs_tol=0.0),
-        }
-    if suite == "equivalence-ratio":
-        u, v, w = (Window.from_json(entry[k]) for k in ("u", "v", "w"))
-        form = GOP if entry["form"] == "gop" else ANTIGOP
-        prob = RatioProblem(u, v, w, float(entry["p"]), float(entry["q"]), form)
-        eq = oracle.equivalence_ratio(prob, FAST_CONFIG)
-        return {
-            "suite": suite,
-            "observed": {"F": eq.formula, "B": eq.brute, "ratio": eq.ratio},
-            "passed": eq.sentinel or 0 < eq.ratio < math.inf,
-        }
-    if suite == "chain-equivalence":
-        u, v, w = (Window.from_json(entry[k]) for k in ("u", "v", "w"))
-        rep = oracle.chain_equivalence_sweep(
-            u, v, w, float(entry["p"]), float(entry["q"]), FAST_CONFIG, entry["family"]
-        )
-        return {"suite": suite, "observed": rep.to_json(), "passed": rep.violations == 0}
-    if suite == "doubling":
-        b = Window.from_json(entry["b"])
-        c = Window.from_json(entry["c"])
-        out = blocks.doubling_lemma_check(b, c, float(entry["alpha"]), b.start, b.last)
-        return {
-            "suite": suite,
-            "observed": {"lhs_sum": out.lhs_sum, "rhs_sum": out.rhs_sum},
-            "passed": out.lhs_sum <= 2.0 * out.rhs_sum,
-        }
-    raise ValueError(f"cannot replay suite {suite!r}")

@@ -147,12 +147,20 @@ class TestBridgeCheck:
 
     def test_antigop_one_cell_value(self):
         """Regression: on a one-cell window with unit data the continuous
-        reflected integrand is (1 - t)^q, so its integral is 1/(q+1)."""
+        reflected integrand is (1 - t)^q, so its integral is 1/(q+1) and the
+        continuous side is (q+1)^(-1/q), exact for integer q and in float
+        arithmetic otherwise."""
         one = Window(0, (1.0,))
-        for q in (1, 2, 3):
+        for q in (1, 2, 3, 1.5, 2.5):
             res = bridge_check(one, one, one, one, 1.0, float(q), "antigop")
             assert res.discrete_lhs_pow == 1
-            assert res.continuous_lhs_pow == F(1, q + 1)
+            assert res.continuous_lhs == pytest.approx((q + 1) ** (-1 / q), rel=1e-14)
+            if isinstance(q, int):
+                assert res.exact_lhs
+                assert res.continuous_lhs_pow == F(1, q + 1)
+            else:
+                assert res.exact_lhs is False
+                assert isinstance(res.continuous_lhs_pow, float)
 
     def test_non_integer_exponents_fall_back_to_float(self):
         w = Window(0, (1.0, 1.0))

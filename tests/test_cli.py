@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+from hardyseq import oracle
 from hardyseq.cli import main
 from hardyseq.verification import SweepSpec, run_verification
 
@@ -172,6 +174,33 @@ class TestVerify:
 
 
 class TestReplay:
+    def test_failing_replay_entry_exits_one(self, tmp_path, monkeypatch, capsys):
+        """A linft entry whose brute-force bound misses the exact value fails
+        on replay even though its spike value matches."""
+        real = oracle.brute_force_constant
+
+        def halved(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return dataclasses.replace(res, constant=res.constant / 2)
+
+        monkeypatch.setattr(oracle, "brute_force_constant", halved)
+        entry = {
+            "suite": "linft",
+            "u": {"start": 0, "values": [2, 1]},
+            "v": {"start": 0, "values": [4, 1]},
+            "p": 1.0,
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(
+            json.dumps({"suites": ["chain"], "ensemble": 1, "replay": [entry]})
+        )
+        assert main(["verify", "--spec", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["suites"]["chain"]["passed"] is True
+        assert report["replay"][0]["passed"] is False
+        observed = report["replay"][0]["observed"]
+        assert observed["spike"] == observed["exact"] == 2 * observed["brute"]
+
     def test_replay_reproduces_identical_numbers(self):
         entry = {
             "suite": "chain",

@@ -9,6 +9,7 @@ from hardyseq.hardyops import (
     ANTIGOP,
     ANTIGOP_SUP,
     DUAL_GOP,
+    FORM_NAMES,
     GOP,
     GOP_SUP,
     OperatorForm,
@@ -194,8 +195,11 @@ class TestMonotonicity:
 
 
 def test_form_by_name_round_trip():
-    for name in ("gop", "antigop", "dual-gop", "dual-antigop", "gop-sup", "antigop-sup"):
+    assert len(FORM_NAMES) == 12
+    for name in FORM_NAMES.values():
         assert form_by_name(name).name == name
+        assert form_by_name(name, r=0.5).name == name
+    assert form_by_name("gop", r=0.5) == GOP
     assert form_by_name("gop-psum", r=0.5).inner_exponent == 0.5
     with pytest.raises(ValueError):
         form_by_name("nope")

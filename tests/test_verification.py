@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from hardyseq import blocks, bridge, hardyops, oracle
 from hardyseq.verification import (
     ALL_SUITES,
     SweepSpec,
@@ -117,3 +119,64 @@ def test_replay_all_suites():
     for entry in entries:
         out = replay_instance(entry)
         assert out["passed"], entry["suite"]
+
+
+def _failing_invariants(report):
+    report.record("first_step", 1, False)
+    return report
+
+
+def _antigop_above_discrete(res):
+    if res.form == "gop":
+        return res
+    return dataclasses.replace(res, continuous_lhs_pow=res.discrete_lhs_pow + 1)
+
+
+# (module, library call, change to its result) per suite.  Each change fails
+# exactly one predicate of the suite's check.  For bridge, linft,
+# chain-equivalence and doubling it is a predicate that a weaker replay would
+# skip: the reflected form, the brute-force bound, the finiteness of A3/A1
+# and the sup pair.
+REPLAY_FAULTS = {
+    "chain": (hardyops, "elementary_chain_check", lambda t: (t[2] + 1.0, t[1], t[2])),
+    "bridge": (bridge, "bridge_check", _antigop_above_discrete),
+    "partition": (blocks, "verify_partition_invariants", _failing_invariants),
+    "linft": (
+        oracle,
+        "brute_force_constant",
+        lambda r: dataclasses.replace(r, constant=r.constant / 2),
+    ),
+    "equivalence-ratio": (
+        oracle,
+        "equivalence_ratio",
+        lambda r: dataclasses.replace(r, ratio=math.inf, sentinel=False),
+    ),
+    "chain-equivalence": (
+        oracle,
+        "chain_equivalence_sweep",
+        lambda r: dataclasses.replace(r, ratio31=math.inf, sentinel=False, violations=0),
+    ),
+    "doubling": (
+        blocks,
+        "doubling_lemma_check",
+        lambda r: dataclasses.replace(r, lhs_sup=3.0 * r.rhs_sup),
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", ALL_SUITES)
+def test_replay_reproduces_the_sweep_verdict(suite, monkeypatch):
+    module, name, alter = REPLAY_FAULTS[suite]
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: alter(real(*args, **kwargs)))
+    spec = SweepSpec(
+        seed=3, suites=(suite,), ensemble=2, window_sizes=(3,), regimes=((1.0, 1.0),)
+    )
+    report = run_verification(spec)
+    failures = report["suites"][suite]["failures"]
+    assert failures and report["passed"] is False
+    for entry in failures:
+        recorded = json.loads(json.dumps(entry))
+        out = replay_instance(recorded)
+        assert out["passed"] is False
+        assert out["observed"] == recorded["observed"]
