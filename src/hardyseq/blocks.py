@@ -49,10 +49,6 @@ class BlockPartition:
     def K(self) -> int:
         return len(self.ns) - 1
 
-    @property
-    def finite_ns(self) -> tuple[int, ...]:
-        return tuple(int(n) for n in self.ns if math.isfinite(n))
-
     def to_json(self) -> dict:
         return {
             "n0": self.n0,
@@ -78,21 +74,16 @@ def block_partition(w: Window, n0: int) -> BlockPartition:
         raise IndexError(f"n0={n0} outside window [{w.start}, {w.last}]")
     w.require_finite("w")
     ns: list[float] = [n0]
-    if n0 + 1 >= w.stop:
-        # No room for the mandatory first step; cap with the terminal.
-        ns.append(INF)
-        return BlockPartition(n0, tuple(ns), _kset(ns))
-    ns.append(n0 + 1)
-    while True:
-        prev = int(ns[-1])
-        nxt: float = INF
-        for j in range(prev + 1, w.stop):
-            if _doubling_test(w, prev, j):
-                nxt = j
-                break
-        ns.append(nxt)
-        if math.isinf(nxt):
-            break
+    # Each step's passing set is an initial segment (see the module
+    # docstring), so n_{k-1} + 1 is the only candidate for n_k.  With n_0 at
+    # the window's last index there is no room for the first step n_0 + 1.
+    n = n0 + 1
+    if n < w.stop:
+        ns.append(n)
+        while n + 1 < w.stop and _doubling_test(w, n, n + 1):
+            n += 1
+            ns.append(n)
+    ns.append(INF)
     return BlockPartition(n0, tuple(ns), _kset(ns))
 
 
@@ -248,43 +239,3 @@ def doubling_lemma_check(
         rhs_sup=float(np.sum(cc * bb)),
     )
 
-
-def calibrate_doubling_constant(
-    alpha: float,
-    samples: int = 10_000,
-    size_range: tuple[int, int] = (3, 12),
-    seed: int = 0,
-    require_full_doubling: bool = True,
-) -> float:
-    """Empirical max of lhs_sum / rhs_sum over random valid (b, c) ensembles.
-
-    Used once to record C(alpha) fixtures for alpha > 1 (the recorded value
-    is this maximum doubled as margin).  ``b`` is built from doubling factors
-    in [2, 4]; when ``require_full_doubling`` is false the last gap uses an
-    unconstrained factor in [1/4, 4].  ``c`` mixes uniform, geometric, spike
-    and constant shapes.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        n = int(rng.integers(size_range[0], size_range[1] + 1))
-        factors = rng.uniform(2.0, 4.0, size=n - 1)
-        if not require_full_doubling:
-            factors[-1] = rng.uniform(0.25, 4.0)
-        bb = np.concatenate([[rng.uniform(0.5, 2.0)], factors]).cumprod()
-        kind = rng.integers(0, 4)
-        if kind == 0:
-            cc = rng.uniform(0.0, 1.0, size=n)
-        elif kind == 1:
-            cc = rng.uniform(0.5, 2.0) ** np.arange(n)
-        elif kind == 2:
-            cc = np.zeros(n)
-            cc[rng.integers(0, n)] = rng.uniform(0.5, 2.0)
-        else:
-            cc = np.full(n, rng.uniform(0.1, 2.0))
-        tails = scan_sum(cc, right=True)
-        num = float(np.sum(tails**alpha * bb))
-        den = float(np.sum(cc**alpha * bb))
-        if den > 0:
-            worst = max(worst, num / den)
-    return worst

@@ -127,7 +127,7 @@ class PiecewiseLinear:
 def embed_sequence(a: Window) -> StepFunction:
     """Step function equal to ``a_n`` on ``[n, n+1)`` and zero elsewhere."""
     a.require_finite("a")
-    return StepFunction(a.start, tuple(_to_fraction(v) for v in a.values))
+    return StepFunction(a.start, a.values.tolist())
 
 
 def cumulative(f: StepFunction, direction: str) -> PiecewiseLinear:
@@ -275,10 +275,10 @@ def bridge_check(
     for win, name in ((u, "u"), (v, "v"), (w, "w"), (a, "a")):
         win.require_finite(name)
 
-    U = [_to_fraction(x) for x in u.values]
-    V = [_to_fraction(x) for x in v.values]
-    W = [_to_fraction(x) for x in w.values]
-    A = [_to_fraction(x) for x in a.values]
+    U = [_to_fraction(x) for x in u.values.tolist()]
+    V = [_to_fraction(x) for x in v.values.tolist()]
+    W = [_to_fraction(x) for x in w.values.tolist()]
+    A = [_to_fraction(x) for x in a.values.tolist()]
     n_len = len(A)
     num, e = _number_type(q)
     u_step = StepFunction(u.start, tuple(U))

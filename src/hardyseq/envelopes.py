@@ -53,7 +53,7 @@ def envelope(u: Window, kind: EnvelopeKind) -> Window:
         y = scan_min(x)
     else:  # pragma: no cover
         raise ValueError(f"unknown envelope kind {kind}")
-    return u.with_values(y.tolist())
+    return u.with_values(y)
 
 
 def reduce_weight_monotone(v: Window, side: str) -> Window:

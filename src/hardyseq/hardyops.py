@@ -226,7 +226,7 @@ def apply_iterated(u: Window, a: Window, form: OperatorForm = GOP) -> Window:
     u.require_finite("u")
     a.require_finite("a")
     entries = _iterated_entries(u.as_array(), a.as_array(), form)
-    return u.with_values(entries.tolist())
+    return u.with_values(entries)
 
 
 def lhs(problem: RatioProblem, a: Window) -> float:
@@ -248,7 +248,7 @@ def rhs(v: Window, p: float, a: Window) -> float:
 
 def ratio(problem: RatioProblem, a: Window) -> float:
     """``lhs / rhs`` with the extended-value conventions; rejects ``a = 0``."""
-    if not any(x > 0 for x in a.values):
+    if not a.values.max() > 0:
         raise ValueError("ratio requires a nonzero candidate sequence")
     return ext_div(lhs(problem, a), rhs(problem.v, problem.p, a))
 

@@ -173,7 +173,7 @@ def spike_oracle(problem: RatioProblem) -> OracleResult:
     cert = "exact-spike" if _spike_exact(problem) else "heuristic"
     return OracleResult(
         constant=float(ratios[k]),
-        argmax=Window(problem.u.start, tuple(pool[k])),
+        argmax=Window(problem.u.start, pool[k]),
         certificate=cert,
         evaluations=len(pool),
     )
@@ -196,7 +196,7 @@ def brute_force_constant(
     cert = "exact-spike" if _spike_exact(problem) else "heuristic"
     return OracleResult(
         constant=float(ratios[k]),
-        argmax=Window(problem.u.start, tuple(pool[k])),
+        argmax=Window(problem.u.start, pool[k]),
         certificate=cert,
         evaluations=evals,
     )

@@ -2,7 +2,8 @@
 and (p, q) parameter regime classification.
 
 A :class:`Window` is a finite contiguous slice of the integer line carrying a
-nonnegative sequence.  It models a double-infinite sequence restricted to that
+nonnegative sequence, held as one read-only float64 array that every layer
+reads in place.  It models a double-infinite sequence restricted to that
 slice: sums over the test sequence ``a`` treat the outside as zero, while
 weight envelopes and suprema are restricted to the window (never extended by
 zero, which would spuriously trigger the ``0**(-alpha) = inf`` convention).
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -139,26 +140,34 @@ def scan_min(x: np.ndarray, right: bool = False) -> np.ndarray:
 # Windows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Window:
     """A nonnegative sequence on a contiguous integer index range.
 
-    ``values[k]`` is the entry at index ``start + k``.  Equality is
+    ``values[k]`` is the entry at index ``start + k``.  ``values`` is a
+    read-only float64 array, copied from the input and validated once at
+    construction; :meth:`as_array` returns it without a copy.  Equality is
     index-aware: two windows are equal iff both start and values agree.
     """
 
     start: int
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.values) < 1:
-            raise ValueError("window must contain at least one entry")
-        vals = tuple(float(v) for v in self.values)
-        for v in vals:
-            if math.isnan(v) or v < 0:
-                raise ValueError(f"window entries must be nonnegative, got {v}")
+        vals = np.array(self.values, dtype=float)
+        if vals.ndim != 1 or len(vals) < 1:
+            raise ValueError("window values must be a nonempty 1-D sequence")
+        lo = vals.min()
+        if not lo >= 0:  # also rejects NaN
+            raise ValueError(f"window entries must be nonnegative, got {lo}")
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "start", int(self.start))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Window):
+            return NotImplemented
+        return self.start == other.start and np.array_equal(self.values, other.values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -181,17 +190,15 @@ class Window:
     def value_at(self, n: int) -> float:
         if n not in self:
             raise IndexError(f"index {n} outside window [{self.start}, {self.last}]")
-        return self.values[n - self.start]
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.values)
+        return float(self.values[n - self.start])
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        return self.values
 
     @property
     def finite(self) -> bool:
-        return all(math.isfinite(v) for v in self.values)
+        # entries are non-NaN and nonnegative, so only +inf can be non-finite
+        return bool(self.values.max() < INF)
 
     def require_finite(self, name: str = "window") -> "Window":
         if not self.finite:
@@ -209,22 +216,22 @@ class Window:
 
     def reversed(self) -> "Window":
         """Index reversal ``x_bar[n] = x[-n]`` (used by the dual inequalities)."""
-        return Window(-self.last, tuple(reversed(self.values)))
+        return Window(-self.last, self.values[::-1])
 
     def with_values(self, values: Sequence[float]) -> "Window":
         if len(values) != len(self.values):
             raise ValueError("replacement values must match window length")
-        return Window(self.start, tuple(float(v) for v in values))
+        return Window(self.start, values)
 
     def scaled(self, t: float) -> "Window":
-        return Window(self.start, tuple(t * v for v in self.values))
+        return Window(self.start, t * self.values)
 
     # -- JSON wire format: {"start": int, "values": [numbers | "inf"]} -------
 
     def to_json(self) -> dict:
-        out = []
-        for v in self.values:
-            out.append("inf" if math.isinf(v) else v)
+        out = self.values.tolist()
+        if not self.finite:
+            out = ["inf" if v == INF else v for v in out]
         return {"start": self.start, "values": out}
 
     @classmethod
@@ -240,7 +247,7 @@ class Window:
                     raise ValueError(f"unrecognized window entry {v!r}")
             else:
                 vals.append(float(v))
-        return cls(int(obj["start"]), tuple(vals))
+        return cls(int(obj["start"]), vals)
 
 
 def common_window(*windows: Window) -> None:

@@ -128,7 +128,7 @@ def rand_window(
         if mask.all():
             mask[rng.integers(0, n)] = False
         vals = np.where(mask, 0.0, vals)
-    return Window(start, tuple(vals))
+    return Window(start, vals)
 
 
 def rand_dyadic_window(
@@ -137,7 +137,7 @@ def rand_dyadic_window(
     """Random dyadic rationals k / 2**j, exactly representable as floats."""
     num = rng.integers(0 if allow_zero else 1, 17, size=n)
     den = 2.0 ** rng.integers(0, 4, size=n)
-    return Window(start, tuple(num / den))
+    return Window(start, num / den)
 
 
 def _weight_triple(rng: np.random.Generator, n: int, exponent: float) -> tuple[Window, Window, Window]:
@@ -354,7 +354,7 @@ def _suite_doubling(spec: SweepSpec, rng: np.random.Generator) -> dict:
     for _ in range(probes):
         n_len = int(rng.integers(3, 10))
         factors = rng.uniform(2.0, 4.0, size=n_len - 1)
-        b = Window(0, tuple(np.concatenate([[rng.uniform(0.5, 2.0)], factors]).cumprod()))
+        b = Window(0, np.concatenate([[rng.uniform(0.5, 2.0)], factors]).cumprod())
         c = rand_window(rng, n_len, 0, spec.weight_exponent, 0.3)
         alpha = float(rng.choice([0.25, 0.5, 1.0]))
         _check(failures, "doubling", b=b, c=c, alpha=alpha)

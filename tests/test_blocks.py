@@ -4,11 +4,51 @@ import pytest
 from hardyseq.blocks import (
     BlockPartition,
     block_partition,
-    calibrate_doubling_constant,
     doubling_lemma_check,
     verify_partition_invariants,
 )
-from hardyseq.seqcore import INF, Window
+from hardyseq.seqcore import INF, Window, scan_sum
+
+
+def calibrate_doubling_constant(
+    alpha: float,
+    samples: int = 10_000,
+    size_range: tuple[int, int] = (3, 12),
+    seed: int = 0,
+    require_full_doubling: bool = True,
+) -> float:
+    """Empirical max of lhs_sum / rhs_sum over random valid (b, c) ensembles.
+
+    Used once to record C(alpha) fixtures for alpha > 1 (the recorded value
+    is this maximum doubled as margin).  ``b`` is built from doubling factors
+    in [2, 4]; when ``require_full_doubling`` is false the last gap uses an
+    unconstrained factor in [1/4, 4].  ``c`` mixes uniform, geometric, spike
+    and constant shapes.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        n = int(rng.integers(size_range[0], size_range[1] + 1))
+        factors = rng.uniform(2.0, 4.0, size=n - 1)
+        if not require_full_doubling:
+            factors[-1] = rng.uniform(0.25, 4.0)
+        bb = np.concatenate([[rng.uniform(0.5, 2.0)], factors]).cumprod()
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            cc = rng.uniform(0.0, 1.0, size=n)
+        elif kind == 1:
+            cc = rng.uniform(0.5, 2.0) ** np.arange(n)
+        elif kind == 2:
+            cc = np.zeros(n)
+            cc[rng.integers(0, n)] = rng.uniform(0.5, 2.0)
+        else:
+            cc = np.full(n, rng.uniform(0.1, 2.0))
+        tails = scan_sum(cc, right=True)
+        num = float(np.sum(tails**alpha * bb))
+        den = float(np.sum(cc**alpha * bb))
+        if den > 0:
+            worst = max(worst, num / den)
+    return worst
 
 
 class TestBlockPartition:

@@ -126,8 +126,19 @@ class TestWindow:
             Window(0, (1, 2)).slice(0, 5)
 
     def test_negative_entry_rejected(self):
+        for bad in (-0.5, math.nan):
+            with pytest.raises(ValueError):
+                Window(0, (1.0, bad))
+
+    def test_values_are_one_read_only_copy(self):
+        src = np.array([1.0, 2.0, 3.0])
+        w = Window(0, src)
+        assert w.as_array() is w.values
+        assert w.values.dtype == np.float64
         with pytest.raises(ValueError):
-            Window(0, (1.0, -0.5))
+            w.values[0] = 5.0
+        src[0] = 7.0
+        assert tuple(w.values) == (1.0, 2.0, 3.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -140,7 +151,7 @@ class TestWindow:
     def test_reversed(self):
         w = Window(2, (1, 2, 3))
         r = w.reversed()
-        assert r.start == -4 and r.values == (3.0, 2.0, 1.0)
+        assert r.start == -4 and tuple(r.values) == (3.0, 2.0, 1.0)
         assert r.reversed() == w
 
     def test_json_round_trip(self):
@@ -149,7 +160,7 @@ class TestWindow:
 
     def test_json_accepts_inf_string(self):
         w = Window.from_json({"start": 0, "values": [1, "inf"]})
-        assert w.values == (1.0, INF)
+        assert tuple(w.values) == (1.0, INF)
         assert not w.finite
 
     def test_value_at_and_contains(self):
