@@ -9,6 +9,7 @@ entries, e.g. ``{"u": {"start": 0, "values": [1, 2]}, "v": ..., "w": ...}``
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -84,14 +85,10 @@ def _cmd_char(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     wins = _load_windows(args.weights, ("u", "v", "w"))
-    form = form_by_name(args.form, r=args.inner_exponent if args.inner_exponent else args.p)
+    r = args.p if args.inner_exponent is None else args.inner_exponent
+    form = form_by_name(args.form, r=r)
     problem = RatioProblem(wins["u"], wins["v"], wins["w"], args.p, _parse_q(args.q), form)
-    cfg = OracleConfig(
-        restarts=args.restarts,
-        iterations=args.iterations,
-        seed=args.seed,
-        candidate_families=tuple(args.families.split(",")),
-    )
+    cfg = OracleConfig(restarts=args.restarts, iterations=args.iterations, seed=args.seed)
     if args.spikes_only:
         res = spike_oracle(problem)
     else:
@@ -127,7 +124,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         spec = SweepSpec()
     if args.seed is not None:
-        spec = SweepSpec.from_json({**spec.to_json(), "seed": args.seed})
+        spec = dataclasses.replace(spec, seed=args.seed)
     report = run_verification(spec)
     _emit(report, args.format, args.out or spec.out)
     return 0 if report["passed"] else 1
@@ -164,8 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--restarts", type=int, default=32)
     o.add_argument("--iterations", type=int, default=500)
     o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--families", type=str,
-                   default="spikes,blocks,random-dirichlet,gradient-polished")
     o.add_argument("--spikes-only", action="store_true",
                    help="Exact spike enumeration (sup-inner forms, p <= 1)")
     common(o)

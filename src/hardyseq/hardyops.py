@@ -171,25 +171,18 @@ def _iterated_entries(u: np.ndarray, a: np.ndarray, form: OperatorForm) -> np.nd
     ``u`` has shape (N,), ``a`` shape (..., N); returns shape (..., N).
     """
     right = form.inner_dir == "right"
-    tail_outer = form.outer == "tail"
-    if form.inner_kind == "sum":
+    r = form.inner_exponent
+    if form.inner_kind == "sum" or (form.inner_kind == "psum" and r == 1.0):
         inner = scan_sum(a, right)
-        prod = u * inner
     elif form.inner_kind == "sup":
         inner = scan_max(a, right)
-        prod = u * inner
     else:  # psum, entry = (sup u^r * sum a^r)^(1/r), computed on the rooted scale
-        r = form.inner_exponent
-        if r == 1.0:
-            prod = u * scan_sum(a, right)
-        else:
-            s = scan_sum(a**r, right)
-            # Tails with at most one nonzero term have p-norm equal to their
-            # max; substituting that exact value avoids the pow round trip.
-            counts = scan_sum((a > 0).astype(float), right)
-            t = np.where(counts <= 1.0, scan_max(a, right), s ** (1.0 / r))
-            prod = u * t
-    return scan_max(prod, right=tail_outer)
+        s = scan_sum(a**r, right)
+        # Tails with at most one nonzero term have p-norm equal to their
+        # max; substituting that exact value avoids the pow round trip.
+        counts = scan_sum((a > 0).astype(float), right)
+        inner = np.where(counts <= 1.0, scan_max(a, right), s ** (1.0 / r))
+    return scan_max(u * inner, right=form.outer == "tail")
 
 
 def _lhs_batch(w: np.ndarray, q: float, entries: np.ndarray) -> np.ndarray:

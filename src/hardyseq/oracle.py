@@ -1,10 +1,13 @@
 """Brute-force estimation of the true least constant on small windows.
 
 The least constant equals ``sup_a lhs(a) / rhs(a)`` over nonnegative
-sequences.  On a finite window this module maximizes the ratio over candidate
-families (single spikes, indicator blocks, Dirichlet points on the constraint
-surface, multiplicative-ascent polished candidates) and returns the best
-ratio found, which is always a certified lower bound on the true constant.
+sequences.  On a finite window this module maximizes the ratio over a fixed
+pool of candidate families, always searched in the same order: single spikes,
+indicator blocks (windows of two or more points), Dirichlet points on the
+constraint surface, and, unless a ratio is already infinite, the
+multiplicative-ascent polish of the best of them.  The pool keeps that order,
+so the index of a candidate tells its family.  The best ratio found is always
+a certified lower bound on the true constant.
 
 For ``p <= 1 <= q`` (including ``q = inf``) the maximum is attained at a
 spike: substituting ``x = a^p`` makes the numerator a composition of convex
@@ -48,7 +51,6 @@ __all__ = [
     "chain_equivalence_sweep",
 ]
 
-_FAMILIES = ("spikes", "blocks", "random-dirichlet", "gradient-polished")
 #: Coordinate-ascent step: initial multiplicative step, and its decay on a
 #: step that finds no better probe.
 _STEP_INIT = 0.5
@@ -60,15 +62,11 @@ class OracleConfig:
     restarts: int = 32
     iterations: int = 500
     seed: int = 0
-    candidate_families: tuple[str, ...] = _FAMILIES
     dirichlet_per_restart: int = 8
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        for fam in self.candidate_families:
-            if fam not in _FAMILIES:
-                raise ValueError(f"unknown candidate family {fam!r}")
 
 
 #: A light configuration for large verification sweeps.
@@ -91,22 +89,25 @@ class OracleResult:
         }
 
 
-def _spike_exact(problem: RatioProblem) -> bool:
-    return problem.p <= 1.0 and (problem.q >= 1.0 or math.isinf(problem.q))
-
-
-def _spike_pool(n: int) -> np.ndarray:
-    return np.eye(n)
+def _result(
+    problem: RatioProblem, pool: np.ndarray, ratios: np.ndarray, evaluations: int
+) -> OracleResult:
+    """The best candidate of ``pool``, certified exact in the spike range."""
+    k = int(np.argmax(ratios))
+    exact = problem.p <= 1.0 and (problem.q >= 1.0 or math.isinf(problem.q))
+    return OracleResult(
+        constant=float(ratios[k]),
+        argmax=Window(problem.u.start, pool[k]),
+        certificate="exact-spike" if exact else "heuristic",
+        evaluations=evaluations,
+    )
 
 
 def _block_pool(n: int) -> np.ndarray:
-    rows = []
-    for m1 in range(n):
-        for m2 in range(m1, n):
-            row = np.zeros(n)
-            row[m1 : m2 + 1] = 1.0
-            rows.append(row)
-    return np.array(rows)
+    """Indicators of every block ``[m1, m2]``, ordered by ``m1``, then ``m2``."""
+    m1, m2 = np.triu_indices(n)
+    idx = np.arange(n)
+    return ((m1[:, None] <= idx) & (idx <= m2[:, None])).astype(float)
 
 
 def _dirichlet_pool(problem: RatioProblem, cfg: OracleConfig) -> np.ndarray:
@@ -121,10 +122,18 @@ def _dirichlet_pool(problem: RatioProblem, cfg: OracleConfig) -> np.ndarray:
     return np.concatenate(draws)
 
 
+def _assemble_pool(problem: RatioProblem, cfg: OracleConfig) -> np.ndarray:
+    """Spikes, then blocks, then Dirichlet draws; one point has no block
+    besides its spike."""
+    n = problem.size
+    blocks = [_block_pool(n)] if n > 1 else []
+    return np.concatenate([np.eye(n), *blocks, _dirichlet_pool(problem, cfg)])
+
+
 def _polish(
     problem: RatioProblem, a0: np.ndarray, cfg: OracleConfig
-) -> tuple[np.ndarray, float, int]:
-    """Multiplicative coordinate ascent from ``a0``; returns (a, ratio, evals)."""
+) -> tuple[np.ndarray, int]:
+    """Multiplicative coordinate ascent from ``a0``; returns (a, evals)."""
     n = problem.size
     a = a0.astype(float).copy()
     best = float(_ratio_batch(problem, a[None, :])[0])
@@ -145,7 +154,7 @@ def _polish(
             a = probes[k]
         else:
             step *= _STEP_DECAY
-    return a, best, evals
+    return a, evals
 
 
 def _polish_top(
@@ -155,7 +164,7 @@ def _polish_top(
     polished = []
     evals = 0
     for k in np.argsort(ratios)[::-1][: cfg.restarts]:
-        a, _, used = _polish(problem, pool[k], cfg)
+        a, used = _polish(problem, pool[k], cfg)
         polished.append(a)
         evals += used
     return np.array(polished), evals
@@ -167,16 +176,8 @@ def spike_oracle(problem: RatioProblem) -> OracleResult:
         raise ValueError("spike oracle requires a sup-inner operator form")
     if not problem.p <= 1.0:
         raise ValueError(f"spike oracle requires p in (0, 1], got p={problem.p}")
-    pool = _spike_pool(problem.size)
-    ratios = _ratio_batch(problem, pool)
-    k = int(np.argmax(ratios))
-    cert = "exact-spike" if _spike_exact(problem) else "heuristic"
-    return OracleResult(
-        constant=float(ratios[k]),
-        argmax=Window(problem.u.start, pool[k]),
-        certificate=cert,
-        evaluations=len(pool),
-    )
+    pool = np.eye(problem.size)
+    return _result(problem, pool, _ratio_batch(problem, pool), len(pool))
 
 
 def brute_force_constant(
@@ -187,33 +188,12 @@ def brute_force_constant(
     pool = _assemble_pool(problem, cfg)
     ratios = _ratio_batch(problem, pool)
     evals = len(pool)
-    if "gradient-polished" in cfg.candidate_families and not np.isinf(ratios).any():
+    if not np.isinf(ratios).any():
         extra, used = _polish_top(problem, pool, ratios, cfg)
         pool = np.concatenate([pool, extra])
         ratios = np.concatenate([ratios, _ratio_batch(problem, extra)])
         evals += used + len(extra)
-    k = int(np.argmax(ratios))
-    cert = "exact-spike" if _spike_exact(problem) else "heuristic"
-    return OracleResult(
-        constant=float(ratios[k]),
-        argmax=Window(problem.u.start, pool[k]),
-        certificate=cert,
-        evaluations=evals,
-    )
-
-
-def _assemble_pool(problem: RatioProblem, cfg: OracleConfig) -> np.ndarray:
-    n = problem.size
-    parts = []
-    if "spikes" in cfg.candidate_families:
-        parts.append(_spike_pool(n))
-    if "blocks" in cfg.candidate_families and n > 1:
-        parts.append(_block_pool(n))
-    if "random-dirichlet" in cfg.candidate_families:
-        parts.append(_dirichlet_pool(problem, cfg))
-    if not parts:
-        parts.append(_spike_pool(n))
-    return np.concatenate(parts)
+    return _result(problem, pool, ratios, evals)
 
 
 @dataclass(frozen=True)
@@ -320,13 +300,12 @@ def chain_equivalence_sweep(
         raise ValueError(f"family must be antigop/gop/simple, got {family!r}")
     problems = [RatioProblem(u, v, w, p, q, f) for f in forms]
     pool = _assemble_pool(problems[0], cfg)
-    if "gradient-polished" in cfg.candidate_families:
-        extra = []
-        for prob in problems:
-            r = _ratio_batch(prob, pool)
-            if not np.isinf(r).any():
-                extra.append(_polish_top(prob, pool, r, cfg)[0])
-        pool = np.concatenate([pool, *extra])
+    extra = []
+    for prob in problems:
+        r = _ratio_batch(prob, pool)
+        if not np.isinf(r).any():
+            extra.append(_polish_top(prob, pool, r, cfg)[0])
+    pool = np.concatenate([pool, *extra])
     r1, r2, r3 = (_ratio_batch(prob, pool) for prob in problems)
     violations = int(np.sum((r1 > r2) | (r2 > r3)))
     a1, a2, a3 = float(np.max(r1)), float(np.max(r2)), float(np.max(r3))

@@ -72,8 +72,8 @@ class SweepSpec:
                 raise ValueError(f"regimes must be positive (p, q) pairs, got {pq}")
         if self.ensemble < 1:
             raise ValueError("ensemble size must be >= 1")
-        if not all(n >= 1 for n in self.window_sizes):
-            raise ValueError("window sizes must be >= 1")
+        if not self.window_sizes or not all(n >= 1 for n in self.window_sizes):
+            raise ValueError("window sizes must be a non-empty list of values >= 1")
 
     @classmethod
     def from_json(cls, obj: dict) -> "SweepSpec":

@@ -91,6 +91,12 @@ class TestOracle:
     def test_bad_q(self, weights_file):
         assert main(["oracle", "--weights", weights_file, "--p", "1", "--q", "-1"]) == 2
 
+    def test_zero_inner_exponent_rejected(self, weights_file, capsys):
+        code = main(["oracle", "--weights", weights_file, "--p", "1", "--q", "1",
+                     "--form", "gop-psum", "--inner-exponent", "0"])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
 
 class TestBridge:
     def test_unit_fixture(self, weights_file, capsys):
@@ -194,12 +200,14 @@ class TestReplay:
         path.write_text(
             json.dumps({"suites": ["chain"], "ensemble": 1, "replay": [entry]})
         )
-        assert main(["verify", "--spec", str(path)]) == 1
-        report = json.loads(capsys.readouterr().out)
-        assert report["suites"]["chain"]["passed"] is True
-        assert report["replay"][0]["passed"] is False
-        observed = report["replay"][0]["observed"]
-        assert observed["spike"] == observed["exact"] == 2 * observed["brute"]
+        # A seed override keeps the spec's replay entries.
+        for extra in ([], ["--seed", "0"]):
+            assert main(["verify", "--spec", str(path), *extra]) == 1
+            report = json.loads(capsys.readouterr().out)
+            assert report["suites"]["chain"]["passed"] is True
+            assert report["replay"][0]["passed"] is False
+            observed = report["replay"][0]["observed"]
+            assert observed["spike"] == observed["exact"] == 2 * observed["brute"]
 
     def test_replay_reproduces_identical_numbers(self):
         entry = {

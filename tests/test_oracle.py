@@ -124,6 +124,17 @@ class TestBruteForce:
                 a = Window(u.start, tuple(rng.uniform(0.01, 2, 5)))
                 assert ratio(prob, a) <= res.constant * (1 + 1e-9)
 
+    @pytest.mark.parametrize("form,p,q", [(GOP, 2.0, 3.0), (ANTIGOP_SUP, 0.5, 1.0)])
+    @pytest.mark.parametrize("n,expected", [(1, 11), (2, 15), (5, 30)])
+    def test_pool_composition(self, form, p, q, n, expected):
+        """Spikes, blocks for n > 1, and per restart its Dirichlet draws, one
+        start of an unpolished ascent and one re-evaluation."""
+        u, v, w = rand_triple(np.random.default_rng(n), n)
+        cfg = OracleConfig(restarts=2, iterations=0, dirichlet_per_restart=3)
+        res = brute_force_constant(RatioProblem(u, v, w, p, q, form), cfg)
+        blocks = n * (n + 1) // 2 if n > 1 else 0
+        assert res.evaluations == n + blocks + 2 * (3 + 2) == expected
+
     @pytest.mark.parametrize("form", [GOP, ANTIGOP, GOP_SUP, ANTIGOP_SUP])
     def test_spike_exact_regime_matches_spike_enumeration(self, form):
         rng = np.random.default_rng(11)

@@ -45,6 +45,8 @@ def test_spec_validation():
         SweepSpec(regimes=((0.0, 1.0),))
     with pytest.raises(ValueError):
         SweepSpec(ensemble=0)
+    with pytest.raises(ValueError):
+        SweepSpec(window_sizes=())
 
 
 def test_spec_json_round_trip():
