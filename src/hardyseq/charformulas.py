@@ -4,7 +4,9 @@ Four-regime estimators for the two iterated forms, transcribed verbatim from
 their published statements, plus the exact sup-norm formula for the
 q = infinity sup-inner problem.  The estimates are equivalents (two-sided up
 to constants depending only on p and q), not exact values, except for
-:func:`char_linft_exact` which is an identity.
+:func:`char_linft_exact` which is an identity.  Every regime term has one of
+two shapes, the sup term ``max_n x_n^(1/q) y_n`` or the summed term
+``sum_n x_n^r y_n m_n``, built by ``_sup_term`` and ``_sum_term``.
 
 Two printed sub-expressions of the reflected (antigop) estimator are
 suspicious (a weight-sum direction and two exponents; they break the scaling
@@ -70,6 +72,24 @@ def _iterated_weight(w: np.ndarray, uq: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sup_term(x: np.ndarray, q: float, y: np.ndarray) -> float:
+    """``max_n x_n^(1/q) y_n``."""
+    return float(np.max(ext_mul_array(ext_pow_array(x, 1.0 / q), y)))
+
+
+def _sum_term(x: np.ndarray, r: float, y: np.ndarray, m: np.ndarray) -> float:
+    """``sum_n x_n^r y_n m_n``, multiplied in that order."""
+    return float(np.sum(ext_mul_array(ext_mul_array(ext_pow_array(x, r), y), m)))
+
+
+def _result(
+    form: str, regime: Regime, value: float, terms: dict, variant: str = "printed"
+) -> CharacterizationResult:
+    """A result whose ``formula_id`` is ``<form>-<case>``, e.g. ``gop-iii``."""
+    formula_id = f"{form}-{regime.case_id.lower()}"
+    return CharacterizationResult(value, regime, terms, formula_id, variant)
+
+
 def _validated(u: Window, v: Window, w: Window, p: float, q: float) -> Regime:
     common_window(u, v, w)
     u.require_finite("u")
@@ -90,56 +110,36 @@ def char_gop(u: Window, v: Window, w: Window, p: float, q: float) -> Characteriz
     V = v.as_array()
     W = w.as_array()
     duq = ext_pow_array(U, q)
+    duqW = ext_mul_array(duq, W)
     Wle = scan_sum(W)
-    Tge = scan_sum(duq * W, right=True)
+    Tge = scan_sum(duqW, right=True)
     case = regime.case_id
 
-    if case is RegimeCase.I:
-        Vle = scan_sum(ext_pow_array(V, 1.0 / (1.0 - p)))
-        bracket = duq * Wle + Tge
-        prods = ext_mul_array(
-            ext_pow_array(bracket, 1.0 / q), ext_pow_array(Vle, (p - 1.0) / p)
-        )
-        val = float(np.max(prods))
-        return CharacterizationResult(val, regime, {"B1": val}, "gop-i")
+    if case is RegimeCase.I or case is RegimeCase.III:
+        bracket = ext_mul_array(duq, Wle) + Tge
+        if case is RegimeCase.I:
+            SV = ext_pow_array(scan_sum(ext_pow_array(V, 1.0 / (1.0 - p))), (p - 1.0) / p)
+        else:
+            SV = scan_max(ext_pow_array(V, -1.0 / p))
+        val = _sup_term(bracket, q, SV)
+        return _result("gop", regime, val, {"B1": val})
 
-    if case is RegimeCase.II:
-        r = q / (p - q)
-        s = (p - 1.0) * q / (p - q)
-        outer = (p - q) / (p * q)
-        Vle = scan_sum(ext_pow_array(V, 1.0 / (1.0 - p)))
-        t1 = ext_mul_array(
-            ext_mul_array(ext_pow_array(Tge, r), duq * W), ext_pow_array(Vle, s)
-        )
-        B1 = ext_pow(float(np.sum(t1)), outer)
-        M = scan_max(
-            ext_mul_array(ext_pow_array(U, p * r), ext_pow_array(Vle, s)), right=True
-        )
-        t2 = ext_mul_array(ext_mul_array(ext_pow_array(Wle, r), W), M)
-        B2 = ext_pow(float(np.sum(t2)), outer)
-        return CharacterizationResult(B1 + B2, regime, {"B1": B1, "B2": B2}, "gop-ii")
-
-    if case is RegimeCase.III:
-        SV = scan_max(ext_pow_array(V, -1.0 / p))
-        bracket = duq * Wle + Tge
-        prods = ext_mul_array(ext_pow_array(bracket, 1.0 / q), SV)
-        val = float(np.max(prods))
-        return CharacterizationResult(val, regime, {"B1": val}, "gop-iii")
-
-    # case IV: 0 < q < p <= 1, one bracketed sum
+    # cases II and IV: the same two terms with different v-factors
     r = q / (p - q)
-    e1 = q / (q - p)
     outer = (p - q) / (p * q)
-    SVle = scan_max(ext_pow_array(V, e1))
-    s1 = ext_mul_array(ext_mul_array(ext_pow_array(Tge, r), duq * W), SVle)
-    S1 = float(np.sum(s1))
-    M = scan_max(
-        ext_mul_array(ext_pow_array(U, p * r), ext_pow_array(V, e1)), right=True
-    )
-    s2 = ext_mul_array(ext_mul_array(ext_pow_array(Wle, r), W), M)
-    S2 = float(np.sum(s2))
-    val = ext_pow(S1 + S2, outer)
-    return CharacterizationResult(val, regime, {"S1": S1, "S2": S2}, "gop-iv")
+    if case is RegimeCase.II:
+        Vle = scan_sum(ext_pow_array(V, 1.0 / (1.0 - p)))
+        v1 = v2 = ext_pow_array(Vle, (p - 1.0) * q / (p - q))
+    else:
+        v2 = ext_pow_array(V, q / (q - p))
+        v1 = scan_max(v2)
+    t1 = _sum_term(Tge, r, duqW, v1)
+    M = scan_max(ext_mul_array(ext_pow_array(U, p * r), v2), right=True)
+    t2 = _sum_term(Wle, r, W, M)
+    if case is RegimeCase.II:
+        B1, B2 = ext_pow(t1, outer), ext_pow(t2, outer)
+        return _result("gop", regime, B1 + B2, {"B1": B1, "B2": B2})
+    return _result("gop", regime, ext_pow(t1 + t2, outer), {"S1": t1, "S2": t2})
 
 
 def char_antigop(
@@ -164,6 +164,7 @@ def char_antigop(
     """
     if variant not in ("printed", "flipped"):
         raise ValueError(f"variant must be 'printed' or 'flipped', got {variant!r}")
+    printed = variant == "printed"
     regime = _validated(u, v, w, p, q)
     U = u.as_array()
     V = v.as_array()
@@ -173,67 +174,34 @@ def char_antigop(
     case = regime.case_id
 
     if case is RegimeCase.I:
-        G = _iterated_weight(W, uq)
         Vge = scan_sum(ext_pow_array(V, 1.0 / (1.0 - p)), right=True)
-        prods = ext_mul_array(
-            ext_pow_array(G, 1.0 / q), ext_pow_array(Vge, (p - 1.0) / p)
-        )
-        val = float(np.max(prods))
-        return CharacterizationResult(val, regime, {"B1": val}, "antigop-i", variant)
-
-    if case is RegimeCase.II:
-        r = q / (p - q)
-        s = (p - 1.0) * q / (p - q)
-        outer = (p - q) / (p * q)
-        G = _iterated_weight(W, uq)
-        Wge = scan_sum(W, right=True)
-        vsum_left = scan_sum(ext_pow_array(V, 1.0 / (1.0 - p)))
-        vsum_right = scan_sum(ext_pow_array(V, 1.0 / (1.0 - p)), right=True)
-        if variant == "printed":
-            M1 = scan_max(
-                ext_mul_array(ext_pow_array(U, p * r), ext_pow_array(vsum_left, s)),
-                right=True,
-            )
-            w_factor = ext_pow_array(W, r)
-        else:
-            M1 = scan_max(
-                ext_mul_array(ext_pow_array(U, p * r), ext_pow_array(vsum_right, s)),
-                right=True,
-            )
-            w_factor = W
-        t1 = ext_mul_array(ext_mul_array(ext_pow_array(Wge, r), w_factor), M1)
-        B1 = ext_pow(float(np.sum(t1)), outer)
-        M2 = scan_max(ext_mul_array(uq, ext_pow_array(vsum_right, s)), right=True)
-        t2 = ext_mul_array(ext_mul_array(ext_pow_array(G, r), W), M2)
-        B2 = ext_pow(float(np.sum(t2)), outer)
-        return CharacterizationResult(
-            B1 + B2, regime, {"B1": B1, "B2": B2}, "antigop-ii", variant
-        )
+        val = _sup_term(_iterated_weight(W, uq), q, ext_pow_array(Vge, (p - 1.0) / p))
+        return _result("antigop", regime, val, {"B1": val}, variant)
 
     if case is RegimeCase.III:
-        bracket = uq * Wle + scan_sum(uq * W, right=True)
-        vinv = ext_pow_array(V, -1.0 / p)
-        SV = scan_max(vinv) if variant == "printed" else scan_max(vinv, right=True)
-        prods = ext_mul_array(ext_pow_array(bracket, 1.0 / q), SV)
-        val = float(np.max(prods))
-        return CharacterizationResult(val, regime, {"B1": val}, "antigop-iii", variant)
+        bracket = ext_mul_array(uq, Wle) + scan_sum(ext_mul_array(uq, W), right=True)
+        SV = scan_max(ext_pow_array(V, -1.0 / p), right=not printed)
+        val = _sup_term(bracket, q, SV)
+        return _result("antigop", regime, val, {"B1": val}, variant)
 
-    # case IV: 0 < q < p <= 1, sum of two bracketed terms
     r = q / (p - q)
-    e1 = q / (q - p)
     outer = (p - q) / (p * q)
     G = _iterated_weight(W, uq)
-    SVge = scan_max(ext_pow_array(V, e1), right=True)
-    u_exp = r if variant == "printed" else p * r
-    M1 = scan_max(ext_mul_array(ext_pow_array(U, u_exp), SVge), right=True)
-    t1 = ext_mul_array(ext_mul_array(ext_pow_array(Wle, r), W), M1)
-    B1 = ext_pow(float(np.sum(t1)), outer)
-    M2 = scan_max(ext_mul_array(uq, SVge), right=True)
-    t2 = ext_mul_array(ext_mul_array(ext_pow_array(G, r), W), M2)
-    B2 = ext_pow(float(np.sum(t2)), outer)
-    return CharacterizationResult(
-        B1 + B2, regime, {"B1": B1, "B2": B2}, "antigop-iv", variant
-    )
+    if case is RegimeCase.II:
+        s = (p - 1.0) * q / (p - q)
+        Vp = ext_pow_array(V, 1.0 / (1.0 - p))
+        vtail = ext_pow_array(scan_sum(Vp, right=True), s)
+        v1 = ext_pow_array(scan_sum(Vp), s) if printed else vtail
+        u_exp, x1 = p * r, scan_sum(W, right=True)
+        y1 = ext_pow_array(W, r) if printed else W
+    else:  # case IV: 0 < q < p <= 1
+        v1 = vtail = scan_max(ext_pow_array(V, q / (q - p)), right=True)
+        u_exp, x1, y1 = (r if printed else p * r), Wle, W
+    M1 = scan_max(ext_mul_array(ext_pow_array(U, u_exp), v1), right=True)
+    M2 = scan_max(ext_mul_array(uq, vtail), right=True)
+    B1 = ext_pow(_sum_term(x1, r, y1, M1), outer)
+    B2 = ext_pow(_sum_term(G, r, W, M2), outer)
+    return _result("antigop", regime, B1 + B2, {"B1": B1, "B2": B2}, variant)
 
 
 def char_linft_exact(u: Window, v: Window, p: float) -> float:

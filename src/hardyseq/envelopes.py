@@ -42,17 +42,9 @@ class EnvelopeKind(Enum):
 def envelope(u: Window, kind: EnvelopeKind) -> Window:
     """Monotone envelope of ``u`` over the window-restricted index set."""
     u.require_finite("envelope input")
-    x = u.as_array()
-    if kind is EnvelopeKind.INCREASING_UPPER:
-        y = scan_max(x)
-    elif kind is EnvelopeKind.DECREASING_UPPER:
-        y = scan_max(x, right=True)
-    elif kind is EnvelopeKind.INCREASING_LOWER:
-        y = scan_min(x, right=True)
-    elif kind is EnvelopeKind.DECREASING_LOWER:
-        y = scan_min(x)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown envelope kind {kind}")
+    scan = scan_max if kind.bound == "upper" else scan_min
+    right = (kind.direction == "increasing") != (kind.bound == "upper")
+    y = scan(u.as_array(), right=right)
     return u.with_values(y)
 
 

@@ -99,7 +99,7 @@ class SweepSpec:
         return cls(**kwargs)
 
     def to_json(self) -> dict:
-        return {
+        obj = {
             "seed": self.seed,
             "suites": list(self.suites),
             "regimes": [list(pq) for pq in self.regimes],
@@ -108,6 +108,9 @@ class SweepSpec:
             "weight_exponent": self.weight_exponent,
             "out": self.out,
         }
+        if self.replay:  # omitted when empty, so default reports keep their bytes
+            obj["replay"] = list(self.replay)
+        return obj
 
 
 # ---------------------------------------------------------------------------

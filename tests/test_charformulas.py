@@ -93,6 +93,35 @@ class TestAntigop:
             char_antigop(ONES2, ONES2, ONES2, 1, 1, variant="patched")
 
 
+@pytest.mark.parametrize(
+    "p, q, case", [(2.0, 3.0, "i"), (3.0, 2.0, "ii"), (1.0, 1.0, "iii"), (0.5, 0.25, "iv")]
+)
+def test_formula_id_names_form_and_case(p, q, case):
+    res = char_gop(ONES2, ONES2, ONES2, p, q)
+    assert (res.formula_id, res.variant) == (f"gop-{case}", "printed")
+    for variant in ("printed", "flipped"):
+        res = char_antigop(ONES2, ONES2, ONES2, p, q, variant=variant)
+        assert (res.formula_id, res.variant) == (f"antigop-{case}", variant)
+
+
+class TestZeroTimesInfinity:
+    """With w_0 = 0 the estimate cannot depend on u_0, even when u_0^q
+    overflows: the products that meet w take 0 * inf = 0."""
+
+    BIG = Window(0, (2.0**400, 1.0))
+    W0 = Window(0, (0.0, 1.0))
+
+    @pytest.mark.parametrize("p, q", [(2.0, 3.0), (4.0, 3.0), (0.5, 3.0), (0.75, 0.5)])
+    def test_gop(self, p, q):
+        big = char_gop(self.BIG, ONES2, self.W0, p, q)
+        assert big.value == char_gop(ONES2, ONES2, self.W0, p, q).value
+
+    @pytest.mark.parametrize("variant", ["printed", "flipped"])
+    def test_antigop_regime_iii(self, variant):
+        big = char_antigop(self.BIG, ONES2, self.W0, 0.5, 3.0, variant)
+        assert big.value == char_antigop(ONES2, ONES2, self.W0, 0.5, 3.0, variant).value
+
+
 class TestScalingLaws:
     """Each estimator scales like the least constant itself: linearly in u,
     as t^(-1/p) in v and t^(1/q) in w.  The printed antigop II breaks the w

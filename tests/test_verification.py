@@ -50,9 +50,14 @@ def test_spec_validation():
 
 
 def test_spec_json_round_trip():
-    spec = SweepSpec(seed=7, ensemble=5, out="report.json")
-    again = SweepSpec.from_json(spec.to_json())
-    assert again == spec
+    entry = {"suite": "chain", "a": {"start": 0, "values": [1.0, 1.0]}, "p": 0.5, "n": 0}
+    for spec in (
+        SweepSpec(seed=7, ensemble=5, out="report.json"),
+        SweepSpec(seed=7, ensemble=5, replay=(entry,)),
+    ):
+        again = SweepSpec.from_json(json.loads(json.dumps(spec.to_json())))
+        assert again == spec
+    assert "replay" not in SweepSpec().to_json()
 
 
 def test_rand_window_respects_zero_prob():
