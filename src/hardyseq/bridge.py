@@ -175,6 +175,22 @@ def sup_weighted_tail(u: StepFunction, F: PiecewiseLinear, t) -> Fraction:
     return best
 
 
+def _tail_sups(U: list[Fraction], F: PiecewiseLinear) -> list[Fraction]:
+    """``sup_weighted_tail(u, F, start + k)`` for every ``k = 0 .. N``, exact.
+
+    One pass from the right over the cells of the step weight ``U``:
+    ``tails[k] = max(U[k] * max(F.knots[k], F.knots[k+1]), tails[k+1])``
+    with ``tails[N] = 0``.  Requires ``F`` monotone, like the per-point
+    reference.
+    """
+    if not (F.nondecreasing or F.nonincreasing):
+        raise ValueError("the tail suprema require a monotone cumulative")
+    tails = [Rat(0)] * (len(U) + 1)
+    for k in range(len(U) - 1, -1, -1):
+        tails[k] = max(U[k] * max(F.knots[k], F.knots[k + 1]), tails[k + 1])
+    return tails
+
+
 # ---------------------------------------------------------------------------
 # Full bridge comparison
 # ---------------------------------------------------------------------------
@@ -281,7 +297,6 @@ def bridge_check(
     A = [_to_fraction(x) for x in a.values.tolist()]
     n_len = len(A)
     num, e = _number_type(q)
-    u_step = StepFunction(u.start, tuple(U))
 
     # The inner cumulative at the knots gives the discrete inner sums:
     # sum_{k <= i} a_k = F(i + 1) for gop, sum_{k >= i} a_k = F(i) for antigop.
@@ -296,13 +311,13 @@ def bridge_check(
         entries[i] = best
     discrete_lhs_pow = _power_sum(W, entries, num, e)
 
+    tails = _tail_sups(U, F)
     if form == "gop":
-        sups = [sup_weighted_tail(u_step, F, Rat(n)) for n in u.indices()]
-        continuous_lhs_pow = _power_sum(W, sups, num, e)
+        continuous_lhs_pow = _power_sum(W, tails[:-1], num, e)
     else:
         cell_integrals = []
         for k in range(n_len):
-            frozen = sup_weighted_tail(u_step, F, Rat(u.start + k + 1))
+            frozen = tails[k + 1]
             moving0 = U[k] * inner[k]
             if moving0 <= frozen:
                 # frozen supremum dominates throughout the cell

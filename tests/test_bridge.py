@@ -162,6 +162,42 @@ class TestBridgeCheck:
                 assert res.exact_lhs is False
                 assert isinstance(res.continuous_lhs_pow, float)
 
+    @pytest.mark.parametrize("form", ["gop", "antigop"])
+    def test_continuous_side_matches_per_index_tail_suprema(self, form):
+        """The one-pass tail suprema give the continuous left side rebuilt
+        here from ``sup_weighted_tail`` at every index, exactly."""
+        rng = np.random.default_rng(17 if form == "gop" else 18)
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            start = int(rng.integers(-4, 5))
+            u, v, w, a = (rand_dyadic_window(rng, n, start, allow_zero=True) for _ in range(4))
+            q = int(rng.integers(1, 4))
+            res = bridge_check(u, v, w, a, 1.0, float(q), form)
+            U = [F(x) for x in u.values.tolist()]
+            A = [F(x) for x in a.values.tolist()]
+            Fc = cumulative(embed_sequence(a), "from-left" if form == "gop" else "from-right")
+            u_step = embed_sequence(u)
+            expected = F(0)
+            for k, wk in enumerate(w.values.tolist()):
+                if form == "gop":
+                    cell = sup_weighted_tail(u_step, Fc, F(start + k)) ** q
+                else:
+                    # max(U_k * (Fc_k - A_k * tau), frozen)^q over tau in [0, 1]
+                    frozen = sup_weighted_tail(u_step, Fc, F(start + k + 1))
+                    moving0, slope = U[k] * Fc.knots[k], U[k] * A[k]
+                    if moving0 <= frozen:
+                        cell = frozen**q
+                    elif slope == 0:
+                        cell = moving0**q
+                    else:
+                        tau = min(F(1), (moving0 - frozen) / slope)
+                        end = moving0 - slope * tau
+                        head = (moving0 ** (q + 1) - end ** (q + 1)) / (slope * (q + 1))
+                        cell = head + frozen**q * (1 - tau)
+                expected += F(wk) * cell
+            assert res.exact_lhs
+            assert res.continuous_lhs_pow == expected, (u, v, w, a, q)
+
     def test_non_integer_exponents_fall_back_to_float(self):
         w = Window(0, (1.0, 1.0))
         res = bridge_check(w, w, w, w, 0.5, 1.5, "gop")

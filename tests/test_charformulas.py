@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hardyseq.charformulas import char_antigop, char_gop, char_linft_exact
+from hardyseq.charformulas import _iterated_weight, char_antigop, char_gop, char_linft_exact
 from hardyseq.envelopes import EnvelopeKind, envelope
-from hardyseq.seqcore import INF, RegimeCase, Window
+from hardyseq.seqcore import INF, RegimeCase, Window, ext_pow_array
 
 ONES2 = Window(0, (1.0, 1.0))
 
@@ -120,6 +121,48 @@ class TestZeroTimesInfinity:
     def test_antigop_regime_iii(self, variant):
         big = char_antigop(self.BIG, ONES2, self.W0, 0.5, 3.0, variant)
         assert big.value == char_antigop(ONES2, ONES2, self.W0, 0.5, 3.0, variant).value
+
+    @pytest.mark.parametrize("variant", ["printed", "flipped"])
+    @pytest.mark.parametrize("p, q", [(2.0, 3.0), (4.0, 3.0)])
+    def test_antigop_regimes_i_ii(self, p, q, variant):
+        big = char_antigop(self.BIG, ONES2, self.W0, p, q, variant)
+        assert big.value == char_antigop(ONES2, ONES2, self.W0, p, q, variant).value
+
+
+def _iterated_weight_exact(w, uq):
+    """G_n = sum_{i <= n} w_i * max_{i <= j <= n} uq_j in ``Fraction``, O(N^2)."""
+    W = [Fraction(x) for x in w.tolist()]
+    U = [Fraction(x) for x in uq.tolist()]
+    out = []
+    for n in range(len(W)):
+        running, total = Fraction(0), Fraction(0)
+        for i in range(n, -1, -1):
+            running = max(running, U[i])
+            total += W[i] * running
+        out.append(total)
+    return out
+
+
+class TestIteratedWeight:
+    """The O(N) stack against the exact O(N^2) sum on the same float inputs:
+    relative error at most 4 * 2^-52 (an exact 0 stays exactly 0)."""
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0])
+    def test_against_exact_fractions(self, q):
+        rng = np.random.default_rng(int(4 * q))
+        for _ in range(12):
+            n = int(rng.integers(1, 161))
+            w = 2.0 ** rng.uniform(-30, 30, n)
+            u = 2.0 ** rng.uniform(-30, 30, n) * 2.0 ** rng.uniform(-200, 200)
+            w[rng.random(n) < 0.2] = 0.0
+            u[rng.random(n) < 0.2] = 0.0
+            uq = ext_pow_array(u, q)
+            for got, exact in zip(_iterated_weight(w, uq).tolist(), _iterated_weight_exact(w, uq)):
+                assert abs(Fraction(got) - exact) <= Fraction(4, 2**52) * exact
+
+    def test_zero_mass_under_infinite_maximum(self):
+        G = _iterated_weight(np.array([0.0, 1.0]), np.array([INF, 1.0]))
+        assert G.tolist() == [0.0, 1.0]
 
 
 class TestScalingLaws:
