@@ -17,7 +17,10 @@ variants used by the equivalence theorems.
 
 All aggregations run as prefix/suffix scans, O(N) per evaluation, and the
 private batch helpers evaluate many candidate sequences at once (the
-brute-force oracle calls them millions of times).
+brute-force oracle calls them millions of times).  A row's ratio does not
+depend on the other rows of its batch: every power is taken on a contiguous
+array and every sum is a row reduction (no BLAS matrix-vector product), so a
+candidate evaluated alone or in any batch gives the same bits.
 """
 
 from __future__ import annotations
@@ -177,12 +180,12 @@ def _iterated_entries(u: np.ndarray, a: np.ndarray, form: OperatorForm) -> np.nd
     elif form.inner_kind == "sup":
         inner = scan_max(a, right)
     else:  # psum, entry = (sup u^r * sum a^r)^(1/r), computed on the rooted scale
-        s = scan_sum(a**r, right)
+        s = np.ascontiguousarray(scan_sum(a**r, right))
         # Tails with at most one nonzero term have p-norm equal to their
         # max; substituting that exact value avoids the pow round trip.
         counts = scan_sum((a > 0).astype(float), right)
         inner = np.where(counts <= 1.0, scan_max(a, right), s ** (1.0 / r))
-    return scan_max(u * inner, right=form.outer == "tail")
+    return np.ascontiguousarray(scan_max(u * inner, right=form.outer == "tail"))
 
 
 def _lhs_batch(w: np.ndarray, q: float, entries: np.ndarray) -> np.ndarray:
@@ -192,7 +195,7 @@ def _lhs_batch(w: np.ndarray, q: float, entries: np.ndarray) -> np.ndarray:
 
 
 def _rhs_batch(v: np.ndarray, p: float, a: np.ndarray) -> np.ndarray:
-    return ((a**p) @ v) ** (1.0 / p)
+    return ((a**p) * v).sum(axis=-1) ** (1.0 / p)
 
 
 def _ratio_batch(problem: RatioProblem, a: np.ndarray) -> np.ndarray:
@@ -202,9 +205,8 @@ def _ratio_batch(problem: RatioProblem, a: np.ndarray) -> np.ndarray:
     w = problem.w.as_array()
     num = _lhs_batch(w, problem.q, _iterated_entries(u, a, problem.form))
     den = _rhs_batch(v, problem.p, a)
-    out = np.zeros(np.broadcast_shapes(num.shape, den.shape))
     pos = den > 0
-    out[pos] = num[pos] / den[pos]
+    out = np.divide(num, den, out=np.zeros(den.shape), where=pos)
     out[~pos & (num > 0)] = INF
     return out
 

@@ -9,11 +9,23 @@ multiplicative-ascent polish of the best of them.  The pool keeps that order,
 so the index of a candidate tells its family.  The best ratio found is always
 a certified lower bound on the true constant.
 
-For ``p <= 1 <= q`` (including ``q = inf``) the maximum is attained at a
-spike: substituting ``x = a^p`` makes the numerator a composition of convex
-maps of ``x`` and the constraint set the simplex ``sum x_m v_m = 1``, whose
-extreme points are single spikes.  In that range the returned constant is
-exact, certificate ``exact-spike``; everywhere else it is ``heuristic``.
+For ``p <= 1 <= q`` (including ``q = inf``), and for the powered-sum forms
+also ``r >= p``, the maximum is attained at a spike: substituting
+``x = a^p`` makes the numerator a composition of convex maps of ``x`` (the
+inner sum ``sum x_k^(1/p)``, the inner sup, and the powered sum
+``(sum x_k^(r/p))^(1/r)``, an l^(r/p) norm raised to ``1/p``, which is
+convex only for ``r/p >= 1``; then the weighted outer sup and the l^q norm,
+``q >= 1``), and the constraint set the simplex ``sum x_m v_m = 1``, whose
+extreme points are single spikes.  In that range :func:`brute_force_constant`
+evaluates the spikes alone and returns their maximum, which is exact,
+certificate ``exact-spike``; everywhere else the full search runs and the
+result is ``heuristic``.  For a powered sum with ``r < p`` the spikes are
+beaten: the inner l^(r/p) quasi-norm favours spread-out candidates.
+
+The polish runs every restart in lock-step, one ``_ratio_batch`` call per
+iteration for all of them.  ``_ratio_batch`` is row-independent (a row's
+ratio does not depend on the other rows of its batch), so each restart ends
+exactly where a polish of that restart alone would.
 
 Everything is deterministic given the config seed: per-restart generators are
 derived from ``(seed, restart_index)`` and results merge by max, so the
@@ -89,18 +101,32 @@ class OracleResult:
         }
 
 
+def _spike_exact(problem: RatioProblem) -> bool:
+    """Whether the least constant is the spike maximum (module docstring):
+    ``p <= 1 <= q``, and ``r >= p`` for the powered-sum forms."""
+    form = problem.form
+    return problem.p <= 1.0 <= problem.q and (
+        form.inner_kind != "psum" or form.inner_exponent >= problem.p
+    )
+
+
 def _result(
     problem: RatioProblem, pool: np.ndarray, ratios: np.ndarray, evaluations: int
 ) -> OracleResult:
     """The best candidate of ``pool``, certified exact in the spike range."""
     k = int(np.argmax(ratios))
-    exact = problem.p <= 1.0 and (problem.q >= 1.0 or math.isinf(problem.q))
     return OracleResult(
         constant=float(ratios[k]),
         argmax=Window(problem.u.start, pool[k]),
-        certificate="exact-spike" if exact else "heuristic",
+        certificate="exact-spike" if _spike_exact(problem) else "heuristic",
         evaluations=evaluations,
     )
+
+
+def _spike_max(problem: RatioProblem) -> OracleResult:
+    """The best single spike, one evaluation per index."""
+    pool = np.eye(problem.size)
+    return _result(problem, pool, _ratio_batch(problem, pool), len(pool))
 
 
 def _block_pool(n: int) -> np.ndarray:
@@ -130,44 +156,42 @@ def _assemble_pool(problem: RatioProblem, cfg: OracleConfig) -> np.ndarray:
     return np.concatenate([np.eye(n), *blocks, _dirichlet_pool(problem, cfg)])
 
 
-def _polish(
-    problem: RatioProblem, a0: np.ndarray, cfg: OracleConfig
-) -> tuple[np.ndarray, int]:
-    """Multiplicative coordinate ascent from ``a0``; returns (a, evals)."""
-    n = problem.size
-    a = a0.astype(float).copy()
-    best = float(_ratio_batch(problem, a[None, :])[0])
-    evals = 1
-    step = _STEP_INIT
-    idx = np.arange(n)
-    for _ in range(cfg.iterations):
-        if step < 1e-12 or math.isinf(best):
-            break
-        probes = np.repeat(a[None, :], 2 * n, axis=0)
-        probes[idx, idx] *= 1.0 + step
-        probes[n + idx, idx] /= 1.0 + step
-        r = _ratio_batch(problem, probes)
-        evals += 2 * n
-        k = int(np.argmax(r))
-        if r[k] > best:
-            best = float(r[k])
-            a = probes[k]
-        else:
-            step *= _STEP_DECAY
-    return a, evals
-
-
 def _polish_top(
     problem: RatioProblem, pool: np.ndarray, ratios: np.ndarray, cfg: OracleConfig
 ) -> tuple[np.ndarray, int]:
-    """Polish the ``cfg.restarts`` best candidates; returns (polished, evals)."""
-    polished = []
-    evals = 0
-    for k in np.argsort(ratios)[::-1][: cfg.restarts]:
-        a, used = _polish(problem, pool[k], cfg)
-        polished.append(a)
-        evals += used
-    return np.array(polished), evals
+    """Multiplicative coordinate ascent from the ``cfg.restarts`` best
+    candidates, all in lock-step; returns (polished, evals).
+
+    Each iteration evaluates the ``2n`` one-coordinate probes of every active
+    row in one batch.  A row moves to its best probe if that beats its best
+    ratio, and otherwise shrinks its own step; it freezes once its step
+    falls below 1e-12 or its best ratio is infinite.  Rows are independent
+    under :func:`_ratio_batch`, so each ends where a polish of that row alone
+    would, and ``evals`` counts only the probes of active rows.
+    """
+    n = problem.size
+    a = pool[np.argsort(ratios)[::-1][: cfg.restarts]]
+    best = _ratio_batch(problem, a)
+    step = np.full(len(a), _STEP_INIT)
+    evals = len(a)
+    idx = np.arange(n)
+    for _ in range(cfg.iterations):
+        rows = np.flatnonzero((step >= 1e-12) & ~np.isinf(best))
+        if not len(rows):
+            break
+        base, grow = a[rows], 1.0 + step[rows, None]
+        probes = np.repeat(base[:, None, :], 2 * n, axis=1)
+        probes[:, idx, idx] = base * grow
+        probes[:, n + idx, idx] = base / grow
+        r = _ratio_batch(problem, probes.reshape(-1, n)).reshape(len(rows), 2 * n)
+        evals += r.size
+        k = np.argmax(r, axis=1)
+        top = r[np.arange(len(rows)), k]
+        up = top > best[rows]
+        best[rows[up]] = top[up]
+        a[rows[up]] = probes[up, k[up]]
+        step[rows[~up]] *= _STEP_DECAY
+    return a, evals
 
 
 def spike_oracle(problem: RatioProblem) -> OracleResult:
@@ -176,14 +200,19 @@ def spike_oracle(problem: RatioProblem) -> OracleResult:
         raise ValueError("spike oracle requires a sup-inner operator form")
     if not problem.p <= 1.0:
         raise ValueError(f"spike oracle requires p in (0, 1], got p={problem.p}")
-    pool = np.eye(problem.size)
-    return _result(problem, pool, _ratio_batch(problem, pool), len(pool))
+    return _spike_max(problem)
 
 
 def brute_force_constant(
     problem: RatioProblem, cfg: OracleConfig | None = None
 ) -> OracleResult:
-    """Best ratio over all candidate families; a lower bound on the constant."""
+    """Best ratio over all candidate families; a lower bound on the constant.
+
+    In the spike range (certificate ``exact-spike``) the spikes alone are
+    evaluated, ``n`` evaluations, since no other candidate can beat them.
+    """
+    if _spike_exact(problem):
+        return _spike_max(problem)
     cfg = cfg or OracleConfig()
     pool = _assemble_pool(problem, cfg)
     ratios = _ratio_batch(problem, pool)

@@ -104,12 +104,14 @@ def ext_pow_array(x: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def ext_mul_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise product with ``0 * inf = 0`` (broadcasts)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    zero = (x == 0) | (y == 0)
+    """Elementwise product on [0, inf] with ``0 * inf = 0`` (broadcasts).
+
+    Every product with a zero factor is ``+0.0``, also for a ``-0.0`` factor.
+    """
     with np.errstate(invalid="ignore"):
-        out = np.where(zero, 0.0, x * y)
+        out = np.multiply(x, y, dtype=float)
+    out[np.isnan(out)] = 0.0  # 0 * inf
+    out += 0.0  # -0.0 -> +0.0
     return out
 
 

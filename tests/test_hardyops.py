@@ -14,6 +14,7 @@ from hardyseq.hardyops import (
     GOP_SUP,
     OperatorForm,
     RatioProblem,
+    _ratio_batch,
     antigop_psum,
     apply_iterated,
     dual_problem,
@@ -169,6 +170,24 @@ class TestDuality:
 
     def test_dual_of_gop_is_dual_gop(self):
         assert dual_problem(RatioProblem(U11, U11, U11, 1, 1, GOP)).form == DUAL_GOP
+
+
+class TestBatch:
+    @pytest.mark.parametrize("name", sorted(set(FORM_NAMES.values())))
+    def test_rows_do_not_depend_on_their_batch(self, name):
+        """Each row of a batch gives the bits it gives evaluated alone, so
+        the oracle may batch candidates freely."""
+        for n in (1, 3, 8, 33):
+            for k, (p, q, r) in enumerate([(0.5, 2.0, 0.5), (1.5, 3.0, 2.0), (2.0, INF, 0.3), (0.7, 0.4, 1.7)]):
+                rng = np.random.default_rng((n, k))
+                mk = lambda: Window(0, 2.0 ** rng.uniform(-3, 3, n))
+                prob = RatioProblem(mk(), mk(), mk(), p, q, form_by_name(name, r))
+                a = 2.0 ** rng.uniform(-4, 4, (70, n)) * (rng.random((70, n)) > 0.2)
+                a[:, 0] += a.sum(axis=1) == 0
+                alone = np.concatenate([_ratio_batch(prob, row[None, :]) for row in a])
+                for height in (1, 2, 7, 16, 33, 70):
+                    batch = _ratio_batch(prob, a[:height])
+                    assert batch.tobytes() == alone[:height].tobytes()
 
 
 class TestMonotonicity:

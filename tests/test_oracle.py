@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,16 @@ from hardyseq.hardyops import (
     GOP,
     GOP_SUP,
     RatioProblem,
+    _ratio_batch,
+    antigop_psum,
+    gop_psum,
     ratio,
 )
 from hardyseq.oracle import (
     FAST_CONFIG,
     OracleConfig,
+    _assemble_pool,
+    _polish_top,
     brute_force_constant,
     chain_equivalence_sweep,
     equivalence_ratio,
@@ -124,33 +131,113 @@ class TestBruteForce:
                 a = Window(u.start, tuple(rng.uniform(0.01, 2, 5)))
                 assert ratio(prob, a) <= res.constant * (1 + 1e-9)
 
-    @pytest.mark.parametrize("form,p,q", [(GOP, 2.0, 3.0), (ANTIGOP_SUP, 0.5, 1.0)])
+    @pytest.mark.parametrize("form,p,q", [(GOP, 2.0, 3.0), (ANTIGOP_SUP, 2.0, 1.0)])
     @pytest.mark.parametrize("n,expected", [(1, 11), (2, 15), (5, 30)])
     def test_pool_composition(self, form, p, q, n, expected):
         """Spikes, blocks for n > 1, and per restart its Dirichlet draws, one
-        start of an unpolished ascent and one re-evaluation."""
+        start of an unpolished ascent and one re-evaluation (outside the
+        spike range, where the full search runs)."""
         u, v, w = rand_triple(np.random.default_rng(n), n)
         cfg = OracleConfig(restarts=2, iterations=0, dirichlet_per_restart=3)
         res = brute_force_constant(RatioProblem(u, v, w, p, q, form), cfg)
         blocks = n * (n + 1) // 2 if n > 1 else 0
         assert res.evaluations == n + blocks + 2 * (3 + 2) == expected
 
-    @pytest.mark.parametrize("form", [GOP, ANTIGOP, GOP_SUP, ANTIGOP_SUP])
+    @pytest.mark.parametrize(
+        "form", [GOP, ANTIGOP, GOP_SUP, ANTIGOP_SUP, gop_psum(1.0), antigop_psum(2.0)]
+    )
     def test_spike_exact_regime_matches_spike_enumeration(self, form):
+        """In the spike range the spikes alone are evaluated: ``n``
+        evaluations, a spike argmax, and exactly the best spike ratio."""
         rng = np.random.default_rng(11)
         for _ in range(25):
             u, v, w = rand_triple(rng, 6)
             p = float(rng.choice([0.5, 1.0]))
-            q = float(rng.choice([1.0, 2.0]))
+            q = float(rng.choice([1.0, 2.0, INF]))
             prob = RatioProblem(u, v, w, p, q, form)
             res = brute_force_constant(prob, FAST_CONFIG)
-            pool = np.eye(6)
-            from hardyseq.hardyops import _ratio_batch
-
-            spike_best = float(_ratio_batch(prob, pool).max())
+            spike_best = float(_ratio_batch(prob, np.eye(6)).max())
             assert res.certificate == "exact-spike"
-            assert res.constant == pytest.approx(spike_best, rel=1e-9)
-            assert res.constant >= spike_best
+            assert res.constant == spike_best
+            assert res.evaluations == 6
+            assert sorted(res.argmax.values) == [0.0] * 5 + [1.0]
+
+    @pytest.mark.parametrize(
+        "form,p,q", [(gop_psum(0.25), 1.0, 2.0), (antigop_psum(0.5), 1.0, 1.0),
+                     (gop_psum(0.25), 0.5, 1.0)]
+    )
+    def test_psum_below_p_is_not_spike_exact(self, form, p, q):
+        """A powered sum with r < p is not convex in a^p, so the spikes can
+        be beaten there and the result is only a heuristic lower bound."""
+        rng = np.random.default_rng(19)
+        u, v, w = rand_triple(rng, 6)
+        prob = RatioProblem(u, v, w, p, q, form)
+        res = brute_force_constant(prob, OracleConfig(restarts=4, iterations=200))
+        spike_best = float(_ratio_batch(prob, np.eye(6)).max())
+        assert res.certificate == "heuristic"
+        assert res.constant > spike_best * (1 + 1e-6)
+
+
+def _sequential_polish(problem, a0, cfg):
+    """Reference: the coordinate ascent of one restart on its own."""
+    n = problem.size
+    a = a0.astype(float).copy()
+    best = float(_ratio_batch(problem, a[None, :])[0])
+    evals = 1
+    step = 0.5
+    idx = np.arange(n)
+    for _ in range(cfg.iterations):
+        if step < 1e-12 or math.isinf(best):
+            break
+        probes = np.repeat(a[None, :], 2 * n, axis=0)
+        probes[idx, idx] *= 1.0 + step
+        probes[n + idx, idx] /= 1.0 + step
+        r = _ratio_batch(problem, probes)
+        evals += 2 * n
+        k = int(np.argmax(r))
+        if r[k] > best:
+            best = float(r[k])
+            a = probes[k]
+        else:
+            step *= 0.9
+    return a, evals
+
+
+class TestPolish:
+    @pytest.mark.parametrize(
+        "form,p,q",
+        [(GOP, 2.0, 3.0), (ANTIGOP, 1.5, 0.8), (GOP_SUP, 0.5, 0.5),
+         (ANTIGOP_SUP, 3.0, INF), (gop_psum(0.5), 0.8, 0.6), (antigop_psum(0.25), 1.0, 2.0)],
+    )
+    def test_lock_step_matches_sequential(self, form, p, q):
+        """Polishing every restart at once ends each one where it would end
+        alone, bit for bit, with the same evaluation count."""
+        rng = np.random.default_rng(23)
+        configs = [FAST_CONFIG, OracleConfig(restarts=5, iterations=120, seed=3),
+                   OracleConfig(restarts=3, iterations=400, seed=9)]
+        for trial in range(9):
+            n = int(rng.integers(1, 13))
+            u, v, w = rand_triple(rng, n)
+            prob = RatioProblem(u, v, w, p, q, form)
+            cfg = configs[trial % 3]
+            pool = _assemble_pool(prob, cfg)
+            ratios = _ratio_batch(prob, pool)
+            got, evals = _polish_top(prob, pool, ratios, cfg)
+            want = [_sequential_polish(prob, pool[k], cfg)
+                    for k in np.argsort(ratios)[::-1][: cfg.restarts]]
+            assert got.tobytes() == np.array([a for a, _ in want]).tobytes()
+            assert evals == sum(e for _, e in want)
+
+    def test_infinite_row_freezes(self):
+        """A row whose ratio is infinite stops at once; the others go on."""
+        v = Window(0, (1.0, 0.0, 1.0))
+        ones = Window(0, (1.0, 1.0, 1.0))
+        prob = RatioProblem(ones, v, ones, 2.0, 2.0, GOP)
+        pool = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        cfg = OracleConfig(restarts=2, iterations=3)
+        got, evals = _polish_top(prob, pool, _ratio_batch(prob, pool), cfg)
+        assert got[0].tolist() == [0.0, 1.0, 0.0]
+        assert evals == 2 + 3 * 6
 
 
 class TestEquivalenceRatio:

@@ -13,6 +13,7 @@ from hardyseq.seqcore import (
     classify_regime,
     ext_div,
     ext_mul,
+    ext_mul_array,
     ext_pow,
     ext_pow_array,
 )
@@ -62,6 +63,20 @@ class TestExtArithmetic:
     def test_pow_saturates_instead_of_overflowing(self):
         assert ext_pow(1e200, 3.0) == INF
         assert ext_pow(1e200, -3.0) == 0.0
+
+    def test_mul_array_matches_zero_test_definition(self):
+        """The fused product gives the bits of ``where(x == 0 or y == 0, 0,
+        x * y)``: ``+0.0`` for every zero factor, ``-0.0`` included."""
+        specials = np.array([0.0, -0.0, INF, 1.0, 2.5, 1e-300, 1e300, 5e-324])
+        rng = np.random.default_rng(29)
+        for shape in [(8,), (16, 8), (64, 33)]:
+            x = rng.choice(specials, size=shape)
+            y = rng.choice(specials, size=shape[-1:])
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = np.where((x == 0) | (y == 0), 0.0, x * y)
+                got = ext_mul_array(x, y)
+            assert got.tobytes() == want.tobytes()
+        assert np.signbit(ext_mul_array(np.array([-0.0, -0.0]), np.array([2.0, INF]))).sum() == 0
 
     def test_array_conventions_match_scalar(self):
         xs = np.array([0.0, 1.0, 2.0, INF])
