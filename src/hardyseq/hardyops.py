@@ -20,7 +20,9 @@ private batch helpers evaluate many candidate sequences at once (the
 brute-force oracle calls them millions of times).  A row's ratio does not
 depend on the other rows of its batch: every power is taken on a contiguous
 array and every sum is a row reduction (no BLAS matrix-vector product), so a
-candidate evaluated alone or in any batch gives the same bits.
+candidate evaluated alone or in any batch gives the same bits.  That holds
+across problems too: weights stacked along a leading axis give every row the
+bits of its own problem evaluated alone.
 """
 
 from __future__ import annotations
@@ -198,11 +200,22 @@ def _rhs_batch(v: np.ndarray, p: float, a: np.ndarray) -> np.ndarray:
     return ((a**p) * v).sum(axis=-1) ** (1.0 / p)
 
 
-def _ratio_batch(problem: RatioProblem, a: np.ndarray) -> np.ndarray:
-    """Ratios lhs/rhs for a batch of candidates; 0/0 yields 0, x/0 yields inf."""
-    u = problem.u.as_array()
-    v = problem.v.as_array()
-    w = problem.w.as_array()
+def _ratio_batch(
+    problem: RatioProblem,
+    a: np.ndarray,
+    weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Ratios lhs/rhs for a batch of candidates; 0/0 yields 0, x/0 yields inf.
+
+    ``a`` has shape (..., N) and the result shape ``a.shape[:-1]``.  The
+    problem gives ``p``, ``q`` and the form; ``weights`` are stacked
+    ``(u, v, w)`` that broadcast against ``a`` (shape (B, 1, N) for
+    candidates of shape (B, K, N), one problem per leading index), and
+    default to the problem's own windows.
+    """
+    if weights is None:
+        weights = (problem.u.as_array(), problem.v.as_array(), problem.w.as_array())
+    u, v, w = weights
     num = _lhs_batch(w, problem.q, _iterated_entries(u, a, problem.form))
     den = _rhs_batch(v, problem.p, a)
     pos = den > 0

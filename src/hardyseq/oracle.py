@@ -35,6 +35,7 @@ outcome does not depend on evaluation order.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,11 @@ __all__ = [
     "ChainEquivalenceReport",
     "spike_oracle",
     "brute_force_constant",
+    "brute_force_constants",
     "equivalence_ratio",
+    "equivalence_ratios",
     "chain_equivalence_sweep",
+    "chain_equivalence_sweeps",
 ]
 
 #: Coordinate-ascent step: initial multiplicative step, and its decay on a
@@ -111,87 +115,152 @@ def _spike_exact(problem: RatioProblem) -> bool:
 
 
 def _result(
-    problem: RatioProblem, pool: np.ndarray, ratios: np.ndarray, evaluations: int
+    problem: RatioProblem, row: np.ndarray, constant: float, evaluations: int
 ) -> OracleResult:
-    """The best candidate of ``pool``, certified exact in the spike range."""
-    k = int(np.argmax(ratios))
+    """The result for candidate ``row``, certified exact in the spike range."""
     return OracleResult(
-        constant=float(ratios[k]),
-        argmax=Window(problem.u.start, pool[k]),
+        constant=float(constant),
+        argmax=Window(problem.u.start, row),
         certificate="exact-spike" if _spike_exact(problem) else "heuristic",
-        evaluations=evaluations,
+        evaluations=int(evaluations),
     )
 
 
 def _spike_max(problem: RatioProblem) -> OracleResult:
     """The best single spike, one evaluation per index."""
     pool = np.eye(problem.size)
-    return _result(problem, pool, _ratio_batch(problem, pool), len(pool))
+    ratios = _ratio_batch(problem, pool)
+    k = int(np.argmax(ratios))
+    return _result(problem, pool[k], ratios[k], len(pool))
+
+
+def _stack(problems: Sequence[RatioProblem]) -> tuple[np.ndarray, ...]:
+    """The weights ``(u, v, w)`` of same-size problems, each of shape (B, 1, n)."""
+    return tuple(
+        np.stack([getattr(prob, k).as_array() for prob in problems])[:, None, :]
+        for k in "uvw"
+    )
 
 
 def _block_pool(n: int) -> np.ndarray:
     """Indicators of every block ``[m1, m2]``, ordered by ``m1``, then ``m2``."""
     m1, m2 = np.triu_indices(n)
     idx = np.arange(n)
-    return ((m1[:, None] <= idx) & (idx <= m2[:, None])).astype(float)
+    return (m1[:, None] <= idx) & (idx <= m2[:, None])
 
 
-def _dirichlet_pool(problem: RatioProblem, cfg: OracleConfig) -> np.ndarray:
-    n = problem.size
-    v = problem.v.as_array()
-    vsafe = np.where(v > 0, v, 1.0)
-    draws = []
-    for idx in range(cfg.restarts):
-        rng = np.random.default_rng((cfg.seed, idx))
-        x = rng.dirichlet(np.ones(n), size=cfg.dirichlet_per_restart)
-        draws.append((x / vsafe) ** (1.0 / problem.p))
-    return np.concatenate(draws)
+def _dirichlet_draws(n: int, cfg: OracleConfig) -> np.ndarray:
+    """The uniform simplex points of every restart, in restart order."""
+    return np.concatenate([
+        np.random.default_rng((cfg.seed, idx)).dirichlet(
+            np.ones(n), size=cfg.dirichlet_per_restart
+        )
+        for idx in range(cfg.restarts)
+    ])
 
 
-def _assemble_pool(problem: RatioProblem, cfg: OracleConfig) -> np.ndarray:
-    """Spikes, then blocks, then Dirichlet draws; one point has no block
-    besides its spike."""
-    n = problem.size
-    blocks = [_block_pool(n)] if n > 1 else []
-    return np.concatenate([np.eye(n), *blocks, _dirichlet_pool(problem, cfg)])
+def _assemble_pool(problems: Sequence[RatioProblem], cfg: OracleConfig) -> np.ndarray:
+    """Spikes, then blocks, then Dirichlet draws, for same-size problems that
+    share ``p``; shape (B, P, n), built in one allocation.
+
+    One point has no block besides its spike.  Only the Dirichlet rows differ
+    between problems: the shared simplex points are pulled onto each
+    problem's constraint surface ``sum a^p v = 1``.
+    """
+    n, p = problems[0].size, problems[0].p
+    x = _dirichlet_draws(n, cfg)
+    nb = n * (n + 1) // 2 if n > 1 else 0
+    pool = np.empty((len(problems), n + nb + len(x), n))
+    pool[:, :n] = np.eye(n)
+    if nb:
+        pool[:, n : n + nb] = _block_pool(n)
+    v = _stack(problems)[1]
+    pool[:, n + nb :] = (x / np.where(v > 0, v, 1.0)) ** (1.0 / p)
+    return pool
 
 
 def _polish_top(
-    problem: RatioProblem, pool: np.ndarray, ratios: np.ndarray, cfg: OracleConfig
-) -> tuple[np.ndarray, int]:
+    problem: RatioProblem,
+    pool: np.ndarray,
+    ratios: np.ndarray,
+    weights: tuple[np.ndarray, ...],
+    cfg: OracleConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Multiplicative coordinate ascent from the ``cfg.restarts`` best
-    candidates, all in lock-step; returns (polished, evals).
+    candidates of each stacked problem, all rows in lock-step.
+
+    ``pool`` (B, P, n) and ``ratios`` (B, P) hold B problems that share
+    ``problem``'s ``p``, ``q`` and form, with ``weights`` their stacked
+    ``(u, v, w)``.  Returns ``(polished, best, evals)`` of shapes (B, R, n),
+    (B, R) and (B,), where R = min(restarts, P).
 
     Each iteration evaluates the ``2n`` one-coordinate probes of every active
     row in one batch.  A row moves to its best probe if that beats its best
     ratio, and otherwise shrinks its own step; it freezes once its step
     falls below 1e-12 or its best ratio is infinite.  Rows are independent
     under :func:`_ratio_batch`, so each ends where a polish of that row alone
-    would, and ``evals`` counts only the probes of active rows.
+    would, and a problem's ``evals`` counts only the probes of its rows while
+    they were active.
     """
-    n = problem.size
-    a = pool[np.argsort(ratios)[::-1][: cfg.restarts]]
-    best = _ratio_batch(problem, a)
+    b, size, n = pool.shape
+    rows_per = min(cfg.restarts, size)
+    top = np.argsort(ratios, axis=1)[:, ::-1][:, :rows_per]
+    a = np.take_along_axis(pool, top[:, :, None], axis=1).reshape(-1, n)
+    uvw = tuple(np.repeat(x, rows_per, axis=0) for x in weights)
+    best = _ratio_batch(problem, a[:, None, :], uvw)[:, 0]
     step = np.full(len(a), _STEP_INIT)
-    evals = len(a)
+    moves = np.zeros(len(a), dtype=int)
     idx = np.arange(n)
+    rows = None
     for _ in range(cfg.iterations):
-        rows = np.flatnonzero((step >= 1e-12) & ~np.isinf(best))
-        if not len(rows):
+        live = np.flatnonzero((step >= 1e-12) & ~np.isinf(best))
+        if not len(live):
             break
+        if rows is None or len(live) < len(rows):  # the active set only shrinks
+            rows = live
+            live_uvw = tuple(x[rows] for x in uvw)
         base, grow = a[rows], 1.0 + step[rows, None]
         probes = np.repeat(base[:, None, :], 2 * n, axis=1)
         probes[:, idx, idx] = base * grow
         probes[:, n + idx, idx] = base / grow
-        r = _ratio_batch(problem, probes.reshape(-1, n)).reshape(len(rows), 2 * n)
-        evals += r.size
+        r = _ratio_batch(problem, probes, live_uvw)
+        moves[rows] += 1
         k = np.argmax(r, axis=1)
         top = r[np.arange(len(rows)), k]
         up = top > best[rows]
         best[rows[up]] = top[up]
         a[rows[up]] = probes[up, k[up]]
         step[rows[~up]] *= _STEP_DECAY
-    return a, evals
+    evals = rows_per + 2 * n * moves.reshape(b, rows_per).sum(axis=1)
+    return a.reshape(b, rows_per, n), best.reshape(b, rows_per), evals
+
+
+def _search(problems: Sequence[RatioProblem], cfg: OracleConfig) -> list[OracleResult]:
+    """The full search for same-size problems sharing ``p``, ``q`` and the
+    form: one pool evaluation, then one lock-step polish of every problem
+    whose pool holds no infinite ratio."""
+    ref = problems[0]
+    weights = _stack(problems)
+    pool = _assemble_pool(problems, cfg)
+    ratios = _ratio_batch(ref, pool, weights)
+    evals = np.full(len(problems), pool.shape[1])
+    fin = ~np.isinf(ratios).any(axis=1)
+    polished = np.cumsum(fin) - 1  # index among the polished problems
+    if fin.any():
+        sel = slice(None) if fin.all() else fin  # copy the pool only if needed
+        sub = tuple(x[sel] for x in weights)
+        extra, _, used = _polish_top(ref, pool[sel], ratios[sel], sub, cfg)
+        again = _ratio_batch(ref, extra, sub)
+        evals[fin] += used + extra.shape[1]
+    out = []
+    for i, prob in enumerate(problems):
+        r = ratios[i]
+        if fin[i]:
+            r = np.concatenate([r, again[polished[i]]])
+        k = int(np.argmax(r))
+        row = pool[i, k] if k < pool.shape[1] else extra[polished[i], k - pool.shape[1]]
+        out.append(_result(prob, row, r[k], evals[i]))
+    return out
 
 
 def spike_oracle(problem: RatioProblem) -> OracleResult:
@@ -203,6 +272,30 @@ def spike_oracle(problem: RatioProblem) -> OracleResult:
     return _spike_max(problem)
 
 
+def brute_force_constants(
+    problems: Sequence[RatioProblem], cfg: OracleConfig | None = None
+) -> list[OracleResult]:
+    """:func:`brute_force_constant` of every problem, in input order.
+
+    Problems in the spike range are answered one by one.  The rest are
+    grouped by ``(p, q, form, n)``, and each group is searched as one stack:
+    one pool evaluation and one lock-step polish for all of its problems.
+    Every result equals that of the problem searched alone, bit for bit.
+    """
+    cfg = cfg or OracleConfig()
+    results: list = [None] * len(problems)
+    groups: dict[tuple, list[int]] = {}
+    for i, prob in enumerate(problems):
+        if _spike_exact(prob):
+            results[i] = _spike_max(prob)
+        else:
+            groups.setdefault((prob.p, prob.q, prob.form, prob.size), []).append(i)
+    for members in groups.values():
+        for i, res in zip(members, _search([problems[i] for i in members], cfg)):
+            results[i] = res
+    return results
+
+
 def brute_force_constant(
     problem: RatioProblem, cfg: OracleConfig | None = None
 ) -> OracleResult:
@@ -211,18 +304,7 @@ def brute_force_constant(
     In the spike range (certificate ``exact-spike``) the spikes alone are
     evaluated, ``n`` evaluations, since no other candidate can beat them.
     """
-    if _spike_exact(problem):
-        return _spike_max(problem)
-    cfg = cfg or OracleConfig()
-    pool = _assemble_pool(problem, cfg)
-    ratios = _ratio_batch(problem, pool)
-    evals = len(pool)
-    if not np.isinf(ratios).any():
-        extra, used = _polish_top(problem, pool, ratios, cfg)
-        pool = np.concatenate([pool, extra])
-        ratios = np.concatenate([ratios, _ratio_batch(problem, extra)])
-        evals += used + len(extra)
-    return _result(problem, pool, ratios, evals)
+    return brute_force_constants([problem], cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -245,6 +327,41 @@ class EquivalenceRatio:
         }
 
 
+def _characterize(problem: RatioProblem, variant: str) -> CharacterizationResult:
+    """The closed-form estimate F of a gop/antigop sum-form problem."""
+    if problem.form == GOP:
+        return char_gop(problem.u, problem.v, problem.w, problem.p, problem.q)
+    if problem.form == ANTIGOP:
+        return char_antigop(
+            problem.u, problem.v, problem.w, problem.p, problem.q, variant=variant
+        )
+    raise ValueError(
+        "equivalence ratios are defined for the gop/antigop sum forms, "
+        f"got {problem.form.name}"
+    )
+
+
+def _equivalence(ch: CharacterizationResult, res: OracleResult) -> EquivalenceRatio:
+    F, B = ch.value, res.constant
+    if (F == 0 and B == 0) or (math.isinf(F) and math.isinf(B)):
+        return EquivalenceRatio(F, B, 1.0, True, ch, res)
+    return EquivalenceRatio(F, B, ext_div(F, B), False, ch, res)
+
+
+def equivalence_ratios(
+    problems: Sequence[RatioProblem],
+    cfg: OracleConfig | None = None,
+    variant: str = "printed",
+) -> list[EquivalenceRatio]:
+    """:func:`equivalence_ratio` of every problem, in input order, with one
+    :func:`brute_force_constants` call for all of them."""
+    chars = [_characterize(prob, variant) for prob in problems]
+    return [
+        _equivalence(ch, res)
+        for ch, res in zip(chars, brute_force_constants(problems, cfg))
+    ]
+
+
 def equivalence_ratio(
     problem: RatioProblem,
     cfg: OracleConfig | None = None,
@@ -255,22 +372,8 @@ def equivalence_ratio(
     Degenerate 0/0 (and inf/inf) comparisons report the sentinel ratio 1
     with a flag rather than NaN.
     """
-    if problem.form == GOP:
-        ch = char_gop(problem.u, problem.v, problem.w, problem.p, problem.q)
-    elif problem.form == ANTIGOP:
-        ch = char_antigop(
-            problem.u, problem.v, problem.w, problem.p, problem.q, variant=variant
-        )
-    else:
-        raise ValueError(
-            "equivalence ratios are defined for the gop/antigop sum forms, "
-            f"got {problem.form.name}"
-        )
-    res = brute_force_constant(problem, cfg)
-    F, B = ch.value, res.constant
-    if (F == 0 and B == 0) or (math.isinf(F) and math.isinf(B)):
-        return EquivalenceRatio(F, B, 1.0, True, ch, res)
-    return EquivalenceRatio(F, B, ext_div(F, B), False, ch, res)
+    ch = _characterize(problem, variant)
+    return _equivalence(ch, brute_force_constant(problem, cfg))
 
 
 @dataclass(frozen=True)
@@ -297,6 +400,86 @@ class ChainEquivalenceReport:
         }
 
 
+def _chain_problems(
+    u: Window, v: Window, w: Window, p: float, q: float, family: str
+) -> tuple[RatioProblem, ...]:
+    """The sup, sum and powered-sum problems of one chain instance."""
+    if not 0 < p <= 1:
+        raise ValueError(f"the chain equivalences require p in (0, 1], got {p}")
+    if family == "antigop":
+        forms = (ANTIGOP_SUP, ANTIGOP, antigop_psum(p))
+    elif family == "gop":
+        forms = (GOP_SUP, GOP, gop_psum(p))
+    elif family == "simple":
+        forms = (ANTIGOP_SUP, ANTIGOP, antigop_psum(p))
+        u = u.with_values([1.0] * len(u))
+    else:
+        raise ValueError(f"family must be antigop/gop/simple, got {family!r}")
+    return tuple(RatioProblem(u, v, w, p, q, f) for f in forms)
+
+
+def _chain_group(
+    triples: Sequence[tuple[RatioProblem, ...]], families: Sequence[str], cfg: OracleConfig
+) -> list[ChainEquivalenceReport]:
+    """Chain reports for same-size instances that share their forms, p and q."""
+    refs = triples[0]
+    weights = _stack([t[0] for t in triples])
+    pool = _assemble_pool([t[0] for t in triples], cfg)
+    base, extra, owner = [], [], []
+    for ref in refs:
+        r = _ratio_batch(ref, pool, weights)
+        base.append(r)
+        fin = ~np.isinf(r).any(axis=1)
+        if fin.any():
+            sel = slice(None) if fin.all() else fin
+            a = _polish_top(ref, pool[sel], r[sel], tuple(x[sel] for x in weights), cfg)[0]
+            extra.append(a.reshape(-1, a.shape[-1]))
+            owner.append(np.repeat(np.flatnonzero(fin), a.shape[1]))
+    n = pool.shape[-1]
+    extra_rows = np.concatenate([np.empty((0, n)), *extra])[:, None, :]
+    owner = np.concatenate([np.empty(0, dtype=int), *owner])
+    uvw = tuple(x[owner] for x in weights)
+    again = [_ratio_batch(ref, extra_rows, uvw)[:, 0] for ref in refs]
+    out = []
+    for i, family in enumerate(families):
+        mine = owner == i
+        r1, r2, r3 = (np.concatenate([b[i], e[mine]]) for b, e in zip(base, again))
+        violations = int(np.sum((r1 > r2) | (r2 > r3)))
+        a1, a2, a3 = float(np.max(r1)), float(np.max(r2)), float(np.max(r3))
+        sentinel = a1 == 0 and a3 == 0
+        ratio31 = 1.0 if sentinel else ext_div(a3, a1)
+        out.append(ChainEquivalenceReport(
+            family, a1, a2, a3, violations, ratio31, sentinel, len(r1)
+        ))
+    return out
+
+
+def chain_equivalence_sweeps(
+    instances: Sequence[tuple[Window, Window, Window, float, float, str]],
+    cfg: OracleConfig | None = None,
+) -> list[ChainEquivalenceReport]:
+    """:func:`chain_equivalence_sweep` of every ``(u, v, w, p, q, family)``
+    instance, in input order.
+
+    Instances with the same forms, ``p``, ``q`` and window size share one
+    pool evaluation and one lock-step polish per form.
+    """
+    cfg = cfg or OracleConfig()
+    triples = [_chain_problems(*inst) for inst in instances]
+    groups: dict[tuple, list[int]] = {}
+    for i, t in enumerate(triples):
+        key = (tuple(prob.form for prob in t), t[0].p, t[0].q, t[0].size)
+        groups.setdefault(key, []).append(i)
+    reports: list = [None] * len(instances)
+    for members in groups.values():
+        found = _chain_group(
+            [triples[i] for i in members], [instances[i][5] for i in members], cfg
+        )
+        for i, rep in zip(members, found):
+            reports[i] = rep
+    return reports
+
+
 def chain_equivalence_sweep(
     u: Window,
     v: Window,
@@ -315,31 +498,4 @@ def chain_equivalence_sweep(
     ("antigop" or "gop") or the non-iterated one ("simple", which fixes the
     inner weight at one).
     """
-    if not 0 < p <= 1:
-        raise ValueError(f"the chain equivalences require p in (0, 1], got {p}")
-    cfg = cfg or OracleConfig()
-    if family == "antigop":
-        forms = (ANTIGOP_SUP, ANTIGOP, antigop_psum(p))
-    elif family == "gop":
-        forms = (GOP_SUP, GOP, gop_psum(p))
-    elif family == "simple":
-        forms = (ANTIGOP_SUP, ANTIGOP, antigop_psum(p))
-        u = u.with_values([1.0] * len(u))
-    else:
-        raise ValueError(f"family must be antigop/gop/simple, got {family!r}")
-    problems = [RatioProblem(u, v, w, p, q, f) for f in forms]
-    pool = _assemble_pool(problems[0], cfg)
-    extra = []
-    for prob in problems:
-        r = _ratio_batch(prob, pool)
-        if not np.isinf(r).any():
-            extra.append(_polish_top(prob, pool, r, cfg)[0])
-    pool = np.concatenate([pool, *extra])
-    r1, r2, r3 = (_ratio_batch(prob, pool) for prob in problems)
-    violations = int(np.sum((r1 > r2) | (r2 > r3)))
-    a1, a2, a3 = float(np.max(r1)), float(np.max(r2)), float(np.max(r3))
-    sentinel = a1 == 0 and a3 == 0
-    ratio31 = 1.0 if sentinel else ext_div(a3, a1)
-    return ChainEquivalenceReport(
-        family, a1, a2, a3, violations, ratio31, sentinel, len(pool)
-    )
+    return chain_equivalence_sweeps([(u, v, w, p, q, family)], cfg)[0]

@@ -1,13 +1,19 @@
 """Seeded verification sweeps: property suites with machine-readable reports.
 
-Each suite draws random instances from a seeded generator and runs one check
-function per instance.  A check takes the instance's inputs (windows and
-scalars) and returns ``(observed, passed)``.  A failing instance is recorded
-as its suite name, its inputs in the wire format (windows as
-``{"start", "values"}``, scalars as numbers or strings) and the observed
-numbers.  :func:`replay_instance` decodes such a record and runs the same
-check, so a replay reproduces the sweep's ``observed`` and verdict bit for
-bit.  All randomness flows from the sweep seed; reports are deterministic.
+Each suite draws its whole ensemble of random instances from a seeded
+generator, then runs its check once on the list.  A check takes a list of
+instances (each a dict of inputs: windows and scalars) and returns one
+``(observed, passed)`` per instance, in order.  The two oracle suites,
+``equivalence-ratio`` and ``chain-equivalence``, hand the whole list to the
+oracle's list entry points, which search same-shaped problems as one stack;
+the other suites run their per-instance check on each element.  A failing
+instance is recorded as its suite name, its inputs in the wire format
+(windows as ``{"start", "values"}``, scalars as numbers or strings) and the
+observed numbers.  :func:`replay_instance` decodes such a record and runs the
+same check on a list of one, so a replay reproduces the sweep's ``observed``
+and verdict bit for bit (the oracle gives every problem the bits it has
+alone).  All randomness flows from the sweep seed; reports are
+deterministic.
 
 Observed values per suite: ``chain`` the triple ``[sup, sum, powered sum]``;
 ``bridge`` ``{"gop": ..., "antigop": ...}``, the two bridge results;
@@ -19,7 +25,6 @@ of the sum and the sup pair.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
@@ -188,37 +193,65 @@ def _check_linft(u: Window, v: Window, p: float) -> tuple[Any, bool]:
     return {"exact": exact, "spike": spike.constant, "brute": brute.constant}, ok
 
 
-def _check_equivalence(
-    u: Window, v: Window, w: Window, p: float, q: float, form: str
-) -> tuple[Any, bool]:
-    prob = RatioProblem(u, v, w, p, q, hardyops.form_by_name(form))
-    eq = oracle.equivalence_ratio(prob, FAST_CONFIG)
-    observed = {"F": eq.formula, "B": eq.brute, "ratio": eq.ratio}
-    return observed, eq.sentinel or 0 < eq.ratio < math.inf
-
-
-def _check_chain_equivalence(
-    u: Window, v: Window, w: Window, p: float, q: float, family: str
-) -> tuple[Any, bool]:
-    rep = oracle.chain_equivalence_sweep(u, v, w, p, q, FAST_CONFIG, family)
-    ok = not rep.violations and (rep.sentinel or rep.ratio31 < math.inf)
-    return rep.to_json(), ok
-
-
 def _check_doubling(b: Window, c: Window, alpha: float) -> tuple[Any, bool]:
     out = blocks.doubling_lemma_check(b, c, alpha, b.start, b.last)
     ok = out.lhs_sum <= 2.0 * out.rhs_sum and out.lhs_sup <= 2.0 * out.rhs_sup
     return asdict(out), ok
 
 
-_CHECKS: dict[str, Callable[..., tuple[Any, bool]]] = {
-    "chain": _check_chain,
-    "bridge": _check_bridge,
-    "partition": _check_partition,
-    "linft": _check_linft,
+def _check_equivalence(instances: list[dict]) -> list[tuple[Any, bool]]:
+    problems = [
+        RatioProblem(
+            x["u"], x["v"], x["w"], x["p"], x["q"], hardyops.form_by_name(x["form"])
+        )
+        for x in instances
+    ]
+    return [
+        (
+            {"F": eq.formula, "B": eq.brute, "ratio": eq.ratio},
+            eq.sentinel or 0 < eq.ratio < math.inf,
+        )
+        for eq in oracle.equivalence_ratios(problems, FAST_CONFIG)
+    ]
+
+
+def _check_chain_equivalence(instances: list[dict]) -> list[tuple[Any, bool]]:
+    reps = oracle.chain_equivalence_sweeps(
+        [(x["u"], x["v"], x["w"], x["p"], x["q"], x["family"]) for x in instances],
+        FAST_CONFIG,
+    )
+    return [
+        (rep.to_json(), not rep.violations and (rep.sentinel or rep.ratio31 < math.inf))
+        for rep in reps
+    ]
+
+
+def _each(check: Callable[..., tuple[Any, bool]]) -> Callable[[list[dict]], list]:
+    """The list form of a check that takes one instance's inputs."""
+    return lambda instances: [check(**inputs) for inputs in instances]
+
+
+#: Each suite's check: a list of instances (dicts of inputs) in, one
+#: ``(observed, passed)`` per instance out.
+_CHECKS: dict[str, Callable[[list[dict]], list[tuple[Any, bool]]]] = {
+    "chain": _each(_check_chain),
+    "bridge": _each(_check_bridge),
+    "partition": _each(_check_partition),
+    "linft": _each(_check_linft),
     "equivalence-ratio": _check_equivalence,
     "chain-equivalence": _check_chain_equivalence,
-    "doubling": _check_doubling,
+    "doubling": _each(_check_doubling),
+}
+
+#: The input fields of each suite's instances.
+_FIELDS: dict[str, tuple[str, ...]] = {
+    "chain": ("a", "p", "n"),
+    "bridge": ("u", "v", "w", "a", "q"),
+    "partition": ("w", "n0"),
+    "linft": ("u", "v", "p"),
+    "equivalence-ratio": ("u", "v", "w", "p", "q", "form"),
+    "chain-equivalence": ("u", "v", "w", "p", "q", "family"),
+    "doubling": ("b", "c", "alpha"),
 }
 
 #: How replay decodes each recorded input field.
@@ -234,46 +267,50 @@ _DECODE: dict[str, Callable[[Any], Any]] = {
 }
 
 
-def _check(failures: list, suite: str, **inputs: Any) -> Any:
-    """Run the suite's check; record a replayable failure; return observed."""
-    observed, passed = _CHECKS[suite](**inputs)
-    if not passed:
-        encoded = {
-            k: x.to_json() if isinstance(x, Window) else x for k, x in inputs.items()
-        }
-        failures.append({"suite": suite, **encoded, "observed": observed})
-    return observed
+def _check(failures: list, suite: str, instances: list[dict]) -> list:
+    """Run the suite's check on every instance; record each failure, in
+    instance order, as a replayable entry; return the observed values."""
+    outcomes = _CHECKS[suite](instances)
+    for inputs, (observed, passed) in zip(instances, outcomes):
+        if not passed:
+            encoded = {
+                k: x.to_json() if isinstance(x, Window) else x for k, x in inputs.items()
+            }
+            failures.append({"suite": suite, **encoded, "observed": observed})
+    return [observed for observed, _ in outcomes]
 
 
 def replay_instance(entry: dict) -> dict:
-    """Re-run one recorded failure through its suite's check."""
+    """Re-run one recorded failure through its suite's check, as a list of one."""
     suite = entry.get("suite")
     if suite not in _CHECKS:
         raise ValueError(f"cannot replay suite {suite!r}")
-    check = _CHECKS[suite]
-    inputs = {k: _DECODE[k](entry[k]) for k in inspect.signature(check).parameters}
-    observed, passed = check(**inputs)
+    inputs = {k: _DECODE[k](entry[k]) for k in _FIELDS[suite]}
+    [(observed, passed)] = _CHECKS[suite]([inputs])
     return {"suite": suite, "observed": observed, "passed": passed}
 
 
 # ---------------------------------------------------------------------------
-# Suites
+# Suites: each draws its whole ensemble, then checks it in one call
 # ---------------------------------------------------------------------------
 
 def _suite_chain(spec: SweepSpec, rng: np.random.Generator) -> dict:
     failures: list = []
     probes = max(spec.ensemble * 25, 100)
+    instances = []
     for _ in range(probes):
         n_len = int(rng.choice(spec.window_sizes))
         a = rand_window(rng, n_len, int(rng.integers(-4, 5)), spec.weight_exponent, 0.2)
         p = float(rng.uniform(0.05, 1.0)) if rng.random() < 0.8 else 1.0
         n = int(rng.integers(a.start, a.stop))
-        _check(failures, "chain", a=a, p=p, n=n)
+        instances.append({"a": a, "p": p, "n": n})
+    _check(failures, "chain", instances)
     return {"passed": not failures, "probes": probes, "failures": failures}
 
 
 def _suite_bridge(spec: SweepSpec, rng: np.random.Generator) -> dict:
     failures: list = []
+    instances = []
     for _ in range(spec.ensemble):
         n_len = int(min(max(spec.window_sizes), 12))
         n_len = int(rng.integers(1, n_len + 1))
@@ -283,67 +320,72 @@ def _suite_bridge(spec: SweepSpec, rng: np.random.Generator) -> dict:
         w = rand_dyadic_window(rng, n_len, start)
         a = rand_dyadic_window(rng, n_len, start, allow_zero=True)
         q = float(rng.integers(1, 4))
-        _check(failures, "bridge", u=u, v=v, w=w, a=a, q=q)
+        instances.append({"u": u, "v": v, "w": w, "a": a, "q": q})
+    _check(failures, "bridge", instances)
     return {"passed": not failures, "checks": spec.ensemble, "failures": failures}
 
 
 def _suite_partition(spec: SweepSpec, rng: np.random.Generator) -> dict:
     failures: list = []
+    instances = []
     for _ in range(spec.ensemble):
         n_len = int(rng.choice(spec.window_sizes))
         w = rand_window(rng, n_len, int(rng.integers(-4, 5)), spec.weight_exponent, 0.25)
         n0 = int(rng.integers(w.start, w.stop))
-        _check(failures, "partition", w=w, n0=n0)
+        instances.append({"w": w, "n0": n0})
+    _check(failures, "partition", instances)
     return {"passed": not failures, "checks": spec.ensemble, "failures": failures}
 
 
 def _suite_linft(spec: SweepSpec, rng: np.random.Generator) -> dict:
     failures: list = []
+    instances = []
     for _ in range(spec.ensemble):
         n_len = int(rng.choice(spec.window_sizes))
         start = int(rng.integers(-4, 5))
         u = rand_window(rng, n_len, start, spec.weight_exponent)
         v = rand_window(rng, n_len, start, spec.weight_exponent)
         p = float(rng.choice([0.25, 0.5, 1.0]))
-        _check(failures, "linft", u=u, v=v, p=p)
+        instances.append({"u": u, "v": v, "p": p})
+    _check(failures, "linft", instances)
     return {"passed": not failures, "checks": spec.ensemble, "failures": failures}
 
 
 def _suite_equivalence(spec: SweepSpec, rng: np.random.Generator) -> dict:
     failures: list = []
+    cells = [(p, q, form) for p, q in spec.regimes for form in ("gop", "antigop")]
+    instances = []
+    for p, q, form in cells:
+        for _ in range(spec.ensemble):
+            n_len = int(rng.choice([n for n in spec.window_sizes if n <= 8] or [5]))
+            u, v, w = _weight_triple(rng, n_len, spec.weight_exponent)
+            instances.append({"u": u, "v": v, "w": w, "p": p, "q": q, "form": form})
+    observed = _check(failures, "equivalence-ratio", instances)
     stats: dict[str, dict] = {}
-    for p, q in spec.regimes:
-        for form in ("gop", "antigop"):
-            ratios = []
-            for _ in range(spec.ensemble):
-                n_len = int(rng.choice([n for n in spec.window_sizes if n <= 8] or [5]))
-                u, v, w = _weight_triple(rng, n_len, spec.weight_exponent)
-                observed = _check(
-                    failures, "equivalence-ratio", u=u, v=v, w=w, p=p, q=q, form=form
-                )
-                ratios.append(observed["ratio"])
-            arr = np.asarray(ratios)
-            stats[f"{form}:p={p},q={q}"] = {
-                "min": float(arr.min()),
-                "median": float(np.median(arr)),
-                "max": float(arr.max()),
-            }
+    for i, (p, q, form) in enumerate(cells):
+        cell = observed[i * spec.ensemble : (i + 1) * spec.ensemble]
+        arr = np.asarray([obs["ratio"] for obs in cell])
+        stats[f"{form}:p={p},q={q}"] = {
+            "min": float(arr.min()),
+            "median": float(np.median(arr)),
+            "max": float(arr.max()),
+        }
     return {"passed": not failures, "ratio_stats": stats, "failures": failures}
 
 
 def _suite_chain_equivalence(spec: SweepSpec, rng: np.random.Generator) -> dict:
     failures: list = []
-    ratios = []
     regimes = [(p, q) for p, q in spec.regimes if p <= 1] or [(1.0, 1.0)]
+    instances = []
     for p, q in regimes:
         for family in ("antigop", "gop", "simple"):
             for _ in range(max(spec.ensemble // 4, 1)):
                 n_len = int(rng.choice([n for n in spec.window_sizes if n <= 8] or [5]))
                 u, v, w = _weight_triple(rng, n_len, spec.weight_exponent)
-                observed = _check(
-                    failures, "chain-equivalence", u=u, v=v, w=w, p=p, q=q, family=family
+                instances.append(
+                    {"u": u, "v": v, "w": w, "p": p, "q": q, "family": family}
                 )
-                ratios.append(observed["ratio_A3_A1"])
+    ratios = [obs["ratio_A3_A1"] for obs in _check(failures, "chain-equivalence", instances)]
     return {
         "passed": not failures,
         "max_ratio_A3_A1": float(max(ratios)) if ratios else None,
@@ -354,13 +396,15 @@ def _suite_chain_equivalence(spec: SweepSpec, rng: np.random.Generator) -> dict:
 def _suite_doubling(spec: SweepSpec, rng: np.random.Generator) -> dict:
     failures: list = []
     probes = max(spec.ensemble * 10, 50)
+    instances = []
     for _ in range(probes):
         n_len = int(rng.integers(3, 10))
         factors = rng.uniform(2.0, 4.0, size=n_len - 1)
         b = Window(0, np.concatenate([[rng.uniform(0.5, 2.0)], factors]).cumprod())
         c = rand_window(rng, n_len, 0, spec.weight_exponent, 0.3)
         alpha = float(rng.choice([0.25, 0.5, 1.0]))
-        _check(failures, "doubling", b=b, c=c, alpha=alpha)
+        instances.append({"b": b, "c": c, "alpha": alpha})
+    _check(failures, "doubling", instances)
     return {"passed": not failures, "probes": probes, "failures": failures}
 
 

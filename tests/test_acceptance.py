@@ -36,7 +36,8 @@ from hardyseq.hardyops import (
 from hardyseq.oracle import (
     OracleConfig,
     brute_force_constant,
-    chain_equivalence_sweep,
+    brute_force_constants,
+    chain_equivalence_sweeps,
     spike_oracle,
 )
 from hardyseq.seqcore import INF, Window, classify_regime
@@ -224,13 +225,15 @@ def test_criterion_6_chain_equivalences():
         maxima = []
         for seed in (101, 202):
             rng = np.random.default_rng((seed, int(p * 10), int(q * 10)))
-            worst = 0.0
+            instances = []
             for _ in range(200):
                 n = int(rng.integers(2, 9))
                 u, v, w = _triple(rng, n)
                 family = ("antigop", "gop", "simple")[int(rng.integers(0, 3))]
-                rep = chain_equivalence_sweep(u, v, w, p, q, CHAIN_CFG, family)
-                assert rep.violations == 0, (p, q, family)
+                instances.append((u, v, w, p, q, family))
+            worst = 0.0
+            for rep in chain_equivalence_sweeps(instances, CHAIN_CFG):
+                assert rep.violations == 0, (p, q, rep.family)
                 assert rep.a1 <= rep.a2 <= rep.a3
                 assert math.isfinite(rep.ratio31)
                 worst = max(worst, rep.ratio31)
@@ -246,13 +249,12 @@ def test_criterion_6_chain_equivalences():
 
 def _ratio_sweep(rng, p, q, count, cfg):
     """(gop, antigop-printed, antigop-flipped) formula/oracle ratios."""
+    triples = [_triple(rng, int(rng.integers(2, 9))) for _ in range(count)]
+    problems = [RatioProblem(u, v, w, p, q, form) for form in (GOP, ANTIGOP) for u, v, w in triples]
+    brute = [res.constant for res in brute_force_constants(problems, cfg)]
     out = {"gop": [], "printed": [], "flipped": []}
-    for _ in range(count):
-        n = int(rng.integers(2, 9))
-        u, v, w = _triple(rng, n)
-        b_gop = brute_force_constant(RatioProblem(u, v, w, p, q, GOP), cfg).constant
+    for (u, v, w), b_gop, b_anti in zip(triples, brute[:count], brute[count:]):
         out["gop"].append(char_gop(u, v, w, p, q).value / b_gop)
-        b_anti = brute_force_constant(RatioProblem(u, v, w, p, q, ANTIGOP), cfg).constant
         out["printed"].append(char_antigop(u, v, w, p, q, "printed").value / b_anti)
         out["flipped"].append(char_antigop(u, v, w, p, q, "flipped").value / b_anti)
     return out

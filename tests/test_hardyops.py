@@ -190,6 +190,29 @@ class TestBatch:
                     assert batch.tobytes() == alone[:height].tobytes()
 
 
+    @pytest.mark.parametrize("name", sorted(set(FORM_NAMES.values())))
+    def test_stacked_problems_match_each_alone(self, name):
+        """Weights stacked to (B, 1, n) against candidates (B, K, n) give row
+        b the bits of problem b evaluated alone, for stacks of 1 to 9."""
+        for n in (1, 3, 8, 33):
+            for k, (p, q, r) in enumerate([(0.5, 2.0, 0.5), (1.5, 3.0, 2.0), (2.0, INF, 0.3), (0.7, 0.4, 1.7)]):
+                rng = np.random.default_rng((n, k, 7))
+                mk = lambda: Window(0, 2.0 ** rng.uniform(-6, 6, n) * (rng.random(n) > 0.15))
+                for height in (1, 2, 5, 9):
+                    probs = [RatioProblem(mk(), mk(), mk(), p, q, form_by_name(name, r))
+                             for _ in range(height)]
+                    a = 2.0 ** rng.uniform(-4, 4, (height, 6, n)) * (rng.random((height, 6, n)) > 0.2)
+                    a[:, :, 0] += a.sum(axis=2) == 0
+                    weights = tuple(
+                        np.stack([getattr(pr, x).as_array() for pr in probs])[:, None, :]
+                        for x in "uvw"
+                    )
+                    with np.errstate(over="ignore"):
+                        stacked = _ratio_batch(probs[0], a, weights)
+                        alone = np.stack([_ratio_batch(pr, a[b]) for b, pr in enumerate(probs)])
+                    assert stacked.shape == (height, 6)
+                    assert stacked.tobytes() == alone.tobytes()
+
 class TestMonotonicity:
     def test_lhs_nondecreasing_in_a_u_w(self):
         rng = np.random.default_rng(23)

@@ -20,9 +20,13 @@ from hardyseq.oracle import (
     OracleConfig,
     _assemble_pool,
     _polish_top,
+    _stack,
     brute_force_constant,
+    brute_force_constants,
     chain_equivalence_sweep,
+    chain_equivalence_sweeps,
     equivalence_ratio,
+    equivalence_ratios,
     spike_oracle,
 )
 from hardyseq.seqcore import INF, Window
@@ -143,6 +147,37 @@ class TestBruteForce:
         blocks = n * (n + 1) // 2 if n > 1 else 0
         assert res.evaluations == n + blocks + 2 * (3 + 2) == expected
 
+    def test_list_matches_each_problem_alone(self):
+        """One call on a mixed list returns, in input order, the result each
+        problem gets alone: constant, argmax, certificate and evaluations.
+        The list mixes sizes, forms, (p, q) inside and outside the spike
+        range, zero weights, and zeros in v that make ratios infinite."""
+        rng = np.random.default_rng(31)
+        forms = [GOP, ANTIGOP_SUP, antigop_psum(0.5)]
+        pqs = [(2.0, 3.0), (0.5, 1.0), (1.5, INF)]
+        problems = []
+        for i in range(54):
+            n = int(rng.choice([1, 2, 5]))
+            u, v, w = (Window(x.start, x.values * (rng.random(n) > 0.15))
+                       for x in rand_triple(rng, n, exponent=6.0))
+            if i % 3 == 0:
+                v = Window(v.start, v.values * (np.arange(n) != rng.integers(n)))
+            p, q = pqs[int(rng.integers(3))]
+            problems.append(RatioProblem(u, v, w, p, q, forms[int(rng.integers(3))]))
+        cfg = OracleConfig(restarts=3, iterations=30, seed=4, dirichlet_per_restart=2)
+        got = brute_force_constants(problems, cfg)
+        assert len(got) == len(problems)
+        assert {r.certificate for r in got} == {"exact-spike", "heuristic"}
+        assert any(math.isinf(r.constant) for r in got)
+        for prob, res in zip(problems, got):
+            alone = brute_force_constant(prob, cfg)
+            assert res.constant.hex() == alone.constant.hex()
+            assert res.argmax.start == alone.argmax.start
+            assert res.argmax.values.tobytes() == alone.argmax.values.tobytes()
+            assert res.certificate == alone.certificate
+            assert res.evaluations == alone.evaluations
+        assert brute_force_constants([], cfg) == []
+
     @pytest.mark.parametrize(
         "form", [GOP, ANTIGOP, GOP_SUP, ANTIGOP_SUP, gop_psum(1.0), antigop_psum(2.0)]
     )
@@ -210,34 +245,39 @@ class TestPolish:
          (ANTIGOP_SUP, 3.0, INF), (gop_psum(0.5), 0.8, 0.6), (antigop_psum(0.25), 1.0, 2.0)],
     )
     def test_lock_step_matches_sequential(self, form, p, q):
-        """Polishing every restart at once ends each one where it would end
-        alone, bit for bit, with the same evaluation count."""
+        """Polishing every restart of a stack of problems at once ends each
+        one where it would end alone, bit for bit, with the same evaluation
+        count per problem; each best ratio is its row's own ratio."""
         rng = np.random.default_rng(23)
         configs = [FAST_CONFIG, OracleConfig(restarts=5, iterations=120, seed=3),
                    OracleConfig(restarts=3, iterations=400, seed=9)]
         for trial in range(9):
             n = int(rng.integers(1, 13))
-            u, v, w = rand_triple(rng, n)
-            prob = RatioProblem(u, v, w, p, q, form)
+            probs = [RatioProblem(*rand_triple(rng, n), p, q, form)
+                     for _ in range(int(rng.integers(1, 5)))]
             cfg = configs[trial % 3]
-            pool = _assemble_pool(prob, cfg)
-            ratios = _ratio_batch(prob, pool)
-            got, evals = _polish_top(prob, pool, ratios, cfg)
-            want = [_sequential_polish(prob, pool[k], cfg)
-                    for k in np.argsort(ratios)[::-1][: cfg.restarts]]
-            assert got.tobytes() == np.array([a for a, _ in want]).tobytes()
-            assert evals == sum(e for _, e in want)
+            pool = _assemble_pool(probs, cfg)
+            ratios = _ratio_batch(probs[0], pool, _stack(probs))
+            got, best, evals = _polish_top(probs[0], pool, ratios, _stack(probs), cfg)
+            assert got.shape[0] == best.shape[0] == len(evals) == len(probs)
+            for b, prob in enumerate(probs):
+                want = [_sequential_polish(prob, pool[b, k], cfg)
+                        for k in np.argsort(ratios[b])[::-1][: cfg.restarts]]
+                assert got[b].tobytes() == np.array([a for a, _ in want]).tobytes()
+                assert evals[b] == sum(e for _, e in want)
+                assert best[b].tobytes() == _ratio_batch(prob, got[b]).tobytes()
 
     def test_infinite_row_freezes(self):
         """A row whose ratio is infinite stops at once; the others go on."""
         v = Window(0, (1.0, 0.0, 1.0))
         ones = Window(0, (1.0, 1.0, 1.0))
         prob = RatioProblem(ones, v, ones, 2.0, 2.0, GOP)
-        pool = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        pool = np.array([[[0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]])
         cfg = OracleConfig(restarts=2, iterations=3)
-        got, evals = _polish_top(prob, pool, _ratio_batch(prob, pool), cfg)
-        assert got[0].tolist() == [0.0, 1.0, 0.0]
-        assert evals == 2 + 3 * 6
+        ratios = _ratio_batch(prob, pool)
+        got, _, evals = _polish_top(prob, pool, ratios, _stack([prob]), cfg)
+        assert got[0, 0].tolist() == [0.0, 1.0, 0.0]
+        assert evals.tolist() == [2 + 3 * 6]
 
 
 class TestEquivalenceRatio:

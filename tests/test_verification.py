@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from hardyseq import blocks, bridge, hardyops, oracle
+from hardyseq import blocks, bridge, hardyops, oracle, verification
 from hardyseq.verification import (
     ALL_SUITES,
     SweepSpec,
+    _weight_triple,
     rand_dyadic_window,
     rand_window,
     replay_instance,
@@ -128,6 +129,68 @@ def test_replay_all_suites():
         assert out["passed"], entry["suite"]
 
 
+def _oracle_suite_reference(spec):
+    """The two oracle suites' reports and per-instance observations, rebuilt
+    by drawing in the suites' order and calling the singular oracle functions
+    on one instance at a time."""
+    sizes = [n for n in spec.window_sizes if n <= 8] or [5]
+    rng = np.random.default_rng((spec.seed, ALL_SUITES.index("equivalence-ratio")))
+    eq_obs, stats = [], {}
+    for p, q in spec.regimes:
+        for form in ("gop", "antigop"):
+            cell = []
+            for _ in range(spec.ensemble):
+                u, v, w = _weight_triple(rng, int(rng.choice(sizes)), spec.weight_exponent)
+                prob = hardyops.RatioProblem(u, v, w, p, q, hardyops.form_by_name(form))
+                eq = oracle.equivalence_ratio(prob, oracle.FAST_CONFIG)
+                cell.append({"F": eq.formula, "B": eq.brute, "ratio": eq.ratio})
+            eq_obs += cell
+            arr = np.asarray([obs["ratio"] for obs in cell])
+            stats[f"{form}:p={p},q={q}"] = {
+                "min": float(arr.min()),
+                "median": float(np.median(arr)),
+                "max": float(arr.max()),
+            }
+    rng = np.random.default_rng((spec.seed, ALL_SUITES.index("chain-equivalence")))
+    chain_obs = []
+    for p, q in [(p, q) for p, q in spec.regimes if p <= 1]:
+        for family in ("antigop", "gop", "simple"):
+            for _ in range(max(spec.ensemble // 4, 1)):
+                u, v, w = _weight_triple(rng, int(rng.choice(sizes)), spec.weight_exponent)
+                rep = oracle.chain_equivalence_sweep(u, v, w, p, q, oracle.FAST_CONFIG, family)
+                chain_obs.append(rep.to_json())
+    reports = {
+        "equivalence-ratio": {"passed": True, "ratio_stats": stats, "failures": []},
+        "chain-equivalence": {
+            "passed": True,
+            "max_ratio_A3_A1": max(obs["ratio_A3_A1"] for obs in chain_obs),
+            "failures": [],
+        },
+    }
+    return reports, {"equivalence-ratio": eq_obs, "chain-equivalence": chain_obs}
+
+
+def test_oracle_suites_match_one_instance_at_a_time(monkeypatch):
+    """Checking a whole ensemble in one call gives the report, and every
+    instance the observation, that one-instance calls in draw order give."""
+    spec = SweepSpec(
+        seed=5, suites=("equivalence-ratio", "chain-equivalence"), ensemble=8,
+        window_sizes=(3, 5, 8), regimes=((2.0, 3.0), (1.0, 0.5), (0.5, 1.0), (0.5, 0.25)),
+    )
+    want_reports, want_obs = _oracle_suite_reference(spec)
+    observed = {}
+    real = verification._check
+
+    def spy(failures, suite, instances):
+        observed[suite] = real(failures, suite, instances)
+        return observed[suite]
+
+    monkeypatch.setattr(verification, "_check", spy)
+    report = run_verification(spec)
+    assert report["suites"] == want_reports
+    assert observed == want_obs
+
+
 def _failing_invariants(report):
     report.record("first_step", 1, False)
     return report
@@ -139,8 +202,10 @@ def _antigop_above_discrete(res):
     return dataclasses.replace(res, continuous_lhs_pow=res.discrete_lhs_pow + 1)
 
 
-# (module, library call, change to its result) per suite.  Each change fails
-# exactly one predicate of the suite's check.  For bridge, linft,
+# (module, library call, change to its result) per suite.  The two oracle
+# suites check their whole ensemble through one list call, so their change
+# maps over the list.  Each change fails exactly one predicate of the suite's
+# check.  For bridge, linft,
 # chain-equivalence and doubling it is a predicate that a weaker replay would
 # skip: the reflected form, the brute-force bound, the finiteness of A3/A1
 # and the sup pair.
@@ -155,13 +220,16 @@ REPLAY_FAULTS = {
     ),
     "equivalence-ratio": (
         oracle,
-        "equivalence_ratio",
-        lambda r: dataclasses.replace(r, ratio=math.inf, sentinel=False),
+        "equivalence_ratios",
+        lambda rs: [dataclasses.replace(r, ratio=math.inf, sentinel=False) for r in rs],
     ),
     "chain-equivalence": (
         oracle,
-        "chain_equivalence_sweep",
-        lambda r: dataclasses.replace(r, ratio31=math.inf, sentinel=False, violations=0),
+        "chain_equivalence_sweeps",
+        lambda rs: [
+            dataclasses.replace(r, ratio31=math.inf, sentinel=False, violations=0)
+            for r in rs
+        ],
     ),
     "doubling": (
         blocks,
