@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--iterations", type=int, default=500)
     o.add_argument("--seed", type=int, default=0)
     o.add_argument("--spikes-only", action="store_true",
-                   help="Exact spike enumeration (sup-inner forms, p <= 1)")
+                   help="Exact spike enumeration (sup-inner forms, p <= 1, q >= p)")
     common(o)
     o.set_defaults(func=_cmd_oracle)
 

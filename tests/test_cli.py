@@ -78,6 +78,14 @@ class TestOracle:
         assert out["constant"] == 2.0
         assert out["certificate"] == "exact-spike"
 
+    def test_spikes_only_refuses_q_below_p(self, linft_file, capsys):
+        code = main(
+            ["oracle", "--weights", linft_file, "--p", "0.5", "--q", "0.25",
+             "--form", "antigop-sup", "--spikes-only"]
+        )
+        assert code == 2
+        assert "q >= p" in capsys.readouterr().err
+
     def test_brute_force_gop(self, weights_file, capsys):
         code = main(
             ["oracle", "--weights", weights_file, "--p", "1", "--q", "1",
