@@ -248,15 +248,15 @@ def _search(problems: Sequence[RatioProblem], cfg: OracleConfig) -> list[OracleR
     polished = np.cumsum(fin) - 1  # index among the polished problems
     if fin.any():
         sel = slice(None) if fin.all() else fin  # copy the pool only if needed
-        sub = tuple(x[sel] for x in weights)
-        extra, _, used = _polish_top(ref, pool[sel], ratios[sel], sub, cfg)
-        again = _ratio_batch(ref, extra, sub)
-        evals[fin] += used + extra.shape[1]
+        extra, best, used = _polish_top(
+            ref, pool[sel], ratios[sel], tuple(x[sel] for x in weights), cfg
+        )
+        evals[fin] += used
     out = []
     for i, prob in enumerate(problems):
         r = ratios[i]
         if fin[i]:
-            r = np.concatenate([r, again[polished[i]]])
+            r = np.concatenate([r, best[polished[i]]])
         k = int(np.argmax(r))
         row = pool[i, k] if k < pool.shape[1] else extra[polished[i], k - pool.shape[1]]
         out.append(_result(prob, row, r[k], evals[i]))
