@@ -54,8 +54,11 @@ from .oracle import (
     OracleConfig,
     OracleResult,
     brute_force_constant,
+    brute_force_constants,
     chain_equivalence_sweep,
+    chain_equivalence_sweeps,
     equivalence_ratio,
+    equivalence_ratios,
     spike_oracle,
 )
 from .seqcore import (
@@ -117,8 +120,11 @@ __all__ = [
     "ChainEquivalenceReport",
     "spike_oracle",
     "brute_force_constant",
+    "brute_force_constants",
     "equivalence_ratio",
+    "equivalence_ratios",
     "chain_equivalence_sweep",
+    "chain_equivalence_sweeps",
     "StepFunction",
     "PiecewiseLinear",
     "BridgeCheckResult",

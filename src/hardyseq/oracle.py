@@ -27,6 +27,16 @@ iteration for all of them.  ``_ratio_batch`` is row-independent (a row's
 ratio does not depend on the other rows of its batch), so each restart ends
 exactly where a polish of that restart alone would.
 
+The search also has a problem axis.  The list entry points
+(:func:`brute_force_constants`, :func:`equivalence_ratios`,
+:func:`chain_equivalence_sweeps`) group the problems that share ``p``,
+``q``, form and window size, stack their weights to shape (B, 1, n) against
+candidates of shape (B, K, n), and polish every restart of every problem of
+a group with one ``_ratio_batch`` call per iteration.  Rows are independent
+across problems as well, so each result equals the problem's own result,
+bit for bit, and comes back in input order; :func:`brute_force_constant`
+is the one-element call.
+
 Everything is deterministic given the config seed: per-restart generators are
 derived from ``(seed, restart_index)`` and results merge by max, so the
 outcome does not depend on evaluation order.
@@ -35,7 +45,7 @@ outcome does not depend on evaluation order.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,7 +184,7 @@ def _assemble_pool(problems: Sequence[RatioProblem], cfg: OracleConfig) -> np.nd
     pool[:, :n] = np.eye(n)
     if nb:
         pool[:, n : n + nb] = _block_pool(n)
-    v = _stack(problems)[1]
+    v = np.stack([prob.v.as_array() for prob in problems])[:, None, :]
     pool[:, n + nb :] = (x / np.where(v > 0, v, 1.0)) ** (1.0 / p)
     return pool
 
@@ -235,23 +245,45 @@ def _polish_top(
     return a.reshape(b, rows_per, n), best.reshape(b, rows_per), evals
 
 
+def _shape(problem: RatioProblem) -> tuple:
+    """What the problems of one stack share: exponents, form and size."""
+    return problem.p, problem.q, problem.form, problem.size
+
+
+def _in_groups(items: Sequence, key: Callable, run: Callable[[list], list]) -> list:
+    """``run`` on each group of items with equal ``key``, in order of first
+    appearance; the results come back in input order."""
+    groups: dict = {}
+    for i, item in enumerate(items):
+        groups.setdefault(key(item), []).append(i)
+    out: list = [None] * len(items)
+    for members in groups.values():
+        for i, res in zip(members, run([items[i] for i in members])):
+            out[i] = res
+    return out
+
+
 def _search(problems: Sequence[RatioProblem], cfg: OracleConfig) -> list[OracleResult]:
-    """The full search for same-size problems sharing ``p``, ``q`` and the
-    form: one pool evaluation, then one lock-step polish of every problem
-    whose pool holds no infinite ratio."""
+    """The search for same-size problems sharing ``p``, ``q`` and the form.
+
+    In the spike range each problem's spike maximum; elsewhere one pool
+    evaluation, then one lock-step polish of every problem whose pool holds
+    no infinite ratio.
+    """
     ref = problems[0]
+    if _spike_exact(ref):
+        return [_spike_max(prob) for prob in problems]
     weights = _stack(problems)
     pool = _assemble_pool(problems, cfg)
     ratios = _ratio_batch(ref, pool, weights)
     evals = np.full(len(problems), pool.shape[1])
     fin = ~np.isinf(ratios).any(axis=1)
     polished = np.cumsum(fin) - 1  # index among the polished problems
-    if fin.any():
-        sel = slice(None) if fin.all() else fin  # copy the pool only if needed
-        extra, best, used = _polish_top(
-            ref, pool[sel], ratios[sel], tuple(x[sel] for x in weights), cfg
-        )
-        evals[fin] += used
+    sel = slice(None) if fin.all() else fin  # copy the pool only if needed
+    extra, best, used = _polish_top(
+        ref, pool[sel], ratios[sel], tuple(x[sel] for x in weights), cfg
+    )
+    evals[fin] += used
     out = []
     for i, prob in enumerate(problems):
         r = ratios[i]
@@ -285,23 +317,13 @@ def brute_force_constants(
 ) -> list[OracleResult]:
     """:func:`brute_force_constant` of every problem, in input order.
 
-    Problems in the spike range are answered one by one.  The rest are
-    grouped by ``(p, q, form, n)``, and each group is searched as one stack:
-    one pool evaluation and one lock-step polish for all of its problems.
-    Every result equals that of the problem searched alone, bit for bit.
+    Problems are grouped by ``(p, q, form, n)``.  In the spike range each is
+    answered by its spikes; elsewhere a group is searched as one stack: one
+    pool evaluation and one lock-step polish for all of its problems.  Every
+    result equals that of the problem searched alone, bit for bit.
     """
     cfg = cfg or OracleConfig()
-    results: list = [None] * len(problems)
-    groups: dict[tuple, list[int]] = {}
-    for i, prob in enumerate(problems):
-        if _spike_exact(prob):
-            results[i] = _spike_max(prob)
-        else:
-            groups.setdefault((prob.p, prob.q, prob.form, prob.size), []).append(i)
-    for members in groups.values():
-        for i, res in zip(members, _search([problems[i] for i in members], cfg)):
-            results[i] = res
-    return results
+    return _in_groups(problems, _shape, lambda group: _search(group, cfg))
 
 
 def brute_force_constant(
@@ -427,12 +449,14 @@ def _chain_problems(
 
 
 def _chain_group(
-    triples: Sequence[tuple[RatioProblem, ...]], families: Sequence[str], cfg: OracleConfig
+    items: Sequence[tuple[str, tuple[RatioProblem, ...]]], cfg: OracleConfig
 ) -> list[ChainEquivalenceReport]:
-    """Chain reports for same-size instances that share their forms, p and q."""
-    refs = triples[0]
-    weights = _stack([t[0] for t in triples])
-    pool = _assemble_pool([t[0] for t in triples], cfg)
+    """Chain reports for ``(family, problems)`` items whose sup problems
+    share their shape, so that all three forms agree."""
+    refs = items[0][1]
+    sups = [problems[0] for _, problems in items]
+    weights = _stack(sups)
+    pool = _assemble_pool(sups, cfg)
     base, extra, owner = [], [], []
     for ref in refs:
         r = _ratio_batch(ref, pool, weights)
@@ -449,7 +473,7 @@ def _chain_group(
     uvw = tuple(x[owner] for x in weights)
     again = [_ratio_batch(ref, extra_rows, uvw)[:, 0] for ref in refs]
     out = []
-    for i, family in enumerate(families):
+    for i, (family, _) in enumerate(items):
         mine = owner == i
         r1, r2, r3 = (np.concatenate([b[i], e[mine]]) for b, e in zip(base, again))
         violations = int(np.sum((r1 > r2) | (r2 > r3)))
@@ -469,23 +493,14 @@ def chain_equivalence_sweeps(
     """:func:`chain_equivalence_sweep` of every ``(u, v, w, p, q, family)``
     instance, in input order.
 
-    Instances with the same forms, ``p``, ``q`` and window size share one
-    pool evaluation and one lock-step polish per form.
+    Instances with the same forms, ``p``, ``q`` and window size are searched
+    as one stack: one pool evaluation and one lock-step polish per form.
     """
     cfg = cfg or OracleConfig()
-    triples = [_chain_problems(*inst) for inst in instances]
-    groups: dict[tuple, list[int]] = {}
-    for i, t in enumerate(triples):
-        key = (tuple(prob.form for prob in t), t[0].p, t[0].q, t[0].size)
-        groups.setdefault(key, []).append(i)
-    reports: list = [None] * len(instances)
-    for members in groups.values():
-        found = _chain_group(
-            [triples[i] for i in members], [instances[i][5] for i in members], cfg
-        )
-        for i, rep in zip(members, found):
-            reports[i] = rep
-    return reports
+    items = [(inst[5], _chain_problems(*inst)) for inst in instances]
+    return _in_groups(
+        items, lambda item: _shape(item[1][0]), lambda group: _chain_group(group, cfg)
+    )
 
 
 def chain_equivalence_sweep(
