@@ -219,28 +219,31 @@ def _polish_top(
     uvw = tuple(np.repeat(x, rows_per, axis=0) for x in weights)
     best = _ratio_batch(problem, a[:, None, :], uvw)[:, 0]
     step = np.full(len(a), _STEP_INIT)
-    moves = np.zeros(len(a), dtype=int)
+    moves = np.zeros(len(a), dtype=int)  # active iterations per row
     idx = np.arange(n)
-    rows = None
+    rows, ran = np.arange(len(a)), 0
+    live_uvw = uvw
     for _ in range(cfg.iterations):
         live = np.flatnonzero((step >= 1e-12) & ~np.isinf(best))
-        if not len(live):
-            break
-        if rows is None or len(live) < len(rows):  # the active set only shrinks
-            rows = live
+        if len(live) < len(rows):  # the active set only shrinks
+            moves[rows] += ran
+            rows, ran = live, 0
             live_uvw = tuple(x[rows] for x in uvw)
+        if not len(rows):
+            break
+        ran += 1
         base, grow = a[rows], 1.0 + step[rows, None]
         probes = np.repeat(base[:, None, :], 2 * n, axis=1)
         probes[:, idx, idx] = base * grow
         probes[:, n + idx, idx] = base / grow
         r = _ratio_batch(problem, probes, live_uvw)
-        moves[rows] += 1
         k = np.argmax(r, axis=1)
         top = r[np.arange(len(rows)), k]
         up = top > best[rows]
         best[rows[up]] = top[up]
         a[rows[up]] = probes[up, k[up]]
         step[rows[~up]] *= _STEP_DECAY
+    moves[rows] += ran
     evals = rows_per + 2 * n * moves.reshape(b, rows_per).sum(axis=1)
     return a.reshape(b, rows_per, n), best.reshape(b, rows_per), evals
 

@@ -291,26 +291,26 @@ def replay_instance(entry: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Suites: each draws its whole ensemble, then checks it in one call
+# Suites: the two oracle suites draw an ensemble, then check it in one call
+# (equivalence-ratio one (p, q, form) cell at a time, whose problems could
+# not share a stack with another cell's anyway); the others check each
+# instance as it is drawn
 # ---------------------------------------------------------------------------
 
 def _suite_chain(spec: SweepSpec, rng: np.random.Generator) -> dict:
     failures: list = []
     probes = max(spec.ensemble * 25, 100)
-    instances = []
     for _ in range(probes):
         n_len = int(rng.choice(spec.window_sizes))
         a = rand_window(rng, n_len, int(rng.integers(-4, 5)), spec.weight_exponent, 0.2)
         p = float(rng.uniform(0.05, 1.0)) if rng.random() < 0.8 else 1.0
         n = int(rng.integers(a.start, a.stop))
-        instances.append({"a": a, "p": p, "n": n})
-    _check(failures, "chain", instances)
+        _check(failures, "chain", [{"a": a, "p": p, "n": n}])
     return {"passed": not failures, "probes": probes, "failures": failures}
 
 
 def _suite_bridge(spec: SweepSpec, rng: np.random.Generator) -> dict:
     failures: list = []
-    instances = []
     for _ in range(spec.ensemble):
         n_len = int(min(max(spec.window_sizes), 12))
         n_len = int(rng.integers(1, n_len + 1))
@@ -320,56 +320,49 @@ def _suite_bridge(spec: SweepSpec, rng: np.random.Generator) -> dict:
         w = rand_dyadic_window(rng, n_len, start)
         a = rand_dyadic_window(rng, n_len, start, allow_zero=True)
         q = float(rng.integers(1, 4))
-        instances.append({"u": u, "v": v, "w": w, "a": a, "q": q})
-    _check(failures, "bridge", instances)
+        _check(failures, "bridge", [{"u": u, "v": v, "w": w, "a": a, "q": q}])
     return {"passed": not failures, "checks": spec.ensemble, "failures": failures}
 
 
 def _suite_partition(spec: SweepSpec, rng: np.random.Generator) -> dict:
     failures: list = []
-    instances = []
     for _ in range(spec.ensemble):
         n_len = int(rng.choice(spec.window_sizes))
         w = rand_window(rng, n_len, int(rng.integers(-4, 5)), spec.weight_exponent, 0.25)
         n0 = int(rng.integers(w.start, w.stop))
-        instances.append({"w": w, "n0": n0})
-    _check(failures, "partition", instances)
+        _check(failures, "partition", [{"w": w, "n0": n0}])
     return {"passed": not failures, "checks": spec.ensemble, "failures": failures}
 
 
 def _suite_linft(spec: SweepSpec, rng: np.random.Generator) -> dict:
     failures: list = []
-    instances = []
     for _ in range(spec.ensemble):
         n_len = int(rng.choice(spec.window_sizes))
         start = int(rng.integers(-4, 5))
         u = rand_window(rng, n_len, start, spec.weight_exponent)
         v = rand_window(rng, n_len, start, spec.weight_exponent)
         p = float(rng.choice([0.25, 0.5, 1.0]))
-        instances.append({"u": u, "v": v, "p": p})
-    _check(failures, "linft", instances)
+        _check(failures, "linft", [{"u": u, "v": v, "p": p}])
     return {"passed": not failures, "checks": spec.ensemble, "failures": failures}
 
 
 def _suite_equivalence(spec: SweepSpec, rng: np.random.Generator) -> dict:
     failures: list = []
-    cells = [(p, q, form) for p, q in spec.regimes for form in ("gop", "antigop")]
-    instances = []
-    for p, q, form in cells:
-        for _ in range(spec.ensemble):
-            n_len = int(rng.choice([n for n in spec.window_sizes if n <= 8] or [5]))
-            u, v, w = _weight_triple(rng, n_len, spec.weight_exponent)
-            instances.append({"u": u, "v": v, "w": w, "p": p, "q": q, "form": form})
-    observed = _check(failures, "equivalence-ratio", instances)
     stats: dict[str, dict] = {}
-    for i, (p, q, form) in enumerate(cells):
-        cell = observed[i * spec.ensemble : (i + 1) * spec.ensemble]
-        arr = np.asarray([obs["ratio"] for obs in cell])
-        stats[f"{form}:p={p},q={q}"] = {
-            "min": float(arr.min()),
-            "median": float(np.median(arr)),
-            "max": float(arr.max()),
-        }
+    for p, q in spec.regimes:
+        for form in ("gop", "antigop"):
+            cell = []
+            for _ in range(spec.ensemble):
+                n_len = int(rng.choice([n for n in spec.window_sizes if n <= 8] or [5]))
+                u, v, w = _weight_triple(rng, n_len, spec.weight_exponent)
+                cell.append({"u": u, "v": v, "w": w, "p": p, "q": q, "form": form})
+            observed = _check(failures, "equivalence-ratio", cell)
+            arr = np.asarray([obs["ratio"] for obs in observed])
+            stats[f"{form}:p={p},q={q}"] = {
+                "min": float(arr.min()),
+                "median": float(np.median(arr)),
+                "max": float(arr.max()),
+            }
     return {"passed": not failures, "ratio_stats": stats, "failures": failures}
 
 
@@ -396,15 +389,13 @@ def _suite_chain_equivalence(spec: SweepSpec, rng: np.random.Generator) -> dict:
 def _suite_doubling(spec: SweepSpec, rng: np.random.Generator) -> dict:
     failures: list = []
     probes = max(spec.ensemble * 10, 50)
-    instances = []
     for _ in range(probes):
         n_len = int(rng.integers(3, 10))
         factors = rng.uniform(2.0, 4.0, size=n_len - 1)
         b = Window(0, np.concatenate([[rng.uniform(0.5, 2.0)], factors]).cumprod())
         c = rand_window(rng, n_len, 0, spec.weight_exponent, 0.3)
         alpha = float(rng.choice([0.25, 0.5, 1.0]))
-        instances.append({"b": b, "c": c, "alpha": alpha})
-    _check(failures, "doubling", instances)
+        _check(failures, "doubling", [{"b": b, "c": c, "alpha": alpha}])
     return {"passed": not failures, "probes": probes, "failures": failures}
 
 

@@ -182,8 +182,9 @@ def test_oracle_suites_match_one_instance_at_a_time(monkeypatch):
     real = verification._check
 
     def spy(failures, suite, instances):
-        observed[suite] = real(failures, suite, instances)
-        return observed[suite]
+        out = real(failures, suite, instances)
+        observed.setdefault(suite, []).extend(out)
+        return out
 
     monkeypatch.setattr(verification, "_check", spy)
     report = run_verification(spec)
