@@ -1,19 +1,20 @@
 """Seeded verification sweeps: property suites with machine-readable reports.
 
-Each suite draws its whole ensemble of random instances from a seeded
-generator, then runs its check once on the list.  A check takes a list of
-instances (each a dict of inputs: windows and scalars) and returns one
-``(observed, passed)`` per instance, in order.  The two oracle suites,
-``equivalence-ratio`` and ``chain-equivalence``, hand the whole list to the
-oracle's list entry points, which search same-shaped problems as one stack;
-the other suites run their per-instance check on each element.  A failing
-instance is recorded as its suite name, its inputs in the wire format
-(windows as ``{"start", "values"}``, scalars as numbers or strings) and the
-observed numbers.  :func:`replay_instance` decodes such a record and runs the
-same check on a list of one, so a replay reproduces the sweep's ``observed``
-and verdict bit for bit (the oracle gives every problem the bits it has
-alone).  All randomness flows from the sweep seed; reports are
-deterministic.
+Each suite draws random instances from a seeded generator and runs its
+check on them.  A check takes a list of instances (each a dict of inputs:
+windows and scalars) and returns one ``(observed, passed)`` per instance, in
+order.  The two oracle suites draw an ensemble first and check it in one
+call, which hands the whole list to the oracle's list entry points, so that
+same-shaped problems are searched as one stack: ``chain-equivalence`` its
+whole ensemble, ``equivalence-ratio`` one (p, q, form) cell at a time.  The
+other suites check each instance as it is drawn, their per-instance check
+mapped over a list of one.  A failing instance is recorded as its suite
+name, its inputs in the wire format (windows as ``{"start", "values"}``,
+scalars as numbers or strings) and the observed numbers.
+:func:`replay_instance` decodes such a record and runs the same check on a
+list of one, so a replay reproduces the sweep's ``observed`` and verdict bit
+for bit (the oracle gives every problem the bits it has alone).  All
+randomness flows from the sweep seed; reports are deterministic.
 
 Observed values per suite: ``chain`` the triple ``[sup, sum, powered sum]``;
 ``bridge`` ``{"gop": ..., "antigop": ...}``, the two bridge results;
@@ -291,10 +292,9 @@ def replay_instance(entry: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Suites: the two oracle suites draw an ensemble, then check it in one call
-# (equivalence-ratio one (p, q, form) cell at a time, whose problems could
-# not share a stack with another cell's anyway); the others check each
-# instance as it is drawn
+# Suites.  equivalence-ratio checks one (p, q, form) cell per call: problems
+# of different cells never share a stack, and holding the whole ensemble with
+# its results at once costs memory for nothing.
 # ---------------------------------------------------------------------------
 
 def _suite_chain(spec: SweepSpec, rng: np.random.Generator) -> dict:
