@@ -13,14 +13,27 @@ index list), K is its position, and the set ``kset`` collects the k in
 
 Because the tail shrinks while the block sum grows, the passing set of j is
 an initial segment: every finite step of the recursion advances by exactly
-one index.  The verifier checks exactly the properties guaranteed by the
-construction (first step, attainment, minimality, interior bound where a
-finite next block exists, tail doubling for interior k).
+one index, and the partition stops at the first j >= n_0 + 2 that fails.
+The verifier checks exactly the properties guaranteed by the construction
+(first step, attainment, minimality, interior bound where a finite next
+block exists, tail doubling for interior k).
+
+Exactness contract: every comparison, in :func:`block_partition` and in
+:func:`verify_partition_invariants`, is decided for the float entries taken
+as exact rationals, ties passing the non-strict tests.  Both read the
+window's suffix masses from one ``cumsum`` from the right and decide from
+the floats where the margin exceeds the certified summation bound
+``gamma_m = m 2**-53 / (1 - m 2**-53)`` for a suffix of m terms; near-ties,
+cancelling differences of suffixes and overflowing sums are decided by an
+exact integer pass instead.  The partition is therefore the one of the exact
+recursion, whatever the rounding of the float sums, and both functions take
+O(N) array work on a window of N entries.  Both require a finite window.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,38 +71,111 @@ class BlockPartition:
         }
 
 
-def _doubling_test(w: Window, prev: int, j: int) -> bool:
-    """Tail at j at least twice the block mass since ``prev``; zero tails fail."""
-    arr = w.as_array()
-    tail = float(arr[max(j, w.start) - w.start:].sum()) if j < w.stop else 0.0
-    lo = max(prev, w.start)
-    hi = min(j, w.stop)
-    block = float(arr[lo - w.start:hi - w.start].sum()) if lo < hi else 0.0
-    return tail > 0 and tail >= 2.0 * block
+#: Unit roundoff of float64, and an absolute floor on the certified bound
+#: that covers rounding in the subnormal range.
+_U = 2.0**-53
+_TINY = 2.0**-1000
+
+
+class _TailMasses:
+    """The suffix masses ``T_i = sum_{m >= i} w_m`` of a finite window, local
+    i = 0..N (``T_N = 0``), with exact signs of small integer combinations.
+
+    One ``cumsum`` from the right gives float suffixes ``S_i``; a sum of m
+    nonnegative terms in any order has ``|S_i - T_i| <= gamma_m S_i``, where
+    ``gamma_m = m u / (1 - m u)`` and ``u = 2**-53``.  :meth:`sign` decides
+    from the floats whenever the float combination clears that bound (plus
+    the rounding of the combination itself) or every suffix involved is
+    zero, and otherwise from exact integer suffixes: ties, cancelling
+    differences and overflow.
+    """
+
+    def __init__(self, w: Window) -> None:
+        w.require_finite("w")
+        self.start = w.start
+        self.values = w.as_array()
+        n = self.n = len(self.values)
+        self.s = np.zeros(n + 1)
+        self.s[:n] = np.cumsum(self.values[::-1])[::-1]
+        mu = np.arange(n, -1, -1) * _U
+        # gamma_m of each suffix, plus 4u for evaluating a combination of
+        # up to four terms with coefficients up to 3
+        self.g = mu / (1.0 - mu) + 4 * _U
+
+    def index(self, i) -> np.ndarray:
+        """Local suffix positions of window indices, clamped to 0..N."""
+        return np.clip(np.asarray(i, dtype=np.int64) - self.start, 0, self.n)
+
+    def sign(self, *terms: tuple[int, np.ndarray]) -> np.ndarray:
+        """Exact sign (-1, 0 or 1) of ``sum c T[i]`` over ``(c, i)`` terms,
+        elementwise over equal-length index arrays."""
+        s, g = self.s, self.g
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = sum(c * s[i] for c, i in terms)
+            bound = 2.0 * sum(abs(c) * g[i] * s[i] for c, i in terms)
+            # a zero bound means every suffix involved is empty of mass
+            sure = np.isfinite(d) & (
+                (np.abs(d) > np.maximum(bound, _TINY)) | (bound == 0)
+            )
+        out = np.sign(d)
+        rows = np.flatnonzero(~sure)
+        if len(rows):
+            exact = self._exact(np.concatenate([i[rows] for _, i in terms]))
+            for r in rows.tolist():
+                x = sum(c * exact[int(i[r])] for c, i in terms)
+                out[r] = (x > 0) - (x < 0)
+        return out
+
+    def _exact(self, need: np.ndarray) -> dict[int, int]:
+        """``T_i`` at the positions ``need`` as integers on one power-of-two
+        scale: one pass from the right over the entries' integer mantissas."""
+        mant, exp = np.frexp(self.values)
+        mant = (mant * 2.0**53).astype(np.int64)  # entry = mant * 2**(exp - 53)
+        nz = mant != 0
+        shift = np.where(nz, exp - (exp[nz].min() if nz.any() else 0), 0)
+        mant, shift = mant.tolist(), shift.tolist()
+        want = set(need.tolist())
+        out = {self.n: 0}
+        acc = 0
+        for i in range(self.n - 1, int(need.min()) - 1, -1):
+            acc += mant[i] << shift[i]
+            if i in want:
+                out[i] = acc
+        return out
+
+
+def _doubles(t: _TailMasses, prev: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The doubling test at local positions: the tail at ``j`` is positive
+    and at least twice the block mass on ``[prev, j)``, i.e.
+    ``3 T_j >= 2 T_prev`` (no block when ``prev >= j``)."""
+    prev = np.minimum(prev, j)
+    return (t.s[j] > 0) & (t.sign((3, j), (-2, prev)) >= 0)
 
 
 def block_partition(w: Window, n0: int) -> BlockPartition:
     """Construct the block partition of ``w`` starting at ``n0``."""
     if n0 not in w:
         raise IndexError(f"n0={n0} outside window [{w.start}, {w.last}]")
-    w.require_finite("w")
+    t = _TailMasses(w)
     ns: list[float] = [n0]
     # Each step's passing set is an initial segment (see the module
-    # docstring), so n_{k-1} + 1 is the only candidate for n_k.  With n_0 at
-    # the window's last index there is no room for the first step n_0 + 1.
-    n = n0 + 1
-    if n < w.stop:
-        ns.append(n)
-        while n + 1 < w.stop and _doubling_test(w, n, n + 1):
-            n += 1
-            ns.append(n)
+    # docstring), so n_{k-1} + 1 is the only candidate for n_k, and the
+    # steps run up to the first j >= n_0 + 2 that fails.  With n_0 at the
+    # window's last index there is no room for the first step n_0 + 1.
+    i0 = n0 - w.start
+    if i0 + 1 < t.n:
+        j = np.arange(i0 + 2, t.n)
+        fails = np.flatnonzero(~_doubles(t, j - 1, j))
+        stop = int(j[fails[0]]) if len(fails) else t.n
+        ns.extend(range(n0 + 1, w.start + stop))
     ns.append(INF)
     return BlockPartition(n0, tuple(ns), _kset(ns))
 
 
-def _kset(ns: list[float]) -> frozenset[int]:
-    K = len(ns) - 1
-    return frozenset(k for k in range(1, K) if ns[k] < ns[k + 1] - 1)
+def _kset(ns: Sequence[float]) -> frozenset[int]:
+    """The k in 1..K-1 with ``n_k < n_{k+1} - 1``."""
+    gaps = np.diff(np.asarray(ns[1:], dtype=float))
+    return frozenset((np.flatnonzero(gaps > 1) + 1).tolist())
 
 
 @dataclass
@@ -123,6 +209,15 @@ class PartitionReport:
         }
 
 
+def _record_each(
+    report: PartitionReport, name: str, ks: np.ndarray, oks: np.ndarray
+) -> None:
+    """``report.record(name, k, ok)`` for every ``k`` in order, at once."""
+    if len(ks):
+        report.checks[name] = report.checks.get(name, True) and bool(oks.all())
+        report.failures.extend((name, k) for k in ks[~oks].tolist())
+
+
 def verify_partition_invariants(w: Window, bp: BlockPartition) -> PartitionReport:
     """Check the construction invariants of ``bp`` against ``w``.
 
@@ -137,12 +232,15 @@ def verify_partition_invariants(w: Window, bp: BlockPartition) -> PartitionRepor
     * tail_doubling: for 2 <= k <= K-2, the tail at n_k dominates twice the
       previous block mass (the k = 1 instance is not implied by the
       construction, n_1 being set by fiat, and is not checked)
+
+    Every comparison is exact (module docstring).  Only the terminal n_K
+    may be infinite.
     """
     report = PartitionReport()
     ns = list(bp.ns)
     K = bp.K
     report.vacuous = K < 3
-    arr = w.as_array()
+    t = _TailMasses(w)
 
     ok_first = (ns[0] == bp.n0) and (
         (len(ns) >= 2 and ns[1] == bp.n0 + 1)
@@ -150,37 +248,52 @@ def verify_partition_invariants(w: Window, bp: BlockPartition) -> PartitionRepor
     )
     report.record("first_step", 1, ok_first)
 
-    for k in range(2, len(ns)):
-        nk = ns[k]
-        prev = int(ns[k - 1])
-        if math.isfinite(nk):
-            report.record("attainment", k, _doubling_test(w, prev, int(nk)))
-            jmax = int(nk)
-        else:
-            jmax = w.stop
-        ok_min = all(not _doubling_test(w, prev, j) for j in range(prev + 1, jmax))
-        report.record("minimality", k, ok_min)
+    nsa = np.asarray(ns, dtype=float)
+    if not np.isfinite(nsa[1:-1]).all():
+        raise ValueError("only the terminal n_K may be infinite")
+    nk = nsa[2:]
+    ks = np.arange(2, len(ns))
+    prev = nsa[1:-1].astype(np.int64)
+    fin = np.isfinite(nk)
+    attained = _doubles(t, t.index(prev[fin]), t.index(nk[fin]))
+    # minimality is exhaustive: every j in (n_{k-1}, n_k), the window's end
+    # standing in for an infinite n_k (no j past it passes)
+    jmax = np.minimum(nk, w.stop).astype(np.int64)
+    lens = np.maximum(jmax - prev - 1, 0)
+    first = np.repeat(prev + 1 - (np.cumsum(lens) - lens), lens)
+    j = first + np.arange(len(first))
+    passes = _doubles(t, t.index(np.repeat(prev, lens)), t.index(j))
+    found = np.bincount(np.repeat(ks - 2, lens), weights=passes, minlength=len(ks))
+    minimal = found == 0
+    mark = len(report.failures)
+    _record_each(report, "attainment", ks[fin], attained)
+    _record_each(report, "minimality", ks, minimal)
+    # the loop over k records attainment, then minimality, at each k
+    report.failures[mark:] = sorted(report.failures[mark:], key=lambda f: f[1])
 
-    report.record("kset", 0, bp.kset == _kset(ns))
+    report.record("kset", 0, bp.kset == _kset(nsa))
 
-    def block_mass(lo: int, hi: int) -> float:
-        # mass of w on [lo, hi] intersected with the window
-        lo = max(lo, w.start)
-        hi = min(hi, w.last)
-        if lo > hi:
-            return 0.0
-        return float(arr[lo - w.start:hi - w.start + 1].sum())
+    def block(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # suffix positions (a, b) with mass of w on [lo, hi] = T_a - T_b
+        a = t.index(lo)
+        return a, np.maximum(a, t.index(np.asarray(hi) + 1))
 
-    for k in sorted(bp.kset):
-        if k + 1 <= K and math.isfinite(ns[k + 1]):
-            interior = block_mass(int(ns[k]), int(ns[k + 1]) - 2)
-            prev_mass = block_mass(int(ns[k - 1]), int(ns[k]) - 1)
-            report.record("interior_bound", k, interior < 2.0 * prev_mass)
+    kin = np.array([
+        k for k in sorted(bp.kset) if 1 <= k < K and math.isfinite(ns[k + 1])
+    ], dtype=np.int64)
+    at = nsa[kin].astype(np.int64)
+    a1, b1 = block(at, nsa[kin + 1].astype(np.int64) - 2)
+    a2, b2 = block(nsa[kin - 1].astype(np.int64), at - 1)
+    # interior < 2 * previous block
+    ok = t.sign((2, a2), (-2, b2), (-1, a1), (1, b1)) > 0
+    _record_each(report, "interior_bound", kin, ok)
 
-    for k in range(2, K - 1):
-        tail = block_mass(int(ns[k]), w.last)
-        prev_mass = block_mass(int(ns[k - 1]), int(ns[k]) - 1)
-        report.record("tail_doubling", k, tail >= 2.0 * prev_mass)
+    kt = np.arange(2, K - 1)
+    at = nsa[2:K - 1].astype(np.int64)
+    a2, b2 = block(nsa[1:K - 2].astype(np.int64), at - 1)
+    # tail >= 2 * previous block
+    ok = t.sign((1, t.index(at)), (-2, a2), (2, b2)) >= 0
+    _record_each(report, "tail_doubling", kt, ok)
 
     for name in ("attainment", "minimality", "interior_bound", "tail_doubling"):
         report.checks.setdefault(name, True)

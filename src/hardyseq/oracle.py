@@ -9,18 +9,22 @@ multiplicative-ascent polish of the best of them.  The pool keeps that order,
 so the index of a candidate tells its family.  The best ratio found is always
 a certified lower bound on the true constant.
 
-For ``p <= 1 <= q`` (including ``q = inf``), and for the powered-sum forms
-also ``r >= p``, the maximum is attained at a spike: substituting
-``x = a^p`` makes the numerator a composition of convex maps of ``x`` (the
-inner sum ``sum x_k^(1/p)``, the inner sup, and the powered sum
-``(sum x_k^(r/p))^(1/r)``, an l^(r/p) norm raised to ``1/p``, which is
-convex only for ``r/p >= 1``; then the weighted outer sup and the l^q norm,
-``q >= 1``), and the constraint set the simplex ``sum x_m v_m = 1``, whose
-extreme points are single spikes.  In that range :func:`brute_force_constant`
-evaluates the spikes alone and returns their maximum, which is exact,
-certificate ``exact-spike``; everywhere else the full search runs and the
-result is ``heuristic``.  For a powered sum with ``r < p`` the spikes are
-beaten: the inner l^(r/p) quasi-norm favours spread-out candidates.
+For ``p <= min(1, q)`` (including ``q = inf``), and for the powered-sum
+forms also ``r >= p``, the maximum is attained at a spike.  Substitute
+``x = a^p``: the constraint set becomes the simplex ``sum x_m v_m = 1``,
+whose extreme points are single spikes, and the p-th power of the numerator
+becomes a weighted l^(q/p) norm (``q/p >= 1``; the sup for ``q = inf``) of
+nonnegative convex functions of ``x``.  Each is built from l^(1/p) norms
+(every sum of ``a`` is ``(sum x_k^(1/p))^p`` after the power, and
+``1/p >= 1``), suprema, and for the powered sum ``(sum x_k^(r/p))^(p/r)``,
+an l^(r/p) norm, which is convex only for ``r/p >= 1``.  A monotone norm of
+nonnegative convex functions is convex, so the ratio's p-th power is convex
+on the simplex and takes its maximum at a vertex; ``q >= 1`` is not needed.
+In that range :func:`brute_force_constant` evaluates the spikes alone and
+returns their maximum, which is exact, certificate ``exact-spike``;
+everywhere else the full search runs and the result is ``heuristic``.  For
+a powered sum with ``r < p`` the spikes are beaten: the inner l^(r/p)
+quasi-norm favours spread-out candidates.
 
 The polish runs every restart in lock-step, one ``_ratio_batch`` call per
 iteration for all of them.  ``_ratio_batch`` is row-independent (a row's
@@ -117,9 +121,9 @@ class OracleResult:
 
 def _spike_exact(problem: RatioProblem) -> bool:
     """Whether the least constant is the spike maximum (module docstring):
-    ``p <= 1 <= q``, and ``r >= p`` for the powered-sum forms."""
+    ``p <= min(1, q)``, and ``r >= p`` for the powered-sum forms."""
     form = problem.form
-    return problem.p <= 1.0 <= problem.q and (
+    return problem.p <= min(1.0, problem.q) and (
         form.inner_kind != "psum" or form.inner_exponent >= problem.p
     )
 
@@ -204,10 +208,12 @@ def _polish_top(
     ``(u, v, w)``.  Returns ``(polished, best, evals)`` of shapes (B, R, n),
     (B, R) and (B,), where R = min(restarts, P).
 
-    Each iteration evaluates the ``2n`` one-coordinate probes of every active
-    row in one batch.  A row moves to its best probe if that beats its best
-    ratio, and otherwise shrinks its own step; it freezes once its step
-    falls below 1e-12 or its best ratio is infinite.  Rows are independent
+    The rows start from their pool ratios, which ``_ratio_batch`` gives
+    bit for bit as it would give them alone.  Each iteration evaluates the
+    ``2n`` one-coordinate probes of every active row in one batch.  A row
+    moves to its best probe if that beats its best ratio, and otherwise
+    shrinks its own step; it freezes once its step falls below 1e-12 or its
+    best ratio is infinite.  Rows are independent
     under :func:`_ratio_batch`, so each ends where a polish of that row alone
     would, and a problem's ``evals`` counts only the probes of its rows while
     they were active.
@@ -217,7 +223,7 @@ def _polish_top(
     top = np.argsort(ratios, axis=1)[:, ::-1][:, :rows_per]
     a = np.take_along_axis(pool, top[:, :, None], axis=1).reshape(-1, n)
     uvw = tuple(np.repeat(x, rows_per, axis=0) for x in weights)
-    best = _ratio_batch(problem, a[:, None, :], uvw)[:, 0]
+    best = np.take_along_axis(ratios, top, axis=1).reshape(-1)
     step = np.full(len(a), _STEP_INIT)
     moves = np.zeros(len(a), dtype=int)  # active iterations per row
     idx = np.arange(n)
@@ -244,7 +250,7 @@ def _polish_top(
         a[rows[up]] = probes[up, k[up]]
         step[rows[~up]] *= _STEP_DECAY
     moves[rows] += ran
-    evals = rows_per + 2 * n * moves.reshape(b, rows_per).sum(axis=1)
+    evals = 2 * n * moves.reshape(b, rows_per).sum(axis=1)
     return a.reshape(b, rows_per, n), best.reshape(b, rows_per), evals
 
 

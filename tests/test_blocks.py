@@ -1,8 +1,12 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from hardyseq.blocks import (
     BlockPartition,
+    PartitionReport,
     block_partition,
     doubling_lemma_check,
     verify_partition_invariants,
@@ -51,6 +55,103 @@ def calibrate_doubling_constant(
     return worst
 
 
+def exact_tails(w: Window) -> list[Fraction]:
+    """``T[i] = sum_{m >= i} w_m`` over local positions 0..N, exactly."""
+    tails = [Fraction(0)]
+    for x in reversed(w.values.tolist()):
+        tails.append(tails[-1] + Fraction(x))
+    return tails[::-1]
+
+
+class ExactWindow:
+    """Tail and block masses of a window in exact rational arithmetic."""
+
+    def __init__(self, w: Window):
+        self.w, self.tails = w, exact_tails(w)
+        self.steps: dict[int, int | None] = {}
+
+    def at(self, i: int) -> Fraction:
+        return self.tails[min(max(i - self.w.start, 0), len(self.w))]
+
+    def mass(self, lo: int, hi: int) -> Fraction:
+        """Mass of w on [lo, hi] intersected with the window."""
+        lo, hi = max(lo, self.w.start), min(hi, self.w.last)
+        return self.at(lo) - self.at(hi + 1) if lo <= hi else Fraction(0)
+
+    def doubles(self, prev: int, j: int) -> bool:
+        tail = self.at(j) if j < self.w.stop else Fraction(0)
+        return tail > 0 and tail >= 2 * self.mass(prev, j - 1)
+
+    def step(self, prev: int) -> int | None:
+        """The least j > prev that passes, scanning every j (None if none)."""
+        if prev not in self.steps:
+            self.steps[prev] = next(
+                (j for j in range(prev + 1, self.w.stop) if self.doubles(prev, j)), None
+            )
+        return self.steps[prev]
+
+
+def reference_partition(ex: ExactWindow, n0: int) -> tuple:
+    """The recursion of the module docstring in exact arithmetic, with no
+    use of the one-index steps; O(N^2) over every n0 of a window."""
+    ns = [n0]
+    if n0 + 1 < ex.w.stop:
+        ns.append(n0 + 1)
+        while (nxt := ex.step(ns[-1])) is not None:
+            ns.append(nxt)
+    return tuple(ns) + (INF,)
+
+
+def reference_report(ex: ExactWindow, bp: BlockPartition) -> dict:
+    """The invariant report as a loop over k in exact arithmetic, recording
+    checks and failures in the order the verifier documents."""
+    w, ns, K = ex.w, list(bp.ns), bp.K
+    report = PartitionReport()
+    report.vacuous = K < 3
+    report.record("first_step", 1, (ns[0] == bp.n0) and (
+        (len(ns) >= 2 and ns[1] == bp.n0 + 1)
+        or (len(ns) == 2 and math.isinf(ns[1]) and bp.n0 + 1 >= w.stop)))
+    for k in range(2, len(ns)):
+        prev = int(ns[k - 1])
+        if math.isfinite(ns[k]):
+            report.record("attainment", k, ex.doubles(prev, int(ns[k])))
+        jmax = int(ns[k]) if math.isfinite(ns[k]) else w.stop
+        passing = (j for j in range(prev + 1, jmax) if ex.doubles(prev, j))
+        report.record("minimality", k, next(passing, None) is None)
+    kset = frozenset(k for k in range(1, K) if ns[k] < ns[k + 1] - 1)
+    report.record("kset", 0, bp.kset == kset)
+    for k in sorted(bp.kset):
+        if k + 1 <= K and math.isfinite(ns[k + 1]):
+            interior = ex.mass(int(ns[k]), int(ns[k + 1]) - 2)
+            before = ex.mass(int(ns[k - 1]), int(ns[k]) - 1)
+            report.record("interior_bound", k, interior < 2 * before)
+    for k in range(2, K - 1):
+        tail = ex.mass(int(ns[k]), w.last)
+        before = ex.mass(int(ns[k - 1]), int(ns[k]) - 1)
+        report.record("tail_doubling", k, tail >= 2 * before)
+    for name in ("attainment", "minimality", "interior_bound", "tail_doubling"):
+        report.checks.setdefault(name, True)
+    return report.to_json()
+
+
+def near_tie_window(rng, n: int) -> Window:
+    """Entries built from the right, each within an ulp or two of half the
+    exact tail after it, so most doubling tests sit on or next to a tie."""
+    vals = [float(2.0 ** rng.uniform(-4, 4))]
+    tail = Fraction(vals[0])
+    for _ in range(n - 1):
+        x = float(tail / 2)
+        for _ in range(int(rng.integers(-2, 3))):
+            x = np.nextafter(x, np.inf)
+        for _ in range(int(rng.integers(-2, 3))):
+            x = np.nextafter(x, 0.0)
+        x = 0.0 if rng.random() < 0.1 else float(x)
+        vals.append(x)
+        tail += Fraction(x)
+    scale = 2.0 ** int(rng.integers(-300, 301))
+    return Window(int(rng.integers(-8, 8)), np.array(vals[::-1]) * scale)
+
+
 class TestBlockPartition:
     def test_uniform_window(self):
         bp = block_partition(Window(0, (1.0, 1.0, 1.0, 1.0)), 0)
@@ -78,6 +179,38 @@ class TestBlockPartition:
         bp = block_partition(Window(0, (100.0, 1.0, 1.0)), 0)
         assert bp.ns == (0, 1, INF)
 
+    def test_near_tie_below_double_stops(self):
+        """The exact tail 2 - 2**-54 at j = 2 is below 2 w_1 = 2, although
+        its float sum rounds to 2."""
+        w = Window(0, (1.0, 1.0, 1.5, 0.5 - 2**-54))
+        assert block_partition(w, 0).ns == (0, 1, INF)
+
+    def test_near_tie_reaching_double_continues(self):
+        """The exact tail 1 + 2**-51 at j = 2 reaches 2 w_1 = 1 + 2**-52,
+        although its sequential float sum rounds to 1."""
+        w = Window(0, (1.0, 0.5 + 2**-53, 1.0, 2**-53, 2**-53, 2**-53, 2**-53))
+        assert block_partition(w, 0).ns == (0, 1, 2, INF)
+
+    def test_matches_exact_reference(self):
+        """From every n0, on seeded windows over 2^+-304 with zeros and on
+        windows built on near-ties, the partition is the exact recursion's,
+        and the verifier passes it."""
+        rng = np.random.default_rng(43)
+        windows = []
+        for _ in range(30):
+            n = int(rng.integers(1, 201))
+            vals = 2.0 ** (rng.uniform(-4, 4, n) + int(rng.integers(-300, 301)))
+            vals[rng.random(n) < 0.3] = 0.0
+            windows.append(Window(int(rng.integers(-8, 8)), vals))
+        windows += [near_tie_window(rng, int(rng.integers(2, 121))) for _ in range(20)]
+        for w in windows:
+            ex = ExactWindow(w)
+            for n0 in range(w.start, w.stop):
+                bp = block_partition(w, n0)
+                assert bp.ns == reference_partition(ex, n0), (w, n0)
+                report = verify_partition_invariants(w, bp)
+                assert report.all_pass, (w, n0, report.failures)
+
     def test_json_shape(self):
         bp = block_partition(Window(0, (1.0, 1.0, 1.0, 1.0)), 0)
         js = bp.to_json()
@@ -97,6 +230,43 @@ class TestVerifyInvariants:
         report = verify_partition_invariants(w, bad)
         assert not report.all_pass
         assert any(name in ("attainment", "minimality") for name, _ in report.failures)
+
+    def test_near_tie_attainment_flagged(self):
+        """(0, 1, 2, inf) passes the first near-tie window's doubling test at
+        k = 2 only by rounding the tail 2 - 2**-54 up to 2."""
+        w = Window(0, (1.0, 1.0, 1.5, 0.5 - 2**-54))
+        bad = BlockPartition(0, (0, 1, 2, INF), frozenset({2}))
+        report = verify_partition_invariants(w, bad)
+        assert report.failures == [("attainment", 2)]
+
+    def test_moved_interior_index_flagged(self):
+        """At N = 8,000 a partition with one interior n_k moved up by one is
+        flagged at that k, and every report equals the exact loop over k,
+        failures in its order."""
+        rng = np.random.default_rng(47)
+        vals = 2.0 ** rng.uniform(-4, 4, 8000)
+        vals[rng.random(8000) < 0.3] = 0.0
+        w = Window(-3, vals)
+        ex = ExactWindow(w)
+        bp = block_partition(w, w.start + 100)
+        assert bp.K > 1000
+        assert verify_partition_invariants(w, bp).to_json() == reference_report(ex, bp)
+        for k in sorted(rng.choice(np.arange(2, bp.K - 1), 3, replace=False).tolist()):
+            ns = list(bp.ns)
+            ns[k] += 1
+            kset = frozenset(i for i in range(1, bp.K) if ns[i] < ns[i + 1] - 1)
+            moved = BlockPartition(bp.n0, tuple(ns), kset)
+            report = verify_partition_invariants(w, moved)
+            assert ("minimality", k) in report.failures
+            assert report.to_json() == reference_report(ex, moved)
+        # every interior n_k jittered: failures of three kinds, interleaved
+        shift = rng.integers(-1, 2, bp.K - 2).tolist()
+        ns = bp.ns[:2] + tuple(n + d for n, d in zip(bp.ns[2:-1], shift)) + (INF,)
+        jittered = BlockPartition(bp.n0, ns, bp.kset)
+        report = verify_partition_invariants(w, jittered)
+        kinds = {name for name, _ in report.failures}
+        assert kinds >= {"attainment", "minimality", "kset"}
+        assert report.to_json() == reference_report(ex, jittered)
 
     def test_all_zero_weight_vacuous_pass(self):
         w = Window(0, (0.0, 0.0, 0.0))

@@ -76,9 +76,10 @@ class TestSpikeOracle:
         with pytest.raises(ValueError, match="q >= p"):
             spike_oracle(RatioProblem(ONES2, ONES2, ONES2, 0.5, 0.25, form))
 
-    def test_q_below_one_is_heuristic(self):
+    def test_q_below_one_is_spike_exact(self):
+        """The spike range is p <= min(1, q): q >= 1 is not needed."""
         prob = RatioProblem(ONES2, ONES2, ONES2, 0.5, 0.5, GOP_SUP)
-        assert spike_oracle(prob).certificate == "heuristic"
+        assert spike_oracle(prob).certificate == "exact-spike"
 
     def test_argmax_reevaluates_to_constant(self):
         rng = np.random.default_rng(1)
@@ -146,14 +147,15 @@ class TestBruteForce:
     @pytest.mark.parametrize("form,p,q", [(GOP, 2.0, 3.0), (ANTIGOP_SUP, 2.0, 1.0)])
     @pytest.mark.parametrize("n,expected", [(1, 9), (2, 13), (5, 28)])
     def test_pool_composition(self, form, p, q, n, expected):
-        """Spikes, blocks for n > 1, and per restart its Dirichlet draws and
-        one start of an unpolished ascent (outside the spike range, where the
-        full search runs); the polished rows are not evaluated again."""
+        """Spikes, blocks for n > 1, and per restart its Dirichlet draws
+        (outside the spike range, where the full search runs); an ascent
+        starts from its pool ratio, and the polished rows are not evaluated
+        again."""
         u, v, w = rand_triple(np.random.default_rng(n), n)
-        cfg = OracleConfig(restarts=2, iterations=0, dirichlet_per_restart=3)
+        cfg = OracleConfig(restarts=2, iterations=0, dirichlet_per_restart=4)
         res = brute_force_constant(RatioProblem(u, v, w, p, q, form), cfg)
         blocks = n * (n + 1) // 2 if n > 1 else 0
-        assert res.evaluations == n + blocks + 2 * (3 + 1) == expected
+        assert res.evaluations == n + blocks + 2 * 4 == expected
 
     def test_list_matches_each_problem_alone(self):
         """One call on a mixed list returns, in input order, the result each
@@ -205,6 +207,28 @@ class TestBruteForce:
             assert res.evaluations == 6
             assert sorted(res.argmax.values) == [0.0] * 5 + [1.0]
 
+    @pytest.mark.parametrize("p,q", [(0.5, 0.75), (0.75, 0.8)])
+    @pytest.mark.parametrize(
+        "family", ["gop", "antigop", "gop-sup", "gop-psum", "antigop-psum"]
+    )
+    def test_spike_range_reaches_below_q_one(self, family, p, q):
+        """With p <= q < 1 the spike maximum is still the answer: a
+        4-restart, 200-iteration polish from the assembled pool never beats
+        it by more than rounding."""
+        form = {"gop": GOP, "antigop": ANTIGOP, "gop-sup": GOP_SUP,
+                "gop-psum": gop_psum(p), "antigop-psum": antigop_psum(p)}[family]
+        rng = np.random.default_rng(41)
+        probs = [RatioProblem(*rand_triple(rng, 6), p, q, form) for _ in range(20)]
+        results = brute_force_constants(probs, FAST_CONFIG)
+        assert {(r.certificate, r.evaluations) for r in results} == {("exact-spike", 6)}
+        cfg = OracleConfig(restarts=4, iterations=200)
+        pool, weights = _assemble_pool(probs, cfg), _stack(probs)
+        ratios = _ratio_batch(probs[0], pool, weights)
+        _, best, _ = _polish_top(probs[0], pool, ratios, weights, cfg)
+        found = np.maximum(ratios.max(axis=1), best.max(axis=1))
+        for res, r in zip(results, found):
+            assert r <= res.constant * (1 + 1e-12)
+
     @pytest.mark.parametrize(
         "form,p,q", [(gop_psum(0.25), 1.0, 2.0), (antigop_psum(0.5), 1.0, 1.0),
                      (gop_psum(0.25), 0.5, 1.0)]
@@ -225,8 +249,8 @@ def _sequential_polish(problem, a0, cfg):
     """Reference: the coordinate ascent of one restart on its own."""
     n = problem.size
     a = a0.astype(float).copy()
-    best = float(_ratio_batch(problem, a[None, :])[0])
-    evals = 1
+    best = float(_ratio_batch(problem, a[None, :])[0])  # the pool's ratio
+    evals = 0
     step = 0.5
     idx = np.arange(n)
     for _ in range(cfg.iterations):
@@ -285,7 +309,7 @@ class TestPolish:
         ratios = _ratio_batch(prob, pool)
         got, _, evals = _polish_top(prob, pool, ratios, _stack([prob]), cfg)
         assert got[0, 0].tolist() == [0.0, 1.0, 0.0]
-        assert evals.tolist() == [2 + 3 * 6]
+        assert evals.tolist() == [3 * 6]
 
 
 class TestEquivalenceRatio:
