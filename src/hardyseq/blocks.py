@@ -33,7 +33,6 @@ O(N) array work on a window of N entries.  Both require a finite window.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,14 +77,15 @@ _TINY = 2.0**-1000
 
 
 class _TailMasses:
-    """The suffix masses ``T_i = sum_{m >= i} w_m`` of a finite window, local
-    i = 0..N (``T_N = 0``), with exact signs of small integer combinations.
+    """The suffix masses ``T_i = sum_{m >= i} w_m`` of a finite window at
+    local positions i = 0..N (``T_N = 0``), and exact doubling comparisons
+    of the masses ``M[x, y) = T_x - T_y`` between them.
 
     One ``cumsum`` from the right gives float suffixes ``S_i``; a sum of m
     nonnegative terms in any order has ``|S_i - T_i| <= gamma_m S_i``, where
-    ``gamma_m = m u / (1 - m u)`` and ``u = 2**-53``.  :meth:`sign` decides
-    from the floats whenever the float combination clears that bound (plus
-    the rounding of the combination itself) or every suffix involved is
+    ``gamma_m = m u / (1 - m u)`` and ``u = 2**-53``.  :meth:`compare`
+    decides from the floats whenever their margin clears that bound (plus
+    the rounding of the comparison itself) or every suffix involved is
     zero, and otherwise from exact integer suffixes: ties, cancelling
     differences and overflow.
     """
@@ -96,34 +96,36 @@ class _TailMasses:
         self.values = w.as_array()
         n = self.n = len(self.values)
         self.s = np.zeros(n + 1)
-        self.s[:n] = np.cumsum(self.values[::-1])[::-1]
+        with np.errstate(over="ignore"):  # an infinite sum is decided exactly
+            self.s[:n] = np.cumsum(self.values[::-1])[::-1]
         mu = np.arange(n, -1, -1) * _U
-        # gamma_m of each suffix, plus 4u for evaluating a combination of
-        # up to four terms with coefficients up to 3
-        self.g = mu / (1.0 - mu) + 4 * _U
+        # the error allowance of each suffix: gamma_m, plus 4u for the three
+        # roundings of a comparison
+        self.gs = (mu / (1.0 - mu) + 4 * _U) * self.s
 
-    def index(self, i) -> np.ndarray:
-        """Local suffix positions of window indices, clamped to 0..N."""
-        return np.clip(np.asarray(i, dtype=np.int64) - self.start, 0, self.n)
+    def pos(self, i: np.ndarray) -> np.ndarray:
+        """Local positions of window indices (inf allowed), clamped to 0..N."""
+        return np.minimum(np.maximum(i - self.start, 0), self.n).astype(np.int64)
 
-    def sign(self, *terms: tuple[int, np.ndarray]) -> np.ndarray:
-        """Exact sign (-1, 0 or 1) of ``sum c T[i]`` over ``(c, i)`` terms,
-        elementwise over equal-length index arrays."""
-        s, g = self.s, self.g
+    def compare(self, a, d, b, c) -> np.ndarray:
+        """Exact sign (-1, 0 or 1) of ``M[a, d) - 2 M[b, c)``, elementwise
+        over local positions."""
+        s, gs = self.s, self.gs
         with np.errstate(over="ignore", invalid="ignore"):
-            d = sum(c * s[i] for c, i in terms)
-            bound = 2.0 * sum(abs(c) * g[i] * s[i] for c, i in terms)
+            diff = (s[a] - s[d]) - 2.0 * (s[b] - s[c])
+            bound = 2.0 * (gs[a] + gs[d] + 2.0 * (gs[b] + gs[c]))
             # a zero bound means every suffix involved is empty of mass
-            sure = np.isfinite(d) & (
-                (np.abs(d) > np.maximum(bound, _TINY)) | (bound == 0)
+            sure = np.isfinite(diff) & (
+                (np.abs(diff) > np.maximum(bound, _TINY)) | (bound == 0)
             )
-        out = np.sign(d)
-        rows = np.flatnonzero(~sure)
-        if len(rows):
-            exact = self._exact(np.concatenate([i[rows] for _, i in terms]))
-            for r in rows.tolist():
-                x = sum(c * exact[int(i[r])] for c, i in terms)
-                out[r] = (x > 0) - (x < 0)
+        out = np.sign(diff)
+        if not sure.all():
+            rows = np.flatnonzero(~sure)
+            at = [np.broadcast_to(x, diff.shape)[rows] for x in (a, d, b, c)]
+            exact = self._exact(np.concatenate(at))
+            for r, (ea, ed, eb, ec) in enumerate(zip(*(x.tolist() for x in at))):
+                m = exact[ea] - exact[ed] - 2 * (exact[eb] - exact[ec])
+                out[rows[r]] = (m > 0) - (m < 0)
         return out
 
     def _exact(self, need: np.ndarray) -> dict[int, int]:
@@ -144,14 +146,6 @@ class _TailMasses:
         return out
 
 
-def _doubles(t: _TailMasses, prev: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The doubling test at local positions: the tail at ``j`` is positive
-    and at least twice the block mass on ``[prev, j)``, i.e.
-    ``3 T_j >= 2 T_prev`` (no block when ``prev >= j``)."""
-    prev = np.minimum(prev, j)
-    return (t.s[j] > 0) & (t.sign((3, j), (-2, prev)) >= 0)
-
-
 def block_partition(w: Window, n0: int) -> BlockPartition:
     """Construct the block partition of ``w`` starting at ``n0``."""
     if n0 not in w:
@@ -162,20 +156,20 @@ def block_partition(w: Window, n0: int) -> BlockPartition:
     # docstring), so n_{k-1} + 1 is the only candidate for n_k, and the
     # steps run up to the first j >= n_0 + 2 that fails.  With n_0 at the
     # window's last index there is no room for the first step n_0 + 1.
+    # Only the last block, before the infinite terminal, has interior
+    # points: kset is {K - 1} once K >= 2.
     i0 = n0 - w.start
     if i0 + 1 < t.n:
         j = np.arange(i0 + 2, t.n)
-        fails = np.flatnonzero(~_doubles(t, j - 1, j))
+        # the doubling test: the tail M[j, N) is positive and at least
+        # twice the block M[j - 1, j)
+        passes = (t.s[j] > 0) & (t.compare(j, t.n, j - 1, j) >= 0)
+        fails = np.flatnonzero(~passes)
         stop = int(j[fails[0]]) if len(fails) else t.n
         ns.extend(range(n0 + 1, w.start + stop))
     ns.append(INF)
-    return BlockPartition(n0, tuple(ns), _kset(ns))
-
-
-def _kset(ns: Sequence[float]) -> frozenset[int]:
-    """The k in 1..K-1 with ``n_k < n_{k+1} - 1``."""
-    gaps = np.diff(np.asarray(ns[1:], dtype=float))
-    return frozenset((np.flatnonzero(gaps > 1) + 1).tolist())
+    kset = frozenset({len(ns) - 2}) if len(ns) > 2 else frozenset()
+    return BlockPartition(n0, tuple(ns), kset)
 
 
 @dataclass
@@ -214,8 +208,10 @@ def _record_each(
 ) -> None:
     """``report.record(name, k, ok)`` for every ``k`` in order, at once."""
     if len(ks):
-        report.checks[name] = report.checks.get(name, True) and bool(oks.all())
-        report.failures.extend((name, k) for k in ks[~oks].tolist())
+        ok = bool(oks.all())
+        report.checks[name] = report.checks.get(name, True) and ok
+        if not ok:
+            report.failures.extend((name, k) for k in ks[~oks].tolist())
 
 
 def verify_partition_invariants(w: Window, bp: BlockPartition) -> PartitionReport:
@@ -251,49 +247,51 @@ def verify_partition_invariants(w: Window, bp: BlockPartition) -> PartitionRepor
     nsa = np.asarray(ns, dtype=float)
     if not np.isfinite(nsa[1:-1]).all():
         raise ValueError("only the terminal n_K may be infinite")
-    nk = nsa[2:]
+    at = t.pos(nsa)  # position of each n_k; inf and the window's end -> N
+    # One row per comparison, all decided by one compare() call:
+    # steps k = 2..K: the doubling test of (n_{k-1}, n_k); its comparison
+    # is also tail_doubling at k
     ks = np.arange(2, len(ns))
-    prev = nsa[1:-1].astype(np.int64)
-    fin = np.isfinite(nk)
-    attained = _doubles(t, t.index(prev[fin]), t.index(nk[fin]))
-    # minimality is exhaustive: every j in (n_{k-1}, n_k), the window's end
-    # standing in for an infinite n_k (no j past it passes)
-    jmax = np.minimum(nk, w.stop).astype(np.int64)
-    lens = np.maximum(jmax - prev - 1, 0)
-    first = np.repeat(prev + 1 - (np.cumsum(lens) - lens), lens)
-    j = first + np.arange(len(first))
-    passes = _doubles(t, t.index(np.repeat(prev, lens)), t.index(j))
-    found = np.bincount(np.repeat(ks - 2, lens), weights=passes, minlength=len(ks))
-    minimal = found == 0
-    mark = len(report.failures)
-    _record_each(report, "attainment", ks[fin], attained)
-    _record_each(report, "minimality", ks, minimal)
-    # the loop over k records attainment, then minimality, at each k
-    report.failures[mark:] = sorted(report.failures[mark:], key=lambda f: f[1])
-
-    report.record("kset", 0, bp.kset == _kset(nsa))
-
-    def block(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # suffix positions (a, b) with mass of w on [lo, hi] = T_a - T_b
-        a = t.index(lo)
-        return a, np.maximum(a, t.index(np.asarray(hi) + 1))
-
+    step_a, step_b = at[2:], at[1:-1]
+    # minimality: every j in (n_{k-1}, n_k), the window's end standing in
+    # for an infinite n_k (no j past it passes)
+    lo = nsa[1:-1] + 1
+    lens = np.maximum(np.minimum(nsa[2:], w.stop) - lo, 0).astype(np.int64)
+    # kset by its definition, n_k < n_{k+1} - 1
+    kset = frozenset((np.flatnonzero(nsa[2:] > lo) + 1).tolist())
+    first = np.repeat(lo - (np.cumsum(lens) - lens), lens)
+    min_a = t.pos(first + np.arange(len(first)))
+    min_b = np.repeat(step_b, lens)
+    # interior_bound: M[n_k, n_{k+1} - 1) against M[n_{k-1}, n_k)
     kin = np.array([
         k for k in sorted(bp.kset) if 1 <= k < K and math.isfinite(ns[k + 1])
     ], dtype=np.int64)
-    at = nsa[kin].astype(np.int64)
-    a1, b1 = block(at, nsa[kin + 1].astype(np.int64) - 2)
-    a2, b2 = block(nsa[kin - 1].astype(np.int64), at - 1)
-    # interior < 2 * previous block
-    ok = t.sign((2, a2), (-2, b2), (-1, a1), (1, b1)) > 0
-    _record_each(report, "interior_bound", kin, ok)
+    in_a = at[kin]
+    in_d = np.maximum(in_a, t.pos(nsa[kin + 1] - 1))
+    in_b = at[kin - 1]
+    a = np.concatenate([step_a, min_a, in_a])
+    b = np.concatenate([step_b, min_b, in_b])
+    d = np.concatenate([np.full(len(step_a) + len(min_a), t.n), in_d])
+    # every row compares M[a, d) with twice the block M[b, max(a, b))
+    sign = t.compare(a, d, b, np.maximum(a, b))
+    passes = (sign >= 0) & (t.s[a] > 0)  # the doubling test
+    n_steps, n_min = len(step_a), len(min_a)
+    found = np.bincount(
+        np.repeat(ks - 2, lens), weights=passes[n_steps:n_steps + n_min],
+        minlength=len(ks),
+    )
+    fin = np.isfinite(nsa[2:])
+    mark = len(report.failures)
+    _record_each(report, "attainment", ks[fin], passes[:n_steps][fin])
+    _record_each(report, "minimality", ks, found == 0)
+    # the loop over k records attainment, then minimality, at each k
+    report.failures[mark:] = sorted(report.failures[mark:], key=lambda f: f[1])
 
-    kt = np.arange(2, K - 1)
-    at = nsa[2:K - 1].astype(np.int64)
-    a2, b2 = block(nsa[1:K - 2].astype(np.int64), at - 1)
-    # tail >= 2 * previous block
-    ok = t.sign((1, t.index(at)), (-2, a2), (2, b2)) >= 0
-    _record_each(report, "tail_doubling", kt, ok)
+    report.record("kset", 0, bp.kset == kset)
+    # interior < 2 * previous block; tail >= 2 * previous block
+    _record_each(report, "interior_bound", kin, sign[n_steps + n_min:] < 0)
+    tails = max(K - 3, 0)  # k = 2..K-2
+    _record_each(report, "tail_doubling", ks[:tails], sign[:tails] >= 0)
 
     for name in ("attainment", "minimality", "interior_bound", "tail_doubling"):
         report.checks.setdefault(name, True)

@@ -307,16 +307,16 @@ def _search(problems: Sequence[RatioProblem], cfg: OracleConfig) -> list[OracleR
 def spike_oracle(problem: RatioProblem) -> OracleResult:
     """Exact maximization over single-spike candidates for sup-inner forms.
 
-    Requires ``p <= 1`` and ``q >= p``: for ``q < p`` spread-out candidates
-    beat every spike, so the spike maximum is no answer there.
+    Requires the spike range ``p <= 1`` and ``q >= p``: for ``q < p``
+    spread-out candidates beat every spike, so the spike maximum is no
+    answer there.
     """
     if problem.form.inner_kind != "sup":
         raise ValueError("spike oracle requires a sup-inner operator form")
-    if not problem.p <= 1.0:
-        raise ValueError(f"spike oracle requires p in (0, 1], got p={problem.p}")
-    if problem.q < problem.p:
+    if not _spike_exact(problem):
         raise ValueError(
-            f"spike oracle requires q >= p, got p={problem.p}, q={problem.q}"
+            "spike oracle requires p <= 1 and q >= p, "
+            f"got p={problem.p}, q={problem.q}"
         )
     return _spike_max(problem)
 

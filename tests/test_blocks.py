@@ -192,9 +192,9 @@ class TestBlockPartition:
         assert block_partition(w, 0).ns == (0, 1, 2, INF)
 
     def test_matches_exact_reference(self):
-        """From every n0, on seeded windows over 2^+-304 with zeros and on
-        windows built on near-ties, the partition is the exact recursion's,
-        and the verifier passes it."""
+        """From every n0, on seeded windows over 2^+-304 with zeros, on
+        windows built on near-ties and on extreme magnitudes, the partition
+        is the exact recursion's, and the verifier passes it."""
         rng = np.random.default_rng(43)
         windows = []
         for _ in range(30):
@@ -203,6 +203,10 @@ class TestBlockPartition:
             vals[rng.random(n) < 0.3] = 0.0
             windows.append(Window(int(rng.integers(-8, 8)), vals))
         windows += [near_tie_window(rng, int(rng.integers(2, 121))) for _ in range(20)]
+        # float suffix sums that overflow, and subnormal entries
+        windows += [Window(0, (1.7e308, 1e308, 1e308, 1e308)),
+                    Window(0, (1e308,) * 6 + (5e-324,) * 3),
+                    Window(0, (5e-324, 5e-324, 1e-323, 5e-324, 0.0))]
         for w in windows:
             ex = ExactWindow(w)
             for n0 in range(w.start, w.stop):
@@ -238,6 +242,19 @@ class TestVerifyInvariants:
         bad = BlockPartition(0, (0, 1, 2, INF), frozenset({2}))
         report = verify_partition_invariants(w, bad)
         assert report.failures == [("attainment", 2)]
+
+    def test_ties_pass_only_the_non_strict_checks(self):
+        """Exact ties pass attainment and tail_doubling (>=) and fail
+        interior_bound (<)."""
+        w = Window(0, (1.0, 2.0, 1.0, 1.0, 1.0, 1.0))
+        bp = block_partition(w, 0)
+        assert bp.ns == (0, 1, 2, 3, 4, INF)  # T_2 = 2 w_1, T_4 = 2 w_3
+        assert verify_partition_invariants(w, bp).all_pass
+        ones = Window(0, (1.0,) * 6)
+        bad = BlockPartition(0, (0, 1, 4, 5, INF), frozenset({1, 3}))
+        report = verify_partition_invariants(ones, bad)
+        assert ("interior_bound", 1) in report.failures  # M[1, 3) = 2 w_0
+        assert report.to_json() == reference_report(ExactWindow(ones), bad)
 
     def test_moved_interior_index_flagged(self):
         """At N = 8,000 a partition with one interior n_k moved up by one is
