@@ -257,8 +257,6 @@ def verify_partition_invariants(w: Window, bp: BlockPartition) -> PartitionRepor
     # for an infinite n_k (no j past it passes)
     lo = nsa[1:-1] + 1
     lens = np.maximum(np.minimum(nsa[2:], w.stop) - lo, 0).astype(np.int64)
-    # kset by its definition, n_k < n_{k+1} - 1
-    kset = frozenset((np.flatnonzero(nsa[2:] > lo) + 1).tolist())
     first = np.repeat(lo - (np.cumsum(lens) - lens), lens)
     min_a = t.pos(first + np.arange(len(first)))
     min_b = np.repeat(step_b, lens)
@@ -287,6 +285,8 @@ def verify_partition_invariants(w: Window, bp: BlockPartition) -> PartitionRepor
     # the loop over k records attainment, then minimality, at each k
     report.failures[mark:] = sorted(report.failures[mark:], key=lambda f: f[1])
 
+    # kset by its definition, n_k < n_{k+1} - 1
+    kset = frozenset((np.flatnonzero(nsa[2:] > lo) + 1).tolist())
     report.record("kset", 0, bp.kset == kset)
     # interior < 2 * previous block; tail >= 2 * previous block
     _record_each(report, "interior_bound", kin, sign[n_steps + n_min:] < 0)
