@@ -27,7 +27,7 @@ the floats where the margin exceeds the certified summation bound
 cancelling differences of suffixes and overflowing sums are decided by an
 exact integer pass instead.  The partition is therefore the one of the exact
 recursion, whatever the rounding of the float sums, and both functions take
-O(N) array work on a window of N entries.  Both require a finite window.
+O(N) array work on a window of N entries.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ _TINY = 2.0**-1000
 
 
 class _TailMasses:
-    """The suffix masses ``T_i = sum_{m >= i} w_m`` of a finite window at
+    """The suffix masses ``T_i = sum_{m >= i} w_m`` of a window at
     local positions i = 0..N (``T_N = 0``), and exact doubling comparisons
     of the masses ``M[x, y) = T_x - T_y`` between them.
 
@@ -91,7 +91,6 @@ class _TailMasses:
     """
 
     def __init__(self, w: Window) -> None:
-        w.require_finite("w")
         self.start = w.start
         self.values = w.as_array()
         n = self.n = len(self.values)
@@ -328,8 +327,6 @@ def doubling_lemma_check(
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     common_window(b, c)
-    b.require_finite("b")
-    c.require_finite("c")
     if not (b.start <= kmin and kmax <= b.last and kmin <= kmax - 2):
         raise ValueError(
             f"need kmin <= kmax - 2 inside the window, got [{kmin}, {kmax}]"

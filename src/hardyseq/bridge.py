@@ -126,7 +126,6 @@ class PiecewiseLinear:
 
 def embed_sequence(a: Window) -> StepFunction:
     """Step function equal to ``a_n`` on ``[n, n+1)`` and zero elsewhere."""
-    a.require_finite("a")
     return StepFunction(a.start, a.values.tolist())
 
 
@@ -288,8 +287,6 @@ def bridge_check(
         raise ValueError(f"exponents must be positive, got p={p}, q={q}")
     if form not in ("gop", "antigop"):
         raise ValueError(f"form must be 'gop' or 'antigop', got {form!r}")
-    for win, name in ((u, "u"), (v, "v"), (w, "w"), (a, "a")):
-        win.require_finite(name)
 
     U = [_to_fraction(x) for x in u.values.tolist()]
     V = [_to_fraction(x) for x in v.values.tolist()]

@@ -116,9 +116,6 @@ def _result(
 
 def _validated(u: Window, v: Window, w: Window, p: float, q: float) -> Regime:
     common_window(u, v, w)
-    u.require_finite("u")
-    v.require_finite("v")
-    w.require_finite("w")
     return classify_regime(p, q)
 
 
@@ -238,7 +235,5 @@ def char_linft_exact(u: Window, v: Window, p: float) -> float:
     if not 0 < p <= 1:
         raise ValueError(f"the exact q=inf formula requires p in (0, 1], got {p}")
     common_window(u, v)
-    u.require_finite("u")
-    v.require_finite("v")
     SV = scan_max(ext_pow_array(v.as_array(), -1.0 / p), right=True)
     return float(np.max(ext_mul_array(u.as_array(), SV)))

@@ -20,7 +20,7 @@ from .blocks import block_partition
 from .bridge import bridge_check
 from .charformulas import char_antigop, char_gop
 from .hardyops import FORM_NAMES, RatioProblem, form_by_name
-from .oracle import OracleConfig, brute_force_constant, spike_oracle
+from .oracle import OracleConfig, brute_force_constant
 from .seqcore import Window
 from .verification import SweepSpec, run_verification
 
@@ -89,10 +89,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     form = form_by_name(args.form, r=r)
     problem = RatioProblem(wins["u"], wins["v"], wins["w"], args.p, _parse_q(args.q), form)
     cfg = OracleConfig(restarts=args.restarts, iterations=args.iterations, seed=args.seed)
-    if args.spikes_only:
-        res = spike_oracle(problem)
-    else:
-        res = brute_force_constant(problem, cfg)
+    res = brute_force_constant(problem, cfg)
     _emit(res.to_json(), args.format, args.out)
     return 0
 
@@ -161,8 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--restarts", type=int, default=32)
     o.add_argument("--iterations", type=int, default=500)
     o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--spikes-only", action="store_true",
-                   help="Exact spike enumeration (sup-inner forms, p <= 1, q >= p)")
     common(o)
     o.set_defaults(func=_cmd_oracle)
 

@@ -41,7 +41,6 @@ class EnvelopeKind(Enum):
 
 def envelope(u: Window, kind: EnvelopeKind) -> Window:
     """Monotone envelope of ``u`` over the window-restricted index set."""
-    u.require_finite("envelope input")
     scan = scan_max if kind.bound == "upper" else scan_min
     right = (kind.direction == "increasing") != (kind.bound == "upper")
     y = scan(u.as_array(), right=right)

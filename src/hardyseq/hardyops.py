@@ -36,7 +36,6 @@ from .seqcore import (
     INF,
     Window,
     common_window,
-    ext_div,
     ext_mul_array,
     scan_max,
     scan_sum,
@@ -153,9 +152,6 @@ class RatioProblem:
 
     def __post_init__(self) -> None:
         common_window(self.u, self.v, self.w)
-        self.u.require_finite("u")
-        self.v.require_finite("v")
-        self.w.require_finite("w")
         if not self.p > 0:
             raise ValueError(f"p must be positive, got {self.p}")
         if not self.q > 0:
@@ -231,8 +227,6 @@ def _ratio_batch(
 def apply_iterated(u: Window, a: Window, form: OperatorForm = GOP) -> Window:
     """Windowed entries of the iterated operator applied to ``a``."""
     common_window(u, a)
-    u.require_finite("u")
-    a.require_finite("a")
     entries = _iterated_entries(u.as_array(), a.as_array(), form)
     return u.with_values(entries)
 
@@ -240,7 +234,6 @@ def apply_iterated(u: Window, a: Window, form: OperatorForm = GOP) -> Window:
 def lhs(problem: RatioProblem, a: Window) -> float:
     """Left-hand side: the weighted l^q norm of the iterated entries."""
     common_window(problem.u, a)
-    a.require_finite("a")
     entries = _iterated_entries(problem.u.as_array(), a.as_array(), problem.form)
     return float(_lhs_batch(problem.w.as_array(), problem.q, entries))
 
@@ -250,15 +243,15 @@ def rhs(v: Window, p: float, a: Window) -> float:
     common_window(v, a)
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
-    a.require_finite("a")
     return float(_rhs_batch(v.as_array(), p, a.as_array()))
 
 
 def ratio(problem: RatioProblem, a: Window) -> float:
-    """``lhs / rhs`` with the extended-value conventions; rejects ``a = 0``."""
+    """``lhs / rhs`` by :func:`_ratio_batch` on one row; rejects ``a = 0``."""
+    common_window(problem.u, a)
     if not a.values.max() > 0:
         raise ValueError("ratio requires a nonzero candidate sequence")
-    return ext_div(lhs(problem, a), rhs(problem.v, problem.p, a))
+    return float(_ratio_batch(problem, a.as_array()))
 
 
 def elementary_chain_check(a: Window, p: float, n: int) -> tuple[float, float, float]:
@@ -270,7 +263,6 @@ def elementary_chain_check(a: Window, p: float, n: int) -> tuple[float, float, f
     """
     if not 0 < p <= 1:
         raise ValueError(f"the chain requires p in (0, 1], got {p}")
-    a.require_finite("a")
     tail = a.as_array()[n - a.start:] if n in a else None
     if tail is None:
         raise IndexError(f"index {n} outside window [{a.start}, {a.last}]")

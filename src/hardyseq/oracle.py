@@ -179,7 +179,9 @@ def _assemble_pool(problems: Sequence[RatioProblem], cfg: OracleConfig) -> np.nd
 
     One point has no block besides its spike.  Only the Dirichlet rows differ
     between problems: the shared simplex points are pulled onto each
-    problem's constraint surface ``sum a^p v = 1``.
+    problem's constraint surface ``sum a^p v = 1``.  A row that overflows
+    there is set to zero, whose ratio 0 never wins, so every candidate is a
+    finite window.
     """
     n, p = problems[0].size, problems[0].p
     x = _dirichlet_draws(n, cfg)
@@ -189,7 +191,10 @@ def _assemble_pool(problems: Sequence[RatioProblem], cfg: OracleConfig) -> np.nd
     if nb:
         pool[:, n : n + nb] = _block_pool(n)
     v = np.stack([prob.v.as_array() for prob in problems])[:, None, :]
-    pool[:, n + nb :] = (x / np.where(v > 0, v, 1.0)) ** (1.0 / p)
+    drawn = pool[:, n + nb :]
+    with np.errstate(over="ignore"):
+        drawn[...] = (x / np.where(v > 0, v, 1.0)) ** (1.0 / p)
+    drawn[~np.isfinite(drawn).all(axis=-1)] = 0.0
     return pool
 
 

@@ -2,11 +2,15 @@
 and (p, q) parameter regime classification.
 
 A :class:`Window` is a finite contiguous slice of the integer line carrying a
-nonnegative sequence, held as one read-only float64 array that every layer
-reads in place.  It models a double-infinite sequence restricted to that
-slice: sums over the test sequence ``a`` treat the outside as zero, while
-weight envelopes and suprema are restricted to the window (never extended by
-zero, which would spuriously trigger the ``0**(-alpha) = inf`` convention).
+finite nonnegative sequence, held as one read-only float64 array that every
+layer reads in place.  Finiteness and nonnegativity are checked once, at
+construction, so every function that takes a window relies on them: weights
+and test sequences of the weighted l^p inequalities never hold +inf.  A
+window models a double-infinite sequence restricted to that slice: sums over
+the test sequence ``a`` treat the outside as zero, while weight envelopes and
+suprema are restricted to the window (never extended by zero, which would
+spuriously trigger the ``0**(-alpha) = inf`` convention).  Intermediate
+arrays may still saturate to inf; the extended arithmetic below handles them.
 
 All scalar arithmetic on the extended nonnegative half-line follows the
 conventions ``0**(-alpha) = inf``, ``inf**(-alpha) = 0`` for ``alpha > 0`` and
@@ -93,7 +97,8 @@ def ext_pow_array(x: np.ndarray, alpha: float) -> np.ndarray:
     zero = x == 0
     inf = np.isinf(x)
     rest = ~(zero | inf)
-    out[rest] = x[rest] ** alpha
+    with np.errstate(over="ignore"):  # an overflowing power saturates to inf
+        out[rest] = x[rest] ** alpha
     if alpha > 0:
         out[zero] = 0.0
         out[inf] = INF
@@ -144,12 +149,14 @@ def scan_min(x: np.ndarray, right: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Window:
-    """A nonnegative sequence on a contiguous integer index range.
+    """A finite nonnegative sequence on a contiguous integer index range.
 
     ``values[k]`` is the entry at index ``start + k``.  ``values`` is a
     read-only float64 array, copied from the input and validated once at
-    construction; :meth:`as_array` returns it without a copy.  Equality is
-    index-aware: two windows are equal iff both start and values agree.
+    construction: every entry is finite and nonnegative (no NaN, no inf),
+    and no other function checks that again.  :meth:`as_array` returns it
+    without a copy.  Equality is index-aware: two windows are equal iff both
+    start and values agree.
     """
 
     start: int
@@ -159,9 +166,11 @@ class Window:
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 1 or len(vals) < 1:
             raise ValueError("window values must be a nonempty 1-D sequence")
-        lo = vals.min()
+        lo, hi = vals.min(), vals.max()
         if not lo >= 0:  # also rejects NaN
             raise ValueError(f"window entries must be nonnegative, got {lo}")
+        if not hi < INF:
+            raise ValueError(f"window entries must be finite, got {hi}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "start", int(self.start))
@@ -183,38 +192,11 @@ class Window:
     def last(self) -> int:
         return self.start + len(self.values) - 1
 
-    def indices(self) -> range:
-        return range(self.start, self.stop)
-
     def __contains__(self, n: int) -> bool:
         return self.start <= n < self.stop
 
-    def value_at(self, n: int) -> float:
-        if n not in self:
-            raise IndexError(f"index {n} outside window [{self.start}, {self.last}]")
-        return float(self.values[n - self.start])
-
     def as_array(self) -> np.ndarray:
         return self.values
-
-    @property
-    def finite(self) -> bool:
-        # entries are non-NaN and nonnegative, so only +inf can be non-finite
-        return bool(self.values.max() < INF)
-
-    def require_finite(self, name: str = "window") -> "Window":
-        if not self.finite:
-            raise ValueError(f"{name} must be finite-valued")
-        return self
-
-    def slice(self, lo: int, hi: int) -> "Window":
-        """Contiguous sub-window on the inclusive index range [lo, hi]."""
-        if not (self.start <= lo <= hi <= self.last):
-            raise IndexError(
-                f"slice [{lo}, {hi}] out of range for window [{self.start}, {self.last}]"
-            )
-        i, j = lo - self.start, hi - self.start + 1
-        return Window(lo, self.values[i:j])
 
     def reversed(self) -> "Window":
         """Index reversal ``x_bar[n] = x[-n]`` (used by the dual inequalities)."""
@@ -228,28 +210,19 @@ class Window:
     def scaled(self, t: float) -> "Window":
         return Window(self.start, t * self.values)
 
-    # -- JSON wire format: {"start": int, "values": [numbers | "inf"]} -------
+    # -- JSON wire format: {"start": int, "values": [finite numbers >= 0]} ---
 
     def to_json(self) -> dict:
-        out = self.values.tolist()
-        if not self.finite:
-            out = ["inf" if v == INF else v for v in out]
-        return {"start": self.start, "values": out}
+        return {"start": self.start, "values": self.values.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Window":
         if not isinstance(obj, dict) or "start" not in obj or "values" not in obj:
             raise ValueError('window JSON must be {"start": int, "values": [...]}')
-        vals = []
         for v in obj["values"]:
             if isinstance(v, str):
-                if v.strip().lower() in ("inf", "infinity", "+inf"):
-                    vals.append(INF)
-                else:
-                    raise ValueError(f"unrecognized window entry {v!r}")
-            else:
-                vals.append(float(v))
-        return cls(int(obj["start"]), vals)
+                raise ValueError(f"unrecognized window entry {v!r}")
+        return cls(int(obj["start"]), [float(v) for v in obj["values"]])
 
 
 def common_window(*windows: Window) -> None:

@@ -19,9 +19,10 @@ randomness flows from the sweep seed; reports are deterministic.
 Observed values per suite: ``chain`` the triple ``[sup, sum, powered sum]``;
 ``bridge`` ``{"gop": ..., "antigop": ...}``, the two bridge results;
 ``partition`` the invariant report plus the ``partition`` itself; ``linft``
-``{"exact", "spike", "brute"}``; ``equivalence-ratio`` ``{"F", "B",
-"ratio"}``; ``chain-equivalence`` the chain report; ``doubling`` both sides
-of the sum and the sup pair.
+``{"exact", "brute"}``, the closed form and the oracle's constant (its spike
+maximum, since the suite's inputs lie in the spike range);
+``equivalence-ratio`` ``{"F", "B", "ratio"}``; ``chain-equivalence`` the
+chain report; ``doubling`` both sides of the sum and the sup pair.
 """
 
 from __future__ import annotations
@@ -187,11 +188,9 @@ def _check_linft(u: Window, v: Window, p: float) -> tuple[Any, bool]:
     ones = Window(u.start, (1.0,) * len(u))
     prob = RatioProblem(u, v, ones, p, math.inf, ANTIGOP_SUP)
     exact = charformulas.char_linft_exact(u, v, p)
-    spike = oracle.spike_oracle(prob)
     brute = oracle.brute_force_constant(prob, FAST_CONFIG)
-    ok = math.isclose(spike.constant, exact, rel_tol=1e-9, abs_tol=0.0)
-    ok = ok and math.isclose(brute.constant, exact, rel_tol=1e-6, abs_tol=0.0)
-    return {"exact": exact, "spike": spike.constant, "brute": brute.constant}, ok
+    ok = math.isclose(brute.constant, exact, rel_tol=1e-9, abs_tol=0.0)
+    return {"exact": exact, "brute": brute.constant}, ok
 
 
 def _check_doubling(b: Window, c: Window, alpha: float) -> tuple[Any, bool]:

@@ -47,6 +47,12 @@ class TestApplyIterated:
         with pytest.raises(ValueError):
             apply_iterated(U11, Window(1, (1.0, 1.0)), GOP)
 
+    def test_overflowing_entries_rejected(self):
+        """An entry that overflows cannot form a window."""
+        big = Window(0, (2.0**600, 1.0))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            apply_iterated(big, big, GOP)
+
     def test_tail_outer_is_nonincreasing(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -110,6 +116,20 @@ class TestSides:
         prob = RatioProblem(U11, U11, U11, 1.0, 1.0, GOP)
         with pytest.raises(ValueError):
             ratio(prob, Window(0, (0.0, 0.0)))
+
+    def test_ratio_is_one_batch_row(self):
+        """ratio divides as _ratio_batch does, inf/inf included (NaN)."""
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            u, v, w, a = (Window(0, 2.0 ** rng.uniform(-3, 3, n)) for _ in range(4))
+            prob = RatioProblem(u, v, w, 0.5, 2.0, ANTIGOP)
+            assert ratio(prob, a) == _ratio_batch(prob, a.as_array()[None, :])[0]
+        one = lambda e: Window(0, (2.0**e,))
+        prob = RatioProblem(one(600), one(-600), one(600), 3.0, 3.0, GOP)
+        with np.errstate(over="ignore", invalid="ignore"):  # both sides overflow
+            assert math.isnan(_ratio_batch(prob, one(400).as_array()[None, :])[0])
+            assert math.isnan(ratio(prob, one(400)))
 
     def test_ratio_scale_invariant_exact(self):
         prob = RatioProblem(U11, Window(0, (4.0, 1.0)), U11, 1.0, 1.0, GOP)

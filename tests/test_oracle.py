@@ -101,6 +101,20 @@ class TestSpikeOracle:
             exact = char_linft_exact(u, v, p)
             assert spike_oracle(prob).constant == pytest.approx(exact, rel=1e-9)
 
+    def test_brute_force_is_the_spike_oracle_on_linft_draws(self):
+        """On the linft suite's inputs (q = inf, p in {0.25, 0.5, 1}) the
+        brute-force oracle is the spike oracle, bit for bit."""
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n = int(rng.choice([3, 5, 8]))
+            start = int(rng.integers(-4, 5))
+            u, v = (Window(start, 2.0 ** rng.uniform(-3, 3, n)) for _ in range(2))
+            p = float(rng.choice([0.25, 0.5, 1.0]))
+            prob = RatioProblem(u, v, Window(start, np.ones(n)), p, INF, ANTIGOP_SUP)
+            brute, spike = brute_force_constant(prob, FAST_CONFIG), spike_oracle(prob)
+            assert brute.constant.hex() == spike.constant.hex()
+            assert brute.to_json() == spike.to_json()
+
 
 class TestBruteForce:
     def test_unit_gop_example(self):
@@ -143,6 +157,21 @@ class TestBruteForce:
             for _ in range(20):
                 a = Window(u.start, tuple(rng.uniform(0.01, 2, 5)))
                 assert ratio(prob, a) <= res.constant * (1 + 1e-9)
+
+    @pytest.mark.parametrize("form,spike_log2", [(GOP, 544), (ANTIGOP, 540)])
+    def test_overflowing_dirichlet_rows_never_win(self, form, spike_log2):
+        """A Dirichlet row pulled onto ``sum a^p v = 1`` overflows when v
+        holds 2^-520 at p = 0.5; it is dropped to zero, so the constant and
+        its argmax stay finite and the pool keeps its size."""
+        u = Window(0, (2.0**-500, 2.0**-500))
+        v = Window(0, (2.0**-520, 1.0))
+        prob = RatioProblem(u, v, ONES2, 0.5, 0.25, form)
+        res = brute_force_constant(prob, OracleConfig(restarts=2, iterations=40))
+        assert math.isfinite(res.constant)
+        assert res.constant >= 2.0**spike_log2
+        assert res.certificate == "heuristic"
+        assert res.evaluations == 341
+        assert ratio(prob, res.argmax) == pytest.approx(res.constant, rel=1e-12)
 
     @pytest.mark.parametrize("form,p,q", [(GOP, 2.0, 3.0), (ANTIGOP_SUP, 2.0, 1.0)])
     @pytest.mark.parametrize("n,expected", [(1, 9), (2, 13), (5, 28)])

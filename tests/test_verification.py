@@ -28,6 +28,18 @@ def test_all_suites_pass_on_small_ensemble():
         assert entry["min"] <= entry["median"] <= entry["max"]
 
 
+@pytest.mark.parametrize("exponent", [600.0, 1000.0])
+def test_wide_weight_sweep_records_failures(exponent):
+    """Weights over 2^+-600 and 2^+-1000 overflow the closed forms and the
+    oracle; the sweep records those as failures and never raises."""
+    spec = SweepSpec(seed=1, weight_exponent=exponent, ensemble=20)
+    with np.errstate(all="ignore"):  # overflow is what these weights test
+        report = run_verification(spec)
+    assert report["passed"] is False
+    assert any(suite["failures"] for suite in report["suites"].values())
+    json.dumps(report)
+
+
 def test_report_is_json_serializable_and_deterministic():
     spec = SweepSpec(seed=4, ensemble=3, suites=("chain", "doubling"))
     r1 = json.dumps(run_verification(spec), sort_keys=True)
