@@ -4,10 +4,11 @@ The least constant equals ``sup_a lhs(a) / rhs(a)`` over nonnegative
 sequences.  On a finite window this module maximizes the ratio over a fixed
 pool of candidate families, always searched in the same order: single spikes,
 indicator blocks (windows of two or more points), Dirichlet points on the
-constraint surface, and, unless a ratio is already infinite, the
-multiplicative-ascent polish of the best of them.  The pool keeps that order,
-so the index of a candidate tells its family.  The best ratio found is always
-a certified lower bound on the true constant.
+constraint surface, and, unless a ratio is already infinite, the polish of
+the best of them.  The pool keeps that order, so the index of a candidate
+tells its family.  The best ratio found is always a certified lower bound on
+the true constant, and ``OracleResult.search`` says which search ran:
+``"spike"``, ``"power"`` or ``"ascent"``.
 
 For ``p <= min(1, q)`` (including ``q = inf``), and for the powered-sum
 forms also ``r >= p``, the maximum is attained at a spike.  Substitute
@@ -26,10 +27,40 @@ everywhere else the full search runs and the result is ``heuristic``.  For
 a powered sum with ``r < p`` the spikes are beaten: the inner l^(r/p)
 quasi-norm favours spread-out candidates.
 
-The polish runs every restart in lock-step, one ``_ratio_batch`` call per
+Outside the spike range the polish is one of two searches.  For ``p > 1``,
+finite ``q`` and the four sum-inner forms (gop, antigop, dual-gop,
+dual-antigop) it is Boyd's power iteration for l^p -> l^q norms (D. W.
+Boyd, Linear Algebra Appl. 9, 1974).  Stationarity of ``lhs/rhs`` gives
+``a_k <- (g_k / v_k)^(1/(p-1))`` with ``g = grad(lhs^q)``, rescaled by its
+row maximum, and ``a_k = 0`` where ``g_k = 0``; ``v_k = 0`` with
+``g_k > 0`` never reaches the polish, since its spike already makes the
+pool ratio infinite.  ``g`` takes two scans: with ``E`` the iterated
+entries, ``i*(n)`` is the first record position of the outer scan at or
+after ``n`` (head outer: the last one at or before ``n``, both from one
+``minimum``/``maximum.accumulate`` over record indices); ``i*(n)`` gets the
+mass ``q w_n E_n^(q-1) u_i*(n)``, and ``g`` is the suffix sum of the masses
+for an inner-left form, their prefix sum for inner-right.  A step costs one
+such pass and one ratio evaluation per row, where a coordinate-ascent step
+costs ``2n``.  It runs from the ``4 * restarts`` best pool candidates, and
+each row stops at its first step that does not raise its ratio.  The plain
+iteration stops at a fixed point of its record set, which can lie just off
+a kink of the ratio where a position is about to become (or stop being) a
+record; the ascent reaches such kinks.  So the best row of each problem
+then takes flip steps: each evaluates the ``n`` candidates that flip one
+position's record status, one of them the plain step, and moves to the
+best while that raises its ratio.  On the power path ``evaluations`` counts
+one per ratio evaluation of a live row: one per plain step, ``n`` per flip
+step.  Everywhere else, that is ``q < p <= 1``, powered sums with
+``r < p``, the sup and powered-sum forms with ``p > 1``, and ``q = inf``,
+the polish is the multiplicative coordinate ascent of
+:func:`_polish_top`, ``2n`` evaluations per live row and iteration.
+
+Both searches run every restart in lock-step, one ``_ratio_batch`` call per
 iteration for all of them.  ``_ratio_batch`` is row-independent (a row's
-ratio does not depend on the other rows of its batch), so each restart ends
-exactly where a polish of that restart alone would.
+ratio does not depend on the other rows of its batch), and so is a power
+step: it takes every power on a contiguous array and every sum as a row
+reduction or a per-row ``bincount``.  So each restart ends exactly where a
+polish of that restart alone would.
 
 The search also has a problem axis.  The list entry points
 (:func:`brute_force_constants`, :func:`equivalence_ratios`,
@@ -60,12 +91,13 @@ from .hardyops import (
     ANTIGOP_SUP,
     GOP,
     GOP_SUP,
+    OperatorForm,
     RatioProblem,
     _ratio_batch,
     antigop_psum,
     gop_psum,
 )
-from .seqcore import Window, ext_div
+from .seqcore import Window, ext_div, scan_max, scan_min, scan_sum
 
 __all__ = [
     "OracleConfig",
@@ -85,6 +117,8 @@ __all__ = [
 #: step that finds no better probe.
 _STEP_INIT = 0.5
 _STEP_DECAY = 0.9
+#: The power iteration starts from this many pool rows per restart.
+_POWER_STARTS = 4
 
 
 @dataclass(frozen=True)
@@ -97,6 +131,10 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.iterations < 0:
+            raise ValueError("iterations must be >= 0")
+        if self.dirichlet_per_restart < 0:
+            raise ValueError("dirichlet_per_restart must be >= 0")
 
 
 #: A light configuration for large verification sweeps.
@@ -109,6 +147,7 @@ class OracleResult:
     argmax: Window
     certificate: str  # "exact-spike" or "heuristic"
     evaluations: int
+    search: str = "ascent"  # "spike", "power" or "ascent"
 
     def to_json(self) -> dict:
         return {
@@ -116,6 +155,7 @@ class OracleResult:
             "argmax": self.argmax.to_json(),
             "certificate": self.certificate,
             "evaluations": self.evaluations,
+            "search": self.search,
         }
 
 
@@ -128,15 +168,23 @@ def _spike_exact(problem: RatioProblem) -> bool:
     )
 
 
+def _power_search(problem: RatioProblem) -> bool:
+    """Whether the polish is the power iteration (module docstring):
+    ``p > 1``, finite ``q`` and a sum-inner form."""
+    return problem.p > 1 and math.isfinite(problem.q) and problem.form.inner_kind == "sum"
+
+
 def _result(
     problem: RatioProblem, row: np.ndarray, constant: float, evaluations: int
 ) -> OracleResult:
     """The result for candidate ``row``, certified exact in the spike range."""
+    exact = _spike_exact(problem)
     return OracleResult(
         constant=float(constant),
         argmax=Window(problem.u.start, row),
-        certificate="exact-spike" if _spike_exact(problem) else "heuristic",
+        certificate="exact-spike" if exact else "heuristic",
         evaluations=int(evaluations),
+        search="spike" if exact else "power" if _power_search(problem) else "ascent",
     )
 
 
@@ -205,8 +253,9 @@ def _polish_top(
     weights: tuple[np.ndarray, ...],
     cfg: OracleConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Multiplicative coordinate ascent from the ``cfg.restarts`` best
-    candidates of each stacked problem, all rows in lock-step.
+    """The coordinate ascent: multiplicative one-coordinate moves from the
+    ``cfg.restarts`` best candidates of each stacked problem, all rows in
+    lock-step.
 
     ``pool`` (B, P, n) and ``ratios`` (B, P) hold B problems that share
     ``problem``'s ``p``, ``q`` and form, with ``weights`` their stacked
@@ -259,6 +308,153 @@ def _polish_top(
     return a.reshape(b, rows_per, n), best.reshape(b, rows_per), evals
 
 
+def _power_gradient(
+    form: OperatorForm,
+    q: float,
+    u: np.ndarray,
+    w: np.ndarray,
+    a: np.ndarray,
+    flip: np.ndarray | None = None,
+) -> np.ndarray:
+    """``g = grad(lhs^q)`` of a sum-inner form at the candidates ``a``.
+
+    ``a`` has shape (..., n), and ``u``, ``w`` broadcast against it.  With
+    ``x = u * inner(a)`` and ``E`` its outer scan (the entries of
+    :func:`_iterated_entries`), the records are the positions where
+    ``x = E``.  ``i*(n)`` is the first record at or after ``n`` (head
+    outer: the last one at or before ``n``), where ``E_n`` is attained.
+    Each ``n`` puts the mass ``q w_n E_n^(q-1) u_i*(n)`` (0 where
+    ``E_n = 0``) on ``i*(n)``; one ``bincount`` sums the masses per row, and
+    ``g`` is their suffix sum for an inner-left form, their prefix sum for
+    inner-right.
+
+    ``flip`` (broadcast against ``a.shape[:-1]``) names one position per
+    row whose record status is flipped first; ``E_n`` is then read as
+    ``x_i*(n)``, so ``g`` is the gradient of a lower bound on ``lhs^q`` that
+    takes the flipped record set.  The end of the outer scan (the last position for
+    a tail outer, the first for a head outer) stays a record, so flipping
+    it changes nothing.
+    """
+    right, tail = form.inner_dir == "right", form.outer == "tail"
+    n = a.shape[-1]
+    x = u * scan_sum(a, right)
+    rec = x == scan_max(x, right=tail)
+    idx = np.arange(n)
+    if flip is not None:
+        rec ^= idx == flip[..., None]
+    rec[..., n - 1 if tail else 0] = True
+    if tail:
+        star = scan_min(np.where(rec, idx, n), right=True)
+    else:
+        star = scan_max(np.where(rec, idx, -1))
+    e = np.ascontiguousarray(np.take_along_axis(x, star, axis=-1))
+    pos = e > 0
+    ustar = np.take_along_axis(np.broadcast_to(u, e.shape), star, axis=-1)
+    mass = np.where(pos, q * w * np.where(pos, e, 1.0) ** (q - 1.0) * ustar, 0.0)
+    rows = len(mass.reshape(-1, n))
+    at = (star.reshape(rows, n) + n * np.arange(rows)[:, None]).ravel()
+    m = np.bincount(at, weights=mass.ravel(), minlength=rows * n).reshape(e.shape)
+    return scan_sum(m, right=not right)
+
+
+def _power_steps(
+    problem: RatioProblem,
+    a: np.ndarray,
+    best: np.ndarray,
+    weights: tuple[np.ndarray, ...],
+    flips: np.ndarray,
+    iterations: int,
+) -> np.ndarray:
+    """Power steps from the rows ``a`` (L, n) with ratios ``best`` (L,),
+    both updated in place, all rows in lock-step; returns the evaluations
+    of each row.
+
+    ``weights`` are the rows' ``(u, v, w)``, each of shape (L, 1, n).  A
+    step evaluates one candidate per entry of ``flips`` (K,):
+    ``a <- (g/v)^(1/(p-1))``, rescaled by its row maximum, with ``g`` from
+    :func:`_power_gradient` for that flip and ``a_k = 0`` where
+    ``g_k = 0``.  A candidate that leaves the float range is set to zero,
+    whose ratio 0 never wins.  A row moves to its best candidate if that
+    raises its best ratio, and otherwise stops; it also stops once its ratio
+    is infinite.
+    """
+    evals = np.zeros(len(a), dtype=int)
+    rows = np.flatnonzero(~np.isinf(best))
+    power = 1.0 / (problem.p - 1.0)
+    for _ in range(iterations):
+        if not len(rows):
+            break
+        live = tuple(x[rows] for x in weights)
+        u, v, w = live
+        base = np.repeat(a[rows, None], len(flips), axis=1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            g = _power_gradient(problem.form, problem.q, u, w, base, flips)
+            g /= g.max(axis=-1, keepdims=True)
+            t = np.divide(g, v, out=np.zeros(g.shape), where=g > 0)
+            cand = (t / t.max(axis=-1, keepdims=True)) ** power
+        cand[~np.isfinite(cand).all(axis=-1)] = 0.0
+        r = _ratio_batch(problem, cand, live)
+        evals[rows] += len(flips)
+        k = np.argmax(r, axis=1)
+        top = r[np.arange(len(rows)), k]
+        up = top > best[rows]
+        best[rows[up]] = top[up]
+        a[rows[up]] = cand[up, k[up]]
+        rows = rows[up & ~np.isinf(top)]
+    return evals
+
+
+def _power_top(
+    problem: RatioProblem,
+    pool: np.ndarray,
+    ratios: np.ndarray,
+    weights: tuple[np.ndarray, ...],
+    cfg: OracleConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boyd's power iteration for the stacked problems, in two phases.
+
+    Shapes and contract as in :func:`_polish_top`, with R = min(4 restarts,
+    P) + 1 rows per problem.  First the plain iteration (no flip) runs from
+    the R - 1 best pool candidates of each problem.  Then the best row of
+    each problem takes flip steps: each evaluates the ``n`` candidates that
+    flip one record position, one of them the plain step, and moves to the
+    best.  Every phase stops a row at its first step that does not raise
+    its best ratio, and after ``cfg.iterations`` steps.  A problem's
+    ``evals`` counts the ratio evaluations of its rows while they were live.
+    """
+    b, size, n = pool.shape
+    rows_per = min(_POWER_STARTS * cfg.restarts, size)
+    top = np.argsort(ratios, axis=1)[:, ::-1][:, :rows_per]
+    a = np.take_along_axis(pool, top[:, :, None], axis=1).reshape(-1, n)
+    best = np.take_along_axis(ratios, top, axis=1).reshape(-1)
+    uvw = tuple(np.repeat(x, rows_per, axis=0) for x in weights)
+    end = np.array([n - 1 if problem.form.outer == "tail" else 0])  # no flip
+    evals = _power_steps(problem, a, best, uvw, end, cfg.iterations)
+    a, best = a.reshape(b, rows_per, n), best.reshape(b, rows_per)
+    k = np.argmax(best, axis=1)[:, None]
+    a1 = np.take_along_axis(a, k[:, :, None], axis=1)[:, 0]
+    best1 = np.take_along_axis(best, k, axis=1)[:, 0]
+    evals1 = _power_steps(problem, a1, best1, weights, np.arange(n), cfg.iterations)
+    return (
+        np.concatenate([a, a1[:, None]], axis=1),
+        np.concatenate([best, best1[:, None]], axis=1),
+        evals.reshape(b, rows_per).sum(axis=1) + evals1,
+    )
+
+
+def _polish(
+    problem: RatioProblem,
+    pool: np.ndarray,
+    ratios: np.ndarray,
+    weights: tuple[np.ndarray, ...],
+    cfg: OracleConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The power iteration where :func:`_power_search` holds, else the
+    coordinate ascent."""
+    top = _power_top if _power_search(problem) else _polish_top
+    return top(problem, pool, ratios, weights, cfg)
+
+
 def _shape(problem: RatioProblem) -> tuple:
     """What the problems of one stack share: exponents, form and size."""
     return problem.p, problem.q, problem.form, problem.size
@@ -294,7 +490,7 @@ def _search(problems: Sequence[RatioProblem], cfg: OracleConfig) -> list[OracleR
     fin = ~np.isinf(ratios).any(axis=1)
     polished = np.cumsum(fin) - 1  # index among the polished problems
     sel = slice(None) if fin.all() else fin  # copy the pool only if needed
-    extra, best, used = _polish_top(
+    extra, best, used = _polish(
         ref, pool[sel], ratios[sel], tuple(x[sel] for x in weights), cfg
     )
     evals[fin] += used
@@ -478,7 +674,7 @@ def _chain_group(
         fin = ~np.isinf(r).any(axis=1)
         if fin.any():
             sel = slice(None) if fin.all() else fin
-            a = _polish_top(ref, pool[sel], r[sel], tuple(x[sel] for x in weights), cfg)[0]
+            a = _polish(ref, pool[sel], r[sel], tuple(x[sel] for x in weights), cfg)[0]
             extra.append(a.reshape(-1, a.shape[-1]))
             owner.append(np.repeat(np.flatnonzero(fin), a.shape[1]))
     n = pool.shape[-1]

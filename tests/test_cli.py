@@ -107,6 +107,18 @@ class TestOracle:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_negative_iterations_rejected(self, weights_file, capsys):
+        code = main(["oracle", "--weights", weights_file, "--p", "2", "--q", "3",
+                     "--iterations", "-1"])
+        assert code == 2
+        assert "hardyseq: error: iterations must be >= 0" in capsys.readouterr().err
+
+    def test_search_is_reported(self, weights_file, capsys):
+        code = main(["oracle", "--weights", weights_file, "--p", "2", "--q", "3",
+                     "--restarts", "2", "--iterations", "20"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["search"] == "power"
+
 
 class TestBridge:
     def test_unit_fixture(self, weights_file, capsys):

@@ -7,12 +7,15 @@ from hardyseq.charformulas import char_linft_exact
 from hardyseq.hardyops import (
     ANTIGOP,
     ANTIGOP_SUP,
+    DUAL_ANTIGOP,
+    DUAL_GOP,
     GOP,
     GOP_SUP,
     RatioProblem,
     _ratio_batch,
     antigop_psum,
     gop_psum,
+    lhs,
     ratio,
 )
 from hardyseq.oracle import (
@@ -20,6 +23,7 @@ from hardyseq.oracle import (
     OracleConfig,
     _assemble_pool,
     _polish_top,
+    _power_gradient,
     _stack,
     brute_force_constant,
     brute_force_constants,
@@ -192,21 +196,22 @@ class TestBruteForce:
         The list mixes sizes, forms, (p, q) inside and outside the spike
         range, zero weights, and zeros in v that make ratios infinite."""
         rng = np.random.default_rng(31)
-        forms = [GOP, ANTIGOP_SUP, antigop_psum(0.5)]
-        pqs = [(2.0, 3.0), (0.5, 1.0), (1.5, INF)]
+        forms = [GOP, ANTIGOP, DUAL_GOP, ANTIGOP_SUP, antigop_psum(0.5)]
+        pqs = [(2.0, 3.0), (0.5, 1.0), (1.5, INF), (1.5, 0.8)]
         problems = []
-        for i in range(54):
+        for i in range(120):
             n = int(rng.choice([1, 2, 5]))
             u, v, w = (Window(x.start, x.values * (rng.random(n) > 0.15))
                        for x in rand_triple(rng, n, exponent=6.0))
             if i % 3 == 0:
                 v = Window(v.start, v.values * (np.arange(n) != rng.integers(n)))
-            p, q = pqs[int(rng.integers(3))]
-            problems.append(RatioProblem(u, v, w, p, q, forms[int(rng.integers(3))]))
+            p, q = pqs[int(rng.integers(len(pqs)))]
+            problems.append(RatioProblem(u, v, w, p, q, forms[int(rng.integers(len(forms)))]))
         cfg = OracleConfig(restarts=3, iterations=30, seed=4, dirichlet_per_restart=2)
         got = brute_force_constants(problems, cfg)
         assert len(got) == len(problems)
         assert {r.certificate for r in got} == {"exact-spike", "heuristic"}
+        assert {r.search for r in got} == {"spike", "power", "ascent"}
         assert any(math.isinf(r.constant) for r in got)
         for prob, res in zip(problems, got):
             alone = brute_force_constant(prob, cfg)
@@ -215,6 +220,7 @@ class TestBruteForce:
             assert res.argmax.values.tobytes() == alone.argmax.values.tobytes()
             assert res.certificate == alone.certificate
             assert res.evaluations == alone.evaluations
+            assert res.search == alone.search
         assert brute_force_constants([], cfg) == []
 
     @pytest.mark.parametrize(
@@ -339,6 +345,79 @@ class TestPolish:
         got, _, evals = _polish_top(prob, pool, ratios, _stack([prob]), cfg)
         assert got[0, 0].tolist() == [0.0, 1.0, 0.0]
         assert evals.tolist() == [3 * 6]
+
+
+class TestPowerIteration:
+    @pytest.mark.parametrize("form", [GOP, ANTIGOP, DUAL_GOP, DUAL_ANTIGOP])
+    @pytest.mark.parametrize("q", [0.8, 2.0, 3.0])
+    def test_gradient_matches_central_differences(self, form, q):
+        """The gradient of ``lhs^q`` from the record positions of the outer
+        scan matches central differences, also with zeros in u and w."""
+        rng = np.random.default_rng(53)
+        for _ in range(12):
+            n = int(rng.integers(2, 10))
+            u, v, w = (Window(x.start, x.values * (rng.random(n) > 0.25))
+                       for x in rand_triple(rng, n))
+            prob = RatioProblem(u, v, w, 2.0, q, form)
+            a = rng.permutation(np.linspace(0.5, 2.0, n))  # distinct entries
+            g = _power_gradient(form, q, u.as_array(), w.as_array(), a)
+            fd = np.empty(n)
+            for k in range(n):
+                # rounding costs eps * lhs^q / h; truncation h^2 / a_k^2 relative
+                h = 1e-4 * a[k]
+                up, down = a.copy(), a.copy()
+                up[k] += h
+                down[k] -= h
+                fd[k] = (lhs(prob, Window(u.start, up)) ** q
+                         - lhs(prob, Window(u.start, down)) ** q) / (2 * h)
+            np.testing.assert_allclose(g, fd, rtol=1e-6)
+
+    @pytest.mark.parametrize("cfg", [FAST_CONFIG, OracleConfig(4, 80, 0, 8)])
+    @pytest.mark.parametrize("p,q", [(2.0, 3.0), (3.0, 2.0), (1.5, 0.8)])
+    @pytest.mark.parametrize("form", [GOP, ANTIGOP])
+    def test_never_below_coordinate_ascent(self, form, p, q, cfg):
+        """No power-iteration constant falls more than 1e-12 below the
+        coordinate ascent run from the same pool.  Without its flip steps
+        the plain iteration falls 1.9% below on one of these problems
+        (gop, (3, 2), n = 16, the 4/80/8 config)."""
+        rng = np.random.default_rng(59)
+        for n in (3, 5, 8, 16):
+            probs = [RatioProblem(*rand_triple(rng, n), p, q, form) for _ in range(6)]
+            results = brute_force_constants(probs, cfg)
+            pool, weights = _assemble_pool(probs, cfg), _stack(probs)
+            ratios = _ratio_batch(probs[0], pool, weights)
+            _, best, _ = _polish_top(probs[0], pool, ratios, weights, cfg)
+            reference = np.maximum(ratios.max(axis=1), best.max(axis=1))
+            for res, ref in zip(results, reference):
+                assert res.search == "power"
+                assert res.constant >= ref * (1 - 1e-12)
+
+    @pytest.mark.parametrize(
+        "form,p,q,search",
+        [(GOP, 0.5, 1.0, "spike"), (ANTIGOP, 2.0, 3.0, "power"),
+         (DUAL_GOP, 1.5, 0.8, "power"), (GOP, 2.0, INF, "ascent"),
+         (GOP_SUP, 2.0, 3.0, "ascent"), (gop_psum(1.5), 2.0, 3.0, "ascent"),
+         (GOP, 0.5, 0.25, "ascent")],
+    )
+    def test_search_is_reported(self, form, p, q, search):
+        rng = np.random.default_rng(61)
+        res = brute_force_constant(RatioProblem(*rand_triple(rng, 4), p, q, form), FAST_CONFIG)
+        assert res.search == search
+        assert res.to_json()["search"] == search
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "field,value", [("restarts", 0), ("iterations", -5), ("dirichlet_per_restart", -1)]
+    )
+    def test_nonsense_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            OracleConfig(**{field: value})
+
+    def test_zero_iterations_and_draws_allowed(self):
+        cfg = OracleConfig(iterations=0, dirichlet_per_restart=0)
+        res = brute_force_constant(RatioProblem(ONES2, ONES2, ONES2, 2.0, 3.0, GOP), cfg)
+        assert res.evaluations == 5  # two spikes and the blocks [0], [0, 1], [1]
 
 
 class TestEquivalenceRatio:
