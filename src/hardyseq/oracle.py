@@ -27,33 +27,62 @@ everywhere else the full search runs and the result is ``heuristic``.  For
 a powered sum with ``r < p`` the spikes are beaten: the inner l^(r/p)
 quasi-norm favours spread-out candidates.
 
-Outside the spike range the polish is one of two searches.  For ``p > 1``,
-finite ``q`` and the four sum-inner forms (gop, antigop, dual-gop,
-dual-antigop) it is Boyd's power iteration for l^p -> l^q norms (D. W.
-Boyd, Linear Algebra Appl. 9, 1974).  Stationarity of ``lhs/rhs`` gives
-``a_k <- (g_k / v_k)^(1/(p-1))`` with ``g = grad(lhs^q)``, rescaled by its
-row maximum, and ``a_k = 0`` where ``g_k = 0``; ``v_k = 0`` with
+Outside the spike range the polish is one of two searches.  For finite
+``q`` and the four sum-inner forms (gop, antigop, dual-gop, dual-antigop),
+which leave the spike range only with ``p > 1`` or ``q < p <= 1``, it is a
+power iteration.  With ``g = grad(lhs^q)`` a step is
+``a <- a^alpha (g/v)^beta``, rescaled by its row maximum, so ``a_k = 0``
+where ``g_k = 0``:
+
+================  =================  ============
+range             ``alpha``          ``beta``
+================  =================  ============
+``p > 1``         0                  ``1/(p-1)``
+``q < p <= 1``    ``(1-q)/(p-q)``    ``1/(p-q)``
+================  =================  ============
+
+For ``p > 1`` this is Boyd's power method for l^p -> l^q norms (D. W.
+Boyd, Linear Algebra Appl. 9, 1974), the stationarity condition of
+``lhs/rhs``.  For ``q < p <= 1`` it is a minorize-maximize (MM) step (D. R.
+Hunter and K. Lange, "A tutorial on MM algorithms", Am. Stat. 58, 2004).
+Put ``x = a^p v``, on the simplex ``sum x = 1``, and hold the record map
+``i*`` of the outer scan (below) fixed, so that ``lhs^q`` is
+``sum_n w_n (u_i*(n) S_n)^q`` with ``S_n`` the inner sum that ``i*(n)``
+takes.  Write ``S_n(a') = S_n sum_k theta_nk (x'_k/x_k)^(1/p)`` with
+``theta_nk = a_k / S_n`` over the terms of ``S_n``.  Jensen for the convex
+``t^(1/p)`` and then for the concave ``t^(q/p)`` gives
+``S_n(a')^q >= S_n^q sum_k theta_nk (x'_k/x_k)^(q/p)``, and summing over
+``n``, ``lhs(a')^q >= sum_k c_k (x'_k/x_k)^(q/p)`` with ``c_k = a_k g_k / q``
+and ``sum_k c_k = lhs(a)^q``.  Equality holds at ``a' = a``, and the step
+in the table is the exact maximizer of this bound on the simplex.  The true
+``lhs`` is a maximum over record maps, so it is at least the bound, and the
+ratio never falls, even when the records change.  ``v_k = 0`` with
 ``g_k > 0`` never reaches the polish, since its spike already makes the
-pool ratio infinite.  ``g`` takes two scans: with ``E`` the iterated
-entries, ``i*(n)`` is the first record position of the outer scan at or
-after ``n`` (head outer: the last one at or before ``n``, both from one
-``minimum``/``maximum.accumulate`` over record indices); ``i*(n)`` gets the
-mass ``q w_n E_n^(q-1) u_i*(n)``, and ``g`` is the suffix sum of the masses
-for an inner-left form, their prefix sum for inner-right.  A step costs one
-such pass and one ratio evaluation per row, where a coordinate-ascent step
-costs ``2n``.  It runs from the ``4 * restarts`` best pool candidates, and
-each row stops at its first step that does not raise its ratio.  The plain
-iteration stops at a fixed point of its record set, which can lie just off
-a kink of the ratio where a position is about to become (or stop being) a
-record; the ascent reaches such kinks.  So the best row of each problem
-then takes flip steps: each evaluates the ``n`` candidates that flip one
-position's record status, one of them the plain step, and moves to the
-best while that raises its ratio.  On the power path ``evaluations`` counts
-one per ratio evaluation of a live row: one per plain step, ``n`` per flip
-step.  Everywhere else, that is ``q < p <= 1``, powered sums with
-``r < p``, the sup and powered-sum forms with ``p > 1``, and ``q = inf``,
-the polish is the multiplicative coordinate ascent of
-:func:`_polish_top`, ``2n`` evaluations per live row and iteration.
+pool ratio infinite.
+
+``g`` takes two scans: with ``E`` the iterated entries, ``i*(n)`` is the
+first record position of the outer scan at or after ``n`` (head outer: the
+last one at or before ``n``, both from one ``minimum``/``maximum.accumulate``
+over record indices); ``i*(n)`` gets the mass ``q w_n E_n^(q-1) u_i*(n)``,
+and ``g`` is the suffix sum of the masses for an inner-left form, their
+prefix sum for inner-right.  A step costs one such pass and one ratio
+evaluation per row, where a coordinate-ascent step costs ``2n``.  It runs
+from the ``4 * restarts`` best pool candidates, and each row stops at its
+first step that does not raise its ratio.  For ``q < p <= 1`` the MM step
+can converge slowly, so each plain step also evaluates the extrapolations
+``a (a'/a)^omega`` of the step ``a'`` along ``_POWER_REACH``, stretched per
+row while the farthest of them wins.  The plain iteration stops at a fixed
+point of its record set, which can lie just off a kink of the ratio where a
+position is about to become (or stop being) a record; the ascent reaches
+such kinks.  So the best row of each problem then takes flip steps: each
+evaluates the ``n`` candidates that flip one position's record status, one
+of them the plain step, and moves to the best while that raises its
+ratio.  On the power path ``evaluations`` counts one per ratio evaluation
+of a live row: one per plain step (three for ``q < p <= 1``), ``n`` per
+flip step.  Everywhere else, that is powered sums with ``r < p``, the sup
+and powered-sum forms with ``p > 1`` or ``q < p``, and ``q = inf``, the
+polish is the multiplicative coordinate ascent of :func:`_polish_top`,
+``2n`` evaluations per live row and iteration.
 
 Both searches run every restart in lock-step, one ``_ratio_batch`` call per
 iteration for all of them.  ``_ratio_batch`` is row-independent (a row's
@@ -119,6 +148,9 @@ _STEP_INIT = 0.5
 _STEP_DECAY = 0.9
 #: The power iteration starts from this many pool rows per restart.
 _POWER_STARTS = 4
+#: Extrapolations ``a (a'/a)^omega`` that each plain step for ``q < p <= 1``
+#: evaluates with the step ``a'`` itself, ``omega`` times the row's stretch.
+_POWER_REACH = (2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -169,9 +201,10 @@ def _spike_exact(problem: RatioProblem) -> bool:
 
 
 def _power_search(problem: RatioProblem) -> bool:
-    """Whether the polish is the power iteration (module docstring):
-    ``p > 1``, finite ``q`` and a sum-inner form."""
-    return problem.p > 1 and math.isfinite(problem.q) and problem.form.inner_kind == "sum"
+    """Whether the polish is the power iteration (module docstring): finite
+    ``q`` and a sum-inner form.  Only read outside the spike range, so the
+    sum forms reach it with ``p > 1`` or ``q < p <= 1``."""
+    return math.isfinite(problem.q) and problem.form.inner_kind == "sum"
 
 
 def _result(
@@ -364,6 +397,7 @@ def _power_steps(
     weights: tuple[np.ndarray, ...],
     flips: np.ndarray,
     iterations: int,
+    reach: tuple[float, ...] = (),
 ) -> np.ndarray:
     """Power steps from the rows ``a`` (L, n) with ratios ``best`` (L,),
     both updated in place, all rows in lock-step; returns the evaluations
@@ -371,16 +405,33 @@ def _power_steps(
 
     ``weights`` are the rows' ``(u, v, w)``, each of shape (L, 1, n).  A
     step evaluates one candidate per entry of ``flips`` (K,):
-    ``a <- (g/v)^(1/(p-1))``, rescaled by its row maximum, with ``g`` from
-    :func:`_power_gradient` for that flip and ``a_k = 0`` where
-    ``g_k = 0``.  A candidate that leaves the float range is set to zero,
+    ``a <- a^alpha (g/v)^beta``, rescaled by its row maximum, with ``g``
+    from :func:`_power_gradient` for that flip (so ``a_k = 0`` where
+    ``g_k = 0``) and
+
+    ================  =================  ============
+    range             ``alpha``          ``beta``
+    ================  =================  ============
+    ``p > 1``         0                  ``1/(p-1)``
+    ``q < p <= 1``    ``(1-q)/(p-q)``    ``1/(p-q)``
+    ================  =================  ============
+
+    The first is Boyd's step.  The second maximizes the minorizer of
+    ``lhs^q`` set out in the module docstring, so it never lowers the
+    ratio.  It is taken in log space, where each ``omega`` in ``reach``
+    adds the extrapolated candidate ``a (a'/a)^(omega s)`` of the step
+    ``a'``.  ``s`` is the row's stretch, 1 at the start, doubled when the
+    farthest candidate wins and halved, down to 1, when the step itself
+    wins.  A candidate that leaves the float range is set to zero,
     whose ratio 0 never wins.  A row moves to its best candidate if that
-    raises its best ratio, and otherwise stops; it also stops once its ratio
-    is infinite.
+    raises its best ratio, and otherwise stops; it also stops once its
+    ratio is infinite.
     """
+    p, q = problem.p, problem.q
+    alpha, beta = (0.0, 1.0 / (p - 1.0)) if p > 1 else ((1.0 - q) / (p - q), 1.0 / (p - q))
     evals = np.zeros(len(a), dtype=int)
+    stretch = np.ones(len(a))
     rows = np.flatnonzero(~np.isinf(best))
-    power = 1.0 / (problem.p - 1.0)
     for _ in range(iterations):
         if not len(rows):
             break
@@ -388,18 +439,32 @@ def _power_steps(
         u, v, w = live
         base = np.repeat(a[rows, None], len(flips), axis=1)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            g = _power_gradient(problem.form, problem.q, u, w, base, flips)
+            g = _power_gradient(problem.form, q, u, w, base, flips)
             g /= g.max(axis=-1, keepdims=True)
             t = np.divide(g, v, out=np.zeros(g.shape), where=g > 0)
-            cand = (t / t.max(axis=-1, keepdims=True)) ** power
+            t /= t.max(axis=-1, keepdims=True)
+            if alpha:
+                la = np.log(base)
+                step = alpha * la + beta * np.log(t)
+                moved = step > -np.inf  # where a' > 0, hence a > 0
+                scale = stretch[rows, None, None]
+                cand = np.concatenate([step] + [
+                    np.where(moved, la + om * scale * (step - la), -np.inf) for om in reach
+                ], axis=1)
+                cand = np.exp(cand - cand.max(axis=-1, keepdims=True))
+            else:
+                cand = t**beta
         cand[~np.isfinite(cand).all(axis=-1)] = 0.0
         r = _ratio_batch(problem, cand, live)
-        evals[rows] += len(flips)
+        evals[rows] += cand.shape[1]
         k = np.argmax(r, axis=1)
         top = r[np.arange(len(rows)), k]
         up = top > best[rows]
         best[rows[up]] = top[up]
         a[rows[up]] = cand[up, k[up]]
+        if reach:
+            stretch[rows[k == len(reach)]] *= 2.0
+            stretch[rows[k == 0]] = np.maximum(stretch[rows[k == 0]] / 2.0, 1.0)
         rows = rows[up & ~np.isinf(top)]
     return evals
 
@@ -411,16 +476,18 @@ def _power_top(
     weights: tuple[np.ndarray, ...],
     cfg: OracleConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boyd's power iteration for the stacked problems, in two phases.
+    """The power iteration for the stacked problems, in two phases.
 
     Shapes and contract as in :func:`_polish_top`, with R = min(4 restarts,
     P) + 1 rows per problem.  First the plain iteration (no flip) runs from
-    the R - 1 best pool candidates of each problem.  Then the best row of
-    each problem takes flip steps: each evaluates the ``n`` candidates that
-    flip one record position, one of them the plain step, and moves to the
-    best.  Every phase stops a row at its first step that does not raise
-    its best ratio, and after ``cfg.iterations`` steps.  A problem's
-    ``evals`` counts the ratio evaluations of its rows while they were live.
+    the R - 1 best pool candidates of each problem; for ``q < p <= 1`` each
+    of its steps also evaluates the extrapolations of ``_POWER_REACH``.
+    Then the best row of each problem takes flip steps: each evaluates the
+    ``n`` candidates that flip one record position, one of them the plain
+    step, and moves to the best.  Every phase stops a row at its first step
+    that does not raise its best ratio, and after ``cfg.iterations`` steps.
+    A problem's ``evals`` counts the ratio evaluations of its rows while
+    they were live.
     """
     b, size, n = pool.shape
     rows_per = min(_POWER_STARTS * cfg.restarts, size)
@@ -429,7 +496,8 @@ def _power_top(
     best = np.take_along_axis(ratios, top, axis=1).reshape(-1)
     uvw = tuple(np.repeat(x, rows_per, axis=0) for x in weights)
     end = np.array([n - 1 if problem.form.outer == "tail" else 0])  # no flip
-    evals = _power_steps(problem, a, best, uvw, end, cfg.iterations)
+    reach = _POWER_REACH if problem.p <= 1 else ()
+    evals = _power_steps(problem, a, best, uvw, end, cfg.iterations, reach)
     a, best = a.reshape(b, rows_per, n), best.reshape(b, rows_per)
     k = np.argmax(best, axis=1)[:, None]
     a1 = np.take_along_axis(a, k[:, :, None], axis=1)[:, 0]
@@ -449,9 +517,9 @@ def _polish(
     weights: tuple[np.ndarray, ...],
     cfg: OracleConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The power iteration where :func:`_power_search` holds, else the
-    coordinate ascent."""
-    top = _power_top if _power_search(problem) else _polish_top
+    """The power iteration where :func:`_power_search` holds outside the
+    spike range, else the coordinate ascent."""
+    top = _power_top if not _spike_exact(problem) and _power_search(problem) else _polish_top
     return top(problem, pool, ratios, weights, cfg)
 
 
