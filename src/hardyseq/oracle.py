@@ -238,8 +238,9 @@ def _stack(problems: Sequence[RatioProblem]) -> tuple[np.ndarray, ...]:
 
 
 def _block_pool(n: int) -> np.ndarray:
-    """Indicators of every block ``[m1, m2]``, ordered by ``m1``, then ``m2``."""
-    m1, m2 = np.triu_indices(n)
+    """Indicators of every block ``[m1, m2]`` with ``m1 < m2``, ordered by
+    ``m1``, then ``m2``; the one-point blocks are the spikes."""
+    m1, m2 = np.triu_indices(n, k=1)
     idx = np.arange(n)
     return (m1[:, None] <= idx) & (idx <= m2[:, None])
 
@@ -258,19 +259,17 @@ def _assemble_pool(problems: Sequence[RatioProblem], cfg: OracleConfig) -> np.nd
     """Spikes, then blocks, then Dirichlet draws, for same-size problems that
     share ``p``; shape (B, P, n), built in one allocation.
 
-    One point has no block besides its spike.  Only the Dirichlet rows differ
-    between problems: the shared simplex points are pulled onto each
-    problem's constraint surface ``sum a^p v = 1``.  A row that overflows
-    there is set to zero, whose ratio 0 never wins, so every candidate is a
-    finite window.
+    Only the Dirichlet rows differ between problems: the shared simplex
+    points are pulled onto each problem's constraint surface
+    ``sum a^p v = 1``.  A row that overflows there is set to zero, whose
+    ratio 0 never wins, so every candidate is a finite window.
     """
     n, p = problems[0].size, problems[0].p
     x = _dirichlet_draws(n, cfg)
-    nb = n * (n + 1) // 2 if n > 1 else 0
+    nb = n * (n - 1) // 2
     pool = np.empty((len(problems), n + nb + len(x), n))
     pool[:, :n] = np.eye(n)
-    if nb:
-        pool[:, n : n + nb] = _block_pool(n)
+    pool[:, n : n + nb] = _block_pool(n)
     v = np.stack([prob.v.as_array() for prob in problems])[:, None, :]
     drawn = pool[:, n + nb :]
     with np.errstate(over="ignore"):
