@@ -516,9 +516,9 @@ def _polish(
     weights: tuple[np.ndarray, ...],
     cfg: OracleConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The power iteration where :func:`_power_search` holds outside the
-    spike range, else the coordinate ascent."""
-    top = _power_top if not _spike_exact(problem) and _power_search(problem) else _polish_top
+    """The power iteration where :func:`_power_search` holds, else the
+    coordinate ascent; never called in the spike range."""
+    top = _power_top if _power_search(problem) else _polish_top
     return top(problem, pool, ratios, weights, cfg)
 
 
@@ -729,7 +729,12 @@ def _chain_group(
     items: Sequence[tuple[str, tuple[RatioProblem, ...]]], cfg: OracleConfig
 ) -> list[ChainEquivalenceReport]:
     """Chain reports for ``(family, problems)`` items whose sup problems
-    share their shape, so that all three forms agree."""
+    share their shape, so that all three forms agree.
+
+    In the spike range (``p <= q`` here, since every form's inner exponent
+    is ``p``) each maximum is a spike of the shared pool, so no form is
+    polished.
+    """
     refs = items[0][1]
     sups = [problems[0] for _, problems in items]
     weights = _stack(sups)
@@ -739,7 +744,7 @@ def _chain_group(
         r = _ratio_batch(ref, pool, weights)
         base.append(r)
         fin = ~np.isinf(r).any(axis=1)
-        if fin.any():
+        if fin.any() and not _spike_exact(ref):
             sel = slice(None) if fin.all() else fin
             a = _polish(ref, pool[sel], r[sel], tuple(x[sel] for x in weights), cfg)[0]
             extra.append(a.reshape(-1, a.shape[-1]))
