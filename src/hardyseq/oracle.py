@@ -71,15 +71,19 @@ from the ``4 * restarts`` best pool candidates, and each row stops at its
 first step that does not raise its ratio.  For ``q < p <= 1`` the MM step
 can converge slowly, so each plain step also evaluates the extrapolations
 ``a (a'/a)^omega`` of the step ``a'`` along ``_POWER_REACH``, stretched per
-row while the farthest of them wins.  The plain iteration stops at a fixed
+row while the farthest of them wins.  That step also keeps a zero entry at
+zero and brings an entry close to zero only slowly, so it stays on the face
+of the simplex it starts on; the plain iteration then runs once more from
+the ``n`` drops of the best row, each with one entry set to zero, which
+reach the neighbouring faces.  The plain iteration stops at a fixed
 point of its record set, which can lie just off a kink of the ratio where a
 position is about to become (or stop being) a record; the ascent reaches
 such kinks.  So the best row of each problem then takes flip steps: each
 evaluates the ``n`` candidates that flip one position's record status, one
 of them the plain step, and moves to the best while that raises its
 ratio.  On the power path ``evaluations`` counts one per ratio evaluation
-of a live row: one per plain step (three for ``q < p <= 1``), ``n`` per
-flip step.  Everywhere else, that is powered sums with ``r < p``, the sup
+of a live row: one per plain step (three for ``q < p <= 1``, and ``n``
+for the drops), ``n`` per flip step.  Everywhere else, that is powered sums with ``r < p``, the sup
 and powered-sum forms with ``p > 1`` or ``q < p``, and ``q = inf``, the
 polish is the multiplicative coordinate ascent of :func:`_polish_top`,
 ``2n`` evaluations per live row and iteration.
@@ -475,37 +479,58 @@ def _power_top(
     weights: tuple[np.ndarray, ...],
     cfg: OracleConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The power iteration for the stacked problems, in two phases.
+    """The power iteration for the stacked problems, in two or three phases.
 
-    Shapes and contract as in :func:`_polish_top`, with R = min(4 restarts,
-    P) + 1 rows per problem.  First the plain iteration (no flip) runs from
-    the R - 1 best pool candidates of each problem; for ``q < p <= 1`` each
-    of its steps also evaluates the extrapolations of ``_POWER_REACH``.
-    Then the best row of each problem takes flip steps: each evaluates the
-    ``n`` candidates that flip one record position, one of them the plain
-    step, and moves to the best.  Every phase stops a row at its first step
-    that does not raise its best ratio, and after ``cfg.iterations`` steps.
-    A problem's ``evals`` counts the ratio evaluations of its rows while
-    they were live.
+    Shapes and contract as in :func:`_polish_top`, with R = S + 1 rows per
+    problem for ``p > 1`` and R = S + n + 1 for ``q < p <= 1``, where
+    S = min(4 restarts, P).  First the plain iteration (no flip) runs from
+    the S best pool candidates of each problem; for ``q < p <= 1`` each of
+    its steps also evaluates the extrapolations of ``_POWER_REACH``.  For
+    ``q < p <= 1`` the plain iteration then runs again from the ``n``
+    drops of the best row, each with one entry set to zero: the step keeps
+    a zero entry at zero and takes many steps to bring one close to it, so
+    it cannot leave the face of the simplex it started on.  Then the best
+    row of each problem takes flip steps: each evaluates the ``n``
+    candidates that flip one record position, one of them the plain step,
+    and moves to the best.  Every phase stops a row at its first step that
+    does not raise its best ratio, and after ``cfg.iterations`` steps.  A
+    problem's ``evals`` counts the ratio evaluations of its rows while they
+    were live, and the ``n`` of the drops.
     """
     b, size, n = pool.shape
-    rows_per = min(_POWER_STARTS * cfg.restarts, size)
-    top = np.argsort(ratios, axis=1)[:, ::-1][:, :rows_per]
-    a = np.take_along_axis(pool, top[:, :, None], axis=1).reshape(-1, n)
-    best = np.take_along_axis(ratios, top, axis=1).reshape(-1)
-    uvw = tuple(np.repeat(x, rows_per, axis=0) for x in weights)
     end = np.array([n - 1 if problem.form.outer == "tail" else 0])  # no flip
     reach = _POWER_REACH if problem.p <= 1 else ()
-    evals = _power_steps(problem, a, best, uvw, end, cfg.iterations, reach)
-    a, best = a.reshape(b, rows_per, n), best.reshape(b, rows_per)
-    k = np.argmax(best, axis=1)[:, None]
-    a1 = np.take_along_axis(a, k[:, :, None], axis=1)[:, 0]
-    best1 = np.take_along_axis(best, k, axis=1)[:, 0]
-    evals1 = _power_steps(problem, a1, best1, weights, np.arange(n), cfg.iterations)
+
+    def plain(a: np.ndarray, best: np.ndarray) -> np.ndarray:
+        """Plain steps from the rows ``a`` (B, L, n), updated in place."""
+        uvw = tuple(np.repeat(x, a.shape[1], axis=0) for x in weights)
+        evals = _power_steps(
+            problem, a.reshape(-1, n), best.reshape(-1), uvw, end, cfg.iterations, reach
+        )
+        return evals.reshape(b, a.shape[1]).sum(axis=1)
+
+    def lead(a: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The best row (B, n) of each problem, and its ratio (B,)."""
+        k = np.argmax(best, axis=1)[:, None]
+        return (np.take_along_axis(a, k[:, :, None], axis=1)[:, 0],
+                np.take_along_axis(best, k, axis=1)[:, 0])
+
+    top = np.argsort(ratios, axis=1)[:, ::-1][:, : min(_POWER_STARTS * cfg.restarts, size)]
+    a = np.take_along_axis(pool, top[:, :, None], axis=1)
+    best = np.take_along_axis(ratios, top, axis=1)
+    evals = plain(a, best)
+    if problem.p <= 1:
+        drop = np.repeat(lead(a, best)[0][:, None], n, axis=1)
+        drop[:, np.arange(n), np.arange(n)] = 0.0
+        dropped = _ratio_batch(problem, drop, weights)
+        evals += n + plain(drop, dropped)
+        a, best = np.concatenate([a, drop], axis=1), np.concatenate([best, dropped], axis=1)
+    a1, best1 = lead(a, best)
+    evals += _power_steps(problem, a1, best1, weights, np.arange(n), cfg.iterations)
     return (
         np.concatenate([a, a1[:, None]], axis=1),
         np.concatenate([best, best1[:, None]], axis=1),
-        evals.reshape(b, rows_per).sum(axis=1) + evals1,
+        evals,
     )
 
 

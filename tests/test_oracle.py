@@ -147,9 +147,11 @@ class TestBruteForce:
         # ratio is candidate-independent by homogeneity
         assert res.constant == pytest.approx(ratio(prob, Window(3, (1.0,))))
 
-    def test_zero_v_detected_as_infinite(self):
+    @pytest.mark.parametrize("p,q", [(1.0, 1.0), (2.0, 3.0), (1.0, 0.5)])
+    def test_zero_v_detected_as_infinite(self, p, q):
+        """An infinite pool ratio skips the polish, in every search."""
         v = Window(0, (1.0, 0.0))
-        prob = RatioProblem(ONES2, v, ONES2, 1.0, 1.0, GOP)
+        prob = RatioProblem(ONES2, v, ONES2, p, q, GOP)
         res = brute_force_constant(prob, FAST_CONFIG)
         assert res.constant == INF
 
@@ -175,7 +177,7 @@ class TestBruteForce:
         assert math.isfinite(res.constant)
         assert res.constant >= 2.0**spike_log2
         assert res.certificate == "heuristic"
-        assert res.evaluations == 51
+        assert res.evaluations == 59
         assert ratio(prob, res.argmax) == pytest.approx(res.constant, rel=1e-12)
 
     @pytest.mark.parametrize("form,p,q", [(GOP, 2.0, 3.0), (ANTIGOP_SUP, 2.0, 1.0)])
