@@ -73,9 +73,11 @@ can converge slowly, so each plain step also evaluates the extrapolations
 ``a (a'/a)^omega`` of the step ``a'`` along ``_POWER_REACH``, stretched per
 row while the farthest of them wins.  That step also keeps a zero entry at
 zero and brings an entry close to zero only slowly, so it stays on the face
-of the simplex it starts on; the plain iteration then runs once more from
-the ``n`` drops of the best row, each with one entry set to zero, which
-reach the neighbouring faces.  The plain iteration stops at a fixed
+of the simplex it starts on, and can stop where reviving a zero entry
+would raise the ratio.  So the plain iteration runs once more from the
+``n`` toggles of the best row, each of which sets one positive entry to
+zero or one zero entry to the row's least positive entry, and so starts on
+a neighbouring face.  The plain iteration stops at a fixed
 point of its record set, which can lie just off a kink of the ratio where a
 position is about to become (or stop being) a record; the ascent reaches
 such kinks.  So the best row of each problem then takes flip steps: each
@@ -83,7 +85,7 @@ evaluates the ``n`` candidates that flip one position's record status, one
 of them the plain step, and moves to the best while that raises its
 ratio.  On the power path ``evaluations`` counts one per ratio evaluation
 of a live row: one per plain step (three for ``q < p <= 1``, and ``n``
-for the drops), ``n`` per flip step.  Everywhere else, that is powered sums with ``r < p``, the sup
+for the toggles), ``n`` per flip step.  Everywhere else, that is powered sums with ``r < p``, the sup
 and powered-sum forms with ``p > 1`` or ``q < p``, and ``q = inf``, the
 polish is the multiplicative coordinate ascent of :func:`_polish_top`,
 ``2n`` evaluations per live row and iteration.
@@ -487,15 +489,16 @@ def _power_top(
     the S best pool candidates of each problem; for ``q < p <= 1`` each of
     its steps also evaluates the extrapolations of ``_POWER_REACH``.  For
     ``q < p <= 1`` the plain iteration then runs again from the ``n``
-    drops of the best row, each with one entry set to zero: the step keeps
-    a zero entry at zero and takes many steps to bring one close to it, so
-    it cannot leave the face of the simplex it started on.  Then the best
+    toggles of the best row: each sets one positive entry to zero, or one
+    zero entry to the row's least positive entry.  The step keeps a zero
+    entry at zero and takes many steps to bring one close to it, so it
+    cannot leave the face of the simplex it started on.  Then the best
     row of each problem takes flip steps: each evaluates the ``n``
     candidates that flip one record position, one of them the plain step,
     and moves to the best.  Every phase stops a row at its first step that
     does not raise its best ratio, and after ``cfg.iterations`` steps.  A
     problem's ``evals`` counts the ratio evaluations of its rows while they
-    were live, and the ``n`` of the drops.
+    were live, and the ``n`` of the toggles.
     """
     b, size, n = pool.shape
     end = np.array([n - 1 if problem.form.outer == "tail" else 0])  # no flip
@@ -520,11 +523,14 @@ def _power_top(
     best = np.take_along_axis(ratios, top, axis=1)
     evals = plain(a, best)
     if problem.p <= 1:
-        drop = np.repeat(lead(a, best)[0][:, None], n, axis=1)
-        drop[:, np.arange(n), np.arange(n)] = 0.0
-        dropped = _ratio_batch(problem, drop, weights)
-        evals += n + plain(drop, dropped)
-        a, best = np.concatenate([a, drop], axis=1), np.concatenate([best, dropped], axis=1)
+        row = lead(a, best)[0]
+        low = np.where(row > 0, row, np.inf).min(axis=1, keepdims=True)
+        low[np.isinf(low)] = 0.0  # a zero row has no entry to revive
+        toggled = np.repeat(row[:, None], n, axis=1)
+        toggled[:, np.arange(n), np.arange(n)] = np.where(row > 0, 0.0, low)
+        tbest = _ratio_batch(problem, toggled, weights)
+        evals += n + plain(toggled, tbest)
+        a, best = np.concatenate([a, toggled], axis=1), np.concatenate([best, tbest], axis=1)
     a1, best1 = lead(a, best)
     evals += _power_steps(problem, a1, best1, weights, np.arange(n), cfg.iterations)
     return (

@@ -177,7 +177,7 @@ class TestBruteForce:
         assert math.isfinite(res.constant)
         assert res.constant >= 2.0**spike_log2
         assert res.certificate == "heuristic"
-        assert res.evaluations == 59
+        assert res.evaluations == 62
         assert ratio(prob, res.argmax) == pytest.approx(res.constant, rel=1e-12)
 
     @pytest.mark.parametrize("form,p,q", [(GOP, 2.0, 3.0), (ANTIGOP_SUP, 2.0, 1.0)])
