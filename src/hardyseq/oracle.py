@@ -490,7 +490,8 @@ def _power_top(
     its steps also evaluates the extrapolations of ``_POWER_REACH``.  For
     ``q < p <= 1`` the plain iteration then runs again from the ``n``
     toggles of the best row: each sets one positive entry to zero, or one
-    zero entry to the row's least positive entry.  The step keeps a zero
+    zero entry to the row's least positive entry, and is rescaled by its
+    row maximum.  The step keeps a zero
     entry at zero and takes many steps to bring one close to it, so it
     cannot leave the face of the simplex it started on.  Then the best
     row of each problem takes flip steps: each evaluates the ``n``
@@ -528,6 +529,8 @@ def _power_top(
         low[np.isinf(low)] = 0.0  # a zero row has no entry to revive
         toggled = np.repeat(row[:, None], n, axis=1)
         toggled[:, np.arange(n), np.arange(n)] = np.where(row > 0, 0.0, low)
+        peak = toggled.max(axis=-1, keepdims=True)
+        toggled /= np.where(peak > 0, peak, 1.0)  # rescaled, as every step is
         tbest = _ratio_batch(problem, toggled, weights)
         evals += n + plain(toggled, tbest)
         a, best = np.concatenate([a, toggled], axis=1), np.concatenate([best, tbest], axis=1)

@@ -491,6 +491,24 @@ class TestChainEquivalence:
             assert rep.a1 <= rep.a2 <= rep.a3
             assert rep.ratio31 >= 1.0 - 1e-12
 
+    def test_sparse_polished_rows_keep_the_chain(self):
+        """A polished row that is nearly one spike has equal sum and
+        powered sum in exact arithmetic; rescaled to a maximum of 1 it keeps
+        them equal in floating point too.  Unscaled, the row with entries
+        2.3e-161 and 2.3e-7 here read A3 < A2 by one rounding."""
+        u = Window(4, (0.17133772139638984, 4.552798517164253, 0.48633420393820587,
+                       0.9593126232691314, 0.15426305325229286, 0.24058274388454412,
+                       7.656465346488853, 0.13670367589791546))
+        v = Window(4, (3.690226484856664, 6.161157919632118, 6.278835004021835,
+                       0.7121769683268128, 0.1354383805142813, 0.8100229539283381,
+                       7.36107132826964, 4.177809718969697))
+        w = Window(4, (6.619182060634306, 0.2604638484784732, 4.171218539125834,
+                       0.2997802939834708, 2.5383551275985954, 6.179869138272874,
+                       0.29164831160183496, 0.12521581836413356))
+        rep = chain_equivalence_sweep(u, v, w, 0.5, 0.25, FAST_CONFIG, "antigop")
+        assert rep.violations == 0
+        assert rep.a1 <= rep.a2 <= rep.a3
+
     def test_p_above_one_rejected(self):
         with pytest.raises(ValueError):
             chain_equivalence_sweep(ONES2, ONES2, ONES2, 1.5, 1.0, FAST_CONFIG)
