@@ -62,40 +62,40 @@ pool ratio infinite.
 
 ``g`` takes two scans: with ``E`` the iterated entries, ``i*(n)`` is the
 first record position of the outer scan at or after ``n`` (head outer: the
-last one at or before ``n``, both from one ``minimum``/``maximum.accumulate``
-over record indices); ``i*(n)`` gets the mass ``q w_n E_n^(q-1) u_i*(n)``,
-and ``g`` is the suffix sum of the masses for an inner-left form, their
-prefix sum for inner-right.  A step costs one such pass and one ratio
-evaluation per row, where a coordinate-ascent step costs ``2n``.  It runs
-from the ``4 * restarts`` best pool candidates, and each row stops at its
-first step that does not raise its ratio.  For ``q < p <= 1`` the MM step
-can converge slowly, so each plain step also evaluates the extrapolations
-``a (a'/a)^omega`` of the step ``a'`` along ``_POWER_REACH``, stretched per
-row while the farthest of them wins.  That step also keeps a zero entry at
-zero and brings an entry close to zero only slowly, so it stays on the face
-of the simplex it starts on, and can stop where reviving a zero entry
-would raise the ratio.  So the plain iteration runs once more from the
-``n`` toggles of the best row, each of which sets one positive entry to
-zero or one zero entry to the row's least positive entry, and so starts on
-a neighbouring face.  The plain iteration stops at a fixed
-point of its record set, which can lie just off a kink of the ratio where a
-position is about to become (or stop being) a record; the ascent reaches
-such kinks.  So the best row of each problem then takes flip steps: each
-evaluates the ``n`` candidates that flip one position's record status, one
-of them the plain step, and moves to the best while that raises its
+last one at or before ``n``, both from one
+``minimum``/``maximum.accumulate`` over record indices); ``i*(n)`` gets the
+mass ``q w_n E_n^(q-1) u_i*(n)``, and ``g`` is the suffix sum of the masses
+for an inner-left form, their prefix sum for inner-right.  A step costs one
+such pass and one ratio evaluation per row, where a coordinate-ascent step
+costs ``2n``.  It runs from the ``4 * restarts`` best pool candidates,
+and each row stops at its first step that does not raise its ratio.  For
+``q < p <= 1`` the MM step can converge slowly, so each plain step also
+evaluates the extrapolations ``a (a'/a)^omega`` of the step ``a'`` along
+``_POWER_REACH``, stretched per row while the farthest of them wins.  That
+step also keeps a zero entry at zero and brings an entry close to zero only
+slowly, so it stays on the face of the simplex it starts on, and can stop
+where reviving a zero entry would raise the ratio.  So the plain iteration
+runs once more from the ``n`` toggles of the best row, each of which sets
+one positive entry to zero or one zero entry to the row's least positive
+entry, and so starts on a neighbouring face.  The plain iteration stops at
+a fixed point of its record set, which can lie just off a kink of the ratio
+where a position is about to become (or stop being) a record; the ascent
+reaches such kinks.  So the best row of each problem then takes flip steps:
+each evaluates the ``n`` candidates that flip one position's record status,
+one of them the plain step, and moves to the best while that raises its
 ratio.  On the power path ``evaluations`` counts one per ratio evaluation
-of a live row: one per plain step (three for ``q < p <= 1``, and ``n``
-for the toggles), ``n`` per flip step.  Everywhere else, that is powered sums with ``r < p``, the sup
-and powered-sum forms with ``p > 1`` or ``q < p``, and ``q = inf``, the
-polish is the multiplicative coordinate ascent of :func:`_polish_top`,
-``2n`` evaluations per live row and iteration.
+of a live row: one per plain step (three for ``q < p <= 1``, and ``n`` for
+the toggles), ``n`` per flip step.  Everywhere else, that is powered sums
+with ``r < p``, the sup and powered-sum forms with ``p > 1`` or ``q < p``,
+and ``q = inf``, the polish is the multiplicative coordinate ascent of
+:func:`_polish_top`, ``2n`` evaluations per live row and iteration.
 
 Both searches run every restart in lock-step, one ``_ratio_batch`` call per
 iteration for all of them.  ``_ratio_batch`` is row-independent (a row's
 ratio does not depend on the other rows of its batch), and so is a power
-step: it takes every power on a contiguous array and every sum as a row
-reduction or a per-row ``bincount``.  So each restart ends exactly where a
-polish of that restart alone would.
+step: it takes every power, log and exp on a contiguous array and every sum
+as a row reduction or a per-row ``bincount``.  So each restart ends
+exactly where a polish of that restart alone would.
 
 The search also has a problem axis.  The list entry points
 (:func:`brute_force_constants`, :func:`equivalence_ratios`,
