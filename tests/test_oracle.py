@@ -147,13 +147,20 @@ class TestBruteForce:
         # ratio is candidate-independent by homogeneity
         assert res.constant == pytest.approx(ratio(prob, Window(3, (1.0,))))
 
-    @pytest.mark.parametrize("p,q", [(1.0, 1.0), (2.0, 3.0), (1.0, 0.5)])
-    def test_zero_v_detected_as_infinite(self, p, q):
-        """An infinite pool ratio skips the polish, in every search."""
+    def test_zero_v_detected_as_infinite(self):
         v = Window(0, (1.0, 0.0))
-        prob = RatioProblem(ONES2, v, ONES2, p, q, GOP)
+        prob = RatioProblem(ONES2, v, ONES2, 1.0, 1.0, GOP)
         res = brute_force_constant(prob, FAST_CONFIG)
         assert res.constant == INF
+
+    @pytest.mark.parametrize("p,q", [(2.0, 3.0), (1.0, 0.5)])
+    def test_infinite_pool_skips_the_power_iteration(self, p, q):
+        """Outside the spike range an infinite pool ratio leaves the power
+        iteration an empty stack of problems."""
+        v = Window(0, (1.0, 0.0))
+        res = brute_force_constant(RatioProblem(ONES2, v, ONES2, p, q, GOP), FAST_CONFIG)
+        assert res.constant == INF
+        assert res.search == "power"
 
     def test_lower_bound_soundness(self):
         rng = np.random.default_rng(5)
