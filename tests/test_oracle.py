@@ -406,6 +406,36 @@ class TestPowerIteration:
                 assert res.search == "power"
                 assert res.constant >= ref * (1 - 1e-12)
 
+    def test_stretched_extrapolation_converges(self):
+        """For q < p <= 1 the step converges linearly, slowly where an
+        entry heads to zero.  Here it falls 1.5e-10 below the coordinate
+        ascent from the same pool with the extrapolations unstretched, and
+        ends above it with the stretch."""
+        u = Window(0, (0.41061, 7.35633, 0.214143, 4.681, 4.55308, 0.570029, 3.92902, 4.57055))
+        v = Window(0, (3.0217, 4.75388, 1.51046, 0.596377, 3.88412, 0.126631, 0.167629, 6.68399))
+        w = Window(0, (2.5776, 5.23661, 1.3161, 3.9615, 0.346983, 0.445186, 6.11342, 3.88494))
+        prob = RatioProblem(u, v, w, 1.0, 0.9, ANTIGOP)
+        cfg = OracleConfig(4, 80, 0, 8)
+        pool, weights = _assemble_pool([prob], cfg), _stack([prob])
+        ratios = _ratio_batch(prob, pool, weights)
+        _, best, _ = _polish_top(prob, pool, ratios, weights, cfg)
+        assert brute_force_constant(prob, cfg).constant >= best.max() * (1 - 1e-12)
+
+    def test_toggles_leave_the_starting_face(self):
+        """For q < p <= 1 the step never revives a zero entry.  Here the
+        plain iteration ends on a face of the simplex 1.2% below the
+        coordinate ascent from the same pool; restarted from the toggles of
+        its best row it ends above the ascent."""
+        u = Window(2, (1.04419, 0.203282, 2.68216, 0.594803, 1.36752, 0.769335, 0.330411, 2.17425))
+        v = Window(2, (0.335967, 4.24947, 0.242011, 1.05733, 2.10544, 5.18841, 1.32097, 2.52482))
+        w = Window(2, (0.257273, 1.16009, 2.87355, 3.08351, 0.226106, 0.308151, 0.165478,
+                       0.963922))
+        prob = RatioProblem(u, v, w, 1.0, 0.5, ANTIGOP)
+        pool, weights = _assemble_pool([prob], FAST_CONFIG), _stack([prob])
+        ratios = _ratio_batch(prob, pool, weights)
+        _, best, _ = _polish_top(prob, pool, ratios, weights, FAST_CONFIG)
+        assert brute_force_constant(prob, FAST_CONFIG).constant > best.max()
+
     @pytest.mark.parametrize("form", [GOP, ANTIGOP, DUAL_GOP, DUAL_ANTIGOP])
     def test_one_step_never_lowers_the_ratio(self, form):
         """For q < p <= 1 one plain step (the minorize-maximize step, no
