@@ -16,13 +16,20 @@ principal inequality, its reflected companion, both duals and the sup/powered
 variants used by the equivalence theorems.
 
 All aggregations run as prefix/suffix scans, O(N) per evaluation, and the
-private batch helpers evaluate many candidate sequences at once (the
-brute-force oracle calls them millions of times).  A row's ratio does not
-depend on the other rows of its batch: every power is taken on a contiguous
-array and every sum is a row reduction (no BLAS matrix-vector product), so a
-candidate evaluated alone or in any batch gives the same bits.  That holds
-across problems too: weights stacked along a leading axis give every row the
-bits of its own problem evaluated alone.
+private batch helpers evaluate many candidate sequences at once for the
+brute-force oracle.  A row's ratio does not depend on the other rows of its
+batch: every power is taken on a contiguous array and every sum is a row
+reduction (no BLAS matrix-vector product), so a candidate evaluated alone or
+in any batch gives the same bits.  That holds across problems too: weights
+stacked along a leading axis give every row the bits of its own problem
+evaluated alone.
+
+A batch of more than ``_BLOCK_ENTRIES`` entries is evaluated in blocks of
+consecutive candidates, about ``_BLOCK_ENTRIES`` entries each, so that the
+temporaries of a block stay in cache.  A block of a stacked batch is a
+strided slice, and the SIMD path of a power may round differently on one;
+so each block is a contiguous copy, and by row independence the blocked
+result is bit-identical to the unblocked one.
 """
 
 from __future__ import annotations
@@ -166,6 +173,21 @@ class RatioProblem:
 # Batched evaluation (candidates stacked along axis 0)
 # ---------------------------------------------------------------------------
 
+#: Entries (candidates times window size) per block of a blocked
+#: :func:`_ratio_batch` call; 2^14 float64 entries are 128 kB.
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _sum_entries(
+    u: np.ndarray, a: np.ndarray, form: OperatorForm
+) -> tuple[np.ndarray, np.ndarray]:
+    """``x = u * inner(a)`` of a sum-inner form and its outer scan ``E``,
+    the iterated entries; ``E`` is contiguous.  The oracle's power loop
+    keeps both for the gradient of its next step."""
+    x = u * scan_sum(a, form.inner_dir == "right")
+    return x, np.ascontiguousarray(scan_max(x, right=form.outer == "tail"))
+
+
 def _iterated_entries(u: np.ndarray, a: np.ndarray, form: OperatorForm) -> np.ndarray:
     """Entries of the iterated operator for a batch of candidates ``a``.
 
@@ -174,8 +196,8 @@ def _iterated_entries(u: np.ndarray, a: np.ndarray, form: OperatorForm) -> np.nd
     right = form.inner_dir == "right"
     r = form.inner_exponent
     if form.inner_kind == "sum" or (form.inner_kind == "psum" and r == 1.0):
-        inner = scan_sum(a, right)
-    elif form.inner_kind == "sup":
+        return _sum_entries(u, a, form)[1]
+    if form.inner_kind == "sup":
         inner = scan_max(a, right)
     else:  # psum, entry = (sup u^r * sum a^r)^(1/r), computed on the rooted scale
         s = np.ascontiguousarray(scan_sum(a**r, right))
@@ -196,6 +218,19 @@ def _rhs_batch(v: np.ndarray, p: float, a: np.ndarray) -> np.ndarray:
     return ((a**p) * v).sum(axis=-1) ** (1.0 / p)
 
 
+def _ratio_from_entries(
+    problem: RatioProblem, a: np.ndarray, v: np.ndarray, w: np.ndarray, entries: np.ndarray
+) -> np.ndarray:
+    """Ratios lhs/rhs of the candidates ``a`` with iterated ``entries``;
+    0/0 yields 0, x/0 yields inf."""
+    num = _lhs_batch(w, problem.q, entries)
+    den = _rhs_batch(v, problem.p, a)
+    pos = den > 0
+    out = np.divide(num, den, out=np.zeros(den.shape), where=pos)
+    out[~pos & (num > 0)] = INF
+    return out
+
+
 def _ratio_batch(
     problem: RatioProblem,
     a: np.ndarray,
@@ -205,19 +240,24 @@ def _ratio_batch(
 
     ``a`` has shape (..., N) and the result shape ``a.shape[:-1]``.  The
     problem gives ``p``, ``q`` and the form; ``weights`` are stacked
-    ``(u, v, w)`` that broadcast against ``a`` (shape (B, 1, N) for
-    candidates of shape (B, K, N), one problem per leading index), and
-    default to the problem's own windows.
+    ``(u, v, w)`` that broadcast against ``a`` with size 1 on its candidate
+    axis -2 (shape (B, 1, N) for candidates of shape (B, K, N), one problem
+    per leading index), and default to the problem's own windows.  A batch
+    of more than ``_BLOCK_ENTRIES`` entries is evaluated in contiguous
+    copies of consecutive candidates along axis -2 (module docstring).
     """
     if weights is None:
         weights = (problem.u.as_array(), problem.v.as_array(), problem.w.as_array())
     u, v, w = weights
-    num = _lhs_batch(w, problem.q, _iterated_entries(u, a, problem.form))
-    den = _rhs_batch(v, problem.p, a)
-    pos = den > 0
-    out = np.divide(num, den, out=np.zeros(den.shape), where=pos)
-    out[~pos & (num > 0)] = INF
-    return out
+    if a.size <= _BLOCK_ENTRIES or a.ndim < 2:
+        return _ratio_from_entries(problem, a, v, w, _iterated_entries(u, a, problem.form))
+    k = max(1, _BLOCK_ENTRIES * a.shape[-2] // a.size)  # candidates per block
+    parts = []
+    for lo in range(0, a.shape[-2], k):
+        block = np.ascontiguousarray(a[..., lo : lo + k, :])
+        entries = _iterated_entries(u, block, problem.form)
+        parts.append(_ratio_from_entries(problem, block, v, w, entries))
+    return np.concatenate(parts, axis=-1)
 
 
 # ---------------------------------------------------------------------------

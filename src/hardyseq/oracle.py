@@ -4,11 +4,12 @@ The least constant equals ``sup_a lhs(a) / rhs(a)`` over nonnegative
 sequences.  On a finite window this module maximizes the ratio over a fixed
 pool of candidate families, always searched in the same order: single spikes,
 indicator blocks (windows of two or more points), Dirichlet points on the
-constraint surface, and, unless a ratio is already infinite, the polish of
-the best of them.  The pool keeps that order, so the index of a candidate
-tells its family.  The best ratio found is always a certified lower bound on
-the true constant, and ``OracleResult.search`` says which search ran:
-``"spike"``, ``"power"`` or ``"ascent"``.
+constraint surface, and the polish of the best of them, unless a pool ratio
+is already infinite or every pool ratio is 0 (the constant is then exactly
+0).  The pool keeps that order, so the index of a candidate tells its
+family.  The best ratio found is always a certified lower bound on the true
+constant, and ``OracleResult.search`` says which search ran: ``"spike"``,
+``"power"`` or ``"ascent"``.
 
 For ``p <= min(1, q)`` (including ``q = inf``), and for the powered-sum
 forms also ``r >= p``, the maximum is attained at a spike.  Substitute
@@ -90,19 +91,30 @@ with ``r < p``, the sup and powered-sum forms with ``p > 1`` or ``q < p``,
 and ``q = inf``, the polish is the multiplicative coordinate ascent of
 :func:`_polish_top`, ``2n`` evaluations per live row and iteration.
 
-Both searches run every restart in lock-step, one ``_ratio_batch`` call per
-iteration for all of them.  ``_ratio_batch`` is row-independent (a row's
-ratio does not depend on the other rows of its batch), and so is a power
-step: it takes every power, log and exp on a contiguous array and every sum
-as a row reduction or a per-row ``bincount``.  So each restart ends
-exactly where a polish of that restart alone would.
+Both searches run every restart in lock-step, with one batched ratio
+evaluation per iteration for all of them.  The evaluation is row-independent
+(a row's ratio does not depend on the other rows of its batch), and so is a
+power step: it takes every power, log and exp on a contiguous array and
+every sum as a row reduction or a per-row ``bincount``.  So each restart
+ends exactly where a polish of that restart alone would.  The power loop
+evaluates its candidates through ``hardyops._sum_entries``, which returns
+``x = u * inner(a)`` with its outer scan ``E``, and keeps both for every
+live row: they are exactly what the gradient of the row's next step reads,
+so that step does not compute them again.
+
+The pool rows that do not depend on the problems are built once: the spike
+and block indicators depend only on ``n`` and the Dirichlet draws only on
+``(n, cfg)``, and both stay in small ``functools.lru_cache`` caches as
+read-only arrays (the indicators as bool).  Repeated searches at the same
+size and config, as in a verification sweep, share them; each pool is a
+fresh float array filled from them.
 
 The search also has a problem axis.  The list entry points
 (:func:`brute_force_constants`, :func:`equivalence_ratios`,
 :func:`chain_equivalence_sweeps`) group the problems that share ``p``,
 ``q``, form and window size, stack their weights to shape (B, 1, n) against
 candidates of shape (B, K, n), and polish every restart of every problem of
-a group with one ``_ratio_batch`` call per iteration.  Rows are independent
+a group with one batched evaluation per iteration.  Rows are independent
 across problems as well, so each result equals the problem's own result,
 bit for bit, and comes back in input order; :func:`brute_force_constant`
 is the one-element call.
@@ -114,6 +126,7 @@ outcome does not depend on evaluation order.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -129,6 +142,8 @@ from .hardyops import (
     OperatorForm,
     RatioProblem,
     _ratio_batch,
+    _ratio_from_entries,
+    _sum_entries,
     antigop_psum,
     gop_psum,
 )
@@ -157,6 +172,8 @@ _POWER_STARTS = 4
 #: Extrapolations ``a (a'/a)^omega`` that each plain step for ``q < p <= 1``
 #: evaluates with the step ``a'`` itself, ``omega`` times the row's stretch.
 _POWER_REACH = (2.0, 4.0)
+#: Window sizes (and ``(n, cfg)`` pairs) whose pool rows stay cached.
+_POOL_CACHE = 8
 
 
 @dataclass(frozen=True)
@@ -243,22 +260,30 @@ def _stack(problems: Sequence[RatioProblem]) -> tuple[np.ndarray, ...]:
     )
 
 
-def _block_pool(n: int) -> np.ndarray:
-    """Indicators of every block ``[m1, m2]`` with ``m1 < m2``, ordered by
-    ``m1``, then ``m2``; the one-point blocks are the spikes."""
+@functools.lru_cache(maxsize=_POOL_CACHE)
+def _indicators(n: int) -> np.ndarray:
+    """The spikes, then the indicators of every block ``[m1, m2]`` with
+    ``m1 < m2``, ordered by ``m1``, then ``m2``: n(n+1)/2 read-only bool
+    rows, cached by ``n``."""
     m1, m2 = np.triu_indices(n, k=1)
     idx = np.arange(n)
-    return (m1[:, None] <= idx) & (idx <= m2[:, None])
+    out = np.concatenate([np.eye(n, dtype=bool), (m1[:, None] <= idx) & (idx <= m2[:, None])])
+    out.setflags(write=False)
+    return out
 
 
+@functools.lru_cache(maxsize=_POOL_CACHE)
 def _dirichlet_draws(n: int, cfg: OracleConfig) -> np.ndarray:
-    """The uniform simplex points of every restart, in restart order."""
-    return np.concatenate([
+    """The uniform simplex points of every restart, in restart order;
+    read-only, cached by ``(n, cfg)``."""
+    out = np.concatenate([
         np.random.default_rng((cfg.seed, idx)).dirichlet(
             np.ones(n), size=cfg.dirichlet_per_restart
         )
         for idx in range(cfg.restarts)
     ])
+    out.setflags(write=False)
+    return out
 
 
 def _assemble_pool(problems: Sequence[RatioProblem], cfg: OracleConfig) -> np.ndarray:
@@ -272,12 +297,11 @@ def _assemble_pool(problems: Sequence[RatioProblem], cfg: OracleConfig) -> np.nd
     """
     n, p = problems[0].size, problems[0].p
     x = _dirichlet_draws(n, cfg)
-    nb = n * (n - 1) // 2
-    pool = np.empty((len(problems), n + nb + len(x), n))
-    pool[:, :n] = np.eye(n)
-    pool[:, n : n + nb] = _block_pool(n)
+    ind = _indicators(n)
+    pool = np.empty((len(problems), len(ind) + len(x), n))
+    pool[:, : len(ind)] = ind
     v = np.stack([prob.v.as_array() for prob in problems])[:, None, :]
-    drawn = pool[:, n + nb :]
+    drawn = pool[:, len(ind) :]
     with np.errstate(over="ignore"):
         drawn[...] = (x / np.where(v > 0, v, 1.0)) ** (1.0 / p)
     drawn[~np.isfinite(drawn).all(axis=-1)] = 0.0
@@ -351,45 +375,45 @@ def _power_gradient(
     q: float,
     u: np.ndarray,
     w: np.ndarray,
-    a: np.ndarray,
-    flip: np.ndarray | None = None,
+    x: np.ndarray,
+    e: np.ndarray,
+    flip: np.ndarray,
 ) -> np.ndarray:
-    """``g = grad(lhs^q)`` of a sum-inner form at the candidates ``a``.
+    """``g = grad(lhs^q)`` of a sum-inner form at L candidates, one row per
+    entry of ``flip`` (K,) for each; shape (L, K, n).
 
-    ``a`` has shape (..., n), and ``u``, ``w`` broadcast against it.  With
-    ``x = u * inner(a)`` and ``E`` its outer scan (the entries of
-    :func:`_iterated_entries`), the records are the positions where
-    ``x = E``.  ``i*(n)`` is the first record at or after ``n`` (head
-    outer: the last one at or before ``n``), where ``E_n`` is attained.
-    Each ``n`` puts the mass ``q w_n E_n^(q-1) u_i*(n)`` (0 where
-    ``E_n = 0``) on ``i*(n)``; one ``bincount`` sums the masses per row, and
-    ``g`` is their suffix sum for an inner-left form, their prefix sum for
-    inner-right.
+    ``x = u * inner(a)`` and ``E``, its outer scan (the entries of
+    :func:`_iterated_entries`), come from :func:`_sum_entries`; they and
+    ``u`` have shape (L, 1, n), and ``w`` broadcasts against them.  The
+    records are the positions where ``x = E``.  ``i*(n)`` is the first
+    record at or after ``n`` (head outer: the last one at or before ``n``),
+    where ``E_n`` is attained.  Each ``n`` puts the mass
+    ``q w_n E_n^(q-1) u_i*(n)`` (0 where ``E_n = 0``) on ``i*(n)``; one
+    ``bincount`` sums the masses per row, and ``g`` is their suffix sum for
+    an inner-left form, their prefix sum for inner-right.
 
-    ``flip`` (broadcast against ``a.shape[:-1]``) names one position per
-    row whose record status is flipped first; ``E_n`` is then read as
-    ``x_i*(n)``, so ``g`` is the gradient of a lower bound on ``lhs^q`` that
-    takes the flipped record set.  The end of the outer scan (the last position for
-    a tail outer, the first for a head outer) stays a record, so flipping
-    it changes nothing.
+    Each entry of ``flip`` names one position whose record status is flipped
+    first; ``E_n`` is then read as ``x_i*(n)``, so ``g`` is the gradient of a
+    lower bound on ``lhs^q`` that takes the flipped record set.  The end of
+    the outer scan (the last position for a tail outer, the first for a head
+    outer) stays a record, so flipping it flips nothing: that is the plain
+    step's gradient.
     """
     right, tail = form.inner_dir == "right", form.outer == "tail"
-    n = a.shape[-1]
-    x = u * scan_sum(a, right)
-    rec = x == scan_max(x, right=tail)
+    n = x.shape[-1]
     idx = np.arange(n)
-    if flip is not None:
-        rec ^= idx == flip[..., None]
+    rec = (x == e) ^ (idx == flip[:, None])
     rec[..., n - 1 if tail else 0] = True
     if tail:
         star = scan_min(np.where(rec, idx, n), right=True)
     else:
         star = scan_max(np.where(rec, idx, -1))
-    e = np.ascontiguousarray(np.take_along_axis(x, star, axis=-1))
+    at = star + n * np.arange(len(x))[:, None, None]  # into the rows of x
+    e = x.reshape(-1)[at]
     pos = e > 0
-    ustar = np.take_along_axis(np.broadcast_to(u, e.shape), star, axis=-1)
+    ustar = u.reshape(-1)[at]
     mass = np.where(pos, q * w * np.where(pos, e, 1.0) ** (q - 1.0) * ustar, 0.0)
-    rows = len(mass.reshape(-1, n))
+    rows = mass.size // n
     at = (star.reshape(rows, n) + n * np.arange(rows)[:, None]).ravel()
     m = np.bincount(at, weights=mass.ravel(), minlength=rows * n).reshape(e.shape)
     return scan_sum(m, right=not right)
@@ -431,46 +455,55 @@ def _power_steps(
     whose ratio 0 never wins.  A row moves to its best candidate if that
     raises its best ratio, and otherwise stops; it also stops once its
     ratio is infinite.
+
+    A live row keeps the ``x`` and ``E`` of :func:`_sum_entries` that the
+    evaluation of its last winning candidate computed, so its next gradient
+    starts from them; the weights of the live rows are sliced again only
+    when a row stops.
     """
-    p, q = problem.p, problem.q
+    p, q, form = problem.p, problem.q, problem.form
     alpha, beta = (0.0, 1.0 / (p - 1.0)) if p > 1 else ((1.0 - q) / (p - q), 1.0 / (p - q))
     evals = np.zeros(len(a), dtype=int)
     stretch = np.ones(len(a))
     rows = np.flatnonzero(~np.isinf(best))
-    for _ in range(iterations):
-        if not len(rows):
-            break
-        live = tuple(x[rows] for x in weights)
-        u, v, w = live
-        base = np.repeat(a[rows, None], len(flips), axis=1)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            g = _power_gradient(problem.form, q, u, w, base, flips)
+    u, v, w = (x[rows] for x in weights)
+    x, e = _sum_entries(u, a[rows, None], form)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(iterations):
+            if not len(rows):
+                break
+            g = _power_gradient(form, q, u, w, x, e, flips)
             g /= g.max(axis=-1, keepdims=True)
             t = np.divide(g, v, out=np.zeros(g.shape), where=g > 0)
             t /= t.max(axis=-1, keepdims=True)
             if alpha:
-                la = np.log(base)
+                la = np.log(a[rows, None])
                 step = alpha * la + beta * np.log(t)
                 moved = step > -np.inf  # where a' > 0, hence a > 0
-                scale = stretch[rows, None, None]
+                scale, d = stretch[rows, None, None], step - la
                 cand = np.concatenate([step] + [
-                    np.where(moved, la + om * scale * (step - la), -np.inf) for om in reach
+                    np.where(moved, la + om * scale * d, -np.inf) for om in reach
                 ], axis=1)
                 cand = np.exp(cand - cand.max(axis=-1, keepdims=True))
             else:
                 cand = t**beta
-        cand[~np.isfinite(cand).all(axis=-1)] = 0.0
-        r = _ratio_batch(problem, cand, live)
-        evals[rows] += cand.shape[1]
-        k = np.argmax(r, axis=1)
-        top = r[np.arange(len(rows)), k]
-        up = top > best[rows]
-        best[rows[up]] = top[up]
-        a[rows[up]] = cand[up, k[up]]
-        if reach:
-            stretch[rows[k == len(reach)]] *= 2.0
-            stretch[rows[k == 0]] = np.maximum(stretch[rows[k == 0]] / 2.0, 1.0)
-        rows = rows[up & ~np.isinf(top)]
+            cand[~np.isfinite(cand).all(axis=-1)] = 0.0
+            cx, ce = _sum_entries(u, cand, form)
+            r = _ratio_from_entries(problem, cand, v, w, ce)
+            evals[rows] += cand.shape[1]
+            k = np.argmax(r, axis=1)
+            top = r[np.arange(len(rows)), k]
+            up = top > best[rows]
+            best[rows[up]] = top[up]
+            a[rows[up]] = cand[up, k[up]]
+            if reach:
+                stretch[rows[k == len(reach)]] *= 2.0
+                stretch[rows[k == 0]] = np.maximum(stretch[rows[k == 0]] / 2.0, 1.0)
+            keep = up & ~np.isinf(top)
+            if not keep.all():  # the live rows only shrink
+                rows, u, v, w = rows[keep], u[keep], v[keep], w[keep]
+            kept = np.flatnonzero(keep)
+            x, e = cx[kept, k[kept], None], ce[kept, k[kept], None]
     return evals
 
 
@@ -574,12 +607,22 @@ def _in_groups(items: Sequence, key: Callable, run: Callable[[list], list]) -> l
     return out
 
 
+def _to_polish(ratios: np.ndarray) -> np.ndarray:
+    """Which problems of a stack the polish can raise, from their pool
+    ratios (B, P): not those with an infinite ratio, and not those whose
+    ratios are all 0.  The constant of the latter is 0: if ``lhs(a) > 0``
+    for some ``a``, then ``lhs(e_k) > 0`` for some spike ``e_k`` with
+    ``a_k > 0``, whose ratio is positive or infinite.  A NaN ratio is not
+    0, so its problem is still polished."""
+    return ~np.isinf(ratios).any(axis=1) & ~(ratios == 0).all(axis=1)
+
+
 def _search(problems: Sequence[RatioProblem], cfg: OracleConfig) -> list[OracleResult]:
     """The search for same-size problems sharing ``p``, ``q`` and the form.
 
     In the spike range each problem's spike maximum; elsewhere one pool
-    evaluation, then one lock-step polish of every problem whose pool holds
-    no infinite ratio.
+    evaluation, then one lock-step polish of every problem that
+    :func:`_to_polish` selects.
     """
     ref = problems[0]
     if _spike_exact(ref):
@@ -588,7 +631,7 @@ def _search(problems: Sequence[RatioProblem], cfg: OracleConfig) -> list[OracleR
     pool = _assemble_pool(problems, cfg)
     ratios = _ratio_batch(ref, pool, weights)
     evals = np.full(len(problems), pool.shape[1])
-    fin = ~np.isinf(ratios).any(axis=1)
+    fin = _to_polish(ratios)
     polished = np.cumsum(fin) - 1  # index among the polished problems
     sel = slice(None) if fin.all() else fin  # copy the pool only if needed
     extra, best, used = _polish(
@@ -777,7 +820,7 @@ def _chain_group(
     for ref in refs:
         r = _ratio_batch(ref, pool, weights)
         base.append(r)
-        fin = ~np.isinf(r).any(axis=1)
+        fin = _to_polish(r)
         if fin.any() and not _spike_exact(ref):
             sel = slice(None) if fin.all() else fin
             a = _polish(ref, pool[sel], r[sel], tuple(x[sel] for x in weights), cfg)[0]

@@ -14,7 +14,10 @@ from hardyseq.hardyops import (
     GOP_SUP,
     OperatorForm,
     RatioProblem,
+    _BLOCK_ENTRIES,
+    _iterated_entries,
     _ratio_batch,
+    _ratio_from_entries,
     antigop_psum,
     apply_iterated,
     dual_problem,
@@ -232,6 +235,42 @@ class TestBatch:
                         alone = np.stack([_ratio_batch(pr, a[b]) for b, pr in enumerate(probs)])
                     assert stacked.shape == (height, 6)
                     assert stacked.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(set(FORM_NAMES.values())))
+    def test_blocked_batches_match_each_row_alone(self, name):
+        """A batch above ``_BLOCK_ENTRIES`` is evaluated in blocks of
+        consecutive candidates, strided slices of a stacked batch; each row
+        still gives the bits it gives alone, as a one-row batch.  The empty
+        stack (0, 1, n) gives an empty result, and a 1-D row above the block
+        size is evaluated whole (its 0-d sums take scalar powers, so it is
+        compared with the unblocked evaluation, not with a one-row batch)."""
+        n, height, rows = 64, 3, 700
+        for k, (p, q, r) in enumerate([(0.7, 0.4, 1.7), (2.0, INF, 0.3)]):
+            rng = np.random.default_rng((n, k, 11))
+            mk = lambda: Window(0, 2.0 ** rng.uniform(-6, 6, n) * (rng.random(n) > 0.15))
+            probs = [RatioProblem(mk(), mk(), mk(), p, q, form_by_name(name, r))
+                     for _ in range(height)]
+            a = 2.0 ** rng.uniform(-4, 4, (height, rows, n)) * (rng.random((height, rows, n)) > 0.2)
+            a[:, :, 0] += a.sum(axis=2) == 0
+            assert a.size > _BLOCK_ENTRIES and (height * rows * n) % _BLOCK_ENTRIES
+            weights = tuple(
+                np.stack([getattr(pr, x).as_array() for pr in probs])[:, None, :] for x in "uvw"
+            )
+            with np.errstate(over="ignore"):
+                stacked = _ratio_batch(probs[0], a, weights)
+                alone = np.array([[_ratio_batch(pr, row[None])[0] for row in a[b]]
+                                  for b, pr in enumerate(probs)])
+            assert stacked.shape == (height, rows)
+            assert stacked.tobytes() == alone.tobytes()
+            empty = tuple(x[:0] for x in weights)
+            assert _ratio_batch(probs[0], np.empty((0, 1, n)), empty).shape == (0, 1)
+        size = 3 * _BLOCK_ENTRIES
+        prob = RatioProblem(*(Window(0, 2.0 ** rng.uniform(-3, 3, size)) for _ in "uvw"),
+                            0.7, 0.4, form_by_name(name, 1.7))
+        row = 2.0 ** rng.uniform(-4, 4, size)
+        u, v, w = (x.as_array() for x in (prob.u, prob.v, prob.w))
+        whole = _ratio_from_entries(prob, row, v, w, _iterated_entries(u, row, prob.form))
+        assert _ratio_batch(prob, row).tobytes() == whole.tobytes()
 
 class TestMonotonicity:
     def test_lhs_nondecreasing_in_a_u_w(self):

@@ -13,6 +13,7 @@ from hardyseq.hardyops import (
     GOP_SUP,
     RatioProblem,
     _ratio_batch,
+    _sum_entries,
     antigop_psum,
     gop_psum,
     lhs,
@@ -22,6 +23,8 @@ from hardyseq.oracle import (
     FAST_CONFIG,
     OracleConfig,
     _assemble_pool,
+    _dirichlet_draws,
+    _indicators,
     _polish_top,
     _power_gradient,
     _power_steps,
@@ -161,6 +164,18 @@ class TestBruteForce:
         res = brute_force_constant(RatioProblem(ONES2, v, ONES2, p, q, GOP), FAST_CONFIG)
         assert res.constant == INF
         assert res.search == "power"
+
+    @pytest.mark.parametrize("form,search", [(GOP, "power"), (GOP_SUP, "ascent")])
+    def test_zero_pool_skips_the_polish(self, form, search):
+        """Where every pool ratio is 0 the constant is exactly 0 (every
+        spike has ratio 0), so the polish is skipped: 19 evaluations, the
+        pool's 2 spikes, 1 block and 16 Dirichlet draws, and the first
+        spike as the argmax."""
+        zero = Window(0, (0.0, 0.0))
+        res = brute_force_constant(RatioProblem(zero, ONES2, ONES2, 2.0, 3.0, form), FAST_CONFIG)
+        assert res.search == search
+        assert (res.constant, res.evaluations) == (0.0, 19)
+        assert res.argmax.values.tolist() == [1.0, 0.0]
 
     def test_lower_bound_soundness(self):
         rng = np.random.default_rng(5)
@@ -358,12 +373,35 @@ class TestPolish:
         assert evals.tolist() == [3 * 6]
 
 
+    def test_cached_pool_rows_are_read_only(self):
+        """The spike and block indicators and the Dirichlet draws are cached
+        read-only; a pool built after an earlier one was overwritten equals
+        a fresh build."""
+        rng = np.random.default_rng(71)
+        probs = [RatioProblem(*rand_triple(rng, 7), 1.5, 0.8, GOP) for _ in range(3)]
+        cfg = OracleConfig(restarts=3, iterations=10, seed=5, dirichlet_per_restart=4)
+        first = _assemble_pool(probs, cfg)
+        for cached in (_indicators(7), _dirichlet_draws(7, cfg)):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0, 0] = 2.0
+        first[...] = -1.0
+        again = _assemble_pool(probs, cfg)
+        _indicators.cache_clear()
+        _dirichlet_draws.cache_clear()
+        assert again.tobytes() == _assemble_pool(probs, cfg).tobytes()
+        assert _indicators(7).dtype == bool
+
+
 class TestPowerIteration:
     @pytest.mark.parametrize("form", [GOP, ANTIGOP, DUAL_GOP, DUAL_ANTIGOP])
     @pytest.mark.parametrize("q", [0.8, 2.0, 3.0])
     def test_gradient_matches_central_differences(self, form, q):
         """The gradient of ``lhs^q`` from the record positions of the outer
-        scan matches central differences, also with zeros in u and w."""
+        scan matches central differences, also with zeros in u and w.  The
+        gradient reads ``x = u * inner(a)`` and its outer scan, built here
+        from ``a`` as the power loop keeps them, and flips only the end of
+        the outer scan, which flips nothing."""
         rng = np.random.default_rng(53)
         for _ in range(12):
             n = int(rng.integers(2, 10))
@@ -371,7 +409,10 @@ class TestPowerIteration:
                        for x in rand_triple(rng, n))
             prob = RatioProblem(u, v, w, 2.0, q, form)
             a = rng.permutation(np.linspace(0.5, 2.0, n))  # distinct entries
-            g = _power_gradient(form, q, u.as_array(), w.as_array(), a)
+            uu = u.as_array()[None, None]
+            x, e = _sum_entries(uu, a[None, None], form)
+            end = np.array([n - 1 if form.outer == "tail" else 0])
+            g = _power_gradient(form, q, uu, w.as_array(), x, e, end)[0, 0]
             fd = np.empty(n)
             for k in range(n):
                 # rounding costs eps * lhs^q / h; truncation h^2 / a_k^2 relative
@@ -509,6 +550,14 @@ class TestEquivalenceRatio:
 
 
 class TestChainEquivalence:
+    def test_zero_pool_skips_the_polish(self):
+        """Outside the spike range a form whose pool ratios are all 0 is not
+        polished, so the shared pool keeps its 19 rows."""
+        z = Window(0, (0.0, 0.0))
+        rep = chain_equivalence_sweep(z, ONES2, ONES2, 1.0, 0.5, FAST_CONFIG, "gop")
+        assert (rep.a1, rep.a2, rep.a3, rep.sentinel) == (0.0, 0.0, 0.0, True)
+        assert rep.pool_size == 19
+
     def test_p_one_collapses_a2_a3(self):
         rng = np.random.default_rng(13)
         u, v, w = rand_triple(rng, 5)
