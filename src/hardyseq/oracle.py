@@ -409,13 +409,12 @@ def _power_gradient(
     else:
         star = scan_max(np.where(rec, idx, -1))
     at = star + n * np.arange(len(x))[:, None, None]  # into the rows of x
-    e = x.reshape(-1)[at]
-    pos = e > 0
-    ustar = u.reshape(-1)[at]
-    mass = np.where(pos, q * w * np.where(pos, e, 1.0) ** (q - 1.0) * ustar, 0.0)
+    estar, ustar = x.reshape(-1)[at], u.reshape(-1)[at]
+    pos = estar > 0
+    mass = np.where(pos, q * w * np.where(pos, estar, 1.0) ** (q - 1.0) * ustar, 0.0)
     rows = mass.size // n
     at = (star.reshape(rows, n) + n * np.arange(rows)[:, None]).ravel()
-    m = np.bincount(at, weights=mass.ravel(), minlength=rows * n).reshape(e.shape)
+    m = np.bincount(at, weights=mass.ravel(), minlength=rows * n).reshape(mass.shape)
     return scan_sum(m, right=not right)
 
 
@@ -466,7 +465,7 @@ def _power_steps(
     evals = np.zeros(len(a), dtype=int)
     stretch = np.ones(len(a))
     rows = np.flatnonzero(~np.isinf(best))
-    u, v, w = (x[rows] for x in weights)
+    u, v, w = (arr[rows] for arr in weights)
     x, e = _sum_entries(u, a[rows, None], form)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(iterations):

@@ -252,7 +252,7 @@ class TestBatch:
                      for _ in range(height)]
             a = 2.0 ** rng.uniform(-4, 4, (height, rows, n)) * (rng.random((height, rows, n)) > 0.2)
             a[:, :, 0] += a.sum(axis=2) == 0
-            assert a.size > _BLOCK_ENTRIES and (height * rows * n) % _BLOCK_ENTRIES
+            assert a.size > _BLOCK_ENTRIES
             weights = tuple(
                 np.stack([getattr(pr, x).as_array() for pr in probs])[:, None, :] for x in "uvw"
             )
@@ -271,6 +271,7 @@ class TestBatch:
         u, v, w = (x.as_array() for x in (prob.u, prob.v, prob.w))
         whole = _ratio_from_entries(prob, row, v, w, _iterated_entries(u, row, prob.form))
         assert _ratio_batch(prob, row).tobytes() == whole.tobytes()
+
 
 class TestMonotonicity:
     def test_lhs_nondecreasing_in_a_u_w(self):

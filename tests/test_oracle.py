@@ -215,6 +215,25 @@ class TestBruteForce:
         blocks = n * (n - 1) // 2
         assert res.evaluations == n + blocks + 2 * 4 == expected
 
+    def test_cached_pool_rows_are_read_only(self):
+        """The spike and block indicators and the Dirichlet draws are cached
+        read-only; a pool built after an earlier one was overwritten equals
+        a fresh build."""
+        rng = np.random.default_rng(71)
+        probs = [RatioProblem(*rand_triple(rng, 7), 1.5, 0.8, GOP) for _ in range(3)]
+        cfg = OracleConfig(restarts=3, iterations=10, seed=5, dirichlet_per_restart=4)
+        first = _assemble_pool(probs, cfg)
+        for cached in (_indicators(7), _dirichlet_draws(7, cfg)):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0, 0] = 2.0
+        first[...] = -1.0
+        again = _assemble_pool(probs, cfg)
+        _indicators.cache_clear()
+        _dirichlet_draws.cache_clear()
+        assert again.tobytes() == _assemble_pool(probs, cfg).tobytes()
+        assert _indicators(7).dtype == bool
+
     def test_list_matches_each_problem_alone(self):
         """One call on a mixed list returns, in input order, the result each
         problem gets alone: constant, argmax, certificate and evaluations.
@@ -371,26 +390,6 @@ class TestPolish:
         got, _, evals = _polish_top(prob, pool, ratios, _stack([prob]), cfg)
         assert got[0, 0].tolist() == [0.0, 1.0, 0.0]
         assert evals.tolist() == [3 * 6]
-
-
-    def test_cached_pool_rows_are_read_only(self):
-        """The spike and block indicators and the Dirichlet draws are cached
-        read-only; a pool built after an earlier one was overwritten equals
-        a fresh build."""
-        rng = np.random.default_rng(71)
-        probs = [RatioProblem(*rand_triple(rng, 7), 1.5, 0.8, GOP) for _ in range(3)]
-        cfg = OracleConfig(restarts=3, iterations=10, seed=5, dirichlet_per_restart=4)
-        first = _assemble_pool(probs, cfg)
-        for cached in (_indicators(7), _dirichlet_draws(7, cfg)):
-            assert not cached.flags.writeable
-            with pytest.raises(ValueError):
-                cached[0, 0] = 2.0
-        first[...] = -1.0
-        again = _assemble_pool(probs, cfg)
-        _indicators.cache_clear()
-        _dirichlet_draws.cache_clear()
-        assert again.tobytes() == _assemble_pool(probs, cfg).tobytes()
-        assert _indicators(7).dtype == bool
 
 
 class TestPowerIteration:
