@@ -18,6 +18,21 @@ by a spike-shrinking limit; the pointwise identity fails, e.g. on a
 one-cell window with unit data the continuous side is ``(q+1)^(-1/q)``).
 The checker computes the reflected cell integrals in closed form, splitting
 each cell at the crossing of the moving and frozen suprema.
+
+``StepFunction``, ``PiecewiseLinear``, ``cumulative`` and
+``sup_weighted_tail`` work in ``Fraction`` arithmetic, one operation at a
+time.  ``bridge_check`` computes the same values without per-operation
+``Fraction`` objects.  Every float is ``m * 2**e``, so each window converts
+once to Python ints on one power-of-two scale (``x_n = m_n / 2**s``).  Sums,
+products, maxima and integer powers of such numbers are ints on a scale
+that is tracked alongside them.  So the cumulatives, the iterated entries,
+the tail suprema, the moving/frozen comparisons and the power sums are int
+arithmetic, and each returned power becomes one ``Fraction`` at the end.
+The only non-dyadic values are the reflected cells whose crossing ``tau``
+lies strictly inside (0, 1); their sum is carried as one unreduced
+fraction.  For a non-integer exponent the exact values are rounded to float
+once each (int true division is correctly rounded, as ``float(Fraction)``
+is), then raised to the power in floats.
 """
 
 from __future__ import annotations
@@ -25,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from .seqcore import Window, common_window
 
 __all__ = [
@@ -174,51 +190,103 @@ def sup_weighted_tail(u: StepFunction, F: PiecewiseLinear, t) -> Fraction:
     return best
 
 
-def _tail_sups(U: list[Fraction], F: PiecewiseLinear) -> list[Fraction]:
-    """``sup_weighted_tail(u, F, start + k)`` for every ``k = 0 .. N``, exact.
-
-    One pass from the right over the cells of the step weight ``U``:
-    ``tails[k] = max(U[k] * max(F.knots[k], F.knots[k+1]), tails[k+1])``
-    with ``tails[N] = 0``.  Requires ``F`` monotone, like the per-point
-    reference.
-    """
-    if not (F.nondecreasing or F.nonincreasing):
-        raise ValueError("the tail suprema require a monotone cumulative")
-    tails = [Rat(0)] * (len(U) + 1)
-    for k in range(len(U) - 1, -1, -1):
-        tails[k] = max(U[k] * max(F.knots[k], F.knots[k + 1]), tails[k + 1])
-    return tails
-
-
 # ---------------------------------------------------------------------------
 # Full bridge comparison
 # ---------------------------------------------------------------------------
 
-def _number_type(x: float) -> tuple[type, int | float]:
-    """Arithmetic for the exponent ``x``: ``Fraction`` with ``int(x)`` when
-    ``x`` is a positive integer, float with ``x`` itself otherwise."""
-    if float(x).is_integer() and x >= 1:
-        return Fraction, int(x)
-    return float, x
+# The positive rationals whose nearest float is a finite normal float:
+# [2**-1022, 2**1024 - 2**970); the upper end rounds to 2**1024.
+_NORMAL_LO = Fraction(1, 1 << 1022)
+_NORMAL_HI = Fraction((1 << 1024) - (1 << 970))
 
 
-def _power_sum(weights, xs, num: type, e) -> Fraction | float:
-    """``sum_i weights_i * xs_i**e`` in the number type ``num``."""
-    return sum((num(c) * num(x) ** e for c, x in zip(weights, xs)), num(0))
+def _scaled(x: Window) -> tuple[list[int], int]:
+    """The entries of ``x`` as ints ``m_n`` on one scale: ``x_n = m_n / 2**s``."""
+    ratios = [v.as_integer_ratio() for v in x.values.tolist()]
+    s = max(d for _, d in ratios).bit_length() - 1
+    return [m << (s + 1 - d.bit_length()) for m, d in ratios], s
 
 
-def _integral_power_affine(
-    A: Fraction, B: Fraction, T: Fraction, num: type, q
-) -> Fraction | float:
-    """``int_0^T (A - B*tau)^q dtau`` for ``A, A - B*T >= 0`` and ``T > 0``.
+def _running_max_from_right(xs) -> list[int]:
+    """``out[k] = max(xs[k:])`` for a list of nonnegative ints."""
+    return list(accumulate(reversed(xs), max))[::-1]
 
-    The endpoints are first converted to ``num`` (exact for ``Fraction``,
-    rounded to float otherwise), then one closed form applies.
-    """
-    A, B, T = num(A), num(B), num(T)
-    if B == 0:
-        return A**q * T
-    return (A ** (q + 1) - (A - B * T) ** (q + 1)) / (B * (q + 1))
+
+def _root(x: Fraction | float, q: float) -> float:
+    """``x ** (1/q)``: ``float(x) ** (1/q)`` for a float ``x`` or an exact
+    one in the normal float range.  Outside it (then ``q = k`` is an integer)
+    the root of ``x * 2**(-k*j)`` times ``2**j``, with ``j`` the integer
+    nearest to ``log2(x) / k`` (which covers ``k`` up to about 2,000); a
+    root beyond the float range is inf, as in float arithmetic."""
+    if not isinstance(x, Fraction) or x == 0 or _NORMAL_LO <= x < _NORMAL_HI:
+        return float(x) ** (1.0 / q)
+    k = int(q)
+    n, d = x.numerator, x.denominator
+    j = (n.bit_length() - d.bit_length() + k // 2) // k
+    shift = k * j
+    y = n / (d << shift) if shift >= 0 else (n << -shift) / d
+    try:
+        return math.ldexp(y ** (1.0 / k), j)
+    except OverflowError:
+        return math.inf
+
+
+def _tail_sups(U: list[int], knots: list[int]) -> list[int]:
+    """``sup_weighted_tail(u, F, start + k)`` for every ``k = 0 .. N`` in
+    one pass from the right, ``F`` a monotone cumulative with ``knots``:
+    ``tails[k] = max(U[k] * max(knots[k], knots[k+1]), tails[k+1])``,
+    ``tails[N] = 0``."""
+    cells = [uk * max(lo, hi) for uk, lo, hi in zip(U, knots, knots[1:])]
+    return _running_max_from_right(cells) + [0]
+
+
+def _power_sum(W: list[int], sw: int, xs: list[int], t: int, q: float) -> Fraction | float:
+    """``sum_i w_i * x_i**q`` for ``w_i = W_i / 2**sw`` and ``x_i = xs_i / 2**t``:
+    one ``Fraction`` for an integer ``q``, float arithmetic on the rounded
+    ``x_i`` otherwise."""
+    if float(q).is_integer():
+        k = int(q)
+        return Fraction(sum(wi * x**k for wi, x in zip(W, xs)), 1 << (sw + k * t))
+    dw, d = 1 << sw, 1 << t
+    return sum((wi / dw * (x / d) ** q for wi, x in zip(W, xs)), 0.0)
+
+
+def _antigop_cells(U, A, knots, tails, W, sw: int, t: int, q: float) -> Fraction | float:
+    """The continuous reflected left side to the power ``q``.  On cell ``k``
+    the moving supremum falls from ``m0 = U_k F_k`` with slope ``U_k A_k``
+    and meets the frozen one, ``f = tails[k+1]``, at ``tau = (m0 - f) /
+    slope``; the frozen one holds after that."""
+    cells = [(wk, uk * fk, uk * ak, f) for wk, uk, ak, fk, f in zip(W, U, A, knots, tails[1:])]
+    if float(q).is_integer():
+        k = int(q)
+        acc, rn, rd = 0, 0, 1  # (k+1) * sum of w * cell = acc + rn / rd
+        for wk, m0, slope, f in cells:
+            if m0 <= f:
+                acc += (k + 1) * wk * f**k
+            elif slope == 0:
+                acc += (k + 1) * wk * m0**k
+            elif m0 - f >= slope:  # tau = 1: the difference of powers is a multiple of slope
+                acc += wk * ((m0 ** (k + 1) - (m0 - slope) ** (k + 1)) // slope)
+            else:  # the only non-dyadic cells: their sum is one unreduced fraction
+                num = m0 ** (k + 1) - f ** (k + 1) + (k + 1) * f**k * (slope - m0 + f)
+                rn, rd = rn * slope + wk * num * rd, rd * slope
+        return Fraction(acc * rd + rn, rd * (k + 1) << (sw + k * t))
+    dw, d = 1 << sw, 1 << t
+    out = []
+    for wk, m0, slope, f in cells:
+        cell = (f / d) ** q
+        if m0 > f:
+            tau, rest = 1.0, 0.0
+            if slope != 0 and m0 - f < slope:
+                tau, rest = (m0 - f) / slope, (slope - m0 + f) / slope
+            a0, b = m0 / d, slope / d
+            if b == 0:
+                head = a0**q * tau
+            else:
+                head = (a0 ** (q + 1) - (a0 - b * tau) ** (q + 1)) / (b * (q + 1))
+            cell = head + cell * rest
+        out.append(wk / dw * cell)
+    return sum(out, 0.0)
 
 
 @dataclass(frozen=True)
@@ -276,74 +344,51 @@ def bridge_check(
     most the discrete one.  For embedded data the two right sides are one
     sum, computed once and reported in both right-side fields.
 
-    Each side picks its number type once from its exponent: rational
-    (``Fraction``) arithmetic when the exponent is a positive integer, float
+    Each side picks its arithmetic once from its exponent: exact rational
+    (``Fraction``) values when the exponent is a positive integer, float
     otherwise, where the exact cell data are rounded to float before they are
     raised to the power.  ``exact_lhs`` (from ``q``) and ``exact_rhs`` (from
-    ``p``) report which was used.
+    ``p``) report which was used.  The exponents must be positive and finite.
     """
     common_window(u, v, w, a)
-    if not (p > 0 and q > 0):
-        raise ValueError(f"exponents must be positive, got p={p}, q={q}")
+    if not (0 < p < math.inf and 0 < q < math.inf):
+        raise ValueError(f"exponents must be positive and finite, got p={p}, q={q}")
     if form not in ("gop", "antigop"):
         raise ValueError(f"form must be 'gop' or 'antigop', got {form!r}")
 
-    U = [_to_fraction(x) for x in u.values.tolist()]
-    V = [_to_fraction(x) for x in v.values.tolist()]
-    W = [_to_fraction(x) for x in w.values.tolist()]
-    A = [_to_fraction(x) for x in a.values.tolist()]
-    n_len = len(A)
-    num, e = _number_type(q)
+    (U, su), (V, sv), (W, sw), (A, sa) = (_scaled(x) for x in (u, v, w, a))
+    t = su + sa  # the scale of every product of u with a cumulative of a
 
-    # The inner cumulative at the knots gives the discrete inner sums:
+    # The knots of the inner cumulative F give the discrete inner sums:
     # sum_{k <= i} a_k = F(i + 1) for gop, sum_{k >= i} a_k = F(i) for antigop.
-    F = cumulative(embed_sequence(a), "from-left" if form == "gop" else "from-right")
-    inner = F.knots[1:] if form == "gop" else F.knots[:-1]
-    entries = [Rat(0)] * n_len
-    best = Rat(0)
-    for i in range(n_len - 1, -1, -1):
-        cand = U[i] * inner[i]
-        if cand > best:
-            best = cand
-        entries[i] = best
-    discrete_lhs_pow = _power_sum(W, entries, num, e)
+    gop = form == "gop"
+    knots = list(accumulate(A if gop else reversed(A), initial=0))
+    knots = knots if gop else knots[::-1]
+    inner = knots[1:] if gop else knots[:-1]
+    entries = _running_max_from_right([x * y for x, y in zip(U, inner)])
+    discrete_lhs_pow = _power_sum(W, sw, entries, t, q)
 
-    tails = _tail_sups(U, F)
-    if form == "gop":
-        continuous_lhs_pow = _power_sum(W, tails[:-1], num, e)
+    tails = _tail_sups(U, knots)
+    if gop:
+        continuous_lhs_pow = _power_sum(W, sw, tails[:-1], t, q)
     else:
-        cell_integrals = []
-        for k in range(n_len):
-            frozen = tails[k + 1]
-            moving0 = U[k] * inner[k]
-            if moving0 <= frozen:
-                # frozen supremum dominates throughout the cell
-                cell = num(frozen) ** e
-            else:
-                slope = U[k] * A[k]
-                tau = Rat(1) if slope == 0 else min(Rat(1), (moving0 - frozen) / slope)
-                head = _integral_power_affine(moving0, slope, tau, num, e)
-                cell = head + num(frozen) ** e * num(1 - tau)
-            cell_integrals.append(cell)
-        # each cell integral is already a q-th power
-        continuous_lhs_pow = _power_sum(W, cell_integrals, num, 1)
+        continuous_lhs_pow = _antigop_cells(U, A, knots, tails, W, sw, t, q)
 
     # Right sides: for cell-constant data the integral of f^p v over a cell
     # is a_n^p v_n, so both are this one sum.
-    rhs_num, rhs_e = _number_type(p)
-    rhs_pow = _power_sum(V, A, rhs_num, rhs_e)
-    rhs_root = float(rhs_pow) ** (1.0 / p)
+    rhs_pow = _power_sum(V, sv, A, sa, p)
+    rhs_root = _root(rhs_pow, p)
 
     return BridgeCheckResult(
         form=form,
-        discrete_lhs=float(discrete_lhs_pow) ** (1.0 / q),
-        continuous_lhs=float(continuous_lhs_pow) ** (1.0 / q),
+        discrete_lhs=_root(discrete_lhs_pow, q),
+        continuous_lhs=_root(continuous_lhs_pow, q),
         discrete_rhs=rhs_root,
         continuous_rhs=rhs_root,
         discrete_lhs_pow=discrete_lhs_pow,
         continuous_lhs_pow=continuous_lhs_pow,
         discrete_rhs_pow=rhs_pow,
         continuous_rhs_pow=rhs_pow,
-        exact_lhs=num is Fraction,
-        exact_rhs=rhs_num is Fraction,
+        exact_lhs=isinstance(discrete_lhs_pow, Fraction),
+        exact_rhs=isinstance(rhs_pow, Fraction),
     )

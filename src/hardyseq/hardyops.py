@@ -287,11 +287,12 @@ def rhs(v: Window, p: float, a: Window) -> float:
 
 
 def ratio(problem: RatioProblem, a: Window) -> float:
-    """``lhs / rhs`` by :func:`_ratio_batch` on one row; rejects ``a = 0``."""
+    """``lhs / rhs`` by :func:`_ratio_batch` on a one-row batch, so it has
+    the bits of that row in any batch; rejects ``a = 0``."""
     common_window(problem.u, a)
     if not a.values.max() > 0:
         raise ValueError("ratio requires a nonzero candidate sequence")
-    return float(_ratio_batch(problem, a.as_array()))
+    return float(_ratio_batch(problem, a.as_array()[None, :])[0])
 
 
 def elementary_chain_check(a: Window, p: float, n: int) -> tuple[float, float, float]:

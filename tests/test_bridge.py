@@ -1,9 +1,12 @@
+import dataclasses
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from hardyseq.bridge import (
+    BridgeCheckResult,
     PiecewiseLinear,
     bridge_check,
     cumulative,
@@ -13,6 +16,138 @@ from hardyseq.bridge import (
 from hardyseq.hardyops import RatioProblem, gop_psum, lhs
 from hardyseq.seqcore import Window
 from hardyseq.verification import rand_dyadic_window
+
+
+def _bridge_exact_reference(u, v, w, a, p, q, form):
+    """``bridge_check`` with every step in ``Fraction`` arithmetic (float
+    arithmetic on the rounded exact values for a non-integer exponent), one
+    operation at a time: the reference for the scaled-integer evaluation.
+    Its roots are ``float(power) ** (1/exponent)``, so they stand for
+    powers within the normal float range only."""
+
+    def number_type(x):
+        return (F, int(x)) if float(x).is_integer() else (float, x)
+
+    def power_sum(weights, xs, num, e):
+        return sum((num(c) * num(x) ** e for c, x in zip(weights, xs)), num(0))
+
+    U, V, W, A = ([F(x) for x in win.values.tolist()] for win in (u, v, w, a))
+    num, e = number_type(q)
+    Fc = cumulative(embed_sequence(a), "from-left" if form == "gop" else "from-right")
+    inner = Fc.knots[1:] if form == "gop" else Fc.knots[:-1]
+    entries = [F(0)] * len(A)
+    tails = [F(0)] * (len(A) + 1)
+    for i in range(len(A) - 1, -1, -1):
+        entries[i] = max(U[i] * inner[i], entries[i + 1] if i + 1 < len(A) else F(0))
+        tails[i] = max(U[i] * max(Fc.knots[i], Fc.knots[i + 1]), tails[i + 1])
+    discrete = power_sum(W, entries, num, e)
+    if form == "gop":
+        continuous = power_sum(W, tails[:-1], num, e)
+    else:
+        cells = []
+        for k in range(len(A)):
+            frozen, moving0 = tails[k + 1], U[k] * inner[k]
+            if moving0 <= frozen:
+                cells.append(num(frozen) ** e)
+                continue
+            slope = U[k] * A[k]
+            tau = F(1) if slope == 0 else min(F(1), (moving0 - frozen) / slope)
+            a0, b, t = num(moving0), num(slope), num(tau)
+            if b == 0:
+                head = a0**e * t
+            else:
+                head = (a0 ** (e + 1) - (a0 - b * t) ** (e + 1)) / (b * (e + 1))
+            cells.append(head + num(frozen) ** e * num(1 - tau))
+        continuous = power_sum(W, cells, num, 1)
+    rhs_num, rhs_e = number_type(p)
+    rhs = power_sum(V, A, rhs_num, rhs_e)
+    return BridgeCheckResult(
+        form, float(discrete) ** (1 / q), float(continuous) ** (1 / q),
+        float(rhs) ** (1 / p), float(rhs) ** (1 / p), discrete, continuous, rhs, rhs,
+        num is F, rhs_num is F,
+    )
+
+
+# each root field with the power it is the root of
+_ROOTS = {"discrete_lhs": "discrete_lhs_pow", "continuous_lhs": "continuous_lhs_pow",
+          "discrete_rhs": "discrete_rhs_pow", "continuous_rhs": "continuous_rhs_pow"}
+
+
+def _assert_same_result(res, ref):
+    """Every field equal: exact powers as values, floats bit for bit, both
+    flags; a root only where the reference's power is 0 or a normal float."""
+    for field in dataclasses.fields(BridgeCheckResult):
+        got, want = getattr(res, field.name), getattr(ref, field.name)
+        power = getattr(ref, _ROOTS.get(field.name, field.name))
+        if field.name in _ROOTS and 0 < power < 2.0**-1022:
+            continue
+        assert type(got) is type(want), field.name
+        assert (got.hex() if isinstance(got, float) else got) == (
+            want.hex() if isinstance(want, float) else want
+        ), field.name
+    assert (res.lhs_equal, res.rhs_equal) == (ref.lhs_equal, ref.rhs_equal)
+
+
+def _wide_window(rng, n, start):
+    """2^U(-60, 60) with full mantissas, 15% zeros and 5% subnormals."""
+    x = 2.0 ** rng.uniform(-60, 60, n)
+    x[rng.random(n) < 0.15] = 0.0
+    sub = rng.random(n) < 0.05
+    x[sub] = rng.integers(1, 2**20, int(sub.sum())) * 2.0**-1074
+    return Window(start, x)
+
+
+def _draws(seed):
+    """Windows of up to 96 cells, dyadic or wide, as the workload sizes."""
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 5, 12, 33, 96):
+        start = int(rng.integers(-4, 5))
+        yield tuple(rand_dyadic_window(rng, n, start, allow_zero=True) for _ in range(4))
+        yield tuple(_wide_window(rng, n, start) for _ in range(4))
+
+
+class TestExactReference:
+    @pytest.mark.parametrize("form", ["gop", "antigop"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_integer_exponents(self, form, p):
+        for q in (1, 2, 3):
+            for u, v, w, a in _draws((p, q, form == "gop")):
+                res = bridge_check(u, v, w, a, float(p), float(q), form)
+                assert res.exact_lhs and res.exact_rhs
+                _assert_same_result(res, _bridge_exact_reference(u, v, w, a, p, q, form))
+
+    @pytest.mark.parametrize("form", ["gop", "antigop"])
+    def test_non_integer_exponents(self, form):
+        for p in (0.5, 1.5, 2.5):
+            for q in (0.5, 1.5, 2.5):
+                for u, v, w, a in _draws((int(2 * p), int(2 * q), form == "gop", 1)):
+                    res = bridge_check(u, v, w, a, p, q, form)
+                    assert not (res.exact_lhs or res.exact_rhs)
+                    _assert_same_result(res, _bridge_exact_reference(u, v, w, a, p, q, form))
+
+    @pytest.mark.parametrize("form", ["gop", "antigop"])
+    @pytest.mark.parametrize("e", [400, -400])
+    def test_roots_of_powers_beyond_the_float_range(self, form, e):
+        """u = 2**e on unit data.  The q = 3 powers (gop 2**(3e+4), antigop
+        discrete 9 * 2**(3e) and continuous 4 * 2**(3e)) are no floats; their
+        cube roots are.  A root beyond the float range is inf."""
+        ones = Window(0, (1.0, 1.0))
+        u = Window(0, (2.0**e, 2.0**e))
+        res = bridge_check(u, ones, ones, ones, 1.0, 3.0, form)
+        disc, cont = (16, 16) if form == "gop" else (9, 4)
+        assert res.discrete_lhs_pow == disc * F(2) ** (3 * e)
+        assert res.continuous_lhs_pow == cont * F(2) ** (3 * e)
+        assert res.discrete_lhs == pytest.approx(disc ** (1 / 3) * 2.0**e, rel=1e-15)
+        assert res.continuous_lhs == pytest.approx(cont ** (1 / 3) * 2.0**e, rel=1e-15)
+        huge = Window(0, (2.0**1000,))
+        res = bridge_check(huge, huge, huge, huge, 1.0, 1.0, form)
+        assert res.discrete_lhs == res.discrete_rhs == math.inf
+
+    @pytest.mark.parametrize("p,q", [(1.0, math.inf), (math.inf, 1.0), (math.nan, 2.0)])
+    def test_non_finite_exponents_rejected(self, p, q):
+        w = Window(0, (1.0, 1.0))
+        with pytest.raises(ValueError):
+            bridge_check(w, w, w, w, p, q, "gop")
 
 
 class TestEmbedding:

@@ -133,6 +133,22 @@ class TestBridge:
         path.write_text(json.dumps({"u": {"start": 0, "values": [1]}}))
         assert main(["bridge", "--weights", str(path), "--p", "1", "--q", "1"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--p", "--q"])
+    def test_infinite_exponent_exits_two(self, weights_file, flag):
+        args = {"--p": "1", "--q": "1", flag: "inf"}
+        assert main(["bridge", "--weights", weights_file, *(x for kv in args.items() for x in kv)]) == 2
+
+    def test_power_beyond_float_range(self, tmp_path, capsys):
+        """The q-th power 2**1204 is no float, its cube root is."""
+        path = tmp_path / "wide.json"
+        ones = {"start": 0, "values": [1, 1]}
+        path.write_text(json.dumps({"u": {"start": 0, "values": [2.0**400] * 2},
+                                    "v": ones, "w": ones, "a": ones}))
+        assert main(["bridge", "--weights", str(path), "--p", "1", "--q", "3"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["discrete_lhs"] == pytest.approx(2.0**401 * 2 ** (1 / 3), rel=1e-15)
+        assert out["lhs_equal"] and out["exact_lhs"]
+
 
 class TestPartition:
     def test_uniform_window(self, tmp_path, capsys):

@@ -177,6 +177,19 @@ class TestBruteForce:
         assert (res.constant, res.evaluations) == (0.0, 19)
         assert res.argmax.values.tolist() == [1.0, 0.0]
 
+    @pytest.mark.parametrize(
+        "seed,form,p,q", [(0, GOP, 3.0, 2.0), (2, ANTIGOP, 3.0, 2.0), (4, GOP, 1.5, 0.8)]
+    )
+    def test_argmax_reevaluates_to_constant(self, seed, form, p, q):
+        """``ratio`` is a one-row batch, so it gives the oracle's constant at
+        its argmax bit for bit (these draws differed by one ulp when it
+        evaluated a 1-D row)."""
+        rng = np.random.default_rng(seed)
+        u, v, w = (Window(0, 2.0 ** rng.uniform(-3, 3, 8)) for _ in range(3))
+        prob = RatioProblem(u, v, w, p, q, form)
+        res = brute_force_constant(prob, FAST_CONFIG)
+        assert ratio(prob, res.argmax) == res.constant
+
     def test_lower_bound_soundness(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
