@@ -198,6 +198,11 @@ def sup_weighted_tail(u: StepFunction, F: PiecewiseLinear, t) -> Fraction:
 # [2**-1022, 2**1024 - 2**970); the upper end rounds to 2**1024.
 _NORMAL_LO = Fraction(1, 1 << 1022)
 _NORMAL_HI = Fraction((1 << 1024) - (1 << 970))
+# The largest integer exponent k that bridge_check takes exactly: _root
+# scales an exact power by 2**(-k*j) into [2**(-k/2 - 1), 2**(k/2 + 1)],
+# which is in the float range for k up to about 2,040.  A larger k would also
+# start integer powers of unbounded size (q = 1e300 never finishes).
+_MAX_EXACT_EXPONENT = 2000
 
 
 def _scaled(x: Window) -> tuple[list[int], int]:
@@ -348,11 +353,17 @@ def bridge_check(
     (``Fraction``) values when the exponent is a positive integer, float
     otherwise, where the exact cell data are rounded to float before they are
     raised to the power.  ``exact_lhs`` (from ``q``) and ``exact_rhs`` (from
-    ``p``) report which was used.  The exponents must be positive and finite.
+    ``p``) report which was used.  The exponents must be positive and
+    finite, and an integer exponent at most 2,000 (``_MAX_EXACT_EXPONENT``).
     """
     common_window(u, v, w, a)
     if not (0 < p < math.inf and 0 < q < math.inf):
         raise ValueError(f"exponents must be positive and finite, got p={p}, q={q}")
+    if any(float(x).is_integer() and x > _MAX_EXACT_EXPONENT for x in (p, q)):
+        raise ValueError(
+            f"integer exponents above {_MAX_EXACT_EXPONENT} are not supported "
+            f"(exact powers), got p={p}, q={q}"
+        )
     if form not in ("gop", "antigop"):
         raise ValueError(f"form must be 'gop' or 'antigop', got {form!r}")
 

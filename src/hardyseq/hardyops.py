@@ -208,10 +208,12 @@ def _iterated_entries(u: np.ndarray, a: np.ndarray, form: OperatorForm) -> np.nd
     return np.ascontiguousarray(scan_max(u * inner, right=form.outer == "tail"))
 
 
-def _lhs_batch(w: np.ndarray, q: float, entries: np.ndarray) -> np.ndarray:
+def _lhs_batch(w: np.ndarray, q: float, entries: np.ndarray, mul=ext_mul_array) -> np.ndarray:
+    """The left sides; ``mul`` is :func:`ext_mul_array` or, under a caller's
+    ``np.errstate(invalid="ignore")``, its unguarded body."""
     if math.isinf(q):
-        return np.max(ext_mul_array(w, entries), axis=-1)
-    return ext_mul_array(entries**q, w).sum(axis=-1) ** (1.0 / q)
+        return np.max(mul(w, entries), axis=-1)
+    return mul(entries**q, w).sum(axis=-1) ** (1.0 / q)
 
 
 def _rhs_batch(v: np.ndarray, p: float, a: np.ndarray) -> np.ndarray:
@@ -219,11 +221,16 @@ def _rhs_batch(v: np.ndarray, p: float, a: np.ndarray) -> np.ndarray:
 
 
 def _ratio_from_entries(
-    problem: RatioProblem, a: np.ndarray, v: np.ndarray, w: np.ndarray, entries: np.ndarray
+    problem: RatioProblem,
+    a: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+    entries: np.ndarray,
+    mul=ext_mul_array,
 ) -> np.ndarray:
     """Ratios lhs/rhs of the candidates ``a`` with iterated ``entries``;
-    0/0 yields 0, x/0 yields inf."""
-    num = _lhs_batch(w, problem.q, entries)
+    0/0 yields 0, x/0 yields inf.  ``mul`` as in :func:`_lhs_batch`."""
+    num = _lhs_batch(w, problem.q, entries, mul)
     den = _rhs_batch(v, problem.p, a)
     pos = den > 0
     out = np.divide(num, den, out=np.zeros(den.shape), where=pos)

@@ -109,6 +109,22 @@ read-only arrays (the indicators as bool).  Repeated searches at the same
 size and config, as in a verification sweep, share them; each pool is a
 fresh float array filled from them.
 
+Not every block of the pool is evaluated.  The spikes and Dirichlet rows
+are evaluated first, and the ``S``-th best of their ratios is a threshold,
+``S`` being the number of rows the polish starts from.  A block ``[m1,
+m2]`` of ``L`` points has a ratio of at most ``c(L) K / V^(1/p)``: ``c(L)``
+is ``L``, 1 or ``L^(1/r)`` for a sum, sup or powered-sum inner, ``K`` is
+``(sum_n w_n U_n^q)^(1/q)`` (``max_n w_n U_n`` at ``q = inf``) with ``U``
+the running max of ``u`` in the outer direction, and ``V`` is the block's
+v-mass.  That bound times ``exp(1.01 (16 + 8/q + 8/p) delta)``, ``delta``
+the error of one float operation (:func:`_block_caps`), is at least the
+block's float ratio wherever every intermediate is a normal number; only
+there is a block whose bound lies below the threshold skipped, since it can
+reach neither the polish nor the maximum.  So skipping changes no result,
+and ``evaluations`` still counts every pool row, evaluated or not.  On the
+benchmark's oracle-wide workload 79% of the block rows are skipped
+(83-90% at n >= 32; smaller stacks evaluate every block).
+
 The search also has a problem axis.  The list entry points
 (:func:`brute_force_constants`, :func:`equivalence_ratios`,
 :func:`chain_equivalence_sweeps`) group the problems that share ``p``,
@@ -139,6 +155,7 @@ from .hardyops import (
     ANTIGOP_SUP,
     GOP,
     GOP_SUP,
+    _BLOCK_ENTRIES,
     OperatorForm,
     RatioProblem,
     _ratio_batch,
@@ -147,7 +164,7 @@ from .hardyops import (
     antigop_psum,
     gop_psum,
 )
-from .seqcore import Window, ext_div, scan_max, scan_min, scan_sum
+from .seqcore import Window, _ext_mul, ext_div, scan_max, scan_min, scan_sum
 
 __all__ = [
     "OracleConfig",
@@ -174,6 +191,16 @@ _POWER_STARTS = 4
 _POWER_REACH = (2.0, 4.0)
 #: Window sizes (and ``(n, cfg)`` pairs) whose pool rows stay cached.
 _POOL_CACHE = 8
+#: Unit roundoff, and the relative error allowed for one ``pow`` (16 ulp),
+#: in the margin of :func:`_block_caps`.
+_EPS = 2.0**-53
+_POW_ERR = 2.0**-48
+#: The pool ratio of a block that :func:`_pool_ratios` does not evaluate.
+_PRUNED = -1.0
+#: Stacks whose block rows hold fewer entries evaluate every block: below
+#: about this size the bounds and a second evaluation cost more than the
+#: skipped rows (one problem: break-even near n = 24).
+_PRUNE_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -261,11 +288,20 @@ def _stack(problems: Sequence[RatioProblem]) -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=_POOL_CACHE)
+def _block_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ends ``m1 < m2`` of every block ``[m1, m2]``, ordered by ``m1``,
+    then ``m2``; read-only, cached by ``n``."""
+    ends = np.triu_indices(n, k=1)
+    for x in ends:
+        x.setflags(write=False)
+    return ends
+
+
+@functools.lru_cache(maxsize=_POOL_CACHE)
 def _indicators(n: int) -> np.ndarray:
-    """The spikes, then the indicators of every block ``[m1, m2]`` with
-    ``m1 < m2``, ordered by ``m1``, then ``m2``: n(n+1)/2 read-only bool
-    rows, cached by ``n``."""
-    m1, m2 = np.triu_indices(n, k=1)
+    """The spikes, then the indicators of every block of
+    :func:`_block_ends`: n(n+1)/2 read-only bool rows, cached by ``n``."""
+    m1, m2 = _block_ends(n)
     idx = np.arange(n)
     out = np.concatenate([np.eye(n, dtype=bool), (m1[:, None] <= idx) & (idx <= m2[:, None])])
     out.setflags(write=False)
@@ -306,6 +342,170 @@ def _assemble_pool(problems: Sequence[RatioProblem], cfg: OracleConfig) -> np.nd
         drawn[...] = (x / np.where(v > 0, v, 1.0)) ** (1.0 / p)
     drawn[~np.isfinite(drawn).all(axis=-1)] = 0.0
     return pool
+
+
+def _starts(problem: RatioProblem, cfg: OracleConfig, size: int) -> int:
+    """How many of the best pool rows the polish starts from: ``4 *
+    restarts`` for the power iteration, ``restarts`` for the ascent, at most
+    the pool size ``size``."""
+    per = _POWER_STARTS if _power_search(problem) else 1
+    return min(per * cfg.restarts, size)
+
+
+def _blocks_in_range(problem: RatioProblem, uvw: np.ndarray, cmax: float) -> np.ndarray:
+    """Whether every intermediate of a block row's ratio and of its bound is
+    0 or within 2^(+-1020), for each stacked problem; ``uvw`` has shape
+    (3, B, n).
+
+    The nonzero entries of ``x = u * inner(a)`` and ``E`` lie in
+    ``[min u+, cmax max u]`` (``u+`` the positive entries; the inner
+    aggregation of a block is 1 to ``cmax``), so every later value lies
+    in a span computed from the log2 extremes of the weights: ``E^q``,
+    ``w E^q`` and their sum, both sides and the ratio.  A weight with no
+    positive entry fails (its spans are NaN), so its blocks are all
+    evaluated.
+    """
+    p, q, n = problem.p, problem.q, uvw.shape[-1]
+    with np.errstate(divide="ignore"):
+        logs = np.log2(np.concatenate([np.where(uvw > 0, uvw, np.inf).min(axis=-1),
+                                       uvw.max(axis=-1)]))
+    out = []
+    for ulo, vlo, wlo, uhi, vhi, whi in zip(*logs.tolist()):
+        uhi += math.log2(cmax)
+        vhi += math.log2(n)  # V, a sum of at most n entries of v
+        if math.isinf(q):
+            llo, lhi = ulo + wlo, uhi + whi  # w E, and its maximum
+            spans = [ulo, uhi, wlo, whi]
+        else:
+            tlo, thi = q * ulo + wlo, q * uhi + whi + math.log2(n)  # w E^q, its sum
+            llo, lhi = tlo / q, thi / q
+            spans = [ulo, uhi, q * ulo, q * uhi, wlo, whi, tlo, thi]
+        rlo, rhi = vlo / p, vhi / p
+        spans += [llo, lhi, vlo, vhi, rlo, rhi, llo - rhi, lhi - rlo]
+        out.append(all(-1020.0 <= x <= 1020.0 for x in spans))
+    return np.array(out, dtype=bool)
+
+
+def _block_caps(problem: RatioProblem, weights: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Upper bounds on the pool ratios of the blocks of stacked problems,
+    margin included; shape (B, n(n-1)/2) in pool order, inf where a bound
+    is not certified.
+
+    A block ``[m1, m2]`` is the indicator of ``L = m2 - m1 + 1`` points.
+    Its inner aggregation is at most ``c(L)`` everywhere: ``L`` for a sum,
+    1 for a sup and ``L^(1/r)`` for a powered sum.  So each iterated entry
+    ``E_n`` is at most ``c(L) U_n``, with ``U`` the running max of ``u`` in
+    the outer direction, ``lhs <= c(L) K`` with ``K = (sum_n w_n
+    U_n^q)^(1/q)`` (``max_n w_n U_n`` at ``q = inf``), and ``rhs =
+    V^(1/p)`` with ``V = sum_{m1 <= k <= m2} v_k``, the block's v-mass.
+    ``V`` is read from one ``cumsum`` along each row ``m1`` of the
+    triangle ``k >= m1``, never as a difference of prefix sums, which can
+    cancel to nothing.  So ``ratio <= c(L) K / V^(1/p)``.
+
+    The margin bounds how far the float ratio of :func:`_ratio_batch` can
+    exceed that float bound.  Put ``eps = 2^-53``, take every ``pow`` to be
+    within 16 ulp (2^-48 relative) of the exact power of its float
+    arguments, and note that rounding its exponent (``1/q``, ``1/p``) adds
+    at most ``|ln result| eps <= 710 eps`` while the result is a normal
+    number.  A sum of at most ``n`` nonnegative terms, in any order, is
+    within ``gamma_n = n eps / (1 - n eps)``.  So each operation is within
+    ``delta = gamma_n + 2^-48 + 712 eps``.  The entries of a block are 0
+    and 1, whose powers are exact.  Counting the operations of the ratio
+    and of the bound (and of the product with the margin): at most 16
+    act on a side directly, at most 8 inside a ``q``-th power that the root
+    ``1/q`` divides by ``q``, and at most 8 inside the ``p``-th power under
+    the root ``1/p``.  With ``-ln(1 - x) <= 1.001 x`` for these ``x``, the
+    float ratio is at most the float bound times ``exp(lam)``, ``lam = (16 +
+    8/q + 8/p) delta``, and the cap is the bound times ``exp(1.01 lam)``:
+    the extra 1% is at least ``100 eps`` and covers the rounding of the
+    ``exp`` and of that product.  The count needs every intermediate to be
+    a normal number or exactly 0, so a problem's caps are certified only
+    where :func:`_blocks_in_range` holds, and are inf elsewhere.
+    """
+    form, p, q = problem.form, problem.p, problem.q
+    uvw = np.stack(weights)[:, :, 0]
+    u, v, w = uvw
+    b, n = u.shape
+    m1, m2 = _block_ends(n)
+    length = (m2 - m1 + 1).astype(float)
+    idx = np.arange(n)
+    delta = n * _EPS / (1.0 - n * _EPS) + _POW_ERR + 712.0 * _EPS
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if form.inner_kind == "sup":
+            c = np.ones_like(length)
+        elif form.inner_kind == "psum":
+            c = length ** (1.0 / form.inner_exponent)  # inf for a tiny r: no cap
+        else:
+            c = length
+        lam = (16.0 + 8.0 / q + 8.0 / p) * delta
+        top = scan_max(u, right=form.outer == "tail")
+        if math.isinf(q):
+            k = (w * top).max(axis=-1)
+        else:
+            k = (w * top**q).sum(axis=-1) ** (1.0 / q)
+        mass = np.cumsum(np.where(idx >= idx[:, None], v[:, None, :], 0.0), axis=-1)
+        mass = mass.reshape(b, -1)[:, m1 * n + m2]
+        caps = c * k[:, None] / mass ** (1.0 / p) * np.exp(1.01 * lam)
+    caps[~_blocks_in_range(problem, uvw, float(c.max()))] = np.inf
+    return caps
+
+
+def _pool_ratios(
+    problem: RatioProblem, pool: np.ndarray, weights: tuple[np.ndarray, ...], starts: int
+) -> np.ndarray:
+    """The pool ratios (B, P) of stacked problems, without evaluating the
+    blocks that cannot reach the ``starts`` best rows.
+
+    The spikes and Dirichlet rows are evaluated first, and the
+    ``starts``-th best of their ratios is a threshold that the ``starts``
+    best rows of the pool reach.  A block whose cap (:func:`_block_caps`)
+    is below it for every problem of the stack is not evaluated, and reads
+    ``_PRUNED``: below the threshold, not inf and not 0 (any pruning needs a
+    positive threshold, so such a pool is not all 0 either way).  So
+    :func:`_to_polish`, the rows the polish starts from and the final
+    maximum are those of the full evaluation.  The order ``np.argsort``
+    gives to equal ratios depends on every entry, though; a problem with a
+    tie among its ``starts + 1`` best ratios (a NaN counts as one) has its
+    pruned blocks evaluated as well.  A stack whose blocks hold fewer than
+    ``_PRUNE_ENTRIES`` entries evaluates them all.
+    """
+    b, size, n = pool.shape
+    nb = n * (n - 1) // 2
+    if b * nb * n < _PRUNE_ENTRIES or size - nb < starts:
+        return _ratio_batch(problem, pool, weights)
+    ratios = np.full((b, size), _PRUNED)
+    # the spikes and Dirichlet rows, as one contiguous batch
+    r = _ratio_batch(problem, np.concatenate([pool[:, :n], pool[:, n + nb :]], axis=1), weights)
+    ratios[:, :n], ratios[:, n + nb :] = r[:, :n], r[:, n:]
+    cut = r.shape[1] - starts
+    floor = np.partition(r, cut, axis=1)[:, cut]
+    at = n + np.flatnonzero(~(_block_caps(problem, weights) < floor[:, None]).all(axis=0))
+    _evaluate_rows(problem, pool, weights, at, ratios)
+    if len(at) == nb:
+        return ratios
+    cut = size - starts - 1
+    best = np.sort(np.partition(ratios, cut, axis=1)[:, cut:], axis=1)
+    for i in np.flatnonzero(~(best[:, 1:] > best[:, :-1]).all(axis=1)):  # ties
+        one = slice(i, i + 1)
+        _evaluate_rows(problem, pool[one], tuple(x[one] for x in weights),
+                       np.arange(n, n + nb), ratios[one])
+    return ratios
+
+
+def _evaluate_rows(
+    problem: RatioProblem,
+    pool: np.ndarray,
+    weights: tuple[np.ndarray, ...],
+    rows: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """``out[:, rows]`` = the ratios of the pool rows ``rows``, evaluated in
+    contiguous copies of about ``_BLOCK_ENTRIES`` entries, as
+    :func:`_ratio_batch` evaluates a large batch: no copy of them all."""
+    step = max(1, _BLOCK_ENTRIES // (pool.shape[0] * pool.shape[-1]))
+    for lo in range(0, len(rows), step):
+        at = rows[lo : lo + step]
+        out[:, at] = _ratio_batch(problem, pool[:, at], weights)
 
 
 def _polish_top(
@@ -370,52 +570,62 @@ def _polish_top(
     return a.reshape(b, rows_per, n), best.reshape(b, rows_per), evals
 
 
+def _offsets(rows: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat offsets of ``rows`` rows of shape (1, n), as ``x`` and ``E``
+    are held, and of their gradients, ``k`` each; shapes (rows, 1, 1) and
+    (rows, k, 1)."""
+    return n * np.arange(rows)[:, None, None], n * np.arange(rows * k).reshape(rows, k, 1)
+
+
 def _power_gradient(
     form: OperatorForm,
     q: float,
     u: np.ndarray,
-    w: np.ndarray,
+    qw: np.ndarray,
     x: np.ndarray,
     e: np.ndarray,
-    flip: np.ndarray,
+    flip: np.ndarray | None,
+    offsets: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """``g = grad(lhs^q)`` of a sum-inner form at L candidates, one row per
-    entry of ``flip`` (K,) for each; shape (L, K, n).
+    """``g = grad(lhs^q)`` of a sum-inner form at L candidates, K rows for
+    each; shape (L, K, n).
 
     ``x = u * inner(a)`` and ``E``, its outer scan (the entries of
     :func:`_iterated_entries`), come from :func:`_sum_entries`; they and
-    ``u`` have shape (L, 1, n), and ``w`` broadcasts against them.  The
-    records are the positions where ``x = E``.  ``i*(n)`` is the first
-    record at or after ``n`` (head outer: the last one at or before ``n``),
-    where ``E_n`` is attained.  Each ``n`` puts the mass
-    ``q w_n E_n^(q-1) u_i*(n)`` (0 where ``E_n = 0``) on ``i*(n)``; one
+    ``u`` have shape (L, 1, n), and ``qw``, which is ``q * w``, broadcasts
+    against them.  The records are the positions where ``x = E``.
+    ``i*(n)`` is the first record at or after ``n`` (head outer: the last
+    one at or before ``n``), where ``E_n`` is attained.  Each ``n`` puts the
+    mass ``q w_n E_n^(q-1) u_i*(n)`` (0 where ``E_n = 0``) on ``i*(n)``; one
     ``bincount`` sums the masses per row, and ``g`` is their suffix sum for
-    an inner-left form, their prefix sum for inner-right.
+    an inner-left form, their prefix sum for inner-right.  ``offsets`` are
+    :func:`_offsets` ``(L, K, n)``.
 
-    Each entry of ``flip`` names one position whose record status is flipped
-    first; ``E_n`` is then read as ``x_i*(n)``, so ``g`` is the gradient of a
-    lower bound on ``lhs^q`` that takes the flipped record set.  The end of
-    the outer scan (the last position for a tail outer, the first for a head
-    outer) stays a record, so flipping it flips nothing: that is the plain
+    ``flip`` is None for the plain step (K = 1), or a bool mask (K, n)
+    whose row k flips the record status of the positions it marks; ``E_n``
+    is then read as ``x_i*(n)``, so ``g`` is the gradient of a lower bound
+    on ``lhs^q`` that takes the flipped record set.  The end of the outer
+    scan (the last position for a tail outer, the first for a head outer)
+    stays a record, so flipping it flips nothing: that row is the plain
     step's gradient.
     """
-    right, tail = form.inner_dir == "right", form.outer == "tail"
+    tail = form.outer == "tail"
     n = x.shape[-1]
     idx = np.arange(n)
-    rec = (x == e) ^ (idx == flip[:, None])
+    rec = x == e
+    if flip is not None:
+        rec = rec ^ flip
     rec[..., n - 1 if tail else 0] = True
     if tail:
         star = scan_min(np.where(rec, idx, n), right=True)
     else:
         star = scan_max(np.where(rec, idx, -1))
-    at = star + n * np.arange(len(x))[:, None, None]  # into the rows of x
+    at = star + offsets[0]  # into the rows of x
     estar, ustar = x.reshape(-1)[at], u.reshape(-1)[at]
     pos = estar > 0
-    mass = np.where(pos, q * w * np.where(pos, estar, 1.0) ** (q - 1.0) * ustar, 0.0)
-    rows = mass.size // n
-    at = (star.reshape(rows, n) + n * np.arange(rows)[:, None]).ravel()
-    m = np.bincount(at, weights=mass.ravel(), minlength=rows * n).reshape(mass.shape)
-    return scan_sum(m, right=not right)
+    mass = np.where(pos, qw * np.where(pos, estar, 1.0) ** (q - 1.0) * ustar, 0.0)
+    m = np.bincount((star + offsets[1]).ravel(), weights=mass.ravel(), minlength=mass.size)
+    return scan_sum(m.reshape(mass.shape), right=form.inner_dir != "right")
 
 
 def _power_steps(
@@ -423,19 +633,19 @@ def _power_steps(
     a: np.ndarray,
     best: np.ndarray,
     weights: tuple[np.ndarray, ...],
-    flips: np.ndarray,
     iterations: int,
     reach: tuple[float, ...] = (),
+    flip: bool = False,
 ) -> np.ndarray:
     """Power steps from the rows ``a`` (L, n) with ratios ``best`` (L,),
     both updated in place, all rows in lock-step; returns the evaluations
     of each row.
 
     ``weights`` are the rows' ``(u, v, w)``, each of shape (L, 1, n).  A
-    step evaluates one candidate per entry of ``flips`` (K,):
+    plain step evaluates one candidate, a flip step (``flip``) the ``n``
+    candidates that flip one record position each:
     ``a <- a^alpha (g/v)^beta``, rescaled by its row maximum, with ``g``
-    from :func:`_power_gradient` for that flip (so ``a_k = 0`` where
-    ``g_k = 0``) and
+    from :func:`_power_gradient` (so ``a_k = 0`` where ``g_k = 0``) and
 
     ================  =================  ============
     range             ``alpha``          ``beta``
@@ -457,21 +667,27 @@ def _power_steps(
 
     A live row keeps the ``x`` and ``E`` of :func:`_sum_entries` that the
     evaluation of its last winning candidate computed, so its next gradient
-    starts from them; the weights of the live rows are sliced again only
-    when a row stops.
+    starts from them.  What depends only on the live set (its weights,
+    ``q * w`` and the row offsets) is set up again, and its evaluations
+    counted, only when a row stops.
     """
     p, q, form = problem.p, problem.q, problem.form
     alpha, beta = (0.0, 1.0 / (p - 1.0)) if p > 1 else ((1.0 - q) / (p - q), 1.0 / (p - q))
+    n = a.shape[-1]
+    mask, grads = (np.eye(n, dtype=bool), n) if flip else (None, 1)  # gradients per row
     evals = np.zeros(len(a), dtype=int)
     stretch = np.ones(len(a))
     rows = np.flatnonzero(~np.isinf(best))
     u, v, w = (arr[rows] for arr in weights)
+    qw = q * w
     x, e = _sum_entries(u, a[rows, None], form)
+    offsets, live = _offsets(len(rows), grads, n), np.arange(len(rows))
+    ran = width = 0  # steps of the live set, candidates per step
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(iterations):
             if not len(rows):
                 break
-            g = _power_gradient(form, q, u, w, x, e, flips)
+            g = _power_gradient(form, q, u, qw, x, e, mask, offsets)
             g /= g.max(axis=-1, keepdims=True)
             t = np.divide(g, v, out=np.zeros(g.shape), where=g > 0)
             t /= t.max(axis=-1, keepdims=True)
@@ -488,10 +704,10 @@ def _power_steps(
                 cand = t**beta
             cand[~np.isfinite(cand).all(axis=-1)] = 0.0
             cx, ce = _sum_entries(u, cand, form)
-            r = _ratio_from_entries(problem, cand, v, w, ce)
-            evals[rows] += cand.shape[1]
+            r = _ratio_from_entries(problem, cand, v, w, ce, mul=_ext_mul)
+            ran, width = ran + 1, cand.shape[1]
             k = np.argmax(r, axis=1)
-            top = r[np.arange(len(rows)), k]
+            top = r[live, k]
             up = top > best[rows]
             best[rows[up]] = top[up]
             a[rows[up]] = cand[up, k[up]]
@@ -499,10 +715,15 @@ def _power_steps(
                 stretch[rows[k == len(reach)]] *= 2.0
                 stretch[rows[k == 0]] = np.maximum(stretch[rows[k == 0]] / 2.0, 1.0)
             keep = up & ~np.isinf(top)
-            if not keep.all():  # the live rows only shrink
-                rows, u, v, w = rows[keep], u[keep], v[keep], w[keep]
+            if keep.all():
+                x, e = cx[live, k, None], ce[live, k, None]
+                continue
+            evals[rows] += ran * width  # the live rows only shrink
             kept = np.flatnonzero(keep)
+            rows, u, v, w, qw = rows[kept], u[kept], v[kept], w[kept], qw[kept]
             x, e = cx[kept, k[kept], None], ce[kept, k[kept], None]
+            offsets, live, ran = _offsets(len(rows), grads, n), np.arange(len(rows)), 0
+    evals[rows] += ran * width
     return evals
 
 
@@ -534,14 +755,13 @@ def _power_top(
     were live, and the ``n`` of the toggles.
     """
     b, size, n = pool.shape
-    end = np.array([n - 1 if problem.form.outer == "tail" else 0])  # no flip
     reach = _POWER_REACH if problem.p <= 1 else ()
 
     def plain(a: np.ndarray, best: np.ndarray) -> np.ndarray:
         """Plain steps from the rows ``a`` (B, L, n), updated in place."""
         uvw = tuple(np.repeat(x, a.shape[1], axis=0) for x in weights)
         evals = _power_steps(
-            problem, a.reshape(-1, n), best.reshape(-1), uvw, end, cfg.iterations, reach
+            problem, a.reshape(-1, n), best.reshape(-1), uvw, cfg.iterations, reach
         )
         return evals.reshape(b, a.shape[1]).sum(axis=1)
 
@@ -551,7 +771,7 @@ def _power_top(
         return (np.take_along_axis(a, k[:, :, None], axis=1)[:, 0],
                 np.take_along_axis(best, k, axis=1)[:, 0])
 
-    top = np.argsort(ratios, axis=1)[:, ::-1][:, : min(_POWER_STARTS * cfg.restarts, size)]
+    top = np.argsort(ratios, axis=1)[:, ::-1][:, : _starts(problem, cfg, size)]
     a = np.take_along_axis(pool, top[:, :, None], axis=1)
     best = np.take_along_axis(ratios, top, axis=1)
     evals = plain(a, best)
@@ -567,7 +787,7 @@ def _power_top(
         evals += n + plain(toggled, tbest)
         a, best = np.concatenate([a, toggled], axis=1), np.concatenate([best, tbest], axis=1)
     a1, best1 = lead(a, best)
-    evals += _power_steps(problem, a1, best1, weights, np.arange(n), cfg.iterations)
+    evals += _power_steps(problem, a1, best1, weights, cfg.iterations, flip=True)
     return (
         np.concatenate([a, a1[:, None]], axis=1),
         np.concatenate([best, best1[:, None]], axis=1),
@@ -620,15 +840,29 @@ def _search(problems: Sequence[RatioProblem], cfg: OracleConfig) -> list[OracleR
     """The search for same-size problems sharing ``p``, ``q`` and the form.
 
     In the spike range each problem's spike maximum; elsewhere one pool
-    evaluation, then one lock-step polish of every problem that
-    :func:`_to_polish` selects.
+    evaluation (:func:`_pool_ratios`, which skips the blocks that cannot
+    reach the polish), then :func:`_finish`.
     """
     ref = problems[0]
     if _spike_exact(ref):
         return [_spike_max(prob) for prob in problems]
     weights = _stack(problems)
     pool = _assemble_pool(problems, cfg)
-    ratios = _ratio_batch(ref, pool, weights)
+    ratios = _pool_ratios(ref, pool, weights, _starts(ref, cfg, pool.shape[1]))
+    return _finish(problems, pool, ratios, weights, cfg)
+
+
+def _finish(
+    problems: Sequence[RatioProblem],
+    pool: np.ndarray,
+    ratios: np.ndarray,
+    weights: tuple[np.ndarray, ...],
+    cfg: OracleConfig,
+) -> list[OracleResult]:
+    """One lock-step polish of every problem that :func:`_to_polish`
+    selects, and each problem's result; ``evaluations`` counts every pool
+    row, evaluated or not."""
+    ref = problems[0]
     evals = np.full(len(problems), pool.shape[1])
     fin = _to_polish(ratios)
     polished = np.cumsum(fin) - 1  # index among the polished problems

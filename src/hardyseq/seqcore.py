@@ -114,7 +114,13 @@ def ext_mul_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Every product with a zero factor is ``+0.0``, also for a ``-0.0`` factor.
     """
     with np.errstate(invalid="ignore"):
-        out = np.multiply(x, y, dtype=float)
+        return _ext_mul(x, y)
+
+
+def _ext_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:func:`ext_mul_array` for a caller that already ignores invalid
+    operations (``0 * inf``), as the oracle's power loop does."""
+    out = np.multiply(x, y, dtype=float)
     out[np.isnan(out)] = 0.0  # 0 * inf
     out += 0.0  # -0.0 -> +0.0
     return out
@@ -217,12 +223,28 @@ class Window:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Window":
+        """The window of ``{"start": int, "values": [number, ...]}``; a
+        boolean, string or other non-number entry raises ``ValueError``,
+        and so does a ``start`` that :func:`_wire_int` rejects."""
         if not isinstance(obj, dict) or "start" not in obj or "values" not in obj:
             raise ValueError('window JSON must be {"start": int, "values": [...]}')
         for v in obj["values"]:
-            if isinstance(v, str):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"unrecognized window entry {v!r}")
-        return cls(int(obj["start"]), [float(v) for v in obj["values"]])
+        return cls(_wire_int(obj["start"], "window start"), [float(v) for v in obj["values"]])
+
+
+def _wire_int(x: object, name: str) -> int:
+    """An integer field of the JSON wire format: an int, or a float with an
+    integral value; a boolean, a string or a non-integral number raises
+    ``ValueError`` naming the field, where ``int`` would truncate it."""
+    if (
+        isinstance(x, bool)
+        or not isinstance(x, (int, float))
+        or (isinstance(x, float) and not x.is_integer())
+    ):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
 
 
 def common_window(*windows: Window) -> None:

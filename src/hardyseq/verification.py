@@ -36,7 +36,7 @@ import numpy as np
 from . import blocks, bridge, charformulas, hardyops, oracle
 from .hardyops import ANTIGOP_SUP, RatioProblem
 from .oracle import FAST_CONFIG
-from .seqcore import Window
+from .seqcore import Window, _wire_int
 
 __all__ = ["SweepSpec", "run_verification", "replay_instance", "SCHEMA_VERSION"]
 
@@ -88,15 +88,15 @@ class SweepSpec:
             raise ValueError("sweep spec must be a JSON object")
         kwargs: dict[str, Any] = {}
         if "seed" in obj:
-            kwargs["seed"] = int(obj["seed"])
+            kwargs["seed"] = _wire_int(obj["seed"], "seed")
         if "suites" in obj:
             kwargs["suites"] = tuple(obj["suites"])
         if "regimes" in obj:
             kwargs["regimes"] = tuple((float(p), float(q)) for p, q in obj["regimes"])
         if "window_sizes" in obj:
-            kwargs["window_sizes"] = tuple(int(n) for n in obj["window_sizes"])
+            kwargs["window_sizes"] = tuple(_wire_int(n, "window size") for n in obj["window_sizes"])
         if "ensemble" in obj:
-            kwargs["ensemble"] = int(obj["ensemble"])
+            kwargs["ensemble"] = _wire_int(obj["ensemble"], "ensemble")
         if "weight_exponent" in obj:
             kwargs["weight_exponent"] = float(obj["weight_exponent"])
         if "out" in obj and obj["out"] is not None:
@@ -260,8 +260,8 @@ _DECODE: dict[str, Callable[[Any], Any]] = {
     "p": float,
     "q": float,
     "alpha": float,
-    "n": int,
-    "n0": int,
+    "n": lambda x: _wire_int(x, "n"),
+    "n0": lambda x: _wire_int(x, "n0"),
     "form": str,
     "family": str,
 }

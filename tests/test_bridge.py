@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -148,6 +149,24 @@ class TestExactReference:
         w = Window(0, (1.0, 1.0))
         with pytest.raises(ValueError):
             bridge_check(w, w, w, w, p, q, "gop")
+
+    @pytest.mark.parametrize("p,q", [(1e300, 1.0), (1.0, 1e300), (2001.0, 2.0)])
+    def test_integer_exponents_above_the_cap_rejected(self, p, q):
+        """An integer exponent k is taken exactly, as int powers that grow
+        with k; above 2,000 it raises at once (q = 1e300 used to hang)."""
+        w = Window(0, (1.0, 1.0))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="above 2000"):
+            bridge_check(w, w, w, w, p, q, "gop")
+        assert time.perf_counter() - start < 1.0
+
+    def test_exponents_at_the_cap_and_non_integers_above_it(self):
+        """k = 2,000 is still exact, and a non-integer exponent above the
+        cap takes the float path."""
+        w = Window(0, (0.5, 0.25))
+        assert bridge_check(w, w, w, w, 2000.0, 2000.0, "gop").exact_lhs
+        res = bridge_check(w, w, w, w, 1.0, 2500.5, "antigop")
+        assert not res.exact_lhs and res.exact_rhs
 
 
 class TestEmbedding:

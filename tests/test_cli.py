@@ -128,6 +128,13 @@ class TestBridge:
         assert out["discrete_lhs"] == 4.0
         assert out["lhs_equal"] and out["exact_lhs"]
 
+    @pytest.mark.parametrize("window", [{"start": 2.5, "values": [1, 1]}, {"start": 0, "values": [1, True]}])
+    def test_malformed_window_exits_two(self, tmp_path, window, capsys):
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({k: window for k in "uvwa"}))
+        assert main(["bridge", "--weights", str(path), "--p", "1", "--q", "1"]) == 2
+        assert "hardyseq: error" in capsys.readouterr().err
+
     def test_missing_a(self, tmp_path, capsys):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"u": {"start": 0, "values": [1]}}))
@@ -137,6 +144,12 @@ class TestBridge:
     def test_infinite_exponent_exits_two(self, weights_file, flag):
         args = {"--p": "1", "--q": "1", flag: "inf"}
         assert main(["bridge", "--weights", weights_file, *(x for kv in args.items() for x in kv)]) == 2
+
+    @pytest.mark.parametrize("flag", ["--p", "--q"])
+    def test_huge_integer_exponent_exits_two(self, weights_file, flag, capsys):
+        args = {"--p": "1", "--q": "1", flag: "1e300"}
+        assert main(["bridge", "--weights", weights_file, *(x for kv in args.items() for x in kv)]) == 2
+        assert "above 2000" in capsys.readouterr().err
 
     def test_power_beyond_float_range(self, tmp_path, capsys):
         """The q-th power 2**1204 is no float, its cube root is."""
@@ -195,6 +208,13 @@ class TestVerify:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"suites": ["nope"]}))
         assert main(["verify", "--spec", str(path)]) == 2
+
+    @pytest.mark.parametrize("field,value", [("seed", 1.5), ("ensemble", True), ("window_sizes", [4.5])])
+    def test_non_integer_spec_field_exits_two(self, tmp_path, field, value, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({field: value}))
+        assert main(["verify", "--spec", str(path)]) == 2
+        assert "must be an integer" in capsys.readouterr().err
 
     def test_output_file_round_trips(self, tmp_path):
         spec = {"seed": 3, "ensemble": 3, "suites": ["chain"], "window_sizes": [4]}

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hardyseq.charformulas import char_linft_exact
 from hardyseq.hardyops import (
@@ -9,26 +11,35 @@ from hardyseq.hardyops import (
     ANTIGOP_SUP,
     DUAL_ANTIGOP,
     DUAL_GOP,
+    FORM_NAMES,
     GOP,
     GOP_SUP,
     RatioProblem,
     _ratio_batch,
     _sum_entries,
     antigop_psum,
+    form_by_name,
     gop_psum,
     lhs,
     ratio,
 )
 from hardyseq.oracle import (
     FAST_CONFIG,
+    _PRUNED,
     OracleConfig,
     _assemble_pool,
+    _block_caps,
     _dirichlet_draws,
+    _finish,
     _indicators,
+    _offsets,
     _polish_top,
+    _pool_ratios,
     _power_gradient,
     _power_steps,
+    _spike_exact,
     _stack,
+    _starts,
     brute_force_constant,
     brute_force_constants,
     chain_equivalence_sweep,
@@ -363,6 +374,125 @@ def _sequential_polish(problem, a0, cfg):
     return a, evals
 
 
+def _search_reference(problems, cfg):
+    """The search of a stack outside the spike range with every pool row
+    evaluated: the reference for the pool evaluation that skips the blocks
+    their caps rule out."""
+    weights = _stack(problems)
+    pool = _assemble_pool(problems, cfg)
+    return _finish(problems, pool, _ratio_batch(problems[0], pool, weights), weights, cfg)
+
+
+def _weights(rng, kind, n):
+    """``(u, v, w)`` values: 2^U(+-3), with 30% zeros, 2^U(+-60), or constant
+    (whose pool ratios tie exactly)."""
+    if kind == "constant":
+        return [np.full(n, c) for c in (1.0, 2.0, 0.5)]
+    scale = 60.0 if kind == "wide" else 3.0
+    out = [2.0 ** rng.uniform(-scale, scale, n) for _ in range(3)]
+    if kind == "zeros":
+        out = [x * (rng.random(n) > 0.3) for x in out]
+    return out
+
+
+class TestPrunedPool:
+    @pytest.mark.parametrize("name", list(FORM_NAMES.values()))
+    def test_matches_the_full_pool_evaluation(self, name):
+        """Skipping the blocks whose caps lie below the polish's start rows
+        changes no result, field by field, over stacks of one and three
+        problems, n from 2 to 64, p > 1, q < p <= 1 and q = inf, zero,
+        wide-range and constant weights; and it skips blocks."""
+        rng = np.random.default_rng(sorted(FORM_NAMES.values()).index(name))
+        pruned = 0
+        for p, q in [(2.0, 3.0), (3.0, 2.0), (1.0, 0.5), (0.8, 0.3), (1.5, INF)]:
+            form = form_by_name(name, float(rng.choice([0.5, 2.0])))
+            for kind in ("plain", "zeros", "wide", "constant"):
+                n = int(rng.choice([2, 5, 16, 32, 48, 64]))
+                cfg = [FAST_CONFIG, OracleConfig(4, 20, 0, 8)][int(rng.integers(2))]
+                start = int(rng.integers(-4, 5))
+                probs = [RatioProblem(*(Window(start, x) for x in _weights(rng, kind, n)),
+                                      p, q, form) for _ in range(int(rng.choice([1, 3])))]
+                if _spike_exact(probs[0]):
+                    continue
+                weights, pool = _stack(probs), _assemble_pool(probs, cfg)
+                starts = _starts(probs[0], cfg, pool.shape[1])
+                pruned += int((_pool_ratios(probs[0], pool, weights, starts) == _PRUNED).sum())
+                for got, want in zip(brute_force_constants(probs, cfg), _search_reference(probs, cfg)):
+                    assert got.constant.hex() == want.constant.hex(), (p, q, kind, n)
+                    assert got.argmax.start == want.argmax.start
+                    assert got.argmax.values.tobytes() == want.argmax.values.tobytes()
+                    assert got.certificate == want.certificate
+                    assert got.search == want.search
+                    assert got.evaluations == want.evaluations
+        assert pruned > 0
+
+    def test_ties_evaluate_every_block(self):
+        """Constant weights tie pool ratios exactly, and ``np.argsort``
+        orders equal ratios by every entry of the row; the blocks are then
+        all evaluated, so the start rows are those of the full pool."""
+        probs = [RatioProblem(*(Window(0, np.full(64, c)) for c in (1.0, 2.0, 0.5)), 2.0, 3.0, GOP)]
+        cfg = OracleConfig(4, 80, 0, 8)
+        weights, pool = _stack(probs), _assemble_pool(probs, cfg)
+        full = _ratio_batch(probs[0], pool, weights)
+        got = _pool_ratios(probs[0], pool, weights, _starts(probs[0], cfg, pool.shape[1]))
+        assert got.tobytes() == full.tobytes()
+        top = np.sort(full[0])[::-1][:17]
+        assert (top[1:] == top[:-1]).any()  # the tie
+        assert brute_force_constants(probs, cfg)[0] == _search_reference(probs, cfg)[0]
+
+    def test_subnormal_sides_are_not_certified(self):
+        """With u near 2^-400 and q near 2.6 the terms ``w E^q`` can be
+        subnormal, whose rounding is far coarser than the margin: a bound
+        without the range check falls below about one block ratio in ten
+        here.  Such caps are inf, so those blocks are evaluated, and no
+        finite cap is below its ratio."""
+        rng = np.random.default_rng(3)
+        uncertified = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 8))
+            u = 2.0 ** rng.uniform(-420, -380) * rng.choice([1.0, 1.0 + 2.0**-40], n)
+            w = np.full(n, rng.uniform(0.5, 2.0))
+            form = [GOP, ANTIGOP, DUAL_GOP, GOP_SUP][int(rng.integers(4))]
+            probs = [RatioProblem(Window(0, u), Window(0, np.ones(n)), Window(0, w),
+                                  2.0, float(rng.uniform(2.5, 2.8)), form)]
+            weights = _stack(probs)
+            caps = _block_caps(probs[0], weights)
+            with np.errstate(under="ignore"):
+                ratios = _ratio_batch(probs[0], _indicators(n)[None, n:].astype(float), weights)
+            sure = np.isfinite(caps)
+            uncertified += not sure.any()
+            assert (ratios[sure] <= caps[sure]).all()
+        assert uncertified > 50
+
+    @given(
+        st.integers(min_value=2, max_value=12),
+        st.sampled_from(list(FORM_NAMES.values())),
+        st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+        st.floats(min_value=0.05, max_value=8.0),
+        st.one_of(st.floats(min_value=0.05, max_value=8.0), st.just(INF)),
+        st.data(),
+    )
+    def test_block_ratios_stay_under_their_caps(self, n, name, r, p, q, data):
+        """Every block row's ratio is at most its cap, margin included,
+        wherever the cap is finite; weights 2^k, k in [-80, 80], with
+        zeros and repeats.  Where a power leaves the float range the cap is
+        inf, and the ratio's overflow is not what this test checks."""
+        entry = st.one_of(st.just(0.0), st.integers(-80, 80).map(lambda k: 2.0**k),
+                          st.floats(min_value=2.0**-80, max_value=2.0**80))
+        probs = [
+            RatioProblem(*(Window(0, data.draw(st.lists(entry, min_size=n, max_size=n)))
+                           for _ in range(3)), p, q, form_by_name(name, r))
+            for _ in range(data.draw(st.integers(min_value=1, max_value=2)))
+        ]
+        weights = _stack(probs)
+        caps = _block_caps(probs[0], weights)
+        blocks = np.broadcast_to(_indicators(n)[n:].astype(float), (len(probs), len(caps[0]), n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratios = _ratio_batch(probs[0], np.ascontiguousarray(blocks), weights)
+        sure = np.isfinite(caps)
+        assert (ratios[sure] <= caps[sure]).all(), (ratios[sure], caps[sure])
+
+
 class TestPolish:
     @pytest.mark.parametrize(
         "form,p,q",
@@ -412,8 +542,7 @@ class TestPowerIteration:
         """The gradient of ``lhs^q`` from the record positions of the outer
         scan matches central differences, also with zeros in u and w.  The
         gradient reads ``x = u * inner(a)`` and its outer scan, built here
-        from ``a`` as the power loop keeps them, and flips only the end of
-        the outer scan, which flips nothing."""
+        from ``a`` as the power loop keeps them, and flips nothing."""
         rng = np.random.default_rng(53)
         for _ in range(12):
             n = int(rng.integers(2, 10))
@@ -423,8 +552,7 @@ class TestPowerIteration:
             a = rng.permutation(np.linspace(0.5, 2.0, n))  # distinct entries
             uu = u.as_array()[None, None]
             x, e = _sum_entries(uu, a[None, None], form)
-            end = np.array([n - 1 if form.outer == "tail" else 0])
-            g = _power_gradient(form, q, uu, w.as_array(), x, e, end)[0, 0]
+            g = _power_gradient(form, q, uu, q * w.as_array(), x, e, None, _offsets(1, 1, n))[0, 0]
             fd = np.empty(n)
             for k in range(n):
                 # rounding costs eps * lhs^q / h; truncation h^2 / a_k^2 relative
@@ -502,8 +630,7 @@ class TestPowerIteration:
                 a = 2.0 ** rng.uniform(-4, 4, (len(probs), n)) * (rng.random((len(probs), n)) > 0.2)
                 before = _ratio_batch(probs[0], a[:, None, :], weights)[:, 0]
                 best = np.full(len(probs), -1.0)  # below every ratio: the row always moves
-                end = np.array([n - 1 if form.outer == "tail" else 0])
-                assert _power_steps(probs[0], a, best, weights, end, 1).tolist() == [1] * len(probs)
+                assert _power_steps(probs[0], a, best, weights, 1).tolist() == [1] * len(probs)
                 assert (best >= before * (1 - 1e-12)).all(), (p, q, n, best / before)
 
     @pytest.mark.parametrize(

@@ -168,6 +168,20 @@ class TestWindow:
         w = Window(-2, (0.5, 0.0, 3.0))
         assert Window.from_json(json.loads(json.dumps(w.to_json()))) == w
 
+    @pytest.mark.parametrize("start", [2.5, True, "2", None])
+    def test_json_rejects_a_non_integer_start(self, start):
+        """``int`` would read 2.5 as 2 and True as 1; an integral float is
+        an integer."""
+        with pytest.raises(ValueError, match="window start must be an integer"):
+            Window.from_json({"start": start, "values": [1.0]})
+        assert Window.from_json({"start": 2.0, "values": [1.0]}).start == 2
+
+    @pytest.mark.parametrize("entry", [True, False, None, [1.0]])
+    def test_json_rejects_non_number_entries(self, entry):
+        """A boolean entry would read as 1.0 or 0.0."""
+        with pytest.raises(ValueError, match="unrecognized window entry"):
+            Window.from_json({"start": 0, "values": [1, entry]})
+
     def test_json_rejects_inf(self):
         for entry in ("inf", "Infinity", INF):
             with pytest.raises(ValueError):

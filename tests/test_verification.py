@@ -73,6 +73,31 @@ def test_spec_json_round_trip():
     assert "replay" not in SweepSpec().to_json()
 
 
+@pytest.mark.parametrize("value", [2.5, True, "3"])
+@pytest.mark.parametrize("field", ["seed", "ensemble", "window_sizes"])
+def test_spec_rejects_non_integer_fields(field, value):
+    """``int`` would truncate these; an integral float still reads as an
+    integer."""
+    obj = {field: [4, value] if field == "window_sizes" else value}
+    with pytest.raises(ValueError, match="must be an integer"):
+        SweepSpec.from_json(obj)
+    whole = {field: [4, 3.0] if field == "window_sizes" else 3.0}
+    ints = {field: [4, 3] if field == "window_sizes" else 3}
+    assert SweepSpec.from_json(whole) == SweepSpec.from_json(ints)
+
+
+@pytest.mark.parametrize("value", [0.5, True, "0"])
+@pytest.mark.parametrize(
+    "entry",
+    [{"suite": "chain", "a": {"start": 0, "values": [1, 2]}, "p": 0.5, "n": 0},
+     {"suite": "partition", "w": {"start": 0, "values": [1, 1, 1, 1]}, "n0": 0}],
+)
+def test_replay_rejects_a_non_integer_index(entry, value):
+    key = "n" if "n" in entry else "n0"
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        replay_instance({**entry, key: value})
+
+
 def test_rand_window_respects_zero_prob():
     rng = np.random.default_rng(0)
     w = rand_window(rng, 50, exponent=2.0, zero_prob=0.5)
