@@ -102,12 +102,22 @@ evaluates its candidates through ``hardyops._sum_entries``, which returns
 live row: they are exactly what the gradient of the row's next step reads,
 so that step does not compute them again.
 
-The pool rows that do not depend on the problems are built once: the spike
-and block indicators depend only on ``n`` and the Dirichlet draws only on
-``(n, cfg)``, and both stay in small ``functools.lru_cache`` caches as
-read-only arrays (the indicators as bool).  Repeated searches at the same
-size and config, as in a verification sweep, share them; each pool is a
-fresh float array filled from them.
+No pool is held in memory.  :func:`_pool_rows` builds any pool row, a
+fresh float array, from its index: a spike or a block is the indicator of
+its ends, and the Dirichlet rows are the only rows stored per problem.  The
+pool evaluation builds its rows in chunks of about ``_BLOCK_ENTRIES``
+entries, and only the rows it evaluates; the polish rebuilds its start rows
+by index, and the result its argmax.  Three things are cached, as read-only
+arrays in small ``functools.lru_cache`` caches: the block ends and a
+staircase of n+1 rows (an indicator is the difference of two of its rows),
+which depend only on ``n``, and the Dirichlet draws, which depend only on
+``(n, cfg)``.  Repeated searches at the same size and config, as in a
+verification sweep, share them.  So a search of ``B`` problems holds
+O(B n^2) floats (the ratios of the n(n+1)/2 pool rows, the block caps, the
+toggles and the flip steps of the polish) and one chunk of rows, where a
+pool of every row held O(B n^3): 4.3 GB at ``n = 1024``.  Rows are
+independent under :func:`_ratio_batch`, so every result is bit for bit the
+one that pool gave.
 
 Not every block of the pool is evaluated.  The spikes and Dirichlet rows
 are evaluated first, and the ``S``-th best of their ratios is a threshold,
@@ -189,7 +199,8 @@ _POWER_STARTS = 4
 #: Extrapolations ``a (a'/a)^omega`` that each plain step for ``q < p <= 1``
 #: evaluates with the step ``a'`` itself, ``omega`` times the row's stretch.
 _POWER_REACH = (2.0, 4.0)
-#: Window sizes (and ``(n, cfg)`` pairs) whose pool rows stay cached.
+#: Window sizes whose block ends and staircase, and ``(n, cfg)`` pairs whose
+#: Dirichlet draws, stay cached.
 _POOL_CACHE = 8
 #: Unit roundoff, and the relative error allowed for one ``pow`` (16 ulp),
 #: in the margin of :func:`_block_caps`.
@@ -289,21 +300,24 @@ def _stack(problems: Sequence[RatioProblem]) -> tuple[np.ndarray, ...]:
 
 @functools.lru_cache(maxsize=_POOL_CACHE)
 def _block_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ends ``m1 < m2`` of every block ``[m1, m2]``, ordered by ``m1``,
-    then ``m2``; read-only, cached by ``n``."""
-    ends = np.triu_indices(n, k=1)
+    """``(start, stop)`` of the pool's indicator rows, in pool order: each
+    is the indicator of ``[start, stop)``, the ``n`` spikes first, then
+    every block ``[m1, m2]`` with ``m1 < m2``, ordered by ``m1``, then
+    ``m2``; n(n+1)/2 each, read-only, cached by ``n``."""
+    spikes = np.arange(n)
+    m1, m2 = np.triu_indices(n, k=1)
+    ends = np.concatenate([spikes, m1]), np.concatenate([spikes, m2]) + 1
     for x in ends:
         x.setflags(write=False)
     return ends
 
 
 @functools.lru_cache(maxsize=_POOL_CACHE)
-def _indicators(n: int) -> np.ndarray:
-    """The spikes, then the indicators of every block of
-    :func:`_block_ends`: n(n+1)/2 read-only bool rows, cached by ``n``."""
-    m1, m2 = _block_ends(n)
-    idx = np.arange(n)
-    out = np.concatenate([np.eye(n, dtype=bool), (m1[:, None] <= idx) & (idx <= m2[:, None])])
+def _staircase(n: int) -> np.ndarray:
+    """The (n+1, n) floats whose row ``k`` is the indicator of ``[0, k)``;
+    read-only, cached by ``n``.  Row ``stop`` minus row ``start`` is the
+    indicator of ``[start, stop)``, exactly."""
+    out = np.tri(n + 1, n, -1)
     out.setflags(write=False)
     return out
 
@@ -322,26 +336,52 @@ def _dirichlet_draws(n: int, cfg: OracleConfig) -> np.ndarray:
     return out
 
 
-def _assemble_pool(problems: Sequence[RatioProblem], cfg: OracleConfig) -> np.ndarray:
-    """Spikes, then blocks, then Dirichlet draws, for same-size problems that
-    share ``p``; shape (B, P, n), built in one allocation.
+def _dirichlet_rows(problems: Sequence[RatioProblem], cfg: OracleConfig) -> np.ndarray:
+    """The Dirichlet rows of same-size problems that share ``p``, shape
+    (B, D, n): the only pool rows that differ between problems.
 
-    Only the Dirichlet rows differ between problems: the shared simplex
-    points are pulled onto each problem's constraint surface
-    ``sum a^p v = 1``.  A row that overflows there is set to zero, whose
-    ratio 0 never wins, so every candidate is a finite window.
+    The shared simplex points are pulled onto each problem's constraint
+    surface ``sum a^p v = 1``.  A row that overflows there is set to zero,
+    whose ratio 0 never wins, so every candidate is a finite window.
     """
     n, p = problems[0].size, problems[0].p
     x = _dirichlet_draws(n, cfg)
-    ind = _indicators(n)
-    pool = np.empty((len(problems), len(ind) + len(x), n))
-    pool[:, : len(ind)] = ind
     v = np.stack([prob.v.as_array() for prob in problems])[:, None, :]
-    drawn = pool[:, len(ind) :]
     with np.errstate(over="ignore"):
-        drawn[...] = (x / np.where(v > 0, v, 1.0)) ** (1.0 / p)
+        drawn = (x / np.where(v > 0, v, 1.0)) ** (1.0 / p)
     drawn[~np.isfinite(drawn).all(axis=-1)] = 0.0
-    return pool
+    return drawn
+
+
+def _pool_size(drawn: np.ndarray) -> int:
+    """The number of pool rows: spikes, blocks and the Dirichlet rows
+    ``drawn`` (B, D, n)."""
+    n = drawn.shape[-1]
+    return n * (n + 1) // 2 + drawn.shape[1]
+
+
+def _pool_rows(drawn: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The pool rows with indices ``at``, a fresh float array (B, K, n).
+
+    The pool is the spikes, then the blocks, then the Dirichlet rows
+    ``drawn`` (B, D, n) of each stacked problem.  ``at`` has shape (K,),
+    the same rows for every problem, or (B, K).  A spike or block is the
+    indicator of its ends (:func:`_block_ends`), the difference of two
+    rows of :func:`_staircase`, so only the rows asked for are built.
+    """
+    b, _, n = drawn.shape
+    start, stop = _block_ends(n)
+    stair, k = _staircase(n), len(start)
+    ind = np.minimum(at, k - 1)  # a Dirichlet row is overwritten below
+    out = np.empty((b, at.shape[-1], n))
+    np.subtract(stair[stop[ind]], stair[start[ind]], out=out)
+    if at.ndim == 1:
+        d = at >= k
+        out[:, d] = drawn[:, at[d] - k]
+    else:
+        bi, ki = np.nonzero(at >= k)
+        out[bi, ki] = drawn[bi, at[bi, ki] - k]
+    return out
 
 
 def _starts(problem: RatioProblem, cfg: OracleConfig, size: int) -> int:
@@ -426,8 +466,8 @@ def _block_caps(problem: RatioProblem, weights: tuple[np.ndarray, ...]) -> np.nd
     uvw = np.stack(weights)[:, :, 0]
     u, v, w = uvw
     b, n = u.shape
-    m1, m2 = _block_ends(n)
-    length = (m2 - m1 + 1).astype(float)
+    m1, stop = (x[n:] for x in _block_ends(n))
+    length = (stop - m1).astype(float)
     idx = np.arange(n)
     delta = n * _EPS / (1.0 - n * _EPS) + _POW_ERR + 712.0 * _EPS
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -444,17 +484,18 @@ def _block_caps(problem: RatioProblem, weights: tuple[np.ndarray, ...]) -> np.nd
         else:
             k = (w * top**q).sum(axis=-1) ** (1.0 / q)
         mass = np.cumsum(np.where(idx >= idx[:, None], v[:, None, :], 0.0), axis=-1)
-        mass = mass.reshape(b, -1)[:, m1 * n + m2]
+        mass = mass.reshape(b, -1)[:, m1 * n + stop - 1]
         caps = c * k[:, None] / mass ** (1.0 / p) * np.exp(1.01 * lam)
     caps[~_blocks_in_range(problem, uvw, float(c.max()))] = np.inf
     return caps
 
 
 def _pool_ratios(
-    problem: RatioProblem, pool: np.ndarray, weights: tuple[np.ndarray, ...], starts: int
+    problem: RatioProblem, drawn: np.ndarray, weights: tuple[np.ndarray, ...], starts: int
 ) -> np.ndarray:
-    """The pool ratios (B, P) of stacked problems, without evaluating the
-    blocks that cannot reach the ``starts`` best rows.
+    """The pool ratios (B, P) of stacked problems with Dirichlet rows
+    ``drawn``, without evaluating the blocks that cannot reach the
+    ``starts`` best rows.
 
     The spikes and Dirichlet rows are evaluated first, and the
     ``starts``-th best of their ratios is a threshold that the ``starts``
@@ -469,60 +510,69 @@ def _pool_ratios(
     pruned blocks evaluated as well.  A stack whose blocks hold fewer than
     ``_PRUNE_ENTRIES`` entries evaluates them all.
     """
-    b, size, n = pool.shape
-    nb = n * (n - 1) // 2
-    if b * nb * n < _PRUNE_ENTRIES or size - nb < starts:
-        return _ratio_batch(problem, pool, weights)
+    b, d, n = drawn.shape
+    nb, size = n * (n - 1) // 2, _pool_size(drawn)
     ratios = np.full((b, size), _PRUNED)
-    # the spikes and Dirichlet rows, as one contiguous batch
-    r = _ratio_batch(problem, np.concatenate([pool[:, :n], pool[:, n + nb :]], axis=1), weights)
-    ratios[:, :n], ratios[:, n + nb :] = r[:, :n], r[:, n:]
+    if b * nb * n < _PRUNE_ENTRIES or n + d < starts:
+        _evaluate_rows(problem, drawn, weights, np.arange(size), ratios)
+        return ratios
+    first = np.concatenate([np.arange(n), np.arange(n + nb, size)])  # spikes, Dirichlet rows
+    _evaluate_rows(problem, drawn, weights, first, ratios)
+    r = ratios[:, first]
     cut = r.shape[1] - starts
     floor = np.partition(r, cut, axis=1)[:, cut]
     at = n + np.flatnonzero(~(_block_caps(problem, weights) < floor[:, None]).all(axis=0))
-    _evaluate_rows(problem, pool, weights, at, ratios)
+    _evaluate_rows(problem, drawn, weights, at, ratios)
     if len(at) == nb:
         return ratios
     cut = size - starts - 1
     best = np.sort(np.partition(ratios, cut, axis=1)[:, cut:], axis=1)
     for i in np.flatnonzero(~(best[:, 1:] > best[:, :-1]).all(axis=1)):  # ties
         one = slice(i, i + 1)
-        _evaluate_rows(problem, pool[one], tuple(x[one] for x in weights),
+        _evaluate_rows(problem, drawn[one], tuple(x[one] for x in weights),
                        np.arange(n, n + nb), ratios[one])
     return ratios
 
 
+def _pool_chunks(drawn: np.ndarray, rows: np.ndarray):
+    """The pool rows ``rows`` of every stacked problem, in chunks of
+    consecutive indices of about ``_BLOCK_ENTRIES`` entries, as
+    :func:`_ratio_batch` evaluates a large batch: pairs of the indices and
+    their rows (:func:`_pool_rows`), never all rows at once."""
+    step = max(1, _BLOCK_ENTRIES // (drawn.shape[0] * drawn.shape[-1]))
+    for lo in range(0, len(rows), step):
+        at = rows[lo : lo + step]
+        yield at, _pool_rows(drawn, at)
+
+
 def _evaluate_rows(
     problem: RatioProblem,
-    pool: np.ndarray,
+    drawn: np.ndarray,
     weights: tuple[np.ndarray, ...],
     rows: np.ndarray,
     out: np.ndarray,
 ) -> None:
-    """``out[:, rows]`` = the ratios of the pool rows ``rows``, evaluated in
-    contiguous copies of about ``_BLOCK_ENTRIES`` entries, as
-    :func:`_ratio_batch` evaluates a large batch: no copy of them all."""
-    step = max(1, _BLOCK_ENTRIES // (pool.shape[0] * pool.shape[-1]))
-    for lo in range(0, len(rows), step):
-        at = rows[lo : lo + step]
-        out[:, at] = _ratio_batch(problem, pool[:, at], weights)
+    """``out[:, rows]`` = the ratios of the pool rows ``rows``, chunk by
+    chunk (:func:`_pool_chunks`)."""
+    for at, a in _pool_chunks(drawn, rows):
+        out[:, at] = _ratio_batch(problem, a, weights)
 
 
 def _polish_top(
     problem: RatioProblem,
-    pool: np.ndarray,
-    ratios: np.ndarray,
+    a: np.ndarray,
+    best: np.ndarray,
     weights: tuple[np.ndarray, ...],
     cfg: OracleConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The coordinate ascent: multiplicative one-coordinate moves from the
-    ``cfg.restarts`` best candidates of each stacked problem, all rows in
-    lock-step.
+    start rows of each stacked problem, all rows in lock-step.
 
-    ``pool`` (B, P, n) and ``ratios`` (B, P) hold B problems that share
-    ``problem``'s ``p``, ``q`` and form, with ``weights`` their stacked
-    ``(u, v, w)``.  Returns ``(polished, best, evals)`` of shapes (B, R, n),
-    (B, R) and (B,), where R = min(restarts, P).
+    ``a`` (B, R, n) holds the start rows of B problems that share
+    ``problem``'s ``p``, ``q`` and form, ``best`` (B, R) their ratios, and
+    ``weights`` the problems' stacked ``(u, v, w)``; both are updated in
+    place.  Returns ``(polished, best, evals)`` of shapes (B, R, n), (B, R)
+    and (B,).
 
     The rows start from their pool ratios, which ``_ratio_batch`` gives
     bit for bit as it would give them alone.  Each iteration evaluates the
@@ -534,12 +584,9 @@ def _polish_top(
     would, and a problem's ``evals`` counts only the probes of its rows while
     they were active.
     """
-    b, size, n = pool.shape
-    rows_per = min(cfg.restarts, size)
-    top = np.argsort(ratios, axis=1)[:, ::-1][:, :rows_per]
-    a = np.take_along_axis(pool, top[:, :, None], axis=1).reshape(-1, n)
+    b, rows_per, n = a.shape
+    a, best = a.reshape(-1, n), best.reshape(-1)
     uvw = tuple(np.repeat(x, rows_per, axis=0) for x in weights)
-    best = np.take_along_axis(ratios, top, axis=1).reshape(-1)
     step = np.full(len(a), _STEP_INIT)
     moves = np.zeros(len(a), dtype=int)  # active iterations per row
     idx = np.arange(n)
@@ -729,17 +776,17 @@ def _power_steps(
 
 def _power_top(
     problem: RatioProblem,
-    pool: np.ndarray,
-    ratios: np.ndarray,
+    a: np.ndarray,
+    best: np.ndarray,
     weights: tuple[np.ndarray, ...],
     cfg: OracleConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The power iteration for the stacked problems, in two or three phases.
 
-    Shapes and contract as in :func:`_polish_top`, with R = S + 1 rows per
-    problem for ``p > 1`` and R = S + n + 1 for ``q < p <= 1``, where
-    S = min(4 restarts, P).  First the plain iteration (no flip) runs from
-    the S best pool candidates of each problem; for ``q < p <= 1`` each of
+    Arguments and contract as in :func:`_polish_top`, from S start rows per
+    problem, and the result has R = S + 1 rows per problem for ``p > 1``
+    and R = S + n + 1 for ``q < p <= 1``.  First the plain iteration (no
+    flip) runs from the start rows; for ``q < p <= 1`` each of
     its steps also evaluates the extrapolations of ``_POWER_REACH``.  For
     ``q < p <= 1`` the plain iteration then runs again from the ``n``
     toggles of the best row: each sets one positive entry to zero, or one
@@ -754,7 +801,7 @@ def _power_top(
     problem's ``evals`` counts the ratio evaluations of its rows while they
     were live, and the ``n`` of the toggles.
     """
-    b, size, n = pool.shape
+    b, _, n = a.shape
     reach = _POWER_REACH if problem.p <= 1 else ()
 
     def plain(a: np.ndarray, best: np.ndarray) -> np.ndarray:
@@ -771,9 +818,6 @@ def _power_top(
         return (np.take_along_axis(a, k[:, :, None], axis=1)[:, 0],
                 np.take_along_axis(best, k, axis=1)[:, 0])
 
-    top = np.argsort(ratios, axis=1)[:, ::-1][:, : _starts(problem, cfg, size)]
-    a = np.take_along_axis(pool, top[:, :, None], axis=1)
-    best = np.take_along_axis(ratios, top, axis=1)
     evals = plain(a, best)
     if problem.p <= 1:
         row = lead(a, best)[0]
@@ -797,15 +841,19 @@ def _power_top(
 
 def _polish(
     problem: RatioProblem,
-    pool: np.ndarray,
+    drawn: np.ndarray,
     ratios: np.ndarray,
     weights: tuple[np.ndarray, ...],
     cfg: OracleConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The power iteration where :func:`_power_search` holds, else the
-    coordinate ascent; never called in the spike range."""
-    top = _power_top if _power_search(problem) else _polish_top
-    return top(problem, pool, ratios, weights, cfg)
+    """The polish of stacked problems with Dirichlet rows ``drawn`` and
+    pool ratios ``ratios`` (B, P), from the :func:`_starts` best pool rows of
+    each, rebuilt by index: the power iteration where :func:`_power_search`
+    holds, else the coordinate ascent; never called in the spike range."""
+    top = np.argsort(ratios, axis=1)[:, ::-1][:, : _starts(problem, cfg, ratios.shape[1])]
+    polish = _power_top if _power_search(problem) else _polish_top
+    return polish(problem, _pool_rows(drawn, top), np.take_along_axis(ratios, top, axis=1),
+                  weights, cfg)
 
 
 def _shape(problem: RatioProblem) -> tuple:
@@ -847,14 +895,14 @@ def _search(problems: Sequence[RatioProblem], cfg: OracleConfig) -> list[OracleR
     if _spike_exact(ref):
         return [_spike_max(prob) for prob in problems]
     weights = _stack(problems)
-    pool = _assemble_pool(problems, cfg)
-    ratios = _pool_ratios(ref, pool, weights, _starts(ref, cfg, pool.shape[1]))
-    return _finish(problems, pool, ratios, weights, cfg)
+    drawn = _dirichlet_rows(problems, cfg)
+    ratios = _pool_ratios(ref, drawn, weights, _starts(ref, cfg, _pool_size(drawn)))
+    return _finish(problems, drawn, ratios, weights, cfg)
 
 
 def _finish(
     problems: Sequence[RatioProblem],
-    pool: np.ndarray,
+    drawn: np.ndarray,
     ratios: np.ndarray,
     weights: tuple[np.ndarray, ...],
     cfg: OracleConfig,
@@ -863,12 +911,13 @@ def _finish(
     selects, and each problem's result; ``evaluations`` counts every pool
     row, evaluated or not."""
     ref = problems[0]
-    evals = np.full(len(problems), pool.shape[1])
+    size = ratios.shape[1]
+    evals = np.full(len(problems), size)
     fin = _to_polish(ratios)
     polished = np.cumsum(fin) - 1  # index among the polished problems
-    sel = slice(None) if fin.all() else fin  # copy the pool only if needed
+    sel = slice(None) if fin.all() else fin  # copy the draws only if needed
     extra, best, used = _polish(
-        ref, pool[sel], ratios[sel], tuple(x[sel] for x in weights), cfg
+        ref, drawn[sel], ratios[sel], tuple(x[sel] for x in weights), cfg
     )
     evals[fin] += used
     out = []
@@ -877,7 +926,10 @@ def _finish(
         if fin[i]:
             r = np.concatenate([r, best[polished[i]]])
         k = int(np.argmax(r))
-        row = pool[i, k] if k < pool.shape[1] else extra[polished[i], k - pool.shape[1]]
+        if k < size:
+            row = _pool_rows(drawn[i : i + 1], np.array([k]))[0, 0]
+        else:
+            row = extra[polished[i], k - size]
         out.append(_result(prob, row, r[k], evals[i]))
     return out
 
@@ -1041,25 +1093,30 @@ def _chain_group(
     """Chain reports for ``(family, problems)`` items whose sup problems
     share their shape, so that all three forms agree.
 
-    In the spike range (``p <= q`` here, since every form's inner exponent
-    is ``p``) each maximum is a spike of the shared pool, so no form is
+    Every pool row is evaluated for all three forms, chunk by chunk, since
+    the violation count and ``pool_size`` cover every candidate.  In the
+    spike range (``p <= q`` here, since every form's inner exponent is
+    ``p``) each maximum is a spike of the shared pool, so no form is
     polished.
     """
     refs = items[0][1]
     sups = [problems[0] for _, problems in items]
     weights = _stack(sups)
-    pool = _assemble_pool(sups, cfg)
-    base, extra, owner = [], [], []
-    for ref in refs:
-        r = _ratio_batch(ref, pool, weights)
-        base.append(r)
+    drawn = _dirichlet_rows(sups, cfg)
+    size = _pool_size(drawn)
+    base = [np.empty((len(sups), size)) for _ in refs]
+    for at, a in _pool_chunks(drawn, np.arange(size)):
+        for ref, r in zip(refs, base):
+            r[:, at] = _ratio_batch(ref, a, weights)
+    extra, owner = [], []
+    for ref, r in zip(refs, base):
         fin = _to_polish(r)
         if fin.any() and not _spike_exact(ref):
             sel = slice(None) if fin.all() else fin
-            a = _polish(ref, pool[sel], r[sel], tuple(x[sel] for x in weights), cfg)[0]
+            a = _polish(ref, drawn[sel], r[sel], tuple(x[sel] for x in weights), cfg)[0]
             extra.append(a.reshape(-1, a.shape[-1]))
             owner.append(np.repeat(np.flatnonzero(fin), a.shape[1]))
-    n = pool.shape[-1]
+    n = drawn.shape[-1]
     extra_rows = np.concatenate([np.empty((0, n)), *extra])[:, None, :]
     owner = np.concatenate([np.empty(0, dtype=int), *owner])
     uvw = tuple(x[owner] for x in weights)

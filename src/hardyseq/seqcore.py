@@ -112,8 +112,9 @@ def ext_mul_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Elementwise product on [0, inf] with ``0 * inf = 0`` (broadcasts).
 
     Every product with a zero factor is ``+0.0``, also for a ``-0.0`` factor.
+    A product past the float range saturates to inf, without a warning.
     """
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         return _ext_mul(x, y)
 
 
@@ -245,6 +246,15 @@ def _wire_int(x: object, name: str) -> int:
     ):
         raise ValueError(f"{name} must be an integer, got {x!r}")
     return int(x)
+
+
+def _wire_float(x: object, name: str) -> float:
+    """A float field of the JSON wire format: an int or a float; a boolean,
+    a string or any other value raises ``ValueError`` naming the field,
+    where ``float`` would read ``true`` as 1.0 and ``"0.5"`` as 0.5."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{name} must be a number, got {x!r}")
+    return float(x)
 
 
 def common_window(*windows: Window) -> None:

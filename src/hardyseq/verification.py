@@ -36,7 +36,7 @@ import numpy as np
 from . import blocks, bridge, charformulas, hardyops, oracle
 from .hardyops import ANTIGOP_SUP, RatioProblem
 from .oracle import FAST_CONFIG
-from .seqcore import Window, _wire_int
+from .seqcore import Window, _wire_float, _wire_int
 
 __all__ = ["SweepSpec", "run_verification", "replay_instance", "SCHEMA_VERSION"]
 
@@ -92,13 +92,15 @@ class SweepSpec:
         if "suites" in obj:
             kwargs["suites"] = tuple(obj["suites"])
         if "regimes" in obj:
-            kwargs["regimes"] = tuple((float(p), float(q)) for p, q in obj["regimes"])
+            kwargs["regimes"] = tuple(
+                (_wire_float(p, "regime p"), _wire_float(q, "regime q")) for p, q in obj["regimes"]
+            )
         if "window_sizes" in obj:
             kwargs["window_sizes"] = tuple(_wire_int(n, "window size") for n in obj["window_sizes"])
         if "ensemble" in obj:
             kwargs["ensemble"] = _wire_int(obj["ensemble"], "ensemble")
         if "weight_exponent" in obj:
-            kwargs["weight_exponent"] = float(obj["weight_exponent"])
+            kwargs["weight_exponent"] = _wire_float(obj["weight_exponent"], "weight_exponent")
         if "out" in obj and obj["out"] is not None:
             kwargs["out"] = str(obj["out"])
         if "replay" in obj:
@@ -257,9 +259,9 @@ _FIELDS: dict[str, tuple[str, ...]] = {
 #: How replay decodes each recorded input field.
 _DECODE: dict[str, Callable[[Any], Any]] = {
     **dict.fromkeys("abcuvw", Window.from_json),
-    "p": float,
-    "q": float,
-    "alpha": float,
+    "p": lambda x: _wire_float(x, "p"),
+    "q": lambda x: _wire_float(x, "q"),
+    "alpha": lambda x: _wire_float(x, "alpha"),
     "n": lambda x: _wire_int(x, "n"),
     "n0": lambda x: _wire_int(x, "n0"),
     "form": str,

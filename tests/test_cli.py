@@ -216,6 +216,13 @@ class TestVerify:
         assert main(["verify", "--spec", str(path)]) == 2
         assert "must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("regimes", [[True, "3"]]), ("weight_exponent", "2")])
+    def test_non_numeric_spec_field_exits_two(self, tmp_path, field, value, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({field: value}))
+        assert main(["verify", "--spec", str(path)]) == 2
+        assert "must be a number" in capsys.readouterr().err
+
     def test_output_file_round_trips(self, tmp_path):
         spec = {"seed": 3, "ensemble": 3, "suites": ["chain"], "window_sizes": [4]}
         path = tmp_path / "spec.json"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,19 +28,26 @@ from hardyseq.oracle import (
     FAST_CONFIG,
     _PRUNED,
     OracleConfig,
-    _assemble_pool,
     _block_caps,
+    _block_ends,
+    _chain_problems,
     _dirichlet_draws,
-    _finish,
-    _indicators,
+    _dirichlet_rows,
     _offsets,
     _polish_top,
     _pool_ratios,
+    _pool_rows,
+    _pool_size,
     _power_gradient,
+    _power_search,
     _power_steps,
+    _power_top,
+    _result,
     _spike_exact,
     _stack,
+    _staircase,
     _starts,
+    _to_polish,
     brute_force_constant,
     brute_force_constants,
     chain_equivalence_sweep,
@@ -240,23 +248,29 @@ class TestBruteForce:
         assert res.evaluations == n + blocks + 2 * 4 == expected
 
     def test_cached_pool_rows_are_read_only(self):
-        """The spike and block indicators and the Dirichlet draws are cached
-        read-only; a pool built after an earlier one was overwritten equals
-        a fresh build."""
+        """The block ends, the staircase and the Dirichlet draws are cached
+        read-only; rows built after earlier ones were overwritten equal a
+        fresh build and the full pool, shared indices or one set per
+        problem."""
         rng = np.random.default_rng(71)
         probs = [RatioProblem(*rand_triple(rng, 7), 1.5, 0.8, GOP) for _ in range(3)]
         cfg = OracleConfig(restarts=3, iterations=10, seed=5, dirichlet_per_restart=4)
-        first = _assemble_pool(probs, cfg)
-        for cached in (_indicators(7), _dirichlet_draws(7, cfg)):
+        every = np.arange(_pool_size(_dirichlet_rows(probs, cfg)))
+        first = _pool_rows(_dirichlet_rows(probs, cfg), every)
+        for cached in (*_block_ends(7), _staircase(7), _dirichlet_draws(7, cfg)):
             assert not cached.flags.writeable
             with pytest.raises(ValueError):
-                cached[0, 0] = 2.0
+                cached[(0,) * cached.ndim] = 2
         first[...] = -1.0
-        again = _assemble_pool(probs, cfg)
-        _indicators.cache_clear()
+        again = _pool_rows(_dirichlet_rows(probs, cfg), every)
+        _block_ends.cache_clear()
+        _staircase.cache_clear()
         _dirichlet_draws.cache_clear()
-        assert again.tobytes() == _assemble_pool(probs, cfg).tobytes()
-        assert _indicators(7).dtype == bool
+        assert again.tobytes() == _pool_rows(_dirichlet_rows(probs, cfg), every).tobytes()
+        assert again.tobytes() == _full_pool(probs, cfg).tobytes()
+        picked = rng.integers(len(every), size=(len(probs), 9))
+        want = np.take_along_axis(_full_pool(probs, cfg), picked[:, :, None], axis=1)
+        assert _pool_rows(_dirichlet_rows(probs, cfg), picked).tobytes() == want.tobytes()
 
     def test_list_matches_each_problem_alone(self):
         """One call on a mixed list returns, in input order, the result each
@@ -325,10 +339,7 @@ class TestBruteForce:
         probs = [RatioProblem(*rand_triple(rng, 6), p, q, form) for _ in range(20)]
         results = brute_force_constants(probs, FAST_CONFIG)
         assert {(r.certificate, r.evaluations) for r in results} == {("exact-spike", 6)}
-        cfg = OracleConfig(restarts=4, iterations=200)
-        pool, weights = _assemble_pool(probs, cfg), _stack(probs)
-        ratios = _ratio_batch(probs[0], pool, weights)
-        _, best, _ = _polish_top(probs[0], pool, ratios, weights, cfg)
+        ratios, best = _ascent_reference(probs, OracleConfig(restarts=4, iterations=200))
         found = np.maximum(ratios.max(axis=1), best.max(axis=1))
         for res, r in zip(results, found):
             assert r <= res.constant * (1 + 1e-12)
@@ -374,13 +385,106 @@ def _sequential_polish(problem, a0, cfg):
     return a, evals
 
 
+def _block_rows(n):
+    """Reference: the indicator of every block ``[m1, m2]``, ``m1 < m2``,
+    ordered by ``m1``, then ``m2``; shape (n(n-1)/2, n)."""
+    rows = []
+    for m1 in range(n):
+        for m2 in range(m1 + 1, n):
+            row = np.zeros(n)
+            row[m1 : m2 + 1] = 1.0
+            rows.append(row)
+    return np.array(rows).reshape(-1, n)
+
+
+def _full_pool(problems, cfg):
+    """Reference: the whole pool (B, P, n) of same-size problems that share
+    ``p``, row by row: the spikes, the blocks, then each problem's Dirichlet
+    draws pulled onto ``sum a^p v = 1``, a row that overflows there set to
+    zero."""
+    n, p = problems[0].size, problems[0].p
+    shared = np.concatenate([np.eye(n), _block_rows(n)])
+    pools = []
+    for prob in problems:
+        v = np.where(prob.v.as_array() > 0, prob.v.as_array(), 1.0)
+        drawn = []
+        for x in _dirichlet_draws(n, cfg):
+            with np.errstate(over="ignore"):
+                row = (x / v) ** (1.0 / p)
+            drawn.append(row if np.isfinite(row).all() else np.zeros(n))
+        pools.append(np.concatenate([shared, np.array(drawn).reshape(-1, n)]))
+    return np.array(pools)
+
+
+def _start_rows(pool, ratios, count):
+    """The ``count`` best rows of each problem's full pool, best first, and
+    their ratios."""
+    top = np.argsort(ratios, axis=1)[:, ::-1][:, :count]
+    return np.take_along_axis(pool, top[:, :, None], axis=1), np.take_along_axis(ratios, top, axis=1)
+
+
+def _polish_reference(problem, pool, ratios, weights, cfg):
+    """The polish of a stack from its full pool and pool ratios."""
+    polish = _power_top if _power_search(problem) else _polish_top
+    a, best = _start_rows(pool, ratios, _starts(problem, cfg, ratios.shape[1]))
+    return polish(problem, a, best, weights, cfg)
+
+
+def _ascent_reference(problems, cfg):
+    """The full pool ratios (B, P) of a stack, and the best ratios (B, R) of
+    the coordinate ascent from its ``cfg.restarts`` best rows."""
+    pool, weights = _full_pool(problems, cfg), _stack(problems)
+    ratios = _ratio_batch(problems[0], pool, weights)
+    a, best = _start_rows(pool, ratios, cfg.restarts)
+    return ratios, _polish_top(problems[0], a, best, weights, cfg)[1]
+
+
 def _search_reference(problems, cfg):
-    """The search of a stack outside the spike range with every pool row
-    evaluated: the reference for the pool evaluation that skips the blocks
-    their caps rule out."""
-    weights = _stack(problems)
-    pool = _assemble_pool(problems, cfg)
-    return _finish(problems, pool, _ratio_batch(problems[0], pool, weights), weights, cfg)
+    """The search of a stack outside the spike range with every row of the
+    full pool evaluated: the reference for the pool rows built by index and
+    for the pool evaluation that skips the blocks their caps rule out."""
+    weights, pool = _stack(problems), _full_pool(problems, cfg)
+    ratios = _ratio_batch(problems[0], pool, weights)
+    fin = _to_polish(ratios)
+    if fin.any():
+        extra, best, used = _polish_reference(
+            problems[0], pool[fin], ratios[fin], tuple(x[fin] for x in weights), cfg
+        )
+    out, j = [], 0
+    for i, prob in enumerate(problems):
+        rows, r, evals = pool[i], ratios[i], pool.shape[1]
+        if fin[i]:
+            rows, r = np.concatenate([rows, extra[j]]), np.concatenate([r, best[j]])
+            evals, j = evals + used[j], j + 1
+        k = int(np.argmax(r))
+        out.append(_result(prob, rows[k], r[k], evals))
+    return out
+
+
+def _chain_reference(instances, cfg):
+    """Chain reports of instances that share forms, ``p``, ``q`` and size,
+    from the full pool: every row for all three forms, then each form's
+    polished rows, every candidate evaluated for all three forms."""
+    items = [(inst[5], _chain_problems(*inst)) for inst in instances]
+    refs = items[0][1]
+    sups = [probs[0] for _, probs in items]
+    weights, pool = _stack(sups), _full_pool(sups, cfg)
+    candidates = [list(rows) for rows in pool]
+    for ref in refs:
+        r = _ratio_batch(ref, pool, weights)
+        fin = _to_polish(r)
+        if fin.any() and not _spike_exact(ref):
+            polished = _polish_reference(ref, pool[fin], r[fin], tuple(x[fin] for x in weights), cfg)[0]
+            for i, rows in zip(np.flatnonzero(fin), polished):
+                candidates[i].extend(rows)
+    out = []
+    for i, (family, _) in enumerate(items):
+        a, one = np.array(candidates[i])[None], tuple(x[i : i + 1] for x in weights)
+        r1, r2, r3 = (_ratio_batch(ref, a, one)[0] for ref in refs)
+        a1, a2, a3 = float(r1.max()), float(r2.max()), float(r3.max())
+        out.append({"family": family, "A1": a1, "A2": a2, "A3": a3,
+                    "violations": int(np.sum((r1 > r2) | (r2 > r3))), "pool_size": len(r1)})
+    return out
 
 
 def _weights(rng, kind, n):
@@ -414,9 +518,9 @@ class TestPrunedPool:
                                       p, q, form) for _ in range(int(rng.choice([1, 3])))]
                 if _spike_exact(probs[0]):
                     continue
-                weights, pool = _stack(probs), _assemble_pool(probs, cfg)
-                starts = _starts(probs[0], cfg, pool.shape[1])
-                pruned += int((_pool_ratios(probs[0], pool, weights, starts) == _PRUNED).sum())
+                weights, drawn = _stack(probs), _dirichlet_rows(probs, cfg)
+                starts = _starts(probs[0], cfg, _pool_size(drawn))
+                pruned += int((_pool_ratios(probs[0], drawn, weights, starts) == _PRUNED).sum())
                 for got, want in zip(brute_force_constants(probs, cfg), _search_reference(probs, cfg)):
                     assert got.constant.hex() == want.constant.hex(), (p, q, kind, n)
                     assert got.argmax.start == want.argmax.start
@@ -432,9 +536,9 @@ class TestPrunedPool:
         all evaluated, so the start rows are those of the full pool."""
         probs = [RatioProblem(*(Window(0, np.full(64, c)) for c in (1.0, 2.0, 0.5)), 2.0, 3.0, GOP)]
         cfg = OracleConfig(4, 80, 0, 8)
-        weights, pool = _stack(probs), _assemble_pool(probs, cfg)
-        full = _ratio_batch(probs[0], pool, weights)
-        got = _pool_ratios(probs[0], pool, weights, _starts(probs[0], cfg, pool.shape[1]))
+        weights, drawn = _stack(probs), _dirichlet_rows(probs, cfg)
+        full = _ratio_batch(probs[0], _full_pool(probs, cfg), weights)
+        got = _pool_ratios(probs[0], drawn, weights, _starts(probs[0], cfg, _pool_size(drawn)))
         assert got.tobytes() == full.tobytes()
         top = np.sort(full[0])[::-1][:17]
         assert (top[1:] == top[:-1]).any()  # the tie
@@ -458,7 +562,7 @@ class TestPrunedPool:
             weights = _stack(probs)
             caps = _block_caps(probs[0], weights)
             with np.errstate(under="ignore"):
-                ratios = _ratio_batch(probs[0], _indicators(n)[None, n:].astype(float), weights)
+                ratios = _ratio_batch(probs[0], _block_rows(n)[None], weights)
             sure = np.isfinite(caps)
             uncertified += not sure.any()
             assert (ratios[sure] <= caps[sure]).all()
@@ -486,11 +590,54 @@ class TestPrunedPool:
         ]
         weights = _stack(probs)
         caps = _block_caps(probs[0], weights)
-        blocks = np.broadcast_to(_indicators(n)[n:].astype(float), (len(probs), len(caps[0]), n))
+        blocks = np.broadcast_to(_block_rows(n), (len(probs), len(caps[0]), n))
         with np.errstate(over="ignore", invalid="ignore"):
             ratios = _ratio_batch(probs[0], np.ascontiguousarray(blocks), weights)
         sure = np.isfinite(caps)
         assert (ratios[sure] <= caps[sure]).all(), (ratios[sure], caps[sure])
+
+
+class TestPoolByIndex:
+    @pytest.mark.parametrize("family", ["gop", "antigop", "simple"])
+    def test_chain_sweeps_match_the_full_pool(self, family):
+        """Chain reports from pool rows built chunk by chunk equal, field by
+        field, those from the full pool: stacks of one and three, n from 2
+        to 64, q < p <= 1 and the spike range p <= q, zero, wide-range and
+        constant weights."""
+        rng = np.random.default_rng(["gop", "antigop", "simple"].index(family))
+        for p, q in [(1.0, 0.5), (0.8, 0.3), (0.5, 1.0)]:
+            for kind in ("plain", "zeros", "wide", "constant"):
+                n = int(rng.choice([2, 5, 16, 32, 64]))
+                cfg = [FAST_CONFIG, OracleConfig(4, 20, 0, 8)][int(rng.integers(2))]
+                insts = [(*(Window(0, x) for x in _weights(rng, kind, n)), p, q, family)
+                         for _ in range(int(rng.choice([1, 3])))]
+                for got, want in zip(chain_equivalence_sweeps(insts, cfg), _chain_reference(insts, cfg)):
+                    got = got.to_json()
+                    for key in ("A1", "A2", "A3"):
+                        assert got[key].hex() == want[key].hex(), (p, q, kind, n, key)
+                    for key in ("family", "violations", "pool_size"):
+                        assert got[key] == want[key], (p, q, kind, n, key)
+
+    @pytest.mark.parametrize("form,p,q", [(GOP, 2.0, 3.0), (ANTIGOP, 1.0, 0.5)])
+    def test_traced_peak_at_n_256(self, form, p, q):
+        """Rows are built per chunk from their index, so a search at
+        n = 256 holds O(n^2) floats: its traced peak stays under 32 MB.
+        With every one of the 32,896 spike and block rows held as floats
+        and as bools it was 80 MB for gop and 90 MB for antigop."""
+        rng = np.random.default_rng(1)
+        prob = RatioProblem(*(Window(0, 2.0 ** rng.uniform(-3, 3, 256)) for _ in range(3)),
+                            p, q, form)
+        _block_ends.cache_clear()
+        _staircase.cache_clear()
+        _dirichlet_draws.cache_clear()
+        tracemalloc.start()
+        try:
+            res = brute_force_constant(prob, OracleConfig(4, 80, 0, 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.search == "power"
+        assert peak < 32 * 2**20, peak / 2**20
 
 
 class TestPolish:
@@ -511,9 +658,10 @@ class TestPolish:
             probs = [RatioProblem(*rand_triple(rng, n), p, q, form)
                      for _ in range(int(rng.integers(1, 5)))]
             cfg = configs[trial % 3]
-            pool = _assemble_pool(probs, cfg)
+            pool = _full_pool(probs, cfg)
             ratios = _ratio_batch(probs[0], pool, _stack(probs))
-            got, best, evals = _polish_top(probs[0], pool, ratios, _stack(probs), cfg)
+            a, best = _start_rows(pool, ratios, cfg.restarts)
+            got, best, evals = _polish_top(probs[0], a, best, _stack(probs), cfg)
             assert got.shape[0] == best.shape[0] == len(evals) == len(probs)
             for b, prob in enumerate(probs):
                 want = [_sequential_polish(prob, pool[b, k], cfg)
@@ -530,7 +678,7 @@ class TestPolish:
         pool = np.array([[[0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]])
         cfg = OracleConfig(restarts=2, iterations=3)
         ratios = _ratio_batch(prob, pool)
-        got, _, evals = _polish_top(prob, pool, ratios, _stack([prob]), cfg)
+        got, _, evals = _polish_top(prob, *_start_rows(pool, ratios, 2), _stack([prob]), cfg)
         assert got[0, 0].tolist() == [0.0, 1.0, 0.0]
         assert evals.tolist() == [3 * 6]
 
@@ -579,9 +727,7 @@ class TestPowerIteration:
         for n in (3, 5, 8, 16):
             probs = [RatioProblem(*rand_triple(rng, n), p, q, form) for _ in range(6)]
             results = brute_force_constants(probs, cfg)
-            pool, weights = _assemble_pool(probs, cfg), _stack(probs)
-            ratios = _ratio_batch(probs[0], pool, weights)
-            _, best, _ = _polish_top(probs[0], pool, ratios, weights, cfg)
+            ratios, best = _ascent_reference(probs, cfg)
             reference = np.maximum(ratios.max(axis=1), best.max(axis=1))
             for res, ref in zip(results, reference):
                 assert res.search == "power"
@@ -597,9 +743,7 @@ class TestPowerIteration:
         w = Window(0, (2.5776, 5.23661, 1.3161, 3.9615, 0.346983, 0.445186, 6.11342, 3.88494))
         prob = RatioProblem(u, v, w, 1.0, 0.9, ANTIGOP)
         cfg = OracleConfig(4, 80, 0, 8)
-        pool, weights = _assemble_pool([prob], cfg), _stack([prob])
-        ratios = _ratio_batch(prob, pool, weights)
-        _, best, _ = _polish_top(prob, pool, ratios, weights, cfg)
+        _, best = _ascent_reference([prob], cfg)
         assert brute_force_constant(prob, cfg).constant >= best.max() * (1 - 1e-12)
 
     def test_toggles_leave_the_starting_face(self):
@@ -612,9 +756,7 @@ class TestPowerIteration:
         w = Window(2, (0.257273, 1.16009, 2.87355, 3.08351, 0.226106, 0.308151, 0.165478,
                        0.963922))
         prob = RatioProblem(u, v, w, 1.0, 0.5, ANTIGOP)
-        pool, weights = _assemble_pool([prob], FAST_CONFIG), _stack([prob])
-        ratios = _ratio_batch(prob, pool, weights)
-        _, best, _ = _polish_top(prob, pool, ratios, weights, FAST_CONFIG)
+        _, best = _ascent_reference([prob], FAST_CONFIG)
         assert brute_force_constant(prob, FAST_CONFIG).constant > best.max()
 
     @pytest.mark.parametrize("form", [GOP, ANTIGOP, DUAL_GOP, DUAL_ANTIGOP])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hardyseq.charformulas import char_linft_exact
 from hardyseq.seqcore import (
     INF,
     RegimeCase,
@@ -84,6 +85,19 @@ class TestExtArithmetic:
             warnings.simplefilter("error")
             out = ext_pow_array(np.array([1e200, 1e-200, 2.0]), 3.0)
         assert tuple(out) == (INF, 0.0, 8.0)
+
+    def test_array_mul_saturates_without_warning(self):
+        """A product past the float range saturates to inf, as the product
+        on [0, inf] says; so the q = inf constant at weights 2^U(+-600),
+        which multiplies such weights, runs clean."""
+        rng = np.random.default_rng(43)
+        u, v = (Window(0, 2.0 ** rng.uniform(-600, 600, 64)) for _ in range(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ext_mul_array(np.array([1e200, 1e-200, 0.0, 2.0]), np.array([1e200, 1e-200, INF, 3.0]))
+            saturated = char_linft_exact(u, v, 0.5)
+        assert tuple(out) == (INF, 0.0, 0.0, 6.0)
+        assert saturated == INF
 
     def test_array_conventions_match_scalar(self):
         xs = np.array([0.0, 1.0, 2.0, INF])

@@ -86,6 +86,38 @@ def test_spec_rejects_non_integer_fields(field, value):
     assert SweepSpec.from_json(whole) == SweepSpec.from_json(ints)
 
 
+@pytest.mark.parametrize("value", [True, "3", None])
+@pytest.mark.parametrize("field", ["regimes", "weight_exponent"])
+def test_spec_rejects_non_numeric_fields(field, value):
+    """``float`` would read ``true`` as 1.0 and ``"3"`` as 3.0; an int still
+    reads as a float."""
+    if field == "regimes":
+        bad, ints, floats = [[[2, value]], [[value, 2]]], [[2, 3]], [[2.0, 3.0]]
+    else:
+        bad, ints, floats = [value], 3, 3.0
+    for x in bad:
+        with pytest.raises(ValueError, match="must be a number"):
+            SweepSpec.from_json({field: x})
+    assert SweepSpec.from_json({field: ints}) == SweepSpec.from_json({field: floats})
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None])
+@pytest.mark.parametrize(
+    "entry,key",
+    [({"suite": "chain", "a": {"start": 0, "values": [1, 2]}, "p": 0.5, "n": 0}, "p"),
+     ({"suite": "equivalence-ratio", **{k: {"start": 0, "values": [1, 2]} for k in "uvw"},
+       "p": 2.0, "q": 3.0, "form": "gop"}, "q"),
+     ({"suite": "doubling", "b": {"start": 0, "values": [1, 2, 4]},
+       "c": {"start": 0, "values": [1, 1, 1]}, "alpha": 0.5}, "alpha")],
+)
+def test_replay_rejects_a_non_numeric_exponent(entry, key, value):
+    """Replay reads ``p``, ``q`` and ``alpha`` as the sweep recorded them:
+    numbers, never ``true`` or a string."""
+    replay_instance(entry)
+    with pytest.raises(ValueError, match=f"{key} must be a number"):
+        replay_instance({**entry, key: value})
+
+
 @pytest.mark.parametrize("value", [0.5, True, "0"])
 @pytest.mark.parametrize(
     "entry",
