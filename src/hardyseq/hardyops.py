@@ -178,14 +178,26 @@ class RatioProblem:
 _BLOCK_ENTRIES = 1 << 14
 
 
+def _scan(ufunc, x: np.ndarray, right: bool) -> np.ndarray:
+    """``ufunc.accumulate`` along the last axis into a fresh contiguous
+    array: a prefix scan, or with ``right`` a suffix scan, accumulated into
+    a reversed view of its output, so that no copy follows.  Sums add in
+    the order of ``scan_sum``, so every entry has its bits."""
+    if not right:
+        return ufunc.accumulate(x, axis=-1)
+    out = np.empty(x.shape)
+    ufunc.accumulate(x[..., ::-1], axis=-1, out=out[..., ::-1])
+    return out
+
+
 def _sum_entries(
     u: np.ndarray, a: np.ndarray, form: OperatorForm
 ) -> tuple[np.ndarray, np.ndarray]:
     """``x = u * inner(a)`` of a sum-inner form and its outer scan ``E``,
-    the iterated entries; ``E`` is contiguous.  The oracle's power loop
+    the iterated entries; both are contiguous.  The oracle's power loop
     keeps both for the gradient of its next step."""
-    x = u * scan_sum(a, form.inner_dir == "right")
-    return x, np.ascontiguousarray(scan_max(x, right=form.outer == "tail"))
+    x = u * _scan(np.add, a, form.inner_dir == "right")
+    return x, _scan(np.maximum, x, form.outer == "tail")
 
 
 def _iterated_entries(u: np.ndarray, a: np.ndarray, form: OperatorForm) -> np.ndarray:
@@ -200,24 +212,25 @@ def _iterated_entries(u: np.ndarray, a: np.ndarray, form: OperatorForm) -> np.nd
     if form.inner_kind == "sup":
         inner = scan_max(a, right)
     else:  # psum, entry = (sup u^r * sum a^r)^(1/r), computed on the rooted scale
-        s = np.ascontiguousarray(scan_sum(a**r, right))
+        s = _scan(np.add, a**r, right)
         # Tails with at most one nonzero term have p-norm equal to their
         # max; substituting that exact value avoids the pow round trip.
         counts = scan_sum((a > 0).astype(float), right)
         inner = np.where(counts <= 1.0, scan_max(a, right), s ** (1.0 / r))
-    return np.ascontiguousarray(scan_max(u * inner, right=form.outer == "tail"))
+    return _scan(np.maximum, u * inner, form.outer == "tail")
 
 
 def _lhs_batch(w: np.ndarray, q: float, entries: np.ndarray, mul=ext_mul_array) -> np.ndarray:
     """The left sides; ``mul`` is :func:`ext_mul_array` or, under a caller's
-    ``np.errstate(invalid="ignore")``, its unguarded body."""
+    ``np.errstate(invalid="ignore")``, a product that gives its bits on the
+    caller's factors (the oracle's power loop)."""
     if math.isinf(q):
         return np.max(mul(w, entries), axis=-1)
-    return mul(entries**q, w).sum(axis=-1) ** (1.0 / q)
+    return np.add.reduce(mul(entries**q, w), axis=-1) ** (1.0 / q)
 
 
 def _rhs_batch(v: np.ndarray, p: float, a: np.ndarray) -> np.ndarray:
-    return ((a**p) * v).sum(axis=-1) ** (1.0 / p)
+    return np.add.reduce((a**p) * v, axis=-1) ** (1.0 / p)
 
 
 def _ratio_from_entries(
@@ -232,6 +245,8 @@ def _ratio_from_entries(
     0/0 yields 0, x/0 yields inf.  ``mul`` as in :func:`_lhs_batch`."""
     num = _lhs_batch(w, problem.q, entries, mul)
     den = _rhs_batch(v, problem.p, a)
+    if den.min(initial=INF) > 0:
+        return num / den
     pos = den > 0
     out = np.divide(num, den, out=np.zeros(den.shape), where=pos)
     out[~pos & (num > 0)] = INF
@@ -252,18 +267,21 @@ def _ratio_batch(
     per leading index), and default to the problem's own windows.  A batch
     of more than ``_BLOCK_ENTRIES`` entries is evaluated in contiguous
     copies of consecutive candidates along axis -2 (module docstring).
+    A side past the float range saturates to inf, and inf/inf is NaN,
+    without a warning.
     """
     if weights is None:
         weights = (problem.u.as_array(), problem.v.as_array(), problem.w.as_array())
     u, v, w = weights
-    if a.size <= _BLOCK_ENTRIES or a.ndim < 2:
-        return _ratio_from_entries(problem, a, v, w, _iterated_entries(u, a, problem.form))
-    k = max(1, _BLOCK_ENTRIES * a.shape[-2] // a.size)  # candidates per block
-    parts = []
-    for lo in range(0, a.shape[-2], k):
-        block = np.ascontiguousarray(a[..., lo : lo + k, :])
-        entries = _iterated_entries(u, block, problem.form)
-        parts.append(_ratio_from_entries(problem, block, v, w, entries))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if a.size <= _BLOCK_ENTRIES or a.ndim < 2:
+            return _ratio_from_entries(problem, a, v, w, _iterated_entries(u, a, problem.form))
+        k = max(1, _BLOCK_ENTRIES * a.shape[-2] // a.size)  # candidates per block
+        parts = []
+        for lo in range(0, a.shape[-2], k):
+            block = np.ascontiguousarray(a[..., lo : lo + k, :])
+            entries = _iterated_entries(u, block, problem.form)
+            parts.append(_ratio_from_entries(problem, block, v, w, entries))
     return np.concatenate(parts, axis=-1)
 
 
@@ -274,15 +292,17 @@ def _ratio_batch(
 def apply_iterated(u: Window, a: Window, form: OperatorForm = GOP) -> Window:
     """Windowed entries of the iterated operator applied to ``a``."""
     common_window(u, a)
-    entries = _iterated_entries(u.as_array(), a.as_array(), form)
+    with np.errstate(over="ignore"):  # an entry past the float range is inf
+        entries = _iterated_entries(u.as_array(), a.as_array(), form)
     return u.with_values(entries)
 
 
 def lhs(problem: RatioProblem, a: Window) -> float:
     """Left-hand side: the weighted l^q norm of the iterated entries."""
     common_window(problem.u, a)
-    entries = _iterated_entries(problem.u.as_array(), a.as_array(), problem.form)
-    return float(_lhs_batch(problem.w.as_array(), problem.q, entries))
+    with np.errstate(over="ignore"):  # saturates to inf
+        entries = _iterated_entries(problem.u.as_array(), a.as_array(), problem.form)
+        return float(_lhs_batch(problem.w.as_array(), problem.q, entries))
 
 
 def rhs(v: Window, p: float, a: Window) -> float:
@@ -290,7 +310,8 @@ def rhs(v: Window, p: float, a: Window) -> float:
     common_window(v, a)
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
-    return float(_rhs_batch(v.as_array(), p, a.as_array()))
+    with np.errstate(over="ignore"):  # saturates to inf
+        return float(_rhs_batch(v.as_array(), p, a.as_array()))
 
 
 def ratio(problem: RatioProblem, a: Window) -> float:

@@ -102,6 +102,19 @@ evaluates its candidates through ``hardyops._sum_entries``, which returns
 live row: they are exactly what the gradient of the row's next step reads,
 so that step does not compute them again.
 
+A step on small windows costs NumPy calls, not arithmetic, so the loop
+(:func:`_power_steps`) makes few.  Per call it stacks ``u``, ``v``, ``w``
+and ``q * w`` once, with the row offsets of the gradient; per live set (the
+rows not yet stopped) it keeps each row's ``a``, ratio, stretch, ``x`` and
+``E``, and takes its weights in one gather.  A step allocates the gradient
+and its temporaries, one candidate buffer, into which the ``q < p <= 1``
+step and its extrapolations are written in place before one ``exp``, and
+the evaluation's ``x``, ``E`` and sides; ``a`` and the ratios are written
+back only when a row stops.  Rows run in chunks of at most
+``_STEP_ENTRIES`` entries per step (at least one row), so a step of the
+``n`` toggles of a ``q < p <= 1`` search, ``3 n^2`` entries, is taken a
+chunk at a time.
+
 No pool is held in memory.  :func:`_pool_rows` builds any pool row, a
 fresh float array, from its index: a spike or a block is the indicator of
 its ends, and the Dirichlet rows are the only rows stored per problem.  The
@@ -170,6 +183,7 @@ from .hardyops import (
     RatioProblem,
     _ratio_batch,
     _ratio_from_entries,
+    _scan,
     _sum_entries,
     antigop_psum,
     gop_psum,
@@ -212,6 +226,9 @@ _PRUNED = -1.0
 #: about this size the bounds and a second evaluation cost more than the
 #: skipped rows (one problem: break-even near n = 24).
 _PRUNE_ENTRIES = 1 << 13
+#: Entries (rows times candidates times window size) per step of one chunk
+#: of :func:`_power_steps`' rows.
+_STEP_ENTRIES = 4 * _BLOCK_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -291,11 +308,11 @@ def _spike_max(problem: RatioProblem) -> OracleResult:
 
 
 def _stack(problems: Sequence[RatioProblem]) -> tuple[np.ndarray, ...]:
-    """The weights ``(u, v, w)`` of same-size problems, each of shape (B, 1, n)."""
-    return tuple(
-        np.stack([getattr(prob, k).as_array() for prob in problems])[:, None, :]
-        for k in "uvw"
-    )
+    """The weights ``(u, v, w)`` of same-size problems, each of shape (B, 1, n):
+    views into one (B, 3, n) array, strided across problems.  Only products,
+    quotients and comparisons read them, which round alike at any stride."""
+    stacked = np.array([(prob.u.values, prob.v.values, prob.w.values) for prob in problems])
+    return tuple(stacked[:, :, None].transpose(1, 0, 2, 3))
 
 
 @functools.lru_cache(maxsize=_POOL_CACHE)
@@ -346,7 +363,7 @@ def _dirichlet_rows(problems: Sequence[RatioProblem], cfg: OracleConfig) -> np.n
     """
     n, p = problems[0].size, problems[0].p
     x = _dirichlet_draws(n, cfg)
-    v = np.stack([prob.v.as_array() for prob in problems])[:, None, :]
+    v = np.array([prob.v.values for prob in problems])[:, None, :]
     with np.errstate(over="ignore"):
         drawn = (x / np.where(v > 0, v, 1.0)) ** (1.0 / p)
     drawn[~np.isfinite(drawn).all(axis=-1)] = 0.0
@@ -374,7 +391,7 @@ def _pool_rows(drawn: np.ndarray, at: np.ndarray) -> np.ndarray:
     stair, k = _staircase(n), len(start)
     ind = np.minimum(at, k - 1)  # a Dirichlet row is overwritten below
     out = np.empty((b, at.shape[-1], n))
-    np.subtract(stair[stop[ind]], stair[start[ind]], out=out)
+    np.subtract(stair.take(stop[ind], axis=0), stair.take(start[ind], axis=0), out=out)
     if at.ndim == 1:
         d = at >= k
         out[:, d] = drawn[:, at[d] - k]
@@ -620,7 +637,8 @@ def _polish_top(
 def _offsets(rows: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The flat offsets of ``rows`` rows of shape (1, n), as ``x`` and ``E``
     are held, and of their gradients, ``k`` each; shapes (rows, 1, 1) and
-    (rows, k, 1)."""
+    (rows, k, 1).  The first ``m`` rows of either are the offsets of ``m``
+    rows."""
     return n * np.arange(rows)[:, None, None], n * np.arange(rows * k).reshape(rows, k, 1)
 
 
@@ -639,14 +657,15 @@ def _power_gradient(
 
     ``x = u * inner(a)`` and ``E``, its outer scan (the entries of
     :func:`_iterated_entries`), come from :func:`_sum_entries`; they and
-    ``u`` have shape (L, 1, n), and ``qw``, which is ``q * w``, broadcasts
-    against them.  The records are the positions where ``x = E``.
-    ``i*(n)`` is the first record at or after ``n`` (head outer: the last
-    one at or before ``n``), where ``E_n`` is attained.  Each ``n`` puts the
-    mass ``q w_n E_n^(q-1) u_i*(n)`` (0 where ``E_n = 0``) on ``i*(n)``; one
-    ``bincount`` sums the masses per row, and ``g`` is their suffix sum for
-    an inner-left form, their prefix sum for inner-right.  ``offsets`` are
-    :func:`_offsets` ``(L, K, n)``.
+    ``u`` have shape (L, 1, n) and are contiguous, and ``qw``, which is
+    ``q * w``, broadcasts against them.  The records are the positions
+    where ``x = E``.  ``i*(n)`` is the first record at or after ``n`` (head
+    outer: the last one at or before ``n``), where ``E_n`` is attained.
+    Each ``n`` puts the mass ``q w_n E_n^(q-1) u_i*(n)`` (0 where ``E_n =
+    0``; multiplied in that order) on ``i*(n)``; one ``bincount`` sums the
+    masses per row, and ``g`` is their suffix sum for an inner-left form,
+    their prefix sum for inner-right.  ``offsets`` are :func:`_offsets`
+    ``(L, K, n)``.
 
     ``flip`` is None for the plain step (K = 1), or a bool mask (K, n)
     whose row k flips the record status of the positions it marks; ``E_n``
@@ -668,11 +687,29 @@ def _power_gradient(
     else:
         star = scan_max(np.where(rec, idx, -1))
     at = star + offsets[0]  # into the rows of x
-    estar, ustar = x.reshape(-1)[at], u.reshape(-1)[at]
-    pos = estar > 0
-    mass = np.where(pos, qw * np.where(pos, estar, 1.0) ** (q - 1.0) * ustar, 0.0)
-    m = np.bincount((star + offsets[1]).ravel(), weights=mass.ravel(), minlength=mass.size)
-    return scan_sum(m.reshape(mass.shape), right=form.inner_dir != "right")
+    ustar = u.take(at)
+    # Without a flip x_i*(n) is E_n, bit for bit (E_n is first attained
+    # there), unless x holds a NaN; that makes a NaN of E, which fails the
+    # test below and takes the gather.
+    estar = e if flip is None else x.take(at)
+    if np.minimum.reduce(estar, axis=None) > 0:
+        mass = qw * estar ** (q - 1.0) * ustar
+    else:
+        estar = x.take(at) if flip is None else estar
+        pos = estar > 0
+        mass = np.where(pos, qw * np.where(pos, estar, 1.0) ** (q - 1.0) * ustar, 0.0)
+    m = np.bincount((at if flip is None else star + offsets[1]).ravel(),  # K = 1: at
+                    weights=mass.ravel(), minlength=mass.size)
+    return _scan(np.add, m.reshape(mass.shape), form.inner_dir != "right")
+
+
+def _mul_nonzero(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:func:`seqcore._ext_mul` for factors ``y`` without a zero entry and
+    ``x`` without NaN, where no ``0 * inf`` arises: only ``-0.0`` (which
+    an entry of a ``Window`` may hold) becomes ``+0.0``."""
+    out = np.multiply(x, y)
+    out += 0.0
+    return out
 
 
 def _power_steps(
@@ -688,7 +725,8 @@ def _power_steps(
     both updated in place, all rows in lock-step; returns the evaluations
     of each row.
 
-    ``weights`` are the rows' ``(u, v, w)``, each of shape (L, 1, n).  A
+    ``weights`` are the ``(u, v, w)`` of B problems, each of shape (B, 1,
+    n); problem ``i`` owns the ``i``-th run of L/B consecutive rows of ``a``.  A
     plain step evaluates one candidate, a flip step (``flip``) the ``n``
     candidates that flip one record position each:
     ``a <- a^alpha (g/v)^beta``, rescaled by its row maximum, with ``g``
@@ -712,65 +750,101 @@ def _power_steps(
     raises its best ratio, and otherwise stops; it also stops once its
     ratio is infinite.
 
-    A live row keeps the ``x`` and ``E`` of :func:`_sum_entries` that the
-    evaluation of its last winning candidate computed, so its next gradient
-    starts from them.  What depends only on the live set (its weights,
-    ``q * w`` and the row offsets) is set up again, and its evaluations
-    counted, only when a row stops.
+    The rows run in chunks of at most ``_STEP_ENTRIES`` entries per step
+    (rows times candidates times ``n``; at least one row), one after the
+    other; rows are independent, so a chunk ends where its rows alone
+    would.  ``u``, ``v``, ``w`` and ``q * w`` are stacked once per call, and
+    a live set takes its rows of them in one gather.  A live set keeps its
+    rows' ``a``, ratio and stretch, and the ``x`` and ``E`` of
+    :func:`_sum_entries` that the evaluation of their last winning
+    candidate computed, so its next gradient starts from them; ``a`` and
+    ``best`` are written, and evaluations counted, only when a row stops
+    and at the end.  The row offsets are sliced from one set per call.  A
+    step allocates the gradient and its temporaries, one (L, K, n)
+    candidate buffer (the ``q < p <= 1`` step and its extrapolations are
+    written into it in place and end in ``exp``), and the evaluation's
+    ``x``, ``E`` and sides.  Its left side skips the NaN repair of
+    :func:`seqcore._ext_mul` while no live ``w`` is 0 (:func:`_mul_nonzero`).
     """
     p, q, form = problem.p, problem.q, problem.form
     alpha, beta = (0.0, 1.0 / (p - 1.0)) if p > 1 else ((1.0 - q) / (p - q), 1.0 / (p - q))
     n = a.shape[-1]
     mask, grads = (np.eye(n, dtype=bool), n) if flip else (None, 1)  # gradients per row
+    width = grads + len(reach)  # candidates per row and step
+    per = len(a) // max(len(weights[0]), 1)  # rows per problem
+    u, v, w = weights
+    state = np.concatenate([u, v, w, q * w]).reshape(4, -1, 1, n)  # u, v, w, q * w
+    omega = np.array(reach)
+    factor = np.array([0.5, *[1.0] * (len(reach) - 1), 2.0])  # the stretch's, by winner
+    todo = (~np.isinf(best)).nonzero()[0]
+    chunk = max(1, _STEP_ENTRIES // (width * n))
+    size = min(chunk, len(todo))
+    offsets, base = _offsets(size, grads, n), width * np.arange(size)
+    rowmax = functools.partial(np.maximum.reduce, axis=-1, keepdims=True)
     evals = np.zeros(len(a), dtype=int)
-    stretch = np.ones(len(a))
-    rows = np.flatnonzero(~np.isinf(best))
-    u, v, w = (arr[rows] for arr in weights)
-    qw = q * w
-    x, e = _sum_entries(u, a[rows, None], form)
-    offsets, live = _offsets(len(rows), grads, n), np.arange(len(rows))
-    ran = width = 0  # steps of the live set, candidates per step
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(iterations):
-            if not len(rows):
-                break
-            g = _power_gradient(form, q, u, qw, x, e, mask, offsets)
-            g /= g.max(axis=-1, keepdims=True)
-            t = np.divide(g, v, out=np.zeros(g.shape), where=g > 0)
-            t /= t.max(axis=-1, keepdims=True)
-            if alpha:
-                la = np.log(a[rows, None])
-                step = alpha * la + beta * np.log(t)
-                moved = step > -np.inf  # where a' > 0, hence a > 0
-                scale, d = stretch[rows, None, None], step - la
-                cand = np.concatenate([step] + [
-                    np.where(moved, la + om * scale * d, -np.inf) for om in reach
-                ], axis=1)
-                cand = np.exp(cand - cand.max(axis=-1, keepdims=True))
-            else:
-                cand = t**beta
-            cand[~np.isfinite(cand).all(axis=-1)] = 0.0
-            cx, ce = _sum_entries(u, cand, form)
-            r = _ratio_from_entries(problem, cand, v, w, ce, mul=_ext_mul)
-            ran, width = ran + 1, cand.shape[1]
-            k = np.argmax(r, axis=1)
-            top = r[live, k]
-            up = top > best[rows]
-            best[rows[up]] = top[up]
-            a[rows[up]] = cand[up, k[up]]
-            if reach:
-                stretch[rows[k == len(reach)]] *= 2.0
-                stretch[rows[k == 0]] = np.maximum(stretch[rows[k == 0]] / 2.0, 1.0)
-            keep = up & ~np.isinf(top)
-            if keep.all():
-                x, e = cx[live, k, None], ce[live, k, None]
-                continue
-            evals[rows] += ran * width  # the live rows only shrink
-            kept = np.flatnonzero(keep)
-            rows, u, v, w, qw = rows[kept], u[kept], v[kept], w[kept], qw[kept]
-            x, e = cx[kept, k[kept], None], ce[kept, k[kept], None]
-            offsets, live, ran = _offsets(len(rows), grads, n), np.arange(len(rows)), 0
-    evals[rows] += ran * width
+        for lo in range(0, len(todo), chunk):
+            rows = todo[lo : lo + chunk]
+            al, bl, sl = a[rows], best[rows], np.ones(len(rows))  # a, ratio, stretch
+            u, v, w, qw = state[:, rows // per]
+            mul = _mul_nonzero if np.count_nonzero(w) == w.size else _ext_mul
+            x, e = _sum_entries(u, al[:, None], form)
+            m, ran = len(rows), 0  # live rows, and their steps
+            off, at = (offsets[0][:m], offsets[1][:m]), base[:m]
+            for _ in range(iterations):
+                if not m:
+                    break
+                g = _power_gradient(form, q, u, qw, x, e, mask, off)
+                g /= rowmax(g)
+                t = np.divide(g, v, out=np.zeros(g.shape), where=g > 0)
+                t /= rowmax(t)
+                if alpha:
+                    cand = np.empty((m, width, n))
+                    la, step = np.log(al)[:, None], cand[:, :grads]
+                    np.log(t, out=step)
+                    step *= beta
+                    step += alpha * la
+                    if reach:  # a (a'/a)^(omega s), -inf where a' = 0
+                        ext = cand[:, grads:]
+                        np.multiply((sl[:, None] * omega)[:, :, None], step - la, out=ext)
+                        ext += la
+                        np.copyto(ext, -np.inf, where=~(step > -np.inf))
+                    cand -= rowmax(cand)
+                    np.exp(cand, out=cand)
+                else:
+                    cand = t**beta
+                if not math.isfinite(np.add.reduce(cand, axis=None)):  # in [0, 1] or NaN
+                    cand[~np.isfinite(cand.sum(axis=-1))] = 0.0
+                cx, ce = _sum_entries(u, cand, form)
+                r = _ratio_from_entries(problem, cand, v, w, ce, mul=mul)
+                ran += 1
+                if width == 1:
+                    top, won = r[:, 0], cand[:, 0]
+                else:
+                    k = r.argmax(axis=1)
+                    flat = at + k  # the winners, as rows of (L * K, n)
+                    top, won = r.take(flat), cand.reshape(-1, n).take(flat, axis=0)
+                    cx, ce = (y.reshape(-1, n).take(flat, axis=0)[:, None] for y in (cx, ce))
+                    if reach:
+                        sl *= factor[k]
+                        np.maximum(sl, 1.0, out=sl)
+                up = top > bl
+                keep = up & (top < np.inf)
+                if np.count_nonzero(keep) == len(keep):
+                    al, bl, x, e = won, top, cx, ce
+                    continue
+                np.copyto(al, won, where=up[:, None])
+                np.copyto(bl, top, where=up)
+                a[rows], best[rows] = al, bl
+                evals[rows] += ran * width  # the live rows only shrink
+                kept = keep.nonzero()[0]
+                m, ran, rows = len(kept), 0, rows[kept]
+                al, bl, sl, x, e = won[kept], top[kept], sl[kept], cx[kept], ce[kept]
+                u, v, w, qw = state[:, rows // per]
+                mul = _mul_nonzero if np.count_nonzero(w) == w.size else _ext_mul
+                off, at = (off[0][:m], off[1][:m]), at[:m]
+            a[rows], best[rows] = al, bl
+            evals[rows] += ran * width
     return evals
 
 
@@ -803,20 +877,19 @@ def _power_top(
     """
     b, _, n = a.shape
     reach = _POWER_REACH if problem.p <= 1 else ()
+    pick = np.arange(b)
 
     def plain(a: np.ndarray, best: np.ndarray) -> np.ndarray:
         """Plain steps from the rows ``a`` (B, L, n), updated in place."""
-        uvw = tuple(np.repeat(x, a.shape[1], axis=0) for x in weights)
         evals = _power_steps(
-            problem, a.reshape(-1, n), best.reshape(-1), uvw, cfg.iterations, reach
+            problem, a.reshape(-1, n), best.reshape(-1), weights, cfg.iterations, reach
         )
         return evals.reshape(b, a.shape[1]).sum(axis=1)
 
     def lead(a: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The best row (B, n) of each problem, and its ratio (B,)."""
-        k = np.argmax(best, axis=1)[:, None]
-        return (np.take_along_axis(a, k[:, :, None], axis=1)[:, 0],
-                np.take_along_axis(best, k, axis=1)[:, 0])
+        k = best.argmax(axis=1)
+        return a[pick, k], best[pick, k]
 
     evals = plain(a, best)
     if problem.p <= 1:
@@ -852,8 +925,8 @@ def _polish(
     holds, else the coordinate ascent; never called in the spike range."""
     top = np.argsort(ratios, axis=1)[:, ::-1][:, : _starts(problem, cfg, ratios.shape[1])]
     polish = _power_top if _power_search(problem) else _polish_top
-    return polish(problem, _pool_rows(drawn, top), np.take_along_axis(ratios, top, axis=1),
-                  weights, cfg)
+    best = ratios[np.arange(len(top))[:, None], top]
+    return polish(problem, _pool_rows(drawn, top), best, weights, cfg)
 
 
 def _shape(problem: RatioProblem) -> tuple:
@@ -909,29 +982,29 @@ def _finish(
 ) -> list[OracleResult]:
     """One lock-step polish of every problem that :func:`_to_polish`
     selects, and each problem's result; ``evaluations`` counts every pool
-    row, evaluated or not."""
-    ref = problems[0]
+    row, evaluated or not.
+
+    A result is the first maximum of the pool ratios followed by the
+    polished ratios, as ``np.argmax`` reads them (a NaN first): the polish
+    wins only over a pool maximum that is not NaN, with a NaN or a larger
+    ratio."""
     size = ratios.shape[1]
     evals = np.full(len(problems), size)
+    pick = np.arange(len(problems))
+    k = ratios.argmax(axis=1)
+    top, rows = ratios[pick, k], _pool_rows(drawn, k[:, None])[:, 0]
     fin = _to_polish(ratios)
-    polished = np.cumsum(fin) - 1  # index among the polished problems
-    sel = slice(None) if fin.all() else fin  # copy the draws only if needed
-    extra, best, used = _polish(
-        ref, drawn[sel], ratios[sel], tuple(x[sel] for x in weights), cfg
-    )
-    evals[fin] += used
-    out = []
-    for i, prob in enumerate(problems):
-        r = ratios[i]
-        if fin[i]:
-            r = np.concatenate([r, best[polished[i]]])
-        k = int(np.argmax(r))
-        if k < size:
-            row = _pool_rows(drawn[i : i + 1], np.array([k]))[0, 0]
-        else:
-            row = extra[polished[i], k - size]
-        out.append(_result(prob, row, r[k], evals[i]))
-    return out
+    if fin.any():
+        sel = slice(None) if fin.all() else fin  # copy the draws only if needed
+        extra, best, used = _polish(
+            problems[0], drawn[sel], ratios[sel], tuple(x[sel] for x in weights), cfg
+        )
+        evals[fin] += used
+        j = best.argmax(axis=1)
+        own, polished = fin.nonzero()[0], best[np.arange(len(best)), j]
+        wins = ~np.isnan(top[own]) & (np.isnan(polished) | (polished > top[own]))
+        top[own[wins]], rows[own[wins]] = polished[wins], extra[wins, j[wins]]
+    return [_result(prob, rows[i], top[i], evals[i]) for i, prob in enumerate(problems)]
 
 
 def spike_oracle(problem: RatioProblem) -> OracleResult:

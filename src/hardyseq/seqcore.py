@@ -89,23 +89,16 @@ def ext_div(x: float, y: float) -> float:
 
 
 def ext_pow_array(x: np.ndarray, alpha: float) -> np.ndarray:
-    """Elementwise :func:`ext_pow` for a nonnegative array and scalar exponent."""
-    x = np.asarray(x, dtype=float)
-    if alpha == 0:
-        return np.ones_like(x)
-    out = np.empty_like(x)
-    zero = x == 0
-    inf = np.isinf(x)
-    rest = ~(zero | inf)
-    with np.errstate(over="ignore"):  # an overflowing power saturates to inf
-        out[rest] = x[rest] ** alpha
-    if alpha > 0:
-        out[zero] = 0.0
-        out[inf] = INF
-    else:
-        out[zero] = INF
-        out[inf] = 0.0
-    return out
+    """Elementwise :func:`ext_pow` for a nonnegative array and scalar exponent.
+
+    One IEEE power: ``pow`` already gives ``0**(+a) = 0``, ``0**(-a) =
+    inf``, ``inf**(+a) = inf``, ``inf**(-a) = 0`` and ``x**0 = 1``.  Adding
+    ``0.0`` first turns ``-0.0`` into ``+0.0`` (an odd integer power keeps
+    the sign of zero) and gives the power a fresh contiguous array.  An
+    overflowing power saturates to inf, without a warning.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        return (np.asarray(x, dtype=float) + 0.0) ** alpha
 
 
 def ext_mul_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -122,7 +115,7 @@ def _ext_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """:func:`ext_mul_array` for a caller that already ignores invalid
     operations (``0 * inf``), as the oracle's power loop does."""
     out = np.multiply(x, y, dtype=float)
-    out[np.isnan(out)] = 0.0  # 0 * inf
+    np.fmax(out, 0.0, out=out)  # 0 * inf (NaN) -> 0.0
     out += 0.0  # -0.0 -> +0.0
     return out
 

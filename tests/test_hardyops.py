@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from hardyseq.hardyops import (
     ratio,
     rhs,
 )
+from hardyseq.oracle import FAST_CONFIG, brute_force_constant
 from hardyseq.seqcore import INF, Window
 
 U11 = Window(0, (1.0, 1.0))
@@ -142,6 +144,27 @@ class TestSides:
         with np.errstate(over="ignore", invalid="ignore"):  # both sides overflow
             assert math.isnan(_ratio_batch(prob, one(400).as_array()[None, :])[0])
             assert math.isnan(ratio(prob, one(400)))
+
+    def test_saturating_sides_run_without_warnings(self):
+        """At weights 2^U(+-600) the sides pass the float range and
+        saturate to inf on purpose (``entries**q``, ``a**p``, ``u * inner``
+        and the quotient; inf/inf is NaN), so ``ratio``, ``lhs``, ``rhs``
+        and ``brute_force_constant`` run clean with warnings as errors."""
+        rng = np.random.default_rng(79)
+        saturated = 0
+        for k in range(30):
+            n = int(rng.integers(2, 9))
+            form = (GOP, ANTIGOP, DUAL_GOP, GOP_SUP, antigop_psum(0.5))[k % 5]
+            p, q = ((2.0, 3.0), (3.0, 2.0), (1.0, 0.5), (0.5, 1.0))[k % 4]
+            u, v, w, a = (Window(0, 2.0 ** rng.uniform(-600, 600, n)) for _ in range(4))
+            prob = RatioProblem(u, v, w, p, q, form)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ratio(prob, a)
+                sides = lhs(prob, a), rhs(v, p, a)
+                brute_force_constant(prob, FAST_CONFIG)
+            saturated += math.isinf(sides[0]) or math.isinf(sides[1])
+        assert saturated >= 10
 
     def test_ratio_scale_invariant_exact(self):
         prob = RatioProblem(U11, Window(0, (4.0, 1.0)), U11, 1.0, 1.0, GOP)

@@ -26,6 +26,7 @@ from hardyseq.hardyops import (
 )
 from hardyseq.oracle import (
     FAST_CONFIG,
+    _POWER_REACH,
     _PRUNED,
     OracleConfig,
     _block_caps,
@@ -56,7 +57,7 @@ from hardyseq.oracle import (
     equivalence_ratios,
     spike_oracle,
 )
-from hardyseq.seqcore import INF, Window
+from hardyseq.seqcore import INF, Window, scan_max, scan_min, scan_sum
 
 ONES2 = Window(0, (1.0, 1.0))
 
@@ -787,6 +788,222 @@ class TestPowerIteration:
         res = brute_force_constant(RatioProblem(*rand_triple(rng, 4), p, q, form), FAST_CONFIG)
         assert res.search == search
         assert res.to_json()["search"] == search
+
+
+# The power loop as it stood before its steps were trimmed, kept verbatim
+# (docstrings shortened) as the bit-for-bit reference of the loop now in
+# the oracle: its gathers, scatters, concatenations and ``np.where``s.
+
+
+def _ext_mul_reference(x, y):
+    """The in-loop product: ``x * y`` with ``0 * inf`` and ``-0.0`` read
+    as ``+0.0``."""
+    out = np.multiply(x, y, dtype=float)
+    out[np.isnan(out)] = 0.0  # 0 * inf
+    out += 0.0  # -0.0 -> +0.0
+    return out
+
+
+def _ratio_reference(problem, a, v, w, entries):
+    """Ratios lhs/rhs from the iterated ``entries``; 0/0 is 0, x/0 inf."""
+    num = _ext_mul_reference(entries**problem.q, w).sum(axis=-1) ** (1.0 / problem.q)
+    den = ((a**problem.p) * v).sum(axis=-1) ** (1.0 / problem.p)
+    pos = den > 0
+    out = np.divide(num, den, out=np.zeros(den.shape), where=pos)
+    out[~pos & (num > 0)] = INF
+    return out
+
+
+def _sum_entries_reference(u, a, form):
+    """``x = u * inner(a)`` and its outer scan ``E``, made contiguous."""
+    x = u * scan_sum(a, form.inner_dir == "right")
+    return x, np.ascontiguousarray(scan_max(x, right=form.outer == "tail"))
+
+
+def _power_gradient_reference(form, q, u, qw, x, e, flip, offsets):
+    """``g = grad(lhs^q)`` at L candidates, K rows each."""
+    tail = form.outer == "tail"
+    n = x.shape[-1]
+    idx = np.arange(n)
+    rec = x == e
+    if flip is not None:
+        rec = rec ^ flip
+    rec[..., n - 1 if tail else 0] = True
+    if tail:
+        star = scan_min(np.where(rec, idx, n), right=True)
+    else:
+        star = scan_max(np.where(rec, idx, -1))
+    at = star + offsets[0]  # into the rows of x
+    estar, ustar = x.reshape(-1)[at], u.reshape(-1)[at]
+    pos = estar > 0
+    mass = np.where(pos, qw * np.where(pos, estar, 1.0) ** (q - 1.0) * ustar, 0.0)
+    m = np.bincount((star + offsets[1]).ravel(), weights=mass.ravel(), minlength=mass.size)
+    return scan_sum(m.reshape(mass.shape), right=form.inner_dir != "right")
+
+
+def _power_steps_reference(problem, a, best, weights, iterations, reach=(), flip=False):
+    """Power steps from the rows ``a`` (L, n), weights (L, 1, n) each."""
+    p, q, form = problem.p, problem.q, problem.form
+    alpha, beta = (0.0, 1.0 / (p - 1.0)) if p > 1 else ((1.0 - q) / (p - q), 1.0 / (p - q))
+    n = a.shape[-1]
+    mask, grads = (np.eye(n, dtype=bool), n) if flip else (None, 1)  # gradients per row
+    evals = np.zeros(len(a), dtype=int)
+    stretch = np.ones(len(a))
+    rows = np.flatnonzero(~np.isinf(best))
+    u, v, w = (arr[rows] for arr in weights)
+    qw = q * w
+    x, e = _sum_entries_reference(u, a[rows, None], form)
+    offsets, live = _offsets(len(rows), grads, n), np.arange(len(rows))
+    ran = width = 0  # steps of the live set, candidates per step
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(iterations):
+            if not len(rows):
+                break
+            g = _power_gradient_reference(form, q, u, qw, x, e, mask, offsets)
+            g /= g.max(axis=-1, keepdims=True)
+            t = np.divide(g, v, out=np.zeros(g.shape), where=g > 0)
+            t /= t.max(axis=-1, keepdims=True)
+            if alpha:
+                la = np.log(a[rows, None])
+                step = alpha * la + beta * np.log(t)
+                moved = step > -np.inf  # where a' > 0, hence a > 0
+                scale, d = stretch[rows, None, None], step - la
+                cand = np.concatenate([step] + [
+                    np.where(moved, la + om * scale * d, -np.inf) for om in reach
+                ], axis=1)
+                cand = np.exp(cand - cand.max(axis=-1, keepdims=True))
+            else:
+                cand = t**beta
+            cand[~np.isfinite(cand).all(axis=-1)] = 0.0
+            cx, ce = _sum_entries_reference(u, cand, form)
+            r = _ratio_reference(problem, cand, v, w, ce)
+            ran, width = ran + 1, cand.shape[1]
+            k = np.argmax(r, axis=1)
+            top = r[live, k]
+            up = top > best[rows]
+            best[rows[up]] = top[up]
+            a[rows[up]] = cand[up, k[up]]
+            if reach:
+                stretch[rows[k == len(reach)]] *= 2.0
+                stretch[rows[k == 0]] = np.maximum(stretch[rows[k == 0]] / 2.0, 1.0)
+            keep = up & ~np.isinf(top)
+            if keep.all():
+                x, e = cx[live, k, None], ce[live, k, None]
+                continue
+            evals[rows] += ran * width  # the live rows only shrink
+            kept = np.flatnonzero(keep)
+            rows, u, v, w, qw = rows[kept], u[kept], v[kept], w[kept], qw[kept]
+            x, e = cx[kept, k[kept], None], ce[kept, k[kept], None]
+            offsets, live, ran = _offsets(len(rows), grads, n), np.arange(len(rows)), 0
+    evals[rows] += ran * width
+    return evals
+
+
+def _power_top_reference(problem, a, best, weights, cfg):
+    """The three phases of the power iteration from these steps."""
+    b, _, n = a.shape
+    reach = _POWER_REACH if problem.p <= 1 else ()
+
+    def plain(a, best):
+        uvw = tuple(np.repeat(x, a.shape[1], axis=0) for x in weights)
+        evals = _power_steps_reference(
+            problem, a.reshape(-1, n), best.reshape(-1), uvw, cfg.iterations, reach
+        )
+        return evals.reshape(b, a.shape[1]).sum(axis=1)
+
+    def lead(a, best):
+        k = np.argmax(best, axis=1)[:, None]
+        return (np.take_along_axis(a, k[:, :, None], axis=1)[:, 0],
+                np.take_along_axis(best, k, axis=1)[:, 0])
+
+    evals = plain(a, best)
+    if problem.p <= 1:
+        row = lead(a, best)[0]
+        low = np.where(row > 0, row, np.inf).min(axis=1, keepdims=True)
+        low[np.isinf(low)] = 0.0  # a zero row has no entry to revive
+        toggled = np.repeat(row[:, None], n, axis=1)
+        toggled[:, np.arange(n), np.arange(n)] = np.where(row > 0, 0.0, low)
+        peak = toggled.max(axis=-1, keepdims=True)
+        toggled /= np.where(peak > 0, peak, 1.0)  # rescaled, as every step is
+        u, v, w = weights
+        with np.errstate(over="ignore", invalid="ignore"):
+            tbest = _ratio_reference(problem, toggled, v, w,
+                                     _sum_entries_reference(u, toggled, problem.form)[1])
+        evals += n + plain(toggled, tbest)
+        a, best = np.concatenate([a, toggled], axis=1), np.concatenate([best, tbest], axis=1)
+    a1, best1 = lead(a, best)
+    evals += _power_steps_reference(problem, a1, best1, weights, cfg.iterations, flip=True)
+    return (
+        np.concatenate([a, a1[:, None]], axis=1),
+        np.concatenate([best, best1[:, None]], axis=1),
+        evals,
+    )
+
+
+def _loop_problems(rng, form, p, q, n, b, kind):
+    """``b`` problems of size ``n`` with weights 2^U(+-3), and start rows
+    (B, 6, n) 2^U(+-4) with zeros.  Of ``kind`` "zeros", the weights also
+    hold exact zeros and ``-0.0``, the first problem a zero ``w`` entry,
+    ``u`` is 0 (or ``-0.0``) at the end of the outer scan, so ``E`` is 0
+    there, and the last problem has a row whose ``v = 0`` entry makes its
+    ratio inf.  Of ``kind`` "wide", the weights are 2^U(+-500), so sides
+    overflow to inf, and the first problem has a zero ``w`` entry, so
+    ``0 * inf`` arises."""
+    end = n - 1 if form.outer == "tail" else 0
+    scale = 500.0 if kind == "wide" else 3.0
+    probs, rows = [], []
+    for i in range(b):
+        u, v, w = (2.0 ** rng.uniform(-scale, scale, n) for _ in "uvw")
+        a = 2.0 ** rng.uniform(-4, 4, (6, n)) * (rng.random((6, n)) > 0.25)
+        if kind != "plain" and i == 0:
+            w[rng.integers(n)] = 0.0
+        if kind == "zeros":
+            for x in (u, v, w):
+                x[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
+            u[end] = 0.0 if i % 2 == 0 else -0.0
+            if i == b - 1:
+                k = int(rng.integers(n))
+                v[k], a[5, k] = 0.0, 1.0
+        probs.append(RatioProblem(*(Window(-1, x) for x in (u, v, w)), p, q, form))
+        rows.append(a)
+    return probs, np.array(rows)
+
+
+class TestPowerLoopReference:
+    """The power loop against its earlier form, bit for bit: rows, ratios
+    and evaluations of :func:`_power_top`."""
+
+    @pytest.mark.parametrize("kind", ["plain", "zeros", "wide"])
+    @pytest.mark.parametrize("p,q", [(2.0, 3.0), (3.0, 2.0), (1.0, 0.5), (0.8, 0.3)])
+    @pytest.mark.parametrize("form", [GOP, ANTIGOP, DUAL_GOP, DUAL_ANTIGOP])
+    def test_power_top_matches_the_reference(self, form, p, q, kind):
+        rng = np.random.default_rng(71)
+        cfg = OracleConfig(4, 80, 0, 8)
+        for n in (1, 2, 5, 16):
+            for b in (1, 2, 3, 4):
+                probs, a = _loop_problems(rng, form, p, q, n, b, kind)
+                weights = _stack(probs)
+                best = _ratio_batch(probs[0], a, weights)
+                got = _power_top(probs[0], a.copy(), best.copy(), weights, cfg)
+                want = _power_top_reference(probs[0], a.copy(), best.copy(), weights, cfg)
+                for x, y in zip(got, want):
+                    assert x.tobytes() == y.tobytes(), (n, b)
+
+    @pytest.mark.parametrize("p,q", [(2.0, 3.0), (1.0, 0.5)])
+    def test_rows_in_chunks_match_the_reference(self, monkeypatch, p, q):
+        """Rows are independent, so rows run a few at a time end where
+        the reference, which runs them all at once, ends."""
+        monkeypatch.setattr("hardyseq.oracle._STEP_ENTRIES", 40)
+        rng = np.random.default_rng(73)
+        cfg = OracleConfig(4, 80, 0, 8)
+        for kind in ("plain", "zeros", "wide"):
+            probs, a = _loop_problems(rng, ANTIGOP, p, q, 8, 3, kind)
+            weights = _stack(probs)
+            best = _ratio_batch(probs[0], a, weights)
+            got = _power_top(probs[0], a.copy(), best.copy(), weights, cfg)
+            want = _power_top_reference(probs[0], a.copy(), best.copy(), weights, cfg)
+            for x, y in zip(got, want):
+                assert x.tobytes() == y.tobytes()
 
 
 class TestConfig:

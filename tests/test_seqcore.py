@@ -99,6 +99,21 @@ class TestExtArithmetic:
         assert tuple(out) == (INF, 0.0, 0.0, 6.0)
         assert saturated == INF
 
+    def test_array_pow_is_one_power_with_the_scalar_rules(self):
+        """IEEE ``pow`` gives every extended rule, so one power has the
+        bits of :func:`ext_pow` at -0.0, 0, subnormals, 1, 2^+-600 and inf,
+        for negative, zero, fractional and odd and even integer exponents,
+        without a warning; ``-0.0`` gives ``+0.0`` or inf, never a signed
+        zero or -inf."""
+        xs = np.array([-0.0, 0.0, 5e-324, 2.0**-1070, 1.0, 2.0**600, 2.0**-600, INF])
+        for alpha in (-3.0, -1.0, -0.5, 0.0, 1.0 / 3.0, 0.5, 1.0, 2.0, 3.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = ext_pow_array(xs, alpha)
+            want = np.array([ext_pow(float(x), alpha) for x in xs])
+            assert out.tobytes() == want.tobytes(), (alpha, out, want)
+            assert not np.signbit(out).any()
+
     def test_array_conventions_match_scalar(self):
         xs = np.array([0.0, 1.0, 2.0, INF])
         for alpha in (-1.5, -1.0, 0.0, 0.5, 2.0):
