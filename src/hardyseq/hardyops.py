@@ -222,8 +222,8 @@ def _iterated_entries(u: np.ndarray, a: np.ndarray, form: OperatorForm) -> np.nd
 
 def _lhs_batch(w: np.ndarray, q: float, entries: np.ndarray, mul=ext_mul_array) -> np.ndarray:
     """The left sides; ``mul`` is :func:`ext_mul_array` or, under a caller's
-    ``np.errstate(invalid="ignore")``, a product that gives its bits on the
-    caller's factors (the oracle's power loop)."""
+    ``np.errstate(invalid="ignore")``, its unguarded body
+    :func:`seqcore._ext_mul` (the oracle's power loop)."""
     if math.isinf(q):
         return np.max(mul(w, entries), axis=-1)
     return np.add.reduce(mul(entries**q, w), axis=-1) ** (1.0 / q)
@@ -231,6 +231,16 @@ def _lhs_batch(w: np.ndarray, q: float, entries: np.ndarray, mul=ext_mul_array) 
 
 def _rhs_batch(v: np.ndarray, p: float, a: np.ndarray) -> np.ndarray:
     return np.add.reduce((a**p) * v, axis=-1) ** (1.0 / p)
+
+
+def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den``; 0/0 yields 0, x/0 yields inf, and inf/inf is NaN."""
+    if den.min(initial=INF) > 0:
+        return num / den
+    pos = den > 0
+    out = np.divide(num, den, out=np.zeros(den.shape), where=pos)
+    out[~pos & (num > 0)] = INF
+    return out
 
 
 def _ratio_from_entries(
@@ -241,16 +251,9 @@ def _ratio_from_entries(
     entries: np.ndarray,
     mul=ext_mul_array,
 ) -> np.ndarray:
-    """Ratios lhs/rhs of the candidates ``a`` with iterated ``entries``;
-    0/0 yields 0, x/0 yields inf.  ``mul`` as in :func:`_lhs_batch`."""
-    num = _lhs_batch(w, problem.q, entries, mul)
-    den = _rhs_batch(v, problem.p, a)
-    if den.min(initial=INF) > 0:
-        return num / den
-    pos = den > 0
-    out = np.divide(num, den, out=np.zeros(den.shape), where=pos)
-    out[~pos & (num > 0)] = INF
-    return out
+    """Ratios lhs/rhs of the candidates ``a`` with iterated ``entries``, as
+    :func:`_quotient` gives them.  ``mul`` as in :func:`_lhs_batch`."""
+    return _quotient(_lhs_batch(w, problem.q, entries, mul), _rhs_batch(v, problem.p, a))
 
 
 def _ratio_batch(
@@ -267,22 +270,27 @@ def _ratio_batch(
     per leading index), and default to the problem's own windows.  A batch
     of more than ``_BLOCK_ENTRIES`` entries is evaluated in contiguous
     copies of consecutive candidates along axis -2 (module docstring).
-    A side past the float range saturates to inf, and inf/inf is NaN,
-    without a warning.
+    An entry or side past the float range saturates to inf, and inf/inf is
+    NaN, without a warning; other invalid operations still warn.
     """
     if weights is None:
         weights = (problem.u.as_array(), problem.v.as_array(), problem.w.as_array())
     u, v, w = weights
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def sides(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        entries = _iterated_entries(u, a, problem.form)
+        return _lhs_batch(w, problem.q, entries), _rhs_batch(v, problem.p, a)
+
+    with np.errstate(over="ignore"):
         if a.size <= _BLOCK_ENTRIES or a.ndim < 2:
-            return _ratio_from_entries(problem, a, v, w, _iterated_entries(u, a, problem.form))
-        k = max(1, _BLOCK_ENTRIES * a.shape[-2] // a.size)  # candidates per block
-        parts = []
-        for lo in range(0, a.shape[-2], k):
-            block = np.ascontiguousarray(a[..., lo : lo + k, :])
-            entries = _iterated_entries(u, block, problem.form)
-            parts.append(_ratio_from_entries(problem, block, v, w, entries))
-    return np.concatenate(parts, axis=-1)
+            num, den = sides(a)
+        else:
+            k = max(1, _BLOCK_ENTRIES * a.shape[-2] // a.size)  # candidates per block
+            parts = [sides(np.ascontiguousarray(a[..., lo : lo + k, :]))
+                     for lo in range(0, a.shape[-2], k)]
+            num, den = (np.concatenate(x, axis=-1) for x in zip(*parts))
+        with np.errstate(invalid="ignore"):  # inf/inf
+            return _quotient(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -703,15 +703,6 @@ def _power_gradient(
     return _scan(np.add, m.reshape(mass.shape), form.inner_dir != "right")
 
 
-def _mul_nonzero(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """:func:`seqcore._ext_mul` for factors ``y`` without a zero entry and
-    ``x`` without NaN, where no ``0 * inf`` arises: only ``-0.0`` (which
-    an entry of a ``Window`` may hold) becomes ``+0.0``."""
-    out = np.multiply(x, y)
-    out += 0.0
-    return out
-
-
 def _power_steps(
     problem: RatioProblem,
     a: np.ndarray,
@@ -763,8 +754,7 @@ def _power_steps(
     step allocates the gradient and its temporaries, one (L, K, n)
     candidate buffer (the ``q < p <= 1`` step and its extrapolations are
     written into it in place and end in ``exp``), and the evaluation's
-    ``x``, ``E`` and sides.  Its left side skips the NaN repair of
-    :func:`seqcore._ext_mul` while no live ``w`` is 0 (:func:`_mul_nonzero`).
+    ``x``, ``E`` and sides.
     """
     p, q, form = problem.p, problem.q, problem.form
     alpha, beta = (0.0, 1.0 / (p - 1.0)) if p > 1 else ((1.0 - q) / (p - q), 1.0 / (p - q))
@@ -787,7 +777,6 @@ def _power_steps(
             rows = todo[lo : lo + chunk]
             al, bl, sl = a[rows], best[rows], np.ones(len(rows))  # a, ratio, stretch
             u, v, w, qw = state[:, rows // per]
-            mul = _mul_nonzero if np.count_nonzero(w) == w.size else _ext_mul
             x, e = _sum_entries(u, al[:, None], form)
             m, ran = len(rows), 0  # live rows, and their steps
             off, at = (offsets[0][:m], offsets[1][:m]), base[:m]
@@ -816,7 +805,7 @@ def _power_steps(
                 if not math.isfinite(np.add.reduce(cand, axis=None)):  # in [0, 1] or NaN
                     cand[~np.isfinite(cand.sum(axis=-1))] = 0.0
                 cx, ce = _sum_entries(u, cand, form)
-                r = _ratio_from_entries(problem, cand, v, w, ce, mul=mul)
+                r = _ratio_from_entries(problem, cand, v, w, ce, mul=_ext_mul)
                 ran += 1
                 if width == 1:
                     top, won = r[:, 0], cand[:, 0]
@@ -841,7 +830,6 @@ def _power_steps(
                 m, ran, rows = len(kept), 0, rows[kept]
                 al, bl, sl, x, e = won[kept], top[kept], sl[kept], cx[kept], ce[kept]
                 u, v, w, qw = state[:, rows // per]
-                mul = _mul_nonzero if np.count_nonzero(w) == w.size else _ext_mul
                 off, at = (off[0][:m], off[1][:m]), at[:m]
             a[rows], best[rows] = al, bl
             evals[rows] += ran * width

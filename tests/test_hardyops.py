@@ -166,6 +166,16 @@ class TestSides:
             saturated += math.isinf(sides[0]) or math.isinf(sides[1])
         assert saturated >= 10
 
+    def test_zero_times_saturated_inner_still_warns(self):
+        """Only saturation and inf/inf are silenced: ``u * inner`` with
+        ``u = 0`` and an inner sum past the float range is ``0 * inf``, and
+        ``ratio`` warns there as ``lhs`` does."""
+        a, one = Window(0, (1e308, 1e308)), Window(0, (1.0, 1.0))
+        prob = RatioProblem(Window(0, (0.0, 0.0)), one, one, 2.0, 3.0, GOP)
+        for side in (ratio, lhs):
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                side(prob, a)
+
     def test_ratio_scale_invariant_exact(self):
         prob = RatioProblem(U11, Window(0, (4.0, 1.0)), U11, 1.0, 1.0, GOP)
         base = ratio(prob, A11)
