@@ -62,23 +62,56 @@ class CharacterizationResult:
         }
 
 
+# Windows of at least this many entries take the lifting kernel.  Below it
+# the stack's loop costs less than the kernel's NumPy calls: the two cross
+# between 640 and 768 entries on random uq and near 1,500 on decreasing uq
+# (2-vCPU Xeon, NumPy 2.4.6; CHANGES.md has the table).
+_LIFT_MIN = 1024
+# The lifting kernel's blocks hold 2^_LIFT_LEVELS entries.
+_LIFT_LEVELS = 8
+
+
 def _iterated_weight(w: np.ndarray, uq: np.ndarray) -> np.ndarray:
-    """G_n = sum_{i <= n} w_i * sup_{i <= j <= n} uq_j, in O(N) by a monotone stack.
+    """G_n = sum_{i <= n} w_i * sup_{i <= j <= n} uq_j, in O(N).
 
     The indices i <= n that share the running maximum sup_{i<=j<=n} uq_j form
-    one group; the stack holds each group's (maximum, w-mass), maxima
-    strictly decreasing towards the top, and ``prefix[k]`` is the sum of the
+    n's group: (L(n), n], L(n) being the last j < n with uq_j > uq_n (ties
+    join the group), and its w-mass is m_n.  Then G_n = G_{L(n)} + m_n uq_n,
+    where a group whose mass or maximum is 0 contributes 0, which keeps the
+    0 * inf = 0 convention.  Two paths compute this:
+
+    - below ``_LIFT_MIN`` (1,024) entries, ``_stack_weight``, a monotone
+      stack in a Python loop;
+    - from ``_LIFT_MIN`` up, ``_lifted_weight``, binary lifting over sparse
+      tables in blocks of B = 2^c = 256 entries (c = ``_LIFT_LEVELS``), then
+      pointer jumping.  Its tables hold 2 c floats per entry, where tables
+      of full height would hold 2 log2 N; with its working arrays it peaks
+      near 23 floats per entry on random uq and 27 on increasing uq, against
+      12 to 15 for the stack (traced at N = 2^20).
+
+    Accuracy contract: both paths only add nonnegative terms and never
+    subtract, so every entry is the exact sum on the float inputs up to a
+    relative error of gamma_h = h 2^-53 / (1 - h 2^-53), h being the most
+    roundings any one input passes through.  The stack's h grows with its
+    depth and merge chains: on increasing uq its error reaches about
+    20 * 2^-52 at N = 8,000 and 141 * 2^-52 at N = 2^20.  The lifting's h is
+    at most 3 c + 2 K + ceil(log2 N), with K = max(1, bit_length(ceil(N/B)
+    - 1)) rows of block tables, as ``tests/test_charformulas.py`` derives
+    (68 at N = 2^20).  Its bits differ from the stack's by a few ulps.
+    """
+    if len(uq) >= _LIFT_MIN:
+        return _lifted_weight(w, uq)
+    return _stack_weight(w, uq)
+
+
+def _stack_weight(w: np.ndarray, uq: np.ndarray) -> np.ndarray:
+    """:func:`_iterated_weight` by a monotone stack.
+
+    The stack holds each group's (maximum, w-mass), maxima strictly
+    decreasing towards the top, and ``prefix[k]`` is the sum of the
     contributions ``mass * maximum`` of the groups below position k.  A new
     uq_n pops every group whose maximum is <= uq_n and merges their mass into
-    its own group.  A pop truncates the prefix, so only nonnegative terms are
-    ever added and nothing is subtracted.  A group whose mass or maximum is 0
-    contributes 0, which keeps the 0 * inf = 0 convention.
-
-    Accuracy contract: every entry is a sum of rounded nonnegative terms, so
-    its relative error against the exact sum on the float inputs grows at
-    most linearly with the stack depth and the merge chains.  The tests hold
-    it to 4 * 2^-52 against an exact ``Fraction`` reference for N <= 160; on
-    a strictly monotone uq at N = 8000 it reaches about 20 * 2^-52.
+    its own group.  A pop truncates the prefix, so nothing is subtracted.
     """
     maxima: list[float] = []
     masses: list[float] = []
@@ -94,6 +127,93 @@ def _iterated_weight(w: np.ndarray, uq: np.ndarray) -> np.ndarray:
         prefix.append(prefix[-1] + (mass * top if mass and top else 0.0))
         out.append(prefix[-1])
     return np.array(out)
+
+
+def _tables(x: np.ndarray, s: np.ndarray, levels: int) -> tuple[list, list]:
+    """Sparse tables of ``levels`` rows: row k holds, at each index j, the
+    maximum of x and the sum of s over the 2^k entries ending at j, each sum
+    a balanced tree of k additions.  A window that reaches before index 0 or
+    over a NaN of x has a NaN maximum.  One array per row: a (levels, N)
+    array costs about three times as much in page faults at N = 8,000."""
+    mx, sm = [x], [s]
+    for k in range(1, levels):
+        h = 1 << (k - 1)
+        m, t = np.empty_like(x), np.zeros_like(s)
+        m[:h] = np.nan
+        np.maximum(mx[-1][h:], mx[-1][:-h], out=m[h:])
+        np.add(sm[-1][h:], sm[-1][:-h], out=t[h:])
+        mx.append(m)
+        sm.append(t)
+    return mx, sm
+
+
+def _lift(mx: list, sm: list, pos: np.ndarray, top: np.ndarray, acc: np.ndarray) -> None:
+    """Move each ``pos`` left over the longest run of entries ``<= top``
+    that the tables can step over, adding the run's sum to ``acc``.
+
+    Steps of 2^k, k descending, reach any run shorter than 2^len(mx); a step
+    is taken when its window's maximum is ``<= top``, so a NaN (a sentinel,
+    or a window past index 0) ends the run.  Both arrays are updated in place.
+    """
+    for k in range(len(mx) - 1, -1, -1):
+        ok = mx[k].take(pos) <= top
+        acc += np.where(ok, sm[k].take(pos), 0.0)
+        pos -= ok * (1 << k)
+
+
+def _lifted_weight(w: np.ndarray, uq: np.ndarray) -> np.ndarray:
+    """:func:`_iterated_weight` by two-level binary lifting and pointer jumping.
+
+    The entries are laid out in blocks of B = 2^c (c = ``_LIFT_LEVELS``),
+    each behind a NaN sentinel, with in-block tables of c rows and tables of
+    the block maxima and sums.  Each entry n finds L(n) and m_n in three
+    calls of ``_lift``: inside its own block; then, if its group reaches the
+    block's start, over whole earlier blocks; then down into the block that
+    stops it, from that block's end.  ``G_n = G_{L(n)} + m_n uq_n`` follows
+    by pointer jumping: every round adds to each G_n the G of its current
+    pointer and doubles the pointer, until every pointer reaches the root
+    (index N, whose G is 0).  Adding 0 keeps a finished entry's bits.
+    """
+    c = _LIFT_LEVELS
+    size, n = 1 << c, len(uq)
+    width, blocks = size + 1, -(-n // size)
+    at = np.arange(1, n + 1)
+    at += (at - 1) >> c  # entry i sits at i + i // size + 1
+    x, s = np.zeros(blocks * width), np.zeros(blocks * width)
+    x[::width] = np.nan
+    x[at], s[at] = uq, w
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        mx, sm = _tables(x, s, c)
+        ends = np.arange(size, blocks * width, width)
+        bx, bs = np.full(blocks + 1, np.nan), np.zeros(blocks + 1)
+        half = ends - (size >> 1)
+        np.maximum(mx[-1].take(ends), mx[-1].take(half), out=bx[1:])
+        np.add(sm[-1].take(ends), sm[-1].take(half), out=bs[1:])
+        bmx, bsm = _tables(bx, bs, max(1, (blocks - 1).bit_length()))
+
+        pos, acc = at - 1, np.array(w, dtype=float)
+        _lift(mx, sm, pos, uq, acc)
+        # entries whose group reaches their block's start (pos on a sentinel)
+        far = np.flatnonzero(np.isnan(x.take(pos)))
+        top, far_acc = uq.take(far), acc.take(far)
+        bpos = pos.take(far) // width  # the table index of the previous block
+        _lift(bmx, bsm, bpos, top, far_acc)
+        acc[far], pos[far] = far_acc, -1
+        stop = np.flatnonzero(bpos)  # stopped by block bpos - 1
+        stop_pos, stop_acc = bpos.take(stop) * width - 1, far_acc.take(stop)
+        _lift(mx, sm, stop_pos, top.take(stop), stop_acc)
+        near = far.take(stop)
+        acc[near], pos[near] = stop_acc, stop_pos
+
+        parent = np.append(pos - pos // width - 1, n)
+        parent[:n][pos < 0] = n
+        G = np.append(ext_mul_array(acc, uq), 0.0)
+        spare = np.empty_like(parent)
+        while parent.min() < n:
+            G += G.take(parent)
+            np.take(parent, parent, out=spare)
+            parent, spare = spare, parent
+    return G[:n]
 
 
 def _sup_term(x: np.ndarray, q: float, y: np.ndarray) -> float:

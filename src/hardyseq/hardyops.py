@@ -298,10 +298,21 @@ def _ratio_batch(
 # ---------------------------------------------------------------------------
 
 def apply_iterated(u: Window, a: Window, form: OperatorForm = GOP) -> Window:
-    """Windowed entries of the iterated operator applied to ``a``."""
+    """Windowed entries of the iterated operator applied to ``a``.
+
+    Raises ``ValueError`` when an entry overflows the float range, which
+    finite windows can reach (weights near 2^600 do): a ``Window`` holds only
+    finite entries.  :func:`lhs` and :func:`ratio` take such entries as inf
+    and saturate instead.
+    """
     common_window(u, a)
     with np.errstate(over="ignore"):  # an entry past the float range is inf
         entries = _iterated_entries(u.as_array(), a.as_array(), form)
+    if not entries.max() < INF:  # also NaN, from u = 0 times an inf inner sum
+        raise ValueError(
+            "iterated entries overflow the float range, and a window holds only"
+            " finite entries; lhs and ratio saturate to inf instead"
+        )
     return u.with_values(entries)
 
 

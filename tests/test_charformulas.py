@@ -4,7 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hardyseq.charformulas import _iterated_weight, char_antigop, char_gop, char_linft_exact
+from hardyseq import charformulas
+from hardyseq.charformulas import (
+    _iterated_weight,
+    _lifted_weight,
+    _stack_weight,
+    char_antigop,
+    char_gop,
+    char_linft_exact,
+)
 from hardyseq.envelopes import EnvelopeKind, envelope
 from hardyseq.seqcore import INF, RegimeCase, Window, ext_pow_array
 
@@ -143,12 +151,91 @@ def _iterated_weight_exact(w, uq):
     return out
 
 
+def _scaled(x):
+    """Integers X_i and one shift s with x_i = X_i / 2^s; an inf stays inf."""
+    ratios = [v.as_integer_ratio() if v < INF else None for v in x.tolist()]
+    s = max((d.bit_length() - 1 for _, d in filter(None, ratios)), default=0)
+    return [INF if r is None else r[0] << (s - r[1].bit_length() + 1) for r in ratios], s
+
+
+def _iterated_weight_stack_exact(w, uq):
+    """The stack of ``_stack_weight`` in exact integer arithmetic, O(N).
+
+    Returns (X, s) with G_n = X_n / 2^s exactly on the float inputs, since
+    exact sums make the order of additions irrelevant; an entry whose
+    groups take an infinite uq_j with positive mass is inf.
+    """
+    (W, sw), (U, su) = _scaled(w), _scaled(uq)
+    maxima, masses, prefix, out = [], [], [0], []
+    for mass, top in zip(W, U):
+        while maxima and maxima[-1] <= top:
+            maxima.pop()
+            mass += masses.pop()
+            prefix.pop()
+        maxima.append(top)
+        masses.append(mass)
+        term = 0 if not (mass and top) else INF if top == INF else mass * top
+        prefix.append(INF if INF in (prefix[-1], term) else prefix[-1] + term)
+        out.append(prefix[-1])
+    return out, sw + su
+
+
+def _assert_within(got, exact, h):
+    """Every entry of ``got`` within gamma_h of the exact (X, s), relative:
+    with got_n = a / d, |a 2^s - X_n d| <= gamma_h X_n d, in integers."""
+    X, s = exact
+    for k, (g, x) in enumerate(zip(got.tolist(), X)):
+        if x == INF:
+            assert g == INF, k
+        else:
+            a, d = g.as_integer_ratio()
+            assert abs((a << s) - x * d) * (2**53 - h) <= h * x * d, (k, g, x, s)
+
+
+def _lifting_roundings(n):
+    """The most roundings one input passes through in ``_lifted_weight`` at N = n.
+
+    With c = ``_LIFT_LEVELS``, B = 2^c and K rows of block tables:
+    - an in-block table entry of row k <= c - 1 is a balanced sum of depth k;
+      a block sum has depth c, a block-table entry of row k <= K - 1 depth
+      c + k <= c + K - 1;
+    - a group mass m_n is w_n plus at most c + K + c such entries, added one
+      at a time, so an input passes at most (c + K - 1) + (2 c + K)
+      roundings, and the product m_n uq_n one more: 3 c + 2 K;
+    - pointer jumping adds G of the pointer once per round, and a chain has
+      at most n entries, so at most ceil(log2 n) rounds add to any term.
+    """
+    c = charformulas._LIFT_LEVELS
+    blocks = -(-n // (1 << c))
+    K = max(1, (blocks - 1).bit_length())
+    return 3 * c + 2 * K + (n - 1).bit_length()
+
+
+def _uq_shapes(rng, n):
+    """Shapes of uq that stress different paths: short groups (random),
+    groups reaching every block start (increasing), the deepest chains
+    (decreasing), repeated ramps (sawtooth), ties, zeros and infinities."""
+    rand = 2.0 ** rng.uniform(-60, 60, n)
+    zeros = rand * (rng.random(n) < 0.3)
+    infs = np.where(rng.random(n) < 0.05, INF, rand)
+    return {
+        "random": rand,
+        "increasing": np.sort(rand),
+        "decreasing": np.sort(rand)[::-1].copy(),
+        "sawtooth": (np.arange(n) % 37 + 1.0) * 2.0 ** rng.uniform(-1, 1),
+        "tied": 2.0 ** rng.integers(0, 4, n).astype(float),
+        "zero-heavy": zeros,
+        "inf-containing": infs,
+    }
+
+
 class TestIteratedWeight:
-    """The O(N) stack against the exact O(N^2) sum on the same float inputs:
-    relative error at most 4 * 2^-52 (an exact 0 stays exactly 0)."""
+    """Both kernels against exact sums on the same float inputs; an exact 0
+    stays exactly 0 and an exact inf stays inf."""
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0])
     def test_against_exact_fractions(self, q):
+        """Relative error at most 4 * 2^-52 for N <= 160, on either kernel."""
         rng = np.random.default_rng(int(4 * q))
         for _ in range(12):
             n = int(rng.integers(1, 161))
@@ -157,12 +244,42 @@ class TestIteratedWeight:
             w[rng.random(n) < 0.2] = 0.0
             u[rng.random(n) < 0.2] = 0.0
             uq = ext_pow_array(u, q)
-            for got, exact in zip(_iterated_weight(w, uq).tolist(), _iterated_weight_exact(w, uq)):
-                assert abs(Fraction(got) - exact) <= Fraction(4, 2**52) * exact
+            exact = _iterated_weight_exact(w, uq)
+            for kernel in (_stack_weight, _lifted_weight):
+                for got, want in zip(kernel(w, uq).tolist(), exact):
+                    assert abs(Fraction(got) - want) <= Fraction(4, 2**52) * want
+
+    @pytest.mark.parametrize("n", [600, 2100, 5000])
+    def test_lifting_against_exact_stack(self, n):
+        """At 3, 9 and 20 blocks, so that all three lifting calls run, every
+        entry is within gamma_h = h 2^-53 / (1 - h 2^-53) of the exact sum,
+        h derived in ``_lifting_roundings`` (47 at 5,000, about 23.5 * 2^-52)."""
+        rng = np.random.default_rng(n)
+        for shape, uq in _uq_shapes(rng, n).items():
+            w = 2.0 ** rng.uniform(-30, 30, n)
+            w[rng.random(n) < (0.7 if shape == "zero-heavy" else 0.1)] = 0.0
+            exact = _iterated_weight_stack_exact(w, uq)
+            _assert_within(_lifted_weight(w, uq), exact, _lifting_roundings(n))
+
+    def test_exact_references_agree(self):
+        rng = np.random.default_rng(8)
+        for uq in _uq_shapes(rng, 40).values():
+            uq = np.minimum(uq, 2.0**60)  # the O(N^2) reference has no inf
+            w = 2.0 ** rng.uniform(-30, 30, 40) * (rng.random(40) < 0.8)
+            X, s = _iterated_weight_stack_exact(w, uq)
+            assert [Fraction(x, 2**s) for x in X] == _iterated_weight_exact(w, uq)
+
+    def test_path_chosen_by_size(self):
+        rng = np.random.default_rng(3)
+        T = charformulas._LIFT_MIN
+        for n, kernel in ((T - 1, _stack_weight), (T, _lifted_weight)):
+            w, uq = 2.0 ** rng.uniform(-3, 3, (2, n))
+            assert _iterated_weight(w, uq).tobytes() == kernel(w, uq).tobytes()
 
     def test_zero_mass_under_infinite_maximum(self):
-        G = _iterated_weight(np.array([0.0, 1.0]), np.array([INF, 1.0]))
-        assert G.tolist() == [0.0, 1.0]
+        for kernel in (_stack_weight, _lifted_weight):
+            G = kernel(np.array([0.0, 1.0]), np.array([INF, 1.0]))
+            assert G.tolist() == [0.0, 1.0]
 
 
 class TestScalingLaws:

@@ -58,6 +58,19 @@ class TestApplyIterated:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             apply_iterated(big, big, GOP)
 
+    def test_overflow_is_named_where_lhs_and_ratio_saturate(self):
+        """Finite weights near 2^(+-600) whose entry u_0 (a_0 + ...) is past
+        the float range: the error names the overflow, and the sides of the
+        same problem read inf instead of raising."""
+        u = Window(0, (2.0**600, 2.0**-600, 1.0))
+        a = Window(0, (2.0**600, 1.0, 2.0**-600))
+        for form in (GOP, ANTIGOP, GOP_SUP, ANTIGOP_SUP):
+            with pytest.raises(ValueError, match="overflow.*lhs and ratio saturate to inf"):
+                apply_iterated(u, a, form)
+            problem = RatioProblem(u, Window(0, (1.0, 1.0, 1.0)), u, 0.5, 2.0, form)
+            assert lhs(problem, a) == INF
+            assert ratio(problem, a) == INF
+
     def test_tail_outer_is_nonincreasing(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -9,6 +9,7 @@ from hardyseq import blocks, bridge, hardyops, oracle, verification
 from hardyseq.verification import (
     ALL_SUITES,
     SweepSpec,
+    _pick,
     _weight_triple,
     rand_dyadic_window,
     rand_window,
@@ -136,6 +137,16 @@ def test_rand_window_respects_zero_prob():
     assert any(v == 0 for v in w.values)
     assert any(v > 0 for v in w.values)
     assert all(0.25 <= v <= 4.0 for v in w.values if v > 0)
+
+
+def test_pick_draws_what_generator_choice_draws():
+    """The sweeps' draws, and so their reports, are those of
+    ``Generator.choice``: the same entries, and the stream left in the same
+    state."""
+    for seq in ((3, 5, 8), [0.25, 0.5, 1.0], [5], (1, 2, 3, 4, 6, 8, 12, 16, 24)):
+        ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+        assert [_pick(ours, seq) for _ in range(1000)] == [theirs.choice(seq) for _ in range(1000)]
+        assert ours.random() == theirs.random()
 
 
 def test_rand_dyadic_window_is_exactly_dyadic():
