@@ -21,7 +21,7 @@ block exists, tail doubling for interior k).
 Exactness contract: every comparison, in :func:`block_partition` and in
 :func:`verify_partition_invariants`, is decided for the float entries taken
 as exact rationals, ties passing the non-strict tests.  Both read the
-window's suffix masses from one ``cumsum`` from the right and decide from
+window's suffix masses from one suffix ``scan_sum`` and decide from
 the floats where the margin exceeds the certified summation bound
 ``gamma_m = m 2**-53 / (1 - m 2**-53)`` for a suffix of m terms; near-ties,
 cancelling differences of suffixes and overflowing sums are decided by an
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seqcore import INF, Window, common_window, scan_max, scan_sum
+from .seqcore import INF, Window, _scaled, common_window, scan_max, scan_sum
 
 __all__ = [
     "BlockPartition",
@@ -81,7 +81,7 @@ class _TailMasses:
     local positions i = 0..N (``T_N = 0``), and exact doubling comparisons
     of the masses ``M[x, y) = T_x - T_y`` between them.
 
-    One ``cumsum`` from the right gives float suffixes ``S_i``; a sum of m
+    One suffix ``scan_sum`` gives float suffixes ``S_i``; a sum of m
     nonnegative terms in any order has ``|S_i - T_i| <= gamma_m S_i``, where
     ``gamma_m = m u / (1 - m u)`` and ``u = 2**-53``.  :meth:`compare`
     decides from the floats whenever their margin clears that bound (plus
@@ -96,7 +96,7 @@ class _TailMasses:
         n = self.n = len(self.values)
         self.s = np.zeros(n + 1)
         with np.errstate(over="ignore"):  # an infinite sum is decided exactly
-            self.s[:n] = np.cumsum(self.values[::-1])[::-1]
+            self.s[:n] = scan_sum(self.values, right=True)
         mu = np.arange(n, -1, -1) * _U
         # the error allowance of each suffix: gamma_m, plus 4u for the three
         # roundings of a comparison
@@ -129,17 +129,14 @@ class _TailMasses:
 
     def _exact(self, need: np.ndarray) -> dict[int, int]:
         """``T_i`` at the positions ``need`` as integers on one power-of-two
-        scale: one pass from the right over the entries' integer mantissas."""
-        mant, exp = np.frexp(self.values)
-        mant = (mant * 2.0**53).astype(np.int64)  # entry = mant * 2**(exp - 53)
-        nz = mant != 0
-        shift = np.where(nz, exp - (exp[nz].min() if nz.any() else 0), 0)
-        mant, shift = mant.tolist(), shift.tolist()
+        scale: one pass from the right over the entries as scaled ints."""
+        lo = int(need.min())
+        ints = _scaled(self.values[lo:])[0]
         want = set(need.tolist())
         out = {self.n: 0}
         acc = 0
-        for i in range(self.n - 1, int(need.min()) - 1, -1):
-            acc += mant[i] << shift[i]
+        for i in range(self.n - 1, lo - 1, -1):
+            acc += ints[i - lo]
             if i in want:
                 out[i] = acc
         return out

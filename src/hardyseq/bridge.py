@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from .seqcore import Window, common_window
+from .seqcore import Window, _scaled, common_window
 
 __all__ = [
     "StepFunction",
@@ -194,22 +194,11 @@ def sup_weighted_tail(u: StepFunction, F: PiecewiseLinear, t) -> Fraction:
 # Full bridge comparison
 # ---------------------------------------------------------------------------
 
-# The positive rationals whose nearest float is a finite normal float:
-# [2**-1022, 2**1024 - 2**970); the upper end rounds to 2**1024.
-_NORMAL_LO = Fraction(1, 1 << 1022)
-_NORMAL_HI = Fraction((1 << 1024) - (1 << 970))
 # The largest integer exponent k that bridge_check takes exactly: _root
 # scales an exact power by 2**(-k*j) into [2**(-k/2 - 1), 2**(k/2 + 1)],
 # which is in the float range for k up to about 2,040.  A larger k would also
 # start integer powers of unbounded size (q = 1e300 never finishes).
 _MAX_EXACT_EXPONENT = 2000
-
-
-def _scaled(x: Window) -> tuple[list[int], int]:
-    """The entries of ``x`` as ints ``m_n`` on one scale: ``x_n = m_n / 2**s``."""
-    ratios = [v.as_integer_ratio() for v in x.values.tolist()]
-    s = max(d for _, d in ratios).bit_length() - 1
-    return [m << (s + 1 - d.bit_length()) for m, d in ratios], s
 
 
 def _running_max_from_right(xs) -> list[int]:
@@ -218,12 +207,13 @@ def _running_max_from_right(xs) -> list[int]:
 
 
 def _root(x: Fraction | float, q: float) -> float:
-    """``x ** (1/q)``: ``float(x) ** (1/q)`` for a float ``x`` or an exact
-    one in the normal float range.  Outside it (then ``q = k`` is an integer)
-    the root of ``x * 2**(-k*j)`` times ``2**j``, with ``j`` the integer
-    nearest to ``log2(x) / k`` (which covers ``k`` up to about 2,000); a
-    root beyond the float range is inf, as in float arithmetic."""
-    if not isinstance(x, Fraction) or x == 0 or _NORMAL_LO <= x < _NORMAL_HI:
+    """``x ** (1/q)``: ``float(x) ** (1/q)`` for a float ``x`` or zero.  For
+    an exact power (then ``q = k`` is an integer) the root of ``x *
+    2**(-k*j)``, a float near 1, times ``2**j``, with ``j`` the integer
+    nearest to ``log2(x) / k`` (which covers ``k`` up to about 2,000), so
+    the rounding of ``1/k`` costs at most about 1 ulp at any size of ``x``;
+    a root beyond the float range is inf, as in float arithmetic."""
+    if not isinstance(x, Fraction) or x == 0:
         return float(x) ** (1.0 / q)
     k = int(q)
     n, d = x.numerator, x.denominator
@@ -367,7 +357,7 @@ def bridge_check(
     if form not in ("gop", "antigop"):
         raise ValueError(f"form must be 'gop' or 'antigop', got {form!r}")
 
-    (U, su), (V, sv), (W, sw), (A, sa) = (_scaled(x) for x in (u, v, w, a))
+    (U, su), (V, sv), (W, sw), (A, sa) = (_scaled(x.values) for x in (u, v, w, a))
     t = su + sa  # the scale of every product of u with a cumulative of a
 
     # The knots of the inner cumulative F give the discrete inner sums:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -65,12 +64,6 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
         print(text)
 
 
-def _parse_q(value: str) -> float:
-    if value.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(value)
-
-
 def _cmd_char(args: argparse.Namespace) -> int:
     wins = _load_windows(args.weights, ("u", "v", "w"))
     if args.form == "gop":
@@ -87,7 +80,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     wins = _load_windows(args.weights, ("u", "v", "w"))
     r = args.p if args.inner_exponent is None else args.inner_exponent
     form = form_by_name(args.form, r=r)
-    problem = RatioProblem(wins["u"], wins["v"], wins["w"], args.p, _parse_q(args.q), form)
+    problem = RatioProblem(wins["u"], wins["v"], wins["w"], args.p, args.q, form)
     cfg = OracleConfig(restarts=args.restarts, iterations=args.iterations, seed=args.seed)
     res = brute_force_constant(problem, cfg)
     _emit(res.to_json(), args.format, args.out)
@@ -151,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="Brute-force lower bound on the constant")
     o.add_argument("--weights", required=True)
     o.add_argument("--p", type=float, required=True)
-    o.add_argument("--q", type=str, required=True, help="positive float or 'inf'")
+    o.add_argument("--q", type=float, required=True, help="positive float or 'inf'")
     o.add_argument("--form", default="gop", choices=list(FORM_NAMES.values()))
     o.add_argument("--inner-exponent", type=float, default=None,
                    help="r for the psum forms (defaults to p)")

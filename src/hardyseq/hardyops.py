@@ -178,26 +178,14 @@ class RatioProblem:
 _BLOCK_ENTRIES = 1 << 14
 
 
-def _scan(ufunc, x: np.ndarray, right: bool) -> np.ndarray:
-    """``ufunc.accumulate`` along the last axis into a fresh contiguous
-    array: a prefix scan, or with ``right`` a suffix scan, accumulated into
-    a reversed view of its output, so that no copy follows.  Sums add in
-    the order of ``scan_sum``, so every entry has its bits."""
-    if not right:
-        return ufunc.accumulate(x, axis=-1)
-    out = np.empty(x.shape)
-    ufunc.accumulate(x[..., ::-1], axis=-1, out=out[..., ::-1])
-    return out
-
-
 def _sum_entries(
     u: np.ndarray, a: np.ndarray, form: OperatorForm
 ) -> tuple[np.ndarray, np.ndarray]:
     """``x = u * inner(a)`` of a sum-inner form and its outer scan ``E``,
     the iterated entries; both are contiguous.  The oracle's power loop
     keeps both for the gradient of its next step."""
-    x = u * _scan(np.add, a, form.inner_dir == "right")
-    return x, _scan(np.maximum, x, form.outer == "tail")
+    x = u * scan_sum(a, form.inner_dir == "right")
+    return x, scan_max(x, form.outer == "tail")
 
 
 def _iterated_entries(u: np.ndarray, a: np.ndarray, form: OperatorForm) -> np.ndarray:
@@ -212,12 +200,12 @@ def _iterated_entries(u: np.ndarray, a: np.ndarray, form: OperatorForm) -> np.nd
     if form.inner_kind == "sup":
         inner = scan_max(a, right)
     else:  # psum, entry = (sup u^r * sum a^r)^(1/r), computed on the rooted scale
-        s = _scan(np.add, a**r, right)
+        s = scan_sum(a**r, right)
         # Tails with at most one nonzero term have p-norm equal to their
         # max; substituting that exact value avoids the pow round trip.
         counts = scan_sum((a > 0).astype(float), right)
         inner = np.where(counts <= 1.0, scan_max(a, right), s ** (1.0 / r))
-    return _scan(np.maximum, u * inner, form.outer == "tail")
+    return scan_max(u * inner, form.outer == "tail")
 
 
 def _lhs_batch(w: np.ndarray, q: float, entries: np.ndarray, mul=ext_mul_array) -> np.ndarray:
@@ -317,25 +305,28 @@ def apply_iterated(u: Window, a: Window, form: OperatorForm = GOP) -> Window:
 
 
 def lhs(problem: RatioProblem, a: Window) -> float:
-    """Left-hand side: the weighted l^q norm of the iterated entries."""
+    """Left-hand side: the weighted l^q norm of the iterated entries,
+    evaluated on a one-row batch as :func:`ratio` is."""
     common_window(problem.u, a)
     with np.errstate(over="ignore"):  # saturates to inf
-        entries = _iterated_entries(problem.u.as_array(), a.as_array(), problem.form)
-        return float(_lhs_batch(problem.w.as_array(), problem.q, entries))
+        entries = _iterated_entries(problem.u.as_array(), a.as_array()[None], problem.form)
+        return float(_lhs_batch(problem.w.as_array(), problem.q, entries)[0])
 
 
 def rhs(v: Window, p: float, a: Window) -> float:
-    """Right-hand side ``(sum a_n^p v_n)^(1/p)``."""
+    """Right-hand side ``(sum a_n^p v_n)^(1/p)``, evaluated on a one-row
+    batch as :func:`ratio` is."""
     common_window(v, a)
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
     with np.errstate(over="ignore"):  # saturates to inf
-        return float(_rhs_batch(v.as_array(), p, a.as_array()))
+        return float(_rhs_batch(v.as_array(), p, a.as_array()[None])[0])
 
 
 def ratio(problem: RatioProblem, a: Window) -> float:
     """``lhs / rhs`` by :func:`_ratio_batch` on a one-row batch, so it has
-    the bits of that row in any batch; rejects ``a = 0``."""
+    the bits of that row in any batch and, wherever ``rhs > 0``, those of
+    :func:`lhs` over :func:`rhs`; rejects ``a = 0``."""
     common_window(problem.u, a)
     if not a.values.max() > 0:
         raise ValueError("ratio requires a nonzero candidate sequence")

@@ -22,11 +22,12 @@ nonnegative convex functions of ``x``.  Each is built from l^(1/p) norms
 an l^(r/p) norm, which is convex only for ``r/p >= 1``.  A monotone norm of
 nonnegative convex functions is convex, so the ratio's p-th power is convex
 on the simplex and takes its maximum at a vertex; ``q >= 1`` is not needed.
-In that range :func:`brute_force_constant` evaluates the spikes alone and
-returns their maximum, which is exact, certificate ``exact-spike``;
-everywhere else the full search runs and the result is ``heuristic``.  For
-a powered sum with ``r < p`` the spikes are beaten: the inner l^(r/p)
-quasi-norm favours spread-out candidates.
+In that range :func:`brute_force_constant` evaluates the pool's ``n`` spike
+rows alone, with no Dirichlet rows and no polish, and returns their maximum,
+which is exact, certificate ``exact-spike``; everywhere else the full search
+runs and the result is ``heuristic``.  For a powered sum with ``r < p`` the
+spikes are beaten: the inner l^(r/p) quasi-norm favours spread-out
+candidates.
 
 Outside the spike range the polish is one of two searches.  For finite
 ``q`` and the four sum-inner forms (gop, antigop, dual-gop, dual-antigop),
@@ -183,7 +184,6 @@ from .hardyops import (
     RatioProblem,
     _ratio_batch,
     _ratio_from_entries,
-    _scan,
     _sum_entries,
     antigop_psum,
     gop_psum,
@@ -297,14 +297,6 @@ def _result(
         evaluations=int(evaluations),
         search="spike" if exact else "power" if _power_search(problem) else "ascent",
     )
-
-
-def _spike_max(problem: RatioProblem) -> OracleResult:
-    """The best single spike, one evaluation per index."""
-    pool = np.eye(problem.size)
-    ratios = _ratio_batch(problem, pool)
-    k = int(np.argmax(ratios))
-    return _result(problem, pool[k], ratios[k], len(pool))
 
 
 def _stack(problems: Sequence[RatioProblem]) -> tuple[np.ndarray, ...]:
@@ -700,7 +692,7 @@ def _power_gradient(
         mass = np.where(pos, qw * np.where(pos, estar, 1.0) ** (q - 1.0) * ustar, 0.0)
     m = np.bincount((at if flip is None else star + offsets[1]).ravel(),  # K = 1: at
                     weights=mass.ravel(), minlength=mass.size)
-    return _scan(np.add, m.reshape(mass.shape), form.inner_dir != "right")
+    return scan_sum(m.reshape(mass.shape), form.inner_dir != "right")
 
 
 def _power_steps(
@@ -935,29 +927,37 @@ def _in_groups(items: Sequence, key: Callable, run: Callable[[list], list]) -> l
     return out
 
 
-def _to_polish(ratios: np.ndarray) -> np.ndarray:
-    """Which problems of a stack the polish can raise, from their pool
-    ratios (B, P): not those with an infinite ratio, and not those whose
-    ratios are all 0.  The constant of the latter is 0: if ``lhs(a) > 0``
-    for some ``a``, then ``lhs(e_k) > 0`` for some spike ``e_k`` with
-    ``a_k > 0``, whose ratio is positive or infinite.  A NaN ratio is not
-    0, so its problem is still polished."""
+def _to_polish(problem: RatioProblem, ratios: np.ndarray) -> np.ndarray:
+    """Which problems of a stack shaped like ``problem`` the polish can
+    raise, from their pool ratios (B, P): none in the spike range, where
+    the spike maximum is the constant, and elsewhere not those with an
+    infinite ratio, nor those whose ratios are all 0.  The constant of the
+    latter is 0: if ``lhs(a) > 0`` for some ``a``, then ``lhs(e_k) > 0``
+    for some spike ``e_k`` with ``a_k > 0``, whose ratio is positive or
+    infinite.  A NaN ratio is not 0, so its problem is still polished."""
+    if _spike_exact(problem):
+        return np.zeros(len(ratios), dtype=bool)
     return ~np.isinf(ratios).any(axis=1) & ~(ratios == 0).all(axis=1)
 
 
 def _search(problems: Sequence[RatioProblem], cfg: OracleConfig) -> list[OracleResult]:
     """The search for same-size problems sharing ``p``, ``q`` and the form.
 
-    In the spike range each problem's spike maximum; elsewhere one pool
-    evaluation (:func:`_pool_ratios`, which skips the blocks that cannot
-    reach the polish), then :func:`_finish`.
+    In the spike range the ``n`` spike rows of the pool alone, with no
+    Dirichlet rows, are evaluated; elsewhere the whole pool is
+    (:func:`_pool_ratios`, which skips the blocks that cannot reach the
+    polish).  Then :func:`_finish`, which polishes nothing in the spike
+    range.
     """
-    ref = problems[0]
-    if _spike_exact(ref):
-        return [_spike_max(prob) for prob in problems]
+    ref, n = problems[0], problems[0].size
     weights = _stack(problems)
-    drawn = _dirichlet_rows(problems, cfg)
-    ratios = _pool_ratios(ref, drawn, weights, _starts(ref, cfg, _pool_size(drawn)))
+    if _spike_exact(ref):
+        drawn = np.empty((len(problems), 0, n))
+        ratios = np.empty((len(problems), n))
+        _evaluate_rows(ref, drawn, weights, np.arange(n), ratios)
+    else:
+        drawn = _dirichlet_rows(problems, cfg)
+        ratios = _pool_ratios(ref, drawn, weights, _starts(ref, cfg, _pool_size(drawn)))
     return _finish(problems, drawn, ratios, weights, cfg)
 
 
@@ -981,7 +981,7 @@ def _finish(
     pick = np.arange(len(problems))
     k = ratios.argmax(axis=1)
     top, rows = ratios[pick, k], _pool_rows(drawn, k[:, None])[:, 0]
-    fin = _to_polish(ratios)
+    fin = _to_polish(problems[0], ratios)
     if fin.any():
         sel = slice(None) if fin.all() else fin  # copy the draws only if needed
         extra, best, used = _polish(
@@ -1009,7 +1009,7 @@ def spike_oracle(problem: RatioProblem) -> OracleResult:
             "spike oracle requires p <= 1 and q >= p, "
             f"got p={problem.p}, q={problem.q}"
         )
-    return _spike_max(problem)
+    return _search([problem], OracleConfig())[0]
 
 
 def brute_force_constants(
@@ -1017,10 +1017,11 @@ def brute_force_constants(
 ) -> list[OracleResult]:
     """:func:`brute_force_constant` of every problem, in input order.
 
-    Problems are grouped by ``(p, q, form, n)``.  In the spike range each is
-    answered by its spikes; elsewhere a group is searched as one stack: one
-    pool evaluation and one lock-step polish for all of its problems.  Every
-    result equals that of the problem searched alone, bit for bit.
+    Problems are grouped by ``(p, q, form, n)``, and a group is searched as
+    one stack: in the spike range one evaluation of the spike rows,
+    elsewhere one pool evaluation and one lock-step polish for all of its
+    problems.  Every result equals that of the problem searched alone, bit
+    for bit.
     """
     cfg = cfg or OracleConfig()
     return _in_groups(problems, _shape, lambda group: _search(group, cfg))
@@ -1158,7 +1159,7 @@ def _chain_group(
     the violation count and ``pool_size`` cover every candidate.  In the
     spike range (``p <= q`` here, since every form's inner exponent is
     ``p``) each maximum is a spike of the shared pool, so no form is
-    polished.
+    polished (:func:`_to_polish`).
     """
     refs = items[0][1]
     sups = [problems[0] for _, problems in items]
@@ -1171,8 +1172,8 @@ def _chain_group(
             r[:, at] = _ratio_batch(ref, a, weights)
     extra, owner = [], []
     for ref, r in zip(refs, base):
-        fin = _to_polish(r)
-        if fin.any() and not _spike_exact(ref):
+        fin = _to_polish(ref, r)
+        if fin.any():
             sel = slice(None) if fin.all() else fin
             a = _polish(ref, drawn[sel], r[sel], tuple(x[sel] for x in weights), cfg)[0]
             extra.append(a.reshape(-1, a.shape[-1]))

@@ -125,22 +125,42 @@ def _ext_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # suffix (k >= i)
 # ---------------------------------------------------------------------------
 
+def _scan(ufunc: np.ufunc, x: np.ndarray, right: bool) -> np.ndarray:
+    """``ufunc.accumulate`` along the last axis into a fresh C-contiguous
+    array (for an ``x`` in C order or a slice of one).  A prefix scan is
+    the plain ``accumulate``.  A suffix scan, with ``right``, accumulates
+    ``x[..., ::-1]`` into a reversed view of an output of ``x``'s dtype, so
+    no copy follows, and every entry has the bits of
+    ``ufunc.accumulate(x[..., ::-1], axis=-1)[..., ::-1]``."""
+    if not right:
+        return ufunc.accumulate(x, axis=-1)
+    out = np.empty(x.shape, x.dtype)
+    ufunc.accumulate(x[..., ::-1], axis=-1, out=out[..., ::-1])
+    return out
+
+
 def scan_sum(x: np.ndarray, right: bool = False) -> np.ndarray:
-    if right:
-        return np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
-    return np.cumsum(x, axis=-1)
+    return _scan(np.add, x, right)
 
 
 def scan_max(x: np.ndarray, right: bool = False) -> np.ndarray:
-    if right:
-        return np.maximum.accumulate(x[..., ::-1], axis=-1)[..., ::-1]
-    return np.maximum.accumulate(x, axis=-1)
+    return _scan(np.maximum, x, right)
 
 
 def scan_min(x: np.ndarray, right: bool = False) -> np.ndarray:
-    if right:
-        return np.minimum.accumulate(x[..., ::-1], axis=-1)[..., ::-1]
-    return np.minimum.accumulate(x, axis=-1)
+    return _scan(np.minimum, x, right)
+
+
+# ---------------------------------------------------------------------------
+# Floats as exact integers on one power-of-two scale
+# ---------------------------------------------------------------------------
+
+def _scaled(values: np.ndarray) -> tuple[list[int], int]:
+    """Nonempty finite floats as ints on one power-of-two scale, exactly:
+    ``values[i] = ints[i] / 2**shift``, with the least ``shift >= 0``."""
+    ratios = [v.as_integer_ratio() for v in values.tolist()]
+    s = max(d for _, d in ratios).bit_length() - 1
+    return [m << (s + 1 - d.bit_length()) for m, d in ratios], s
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hardyseq.bridge import (
     BridgeCheckResult,
     PiecewiseLinear,
+    _root,
     bridge_check,
     cumulative,
     embed_sequence,
@@ -23,8 +24,8 @@ def _bridge_exact_reference(u, v, w, a, p, q, form):
     """``bridge_check`` with every step in ``Fraction`` arithmetic (float
     arithmetic on the rounded exact values for a non-integer exponent), one
     operation at a time: the reference for the scaled-integer evaluation.
-    Its roots are ``float(power) ** (1/exponent)``, so they stand for
-    powers within the normal float range only."""
+    Its roots are ``_root`` of its powers, whose accuracy
+    ``TestRoot`` decides exactly."""
 
     def number_type(x):
         return (F, int(x)) if float(x).is_integer() else (float, x)
@@ -63,25 +64,17 @@ def _bridge_exact_reference(u, v, w, a, p, q, form):
     rhs_num, rhs_e = number_type(p)
     rhs = power_sum(V, A, rhs_num, rhs_e)
     return BridgeCheckResult(
-        form, float(discrete) ** (1 / q), float(continuous) ** (1 / q),
-        float(rhs) ** (1 / p), float(rhs) ** (1 / p), discrete, continuous, rhs, rhs,
+        form, _root(discrete, q), _root(continuous, q),
+        _root(rhs, p), _root(rhs, p), discrete, continuous, rhs, rhs,
         num is F, rhs_num is F,
     )
 
 
-# each root field with the power it is the root of
-_ROOTS = {"discrete_lhs": "discrete_lhs_pow", "continuous_lhs": "continuous_lhs_pow",
-          "discrete_rhs": "discrete_rhs_pow", "continuous_rhs": "continuous_rhs_pow"}
-
-
 def _assert_same_result(res, ref):
-    """Every field equal: exact powers as values, floats bit for bit, both
-    flags; a root only where the reference's power is 0 or a normal float."""
+    """Every field equal: exact powers as values, floats (the roots too)
+    bit for bit, both flags."""
     for field in dataclasses.fields(BridgeCheckResult):
         got, want = getattr(res, field.name), getattr(ref, field.name)
-        power = getattr(ref, _ROOTS.get(field.name, field.name))
-        if field.name in _ROOTS and 0 < power < 2.0**-1022:
-            continue
         assert type(got) is type(want), field.name
         assert (got.hex() if isinstance(got, float) else got) == (
             want.hex() if isinstance(want, float) else want
@@ -167,6 +160,25 @@ class TestExactReference:
         assert bridge_check(w, w, w, w, 2000.0, 2000.0, "gop").exact_lhs
         res = bridge_check(w, w, w, w, 1.0, 2500.5, "antigop")
         assert not res.exact_lhs and res.exact_rhs
+
+
+class TestRoot:
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
+    def test_true_root_lies_between_the_float_neighbours(self, k):
+        """For exact powers ``x`` from 2**-1100 to 2**1100, ``r = _root(x,
+        k)`` is within one ulp of the true root, decided in ``Fraction``
+        arithmetic: ``prev(r)**k <= x <= next(r)**k``, an infinite
+        neighbour bounding nothing.  A root taken as ``float(x) ** (1/k)``
+        misses this by up to about 100 ulps near 2**+-1000, where the
+        rounding of ``1/k`` is scaled by ``log x``."""
+        rng = np.random.default_rng(k)
+        for e in np.linspace(-1100, 1100, 89).round().astype(int).tolist():
+            for _ in range(3):
+                x = F(int(rng.integers(1, 2**62)), 2**61) * F(2) ** e
+                r = _root(x, float(k))
+                lo, hi = np.nextafter(r, 0.0), np.nextafter(r, math.inf)
+                assert F(float(lo)) ** k <= x, (e, r)
+                assert math.isinf(hi) or x <= F(float(hi)) ** k, (e, r)
 
 
 class TestEmbedding:

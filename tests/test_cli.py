@@ -69,16 +69,19 @@ class TestChar:
 
 class TestOracle:
     def test_linft_fixture_spikes_only(self, linft_file, capsys):
-        """In the spike range the plain command evaluates the spikes only."""
-        code = main(
-            ["oracle", "--weights", linft_file, "--p", "1", "--q", "inf",
-             "--form", "antigop-sup"]
-        )
-        assert code == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["constant"] == 2.0
-        assert out["certificate"] == "exact-spike"
-        assert out["evaluations"] == 2
+        """In the spike range the plain command evaluates the spikes only.
+        ``--q`` is read by ``float``, so it takes each of its spellings of
+        infinity."""
+        for q in ("inf", "Infinity", " INF "):
+            code = main(
+                ["oracle", "--weights", linft_file, "--p", "1", "--q", q,
+                 "--form", "antigop-sup"]
+            )
+            assert code == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["constant"] == 2.0
+            assert out["certificate"] == "exact-spike"
+            assert out["evaluations"] == 2
 
     def test_q_below_p_is_heuristic(self, linft_file, capsys):
         code = main(

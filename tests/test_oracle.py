@@ -446,7 +446,7 @@ def _search_reference(problems, cfg):
     for the pool evaluation that skips the blocks their caps rule out."""
     weights, pool = _stack(problems), _full_pool(problems, cfg)
     ratios = _ratio_batch(problems[0], pool, weights)
-    fin = _to_polish(ratios)
+    fin = _to_polish(problems[0], ratios)
     if fin.any():
         extra, best, used = _polish_reference(
             problems[0], pool[fin], ratios[fin], tuple(x[fin] for x in weights), cfg
@@ -473,8 +473,8 @@ def _chain_reference(instances, cfg):
     candidates = [list(rows) for rows in pool]
     for ref in refs:
         r = _ratio_batch(ref, pool, weights)
-        fin = _to_polish(r)
-        if fin.any() and not _spike_exact(ref):
+        fin = _to_polish(ref, r)
+        if fin.any():
             polished = _polish_reference(ref, pool[fin], r[fin], tuple(x[fin] for x in weights), cfg)[0]
             for i, rows in zip(np.flatnonzero(fin), polished):
                 candidates[i].extend(rows)
@@ -498,6 +498,45 @@ def _weights(rng, kind, n):
     if kind == "zeros":
         out = [x * (rng.random(n) > 0.3) for x in out]
     return out
+
+
+def _spike_max(problem):
+    """The best single spike, one evaluation per index."""
+    pool = np.eye(problem.size)
+    ratios = _ratio_batch(problem, pool)
+    k = int(np.argmax(ratios))
+    return _result(problem, pool[k], ratios[k], len(pool))
+
+
+class TestSpikeRange:
+    def test_spike_rows_of_the_pool_match_the_spike_maximum(self):
+        """In the spike range the search evaluates the pool's spike rows
+        of a whole stack; every result equals that of ``_spike_max`` (an
+        identity matrix evaluated per problem), field by field: every form
+        inside the range, finite q and q = inf, stacks of 1-4, zero,
+        2^+-60 and constant weights, n in {1, 2, 5, 16, 64}."""
+        rng = np.random.default_rng(41)
+        sizes, tried = (1, 2, 5, 16, 64), 0
+        for name in FORM_NAMES.values():
+            for p, q in [(0.5, 2.0), (1.0, 1.0), (0.7, INF)]:
+                form = form_by_name(name, float(rng.choice([1.0, 2.5])))
+                for kind in ("plain", "zeros", "wide", "constant"):
+                    n, b = sizes[tried % 5], 1 + tried % 4
+                    start = int(rng.integers(-4, 5))
+                    probs = [RatioProblem(*(Window(start, x) for x in _weights(rng, kind, n)),
+                                          p, q, form) for _ in range(b)]
+                    assert _spike_exact(probs[0])
+                    tried += 1
+                    for got, want in zip(brute_force_constants(probs, FAST_CONFIG),
+                                         map(_spike_max, probs)):
+                        assert got.constant.hex() == want.constant.hex(), (name, p, q, kind, n)
+                        assert got.argmax.start == want.argmax.start
+                        assert got.argmax.values.tobytes() == want.argmax.values.tobytes()
+                        assert got.evaluations == want.evaluations == n
+                        assert (got.certificate, got.search) == (want.certificate, want.search)
+                        if form.inner_kind == "sup":
+                            assert spike_oracle(probs[0]) == _spike_max(probs[0])
+        assert tried == 144
 
 
 class TestPrunedPool:

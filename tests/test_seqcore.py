@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,10 @@ from hardyseq.seqcore import (
     ext_mul_array,
     ext_pow,
     ext_pow_array,
+    _scaled,
+    scan_max,
+    scan_min,
+    scan_sum,
 )
 
 
@@ -120,6 +125,50 @@ class TestExtArithmetic:
             out = ext_pow_array(xs, alpha)
             for x, y in zip(xs, out):
                 assert y == ext_pow(float(x), alpha)
+
+
+class TestScans:
+    @pytest.mark.parametrize("scan,ufunc", [(scan_sum, np.add), (scan_max, np.maximum),
+                                            (scan_min, np.minimum)])
+    @pytest.mark.parametrize("right", [False, True])
+    def test_fresh_contiguous_arrays_with_the_reversed_scan_bits(self, scan, ufunc, right):
+        """Every scan returns a fresh C-contiguous array whose entries have
+        the bits of ``ufunc.accumulate`` (on ``x[..., ::-1]`` for a suffix
+        scan), for float and int inputs: 1-D, 2-D and a stacked strided 3-D
+        view like the oracle's stacked weights."""
+        rng = np.random.default_rng(7)
+        floats = 2.0 ** rng.uniform(-60, 60, (4, 3, 37)) * (rng.random((4, 3, 37)) > 0.2)
+        ints = rng.integers(-1000, 1000, (4, 3, 37))
+        for base in (floats, ints):
+            for x in (base[0, 0], base[0], base[:, :, None].transpose(1, 0, 2, 3)[1]):
+                got = scan(x, right)
+                if right:
+                    want = ufunc.accumulate(x[..., ::-1], axis=-1)[..., ::-1]
+                else:
+                    want = ufunc.accumulate(x, axis=-1)
+                assert got.flags.c_contiguous and not np.shares_memory(got, x)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+class TestScaled:
+    def test_exact_on_one_scale(self):
+        """``_scaled`` gives ints ``m`` and the least shift ``s >= 0`` with
+        ``m / 2**s`` equal to each entry exactly: zeros, subnormals,
+        2**+-1000 and full mantissas."""
+        rng = np.random.default_rng(3)
+        cases = [
+            np.array([0.0]),
+            np.array([0.0, 1.0, 3.0]),
+            np.array([5e-324, 2.0**-1074 * 12345, 2.0**-1022, 0.0]),
+            np.array([2.0**-1000, 2.0**1000, 1.5, 0.0]),
+            2.0 ** rng.uniform(-1070, 1020, 50) * (rng.random(50) > 0.1),
+        ]
+        for x in cases:
+            ints, shift = _scaled(x)
+            assert len(ints) == len(x) and (shift == 0 or any(m % 2 for m in ints))
+            assert all(isinstance(m, int) for m in ints)
+            assert [Fraction(m, 2**shift) for m in ints] == [Fraction(v) for v in x.tolist()]
 
 
 class TestRegime:
