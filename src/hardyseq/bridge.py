@@ -212,15 +212,17 @@ def _root(x: Fraction | float, q: float) -> float:
     2**(-k*j)``, a float near 1, times ``2**j``, with ``j`` the integer
     nearest to ``log2(x) / k`` (which covers ``k`` up to about 2,000), so
     the rounding of ``1/k`` costs at most about 1 ulp at any size of ``x``;
-    a root beyond the float range is inf, as in float arithmetic."""
+    ``j = 0`` at ``k = 1``, so ``x`` is rounded once (int true division is
+    correctly rounded, subnormals included).  A root beyond the float range
+    is inf, as in float arithmetic."""
     if not isinstance(x, Fraction) or x == 0:
         return float(x) ** (1.0 / q)
     k = int(q)
     n, d = x.numerator, x.denominator
-    j = (n.bit_length() - d.bit_length() + k // 2) // k
+    j = (n.bit_length() - d.bit_length() + k // 2) // k if k > 1 else 0
     shift = k * j
-    y = n / (d << shift) if shift >= 0 else (n << -shift) / d
     try:
+        y = n / (d << shift) if shift >= 0 else (n << -shift) / d
         return math.ldexp(y ** (1.0 / k), j)
     except OverflowError:
         return math.inf

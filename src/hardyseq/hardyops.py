@@ -247,38 +247,36 @@ def _ratio_from_entries(
 def _ratio_batch(
     problem: RatioProblem,
     a: np.ndarray,
-    weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    weights: tuple[np.ndarray, np.ndarray, np.ndarray] | np.ndarray | None = None,
 ) -> np.ndarray:
     """Ratios lhs/rhs for a batch of candidates; 0/0 yields 0, x/0 yields inf.
 
     ``a`` has shape (..., N) and the result shape ``a.shape[:-1]``.  The
-    problem gives ``p``, ``q`` and the form; ``weights`` are stacked
-    ``(u, v, w)`` that broadcast against ``a`` with size 1 on its candidate
-    axis -2 (shape (B, 1, N) for candidates of shape (B, K, N), one problem
-    per leading index), and default to the problem's own windows.  A batch
-    of more than ``_BLOCK_ENTRIES`` entries is evaluated in contiguous
-    copies of consecutive candidates along axis -2 (module docstring).
-    An entry or side past the float range saturates to inf, and inf/inf is
-    NaN, without a warning; other invalid operations still warn.
+    problem gives ``p``, ``q`` and the form; ``weights`` unpack to stacked
+    ``u, v, w`` (the oracle's (3, B, 1, N) stack) that broadcast against
+    ``a`` with size 1 on its candidate axis -2 (shape (B, 1, N) for
+    candidates (B, K, N)), and default to the problem's own windows.  A
+    batch of more than ``_BLOCK_ENTRIES`` entries is evaluated in
+    contiguous copies of consecutive candidates along axis -2 (module
+    docstring), each through :func:`_ratio_from_entries`.  Saturation to
+    inf, inf/inf (NaN) and ``0 * inf`` in the sides do not warn; an invalid
+    operation in the iterated entries still does.
     """
     if weights is None:
         weights = (problem.u.as_array(), problem.v.as_array(), problem.w.as_array())
-    u, v, w = weights
-
-    def sides(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        entries = _iterated_entries(u, a, problem.form)
-        return _lhs_batch(w, problem.q, entries), _rhs_batch(v, problem.p, a)
-
+    u, v, w = weights[0], weights[1], weights[2]  # indexing: iterating an array costs more
+    if a.size <= _BLOCK_ENTRIES or a.ndim < 2:
+        blocks = [a]
+    else:
+        k = max(1, _BLOCK_ENTRIES * a.shape[-2] // a.size)  # candidates per block
+        blocks = (np.ascontiguousarray(a[..., lo : lo + k, :]) for lo in range(0, a.shape[-2], k))
+    parts = []
     with np.errstate(over="ignore"):
-        if a.size <= _BLOCK_ENTRIES or a.ndim < 2:
-            num, den = sides(a)
-        else:
-            k = max(1, _BLOCK_ENTRIES * a.shape[-2] // a.size)  # candidates per block
-            parts = [sides(np.ascontiguousarray(a[..., lo : lo + k, :]))
-                     for lo in range(0, a.shape[-2], k)]
-            num, den = (np.concatenate(x, axis=-1) for x in zip(*parts))
-        with np.errstate(invalid="ignore"):  # inf/inf
-            return _quotient(num, den)
+        for block in blocks:
+            entries = _iterated_entries(u, block, problem.form)
+            with np.errstate(invalid="ignore"):  # inf/inf, and 0 * inf in the sides
+                parts.append(_ratio_from_entries(problem, block, v, w, entries))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
 # ---------------------------------------------------------------------------

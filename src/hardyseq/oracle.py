@@ -104,29 +104,28 @@ live row: they are exactly what the gradient of the row's next step reads,
 so that step does not compute them again.
 
 A step on small windows costs NumPy calls, not arithmetic, so the loop
-(:func:`_power_steps`) makes few.  Per call it stacks ``u``, ``v``, ``w``
-and ``q * w`` once, with the row offsets of the gradient; per live set (the
-rows not yet stopped) it keeps each row's ``a``, ratio, stretch, ``x`` and
-``E``, and takes its weights in one gather.  A step allocates the gradient
-and its temporaries, one candidate buffer, into which the ``q < p <= 1``
-step and its extrapolations are written in place before one ``exp``, and
-the evaluation's ``x``, ``E`` and sides; ``a`` and the ratios are written
-back only when a row stops.  Rows run in chunks of at most
-``_STEP_ENTRIES`` entries per step (at least one row), so a step of the
+(:func:`_power_steps`) makes few.  Per call it extends the stack of ``u``,
+``v`` and ``w`` by ``q * w`` once, with the row offsets of the gradient; per
+live set (the rows not yet stopped) it keeps each row's ``a``, ratio,
+stretch, ``x`` and ``E``, and takes its weights in one gather.  A step
+allocates the gradient and its temporaries, one candidate buffer, into which
+the ``q < p <= 1`` step and its extrapolations are written in place before
+one ``exp``, and the evaluation's ``x``, ``E`` and sides; ``a`` and the
+ratios are written back only when a row stops.  Rows run in chunks of at
+most ``_STEP_ENTRIES`` entries per step (at least one row), so a step of the
 ``n`` toggles of a ``q < p <= 1`` search, ``3 n^2`` entries, is taken a
 chunk at a time.
 
-No pool is held in memory.  :func:`_pool_rows` builds any pool row, a
-fresh float array, from its index: a spike or a block is the indicator of
-its ends, and the Dirichlet rows are the only rows stored per problem.  The
-pool evaluation builds its rows in chunks of about ``_BLOCK_ENTRIES``
-entries, and only the rows it evaluates; the polish rebuilds its start rows
-by index, and the result its argmax.  Three things are cached, as read-only
-arrays in small ``functools.lru_cache`` caches: the block ends and a
-staircase of n+1 rows (an indicator is the difference of two of its rows),
-which depend only on ``n``, and the Dirichlet draws, which depend only on
-``(n, cfg)``.  Repeated searches at the same size and config, as in a
-verification sweep, share them.  So a search of ``B`` problems holds
+No pool is held in memory.  :func:`_pool_rows` builds any pool row, a fresh
+float array, from its index: a spike or a block is the indicator of its
+ends, two comparisons against them, and the Dirichlet rows are the only rows
+stored per problem.  The pool evaluation builds its rows in chunks of about
+``_BLOCK_ENTRIES`` entries, and only the rows it evaluates; the polish
+rebuilds its start rows by index, and the result its argmax.  Two things are
+cached, as read-only arrays in small ``functools.lru_cache`` caches: the
+block ends, which depend only on ``n``, and the Dirichlet draws, which
+depend only on ``(n, cfg)``.  Repeated searches at the same size and config,
+as in a verification sweep, share them.  So a search of ``B`` problems holds
 O(B n^2) floats (the ratios of the n(n+1)/2 pool rows, the block caps, the
 toggles and the flip steps of the polish) and one chunk of rows, where a
 pool of every row held O(B n^3): 4.3 GB at ``n = 1024``.  Rows are
@@ -152,12 +151,15 @@ benchmark's oracle-wide workload 79% of the block rows are skipped
 The search also has a problem axis.  The list entry points
 (:func:`brute_force_constants`, :func:`equivalence_ratios`,
 :func:`chain_equivalence_sweeps`) group the problems that share ``p``,
-``q``, form and window size, stack their weights to shape (B, 1, n) against
-candidates of shape (B, K, n), and polish every restart of every problem of
-a group with one batched evaluation per iteration.  Rows are independent
-across problems as well, so each result equals the problem's own result,
-bit for bit, and comes back in input order; :func:`brute_force_constant`
-is the one-element call.
+``q``, form and window size, and polish every restart of every problem of a
+group with one batched evaluation per iteration.  A group's weights are one
+contiguous (3, B, 1, n) array (:func:`_stack`): ``u, v, w = weights`` gives
+each as (B, 1, n) against candidates of shape (B, K, n), ``weights[:, sel]``
+is the stack of the problems ``sel`` (those the polish selects), and rows of
+several problems take their weights by problem index
+(``weights[:, rows // rows_per]``).  Rows are independent across problems as
+well, so each result equals the problem's own result, bit for bit, and comes
+back in input order; :func:`brute_force_constant` is the one-element call.
 
 Everything is deterministic given the config seed: per-restart generators are
 derived from ``(seed, restart_index)`` and results merge by max, so the
@@ -213,8 +215,8 @@ _POWER_STARTS = 4
 #: Extrapolations ``a (a'/a)^omega`` that each plain step for ``q < p <= 1``
 #: evaluates with the step ``a'`` itself, ``omega`` times the row's stretch.
 _POWER_REACH = (2.0, 4.0)
-#: Window sizes whose block ends and staircase, and ``(n, cfg)`` pairs whose
-#: Dirichlet draws, stay cached.
+#: Window sizes whose block ends, and ``(n, cfg)`` pairs whose Dirichlet
+#: draws, stay cached.
 _POOL_CACHE = 8
 #: Unit roundoff, and the relative error allowed for one ``pow`` (16 ulp),
 #: in the margin of :func:`_block_caps`.
@@ -299,36 +301,27 @@ def _result(
     )
 
 
-def _stack(problems: Sequence[RatioProblem]) -> tuple[np.ndarray, ...]:
-    """The weights ``(u, v, w)`` of same-size problems, each of shape (B, 1, n):
-    views into one (B, 3, n) array, strided across problems.  Only products,
-    quotients and comparisons read them, which round alike at any stride."""
-    stacked = np.array([(prob.u.values, prob.v.values, prob.w.values) for prob in problems])
-    return tuple(stacked[:, :, None].transpose(1, 0, 2, 3))
+def _stack(problems: Sequence[RatioProblem]) -> np.ndarray:
+    """The weights of same-size problems as one contiguous (3, B, 1, n)
+    array: ``u, v, w = weights`` unpacks them, each (B, 1, n), and
+    ``weights[:, sel]`` is the stack of the problems ``sel``."""
+    return np.array([[getattr(prob, x).values for prob in problems] for x in "uvw"])[:, :, None]
 
 
 @functools.lru_cache(maxsize=_POOL_CACHE)
-def _block_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(start, stop)`` of the pool's indicator rows, in pool order: each
-    is the indicator of ``[start, stop)``, the ``n`` spikes first, then
-    every block ``[m1, m2]`` with ``m1 < m2``, ordered by ``m1``, then
-    ``m2``; n(n+1)/2 each, read-only, cached by ``n``."""
+def _block_ends(n: int) -> np.ndarray:
+    """The rows ``start, stop`` (2, n(n+1)/2) of the pool's indicator rows,
+    in pool order: each is the indicator of ``[start, stop)``, the ``n``
+    spikes first, then every block ``[m1, m2]`` with ``m1 < m2``, ordered
+    by ``m1``, then ``m2``; read-only, cached by ``n``.  Their type is the
+    smallest unsigned one that holds ``n``, on which the comparisons of
+    :func:`_pool_rows` run fastest; arithmetic on them needs a wider type."""
     spikes = np.arange(n)
     m1, m2 = np.triu_indices(n, k=1)
-    ends = np.concatenate([spikes, m1]), np.concatenate([spikes, m2]) + 1
-    for x in ends:
-        x.setflags(write=False)
+    ends = np.array([np.concatenate([spikes, m1]), np.concatenate([spikes, m2]) + 1],
+                    dtype=np.min_scalar_type(n))
+    ends.setflags(write=False)
     return ends
-
-
-@functools.lru_cache(maxsize=_POOL_CACHE)
-def _staircase(n: int) -> np.ndarray:
-    """The (n+1, n) floats whose row ``k`` is the indicator of ``[0, k)``;
-    read-only, cached by ``n``.  Row ``stop`` minus row ``start`` is the
-    indicator of ``[start, stop)``, exactly."""
-    out = np.tri(n + 1, n, -1)
-    out.setflags(write=False)
-    return out
 
 
 @functools.lru_cache(maxsize=_POOL_CACHE)
@@ -345,19 +338,17 @@ def _dirichlet_draws(n: int, cfg: OracleConfig) -> np.ndarray:
     return out
 
 
-def _dirichlet_rows(problems: Sequence[RatioProblem], cfg: OracleConfig) -> np.ndarray:
-    """The Dirichlet rows of same-size problems that share ``p``, shape
-    (B, D, n): the only pool rows that differ between problems.
+def _dirichlet_rows(problem: RatioProblem, weights: np.ndarray, cfg: OracleConfig) -> np.ndarray:
+    """The Dirichlet rows of stacked problems that share ``problem``'s
+    ``p``, shape (B, D, n): the only pool rows that differ between problems.
 
     The shared simplex points are pulled onto each problem's constraint
     surface ``sum a^p v = 1``.  A row that overflows there is set to zero,
     whose ratio 0 never wins, so every candidate is a finite window.
     """
-    n, p = problems[0].size, problems[0].p
-    x = _dirichlet_draws(n, cfg)
-    v = np.array([prob.v.values for prob in problems])[:, None, :]
+    x, v = _dirichlet_draws(weights.shape[-1], cfg), weights[1]
     with np.errstate(over="ignore"):
-        drawn = (x / np.where(v > 0, v, 1.0)) ** (1.0 / p)
+        drawn = (x / np.where(v > 0, v, 1.0)) ** (1.0 / problem.p)
     drawn[~np.isfinite(drawn).all(axis=-1)] = 0.0
     return drawn
 
@@ -373,23 +364,24 @@ def _pool_rows(drawn: np.ndarray, at: np.ndarray) -> np.ndarray:
     """The pool rows with indices ``at``, a fresh float array (B, K, n).
 
     The pool is the spikes, then the blocks, then the Dirichlet rows
-    ``drawn`` (B, D, n) of each stacked problem.  ``at`` has shape (K,),
-    the same rows for every problem, or (B, K).  A spike or block is the
-    indicator of its ends (:func:`_block_ends`), the difference of two
-    rows of :func:`_staircase`, so only the rows asked for are built.
+    ``drawn`` (B, D, n) of each stacked problem.  ``at`` has shape (B, K),
+    one set of rows per problem, or (K,), broadcast to (B, K): the same
+    rows for every problem.  A spike or block is the indicator of its ends
+    (:func:`_block_ends`), built on ``at``'s own shape, so a shared row is
+    built once and broadcast across problems; the Dirichlet rows asked for
+    are copied over it.
     """
     b, _, n = drawn.shape
-    start, stop = _block_ends(n)
-    stair, k = _staircase(n), len(start)
-    ind = np.minimum(at, k - 1)  # a Dirichlet row is overwritten below
+    cached = _block_ends(n)
+    k = cached.shape[1]
+    ends = cached.take(at[..., None], axis=1, mode="clip")  # Dirichlet rows: overwritten below
+    idx = cached[0, :n]  # the spikes' starts: 0, ..., n - 1
     out = np.empty((b, at.shape[-1], n))
-    np.subtract(stair.take(stop[ind], axis=0), stair.take(start[ind], axis=0), out=out)
-    if at.ndim == 1:
-        d = at >= k
-        out[:, d] = drawn[:, at[d] - k]
-    else:
-        bi, ki = np.nonzero(at >= k)
-        out[bi, ki] = drawn[bi, at[bi, ki] - k]
+    out[...] = (ends[0] <= idx) & (idx < ends[1])
+    rows = np.nonzero(at >= k)
+    if len(rows[-1]):
+        pick = (slice(None),) * (2 - at.ndim) + rows  # (K,): every problem
+        out[pick] = drawn[pick[:-1] + (at[rows] - k,)]
     return out
 
 
@@ -435,7 +427,7 @@ def _blocks_in_range(problem: RatioProblem, uvw: np.ndarray, cmax: float) -> np.
     return np.array(out, dtype=bool)
 
 
-def _block_caps(problem: RatioProblem, weights: tuple[np.ndarray, ...]) -> np.ndarray:
+def _block_caps(problem: RatioProblem, weights: np.ndarray) -> np.ndarray:
     """Upper bounds on the pool ratios of the blocks of stacked problems,
     margin included; shape (B, n(n-1)/2) in pool order, inf where a bound
     is not certified.
@@ -472,10 +464,9 @@ def _block_caps(problem: RatioProblem, weights: tuple[np.ndarray, ...]) -> np.nd
     where :func:`_blocks_in_range` holds, and are inf elsewhere.
     """
     form, p, q = problem.form, problem.p, problem.q
-    uvw = np.stack(weights)[:, :, 0]
-    u, v, w = uvw
+    u, v, w = uvw = weights[:, :, 0]
     b, n = u.shape
-    m1, stop = (x[n:] for x in _block_ends(n))
+    m1, stop = (x[n:].astype(np.intp) for x in _block_ends(n))
     length = (stop - m1).astype(float)
     idx = np.arange(n)
     delta = n * _EPS / (1.0 - n * _EPS) + _POW_ERR + 712.0 * _EPS
@@ -500,7 +491,7 @@ def _block_caps(problem: RatioProblem, weights: tuple[np.ndarray, ...]) -> np.nd
 
 
 def _pool_ratios(
-    problem: RatioProblem, drawn: np.ndarray, weights: tuple[np.ndarray, ...], starts: int
+    problem: RatioProblem, drawn: np.ndarray, weights: np.ndarray, starts: int
 ) -> np.ndarray:
     """The pool ratios (B, P) of stacked problems with Dirichlet rows
     ``drawn``, without evaluating the blocks that cannot reach the
@@ -538,8 +529,7 @@ def _pool_ratios(
     best = np.sort(np.partition(ratios, cut, axis=1)[:, cut:], axis=1)
     for i in np.flatnonzero(~(best[:, 1:] > best[:, :-1]).all(axis=1)):  # ties
         one = slice(i, i + 1)
-        _evaluate_rows(problem, drawn[one], tuple(x[one] for x in weights),
-                       np.arange(n, n + nb), ratios[one])
+        _evaluate_rows(problem, drawn[one], weights[:, one], np.arange(n, n + nb), ratios[one])
     return ratios
 
 
@@ -557,7 +547,7 @@ def _pool_chunks(drawn: np.ndarray, rows: np.ndarray):
 def _evaluate_rows(
     problem: RatioProblem,
     drawn: np.ndarray,
-    weights: tuple[np.ndarray, ...],
+    weights: np.ndarray,
     rows: np.ndarray,
     out: np.ndarray,
 ) -> None:
@@ -571,7 +561,7 @@ def _polish_top(
     problem: RatioProblem,
     a: np.ndarray,
     best: np.ndarray,
-    weights: tuple[np.ndarray, ...],
+    weights: np.ndarray,
     cfg: OracleConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The coordinate ascent: multiplicative one-coordinate moves from the
@@ -579,9 +569,9 @@ def _polish_top(
 
     ``a`` (B, R, n) holds the start rows of B problems that share
     ``problem``'s ``p``, ``q`` and form, ``best`` (B, R) their ratios, and
-    ``weights`` the problems' stacked ``(u, v, w)``; both are updated in
-    place.  Returns ``(polished, best, evals)`` of shapes (B, R, n), (B, R)
-    and (B,).
+    ``weights`` the problems' stack (:func:`_stack`); ``a`` and ``best``
+    are updated in place.  Returns ``(polished, best, evals)`` of shapes
+    (B, R, n), (B, R) and (B,).
 
     The rows start from their pool ratios, which ``_ratio_batch`` gives
     bit for bit as it would give them alone.  Each iteration evaluates the
@@ -595,18 +585,17 @@ def _polish_top(
     """
     b, rows_per, n = a.shape
     a, best = a.reshape(-1, n), best.reshape(-1)
-    uvw = tuple(np.repeat(x, rows_per, axis=0) for x in weights)
     step = np.full(len(a), _STEP_INIT)
     moves = np.zeros(len(a), dtype=int)  # active iterations per row
     idx = np.arange(n)
     rows, ran = np.arange(len(a)), 0
-    live_uvw = uvw
+    live_uvw = weights[:, rows // rows_per]  # each row's problem
     for _ in range(cfg.iterations):
         live = np.flatnonzero((step >= 1e-12) & ~np.isinf(best))
         if len(live) < len(rows):  # the active set only shrinks
             moves[rows] += ran
             rows, ran = live, 0
-            live_uvw = tuple(x[rows] for x in uvw)
+            live_uvw = weights[:, rows // rows_per]
         if not len(rows):
             break
         ran += 1
@@ -699,7 +688,7 @@ def _power_steps(
     problem: RatioProblem,
     a: np.ndarray,
     best: np.ndarray,
-    weights: tuple[np.ndarray, ...],
+    weights: np.ndarray,
     iterations: int,
     reach: tuple[float, ...] = (),
     flip: bool = False,
@@ -708,10 +697,10 @@ def _power_steps(
     both updated in place, all rows in lock-step; returns the evaluations
     of each row.
 
-    ``weights`` are the ``(u, v, w)`` of B problems, each of shape (B, 1,
-    n); problem ``i`` owns the ``i``-th run of L/B consecutive rows of ``a``.  A
-    plain step evaluates one candidate, a flip step (``flip``) the ``n``
-    candidates that flip one record position each:
+    ``weights`` is the stack (:func:`_stack`) of B problems; problem ``i``
+    owns the ``i``-th run of L/B consecutive rows of ``a``.  A plain step
+    evaluates one candidate, a flip step (``flip``) the ``n`` candidates
+    that flip one record position each:
     ``a <- a^alpha (g/v)^beta``, rescaled by its row maximum, with ``g``
     from :func:`_power_gradient` (so ``a_k = 0`` where ``g_k = 0``) and
 
@@ -734,28 +723,26 @@ def _power_steps(
     ratio is infinite.
 
     The rows run in chunks of at most ``_STEP_ENTRIES`` entries per step
-    (rows times candidates times ``n``; at least one row), one after the
-    other; rows are independent, so a chunk ends where its rows alone
-    would.  ``u``, ``v``, ``w`` and ``q * w`` are stacked once per call, and
-    a live set takes its rows of them in one gather.  A live set keeps its
-    rows' ``a``, ratio and stretch, and the ``x`` and ``E`` of
-    :func:`_sum_entries` that the evaluation of their last winning
-    candidate computed, so its next gradient starts from them; ``a`` and
-    ``best`` are written, and evaluations counted, only when a row stops
-    and at the end.  The row offsets are sliced from one set per call.  A
-    step allocates the gradient and its temporaries, one (L, K, n)
-    candidate buffer (the ``q < p <= 1`` step and its extrapolations are
-    written into it in place and end in ``exp``), and the evaluation's
-    ``x``, ``E`` and sides.
+    (rows times candidates times ``n``; at least one row), one after the other;
+    rows are independent, so a chunk ends where its rows alone would.
+    ``u``, ``v``, ``w`` and ``q * w`` are stacked once per call, and a live
+    set takes its rows of them in one gather by problem index.  A live set
+    keeps its rows' ``a``, ratio and stretch, and the ``x`` and ``E`` of
+    :func:`_sum_entries` that the evaluation of their last winning candidate
+    computed, so its next gradient starts from them; ``a`` and ``best`` are
+    written, and evaluations counted, only when a row stops and at the end.
+    The row offsets are sliced from one set per call.  A step allocates the
+    gradient and its temporaries, one (L, K, n) candidate buffer (the
+    ``q < p <= 1`` step and its extrapolations are written into it in place
+    and end in ``exp``), and the evaluation's ``x``, ``E`` and sides.
     """
     p, q, form = problem.p, problem.q, problem.form
     alpha, beta = (0.0, 1.0 / (p - 1.0)) if p > 1 else ((1.0 - q) / (p - q), 1.0 / (p - q))
     n = a.shape[-1]
     mask, grads = (np.eye(n, dtype=bool), n) if flip else (None, 1)  # gradients per row
     width = grads + len(reach)  # candidates per row and step
-    per = len(a) // max(len(weights[0]), 1)  # rows per problem
-    u, v, w = weights
-    state = np.concatenate([u, v, w, q * w]).reshape(4, -1, 1, n)  # u, v, w, q * w
+    per = len(a) // max(weights.shape[1], 1)  # rows per problem
+    state = np.concatenate([weights, q * weights[2:]])  # u, v, w, q * w
     omega = np.array(reach)
     factor = np.array([0.5, *[1.0] * (len(reach) - 1), 2.0])  # the stretch's, by winner
     todo = (~np.isinf(best)).nonzero()[0]
@@ -832,7 +819,7 @@ def _power_top(
     problem: RatioProblem,
     a: np.ndarray,
     best: np.ndarray,
-    weights: tuple[np.ndarray, ...],
+    weights: np.ndarray,
     cfg: OracleConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The power iteration for the stacked problems, in two or three phases.
@@ -896,17 +883,25 @@ def _polish(
     problem: RatioProblem,
     drawn: np.ndarray,
     ratios: np.ndarray,
-    weights: tuple[np.ndarray, ...],
+    weights: np.ndarray,
     cfg: OracleConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The polish of stacked problems with Dirichlet rows ``drawn`` and
-    pool ratios ``ratios`` (B, P), from the :func:`_starts` best pool rows of
-    each, rebuilt by index: the power iteration where :func:`_power_search`
-    holds, else the coordinate ascent; never called in the spike range."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The polish of the stacked problems that :func:`_to_polish` selects
+    from their pool ratios ``ratios`` (B, P), with Dirichlet rows
+    ``drawn``: from the :func:`_starts` best pool rows of each, rebuilt by
+    index, the power iteration where :func:`_power_search` holds, else the
+    coordinate ascent.  Returns the selection (B,), a bool mask, and for
+    the F problems it selects, in order, their polished rows (F, R, n),
+    ratios (F, R) and evaluations (F,); F = 0 in the spike range."""
+    fin = _to_polish(problem, ratios)
+    if not fin.any():
+        return fin, np.empty((0, 0, drawn.shape[-1])), np.empty((0, 0)), np.zeros(0, dtype=int)
+    if not fin.all():  # copy the draws only if needed
+        drawn, ratios, weights = drawn[fin], ratios[fin], weights[:, fin]
     top = np.argsort(ratios, axis=1)[:, ::-1][:, : _starts(problem, cfg, ratios.shape[1])]
     polish = _power_top if _power_search(problem) else _polish_top
     best = ratios[np.arange(len(top))[:, None], top]
-    return polish(problem, _pool_rows(drawn, top), best, weights, cfg)
+    return fin, *polish(problem, _pool_rows(drawn, top), best, weights, cfg)
 
 
 def _shape(problem: RatioProblem) -> tuple:
@@ -952,11 +947,10 @@ def _search(problems: Sequence[RatioProblem], cfg: OracleConfig) -> list[OracleR
     ref, n = problems[0], problems[0].size
     weights = _stack(problems)
     if _spike_exact(ref):
-        drawn = np.empty((len(problems), 0, n))
-        ratios = np.empty((len(problems), n))
+        drawn, ratios = np.empty((len(problems), 0, n)), np.empty((len(problems), n))
         _evaluate_rows(ref, drawn, weights, np.arange(n), ratios)
     else:
-        drawn = _dirichlet_rows(problems, cfg)
+        drawn = _dirichlet_rows(ref, weights, cfg)
         ratios = _pool_ratios(ref, drawn, weights, _starts(ref, cfg, _pool_size(drawn)))
     return _finish(problems, drawn, ratios, weights, cfg)
 
@@ -965,28 +959,22 @@ def _finish(
     problems: Sequence[RatioProblem],
     drawn: np.ndarray,
     ratios: np.ndarray,
-    weights: tuple[np.ndarray, ...],
+    weights: np.ndarray,
     cfg: OracleConfig,
 ) -> list[OracleResult]:
-    """One lock-step polish of every problem that :func:`_to_polish`
-    selects, and each problem's result; ``evaluations`` counts every pool
-    row, evaluated or not.
+    """One lock-step polish (:func:`_polish`), and each problem's result;
+    ``evaluations`` counts every pool row, evaluated or not.
 
     A result is the first maximum of the pool ratios followed by the
     polished ratios, as ``np.argmax`` reads them (a NaN first): the polish
     wins only over a pool maximum that is not NaN, with a NaN or a larger
     ratio."""
-    size = ratios.shape[1]
-    evals = np.full(len(problems), size)
+    evals = np.full(len(problems), ratios.shape[1])
     pick = np.arange(len(problems))
     k = ratios.argmax(axis=1)
     top, rows = ratios[pick, k], _pool_rows(drawn, k[:, None])[:, 0]
-    fin = _to_polish(problems[0], ratios)
+    fin, extra, best, used = _polish(problems[0], drawn, ratios, weights, cfg)
     if fin.any():
-        sel = slice(None) if fin.all() else fin  # copy the draws only if needed
-        extra, best, used = _polish(
-            problems[0], drawn[sel], ratios[sel], tuple(x[sel] for x in weights), cfg
-        )
         evals[fin] += used
         j = best.argmax(axis=1)
         own, polished = fin.nonzero()[0], best[np.arange(len(best)), j]
@@ -1162,27 +1150,17 @@ def _chain_group(
     polished (:func:`_to_polish`).
     """
     refs = items[0][1]
-    sups = [problems[0] for _, problems in items]
-    weights = _stack(sups)
-    drawn = _dirichlet_rows(sups, cfg)
+    weights = _stack([problems[0] for _, problems in items])
+    drawn = _dirichlet_rows(refs[0], weights, cfg)
     size = _pool_size(drawn)
-    base = [np.empty((len(sups), size)) for _ in refs]
+    base = [np.empty((len(items), size)) for _ in refs]
     for at, a in _pool_chunks(drawn, np.arange(size)):
         for ref, r in zip(refs, base):
             r[:, at] = _ratio_batch(ref, a, weights)
-    extra, owner = [], []
-    for ref, r in zip(refs, base):
-        fin = _to_polish(ref, r)
-        if fin.any():
-            sel = slice(None) if fin.all() else fin
-            a = _polish(ref, drawn[sel], r[sel], tuple(x[sel] for x in weights), cfg)[0]
-            extra.append(a.reshape(-1, a.shape[-1]))
-            owner.append(np.repeat(np.flatnonzero(fin), a.shape[1]))
-    n = drawn.shape[-1]
-    extra_rows = np.concatenate([np.empty((0, n)), *extra])[:, None, :]
-    owner = np.concatenate([np.empty(0, dtype=int), *owner])
-    uvw = tuple(x[owner] for x in weights)
-    again = [_ratio_batch(ref, extra_rows, uvw)[:, 0] for ref in refs]
+    polished = [_polish(ref, drawn, r, weights, cfg)[:2] for ref, r in zip(refs, base)]
+    extra_rows = np.concatenate([a.reshape(-1, drawn.shape[-1]) for _, a in polished])[:, None]
+    owner = np.concatenate([np.repeat(np.flatnonzero(fin), a.shape[1]) for fin, a in polished])
+    again = [_ratio_batch(ref, extra_rows, weights[:, owner])[:, 0] for ref in refs]
     out = []
     for i, (family, _) in enumerate(items):
         mine = owner == i

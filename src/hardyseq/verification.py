@@ -1,20 +1,20 @@
 """Seeded verification sweeps: property suites with machine-readable reports.
 
-Each suite draws random instances from a seeded generator and runs its
-check on them.  A check takes a list of instances (each a dict of inputs:
-windows and scalars) and returns one ``(observed, passed)`` per instance, in
-order.  The two oracle suites draw an ensemble first and check it in one
-call, which hands the whole list to the oracle's list entry points, so that
-same-shaped problems are searched as one stack: ``chain-equivalence`` its
-whole ensemble, ``equivalence-ratio`` one (p, q, form) cell at a time.  The
-other suites check each instance as it is drawn, their per-instance check
-mapped over a list of one.  A failing instance is recorded as its suite
-name, its inputs in the wire format (windows as ``{"start", "values"}``,
-scalars as numbers or strings) and the observed numbers.
-:func:`replay_instance` decodes such a record and runs the same check on a
-list of one, so a replay reproduces the sweep's ``observed`` and verdict bit
-for bit (the oracle gives every problem the bits it has alone).  All
-randomness flows from the sweep seed; reports are deterministic.
+Each suite draws random instances from a seeded generator and runs its check
+on them.  A check takes a list of instances (each a dict of inputs: windows
+and scalars) and returns one ``(observed, passed)`` per instance, in order.
+The three oracle suites draw an ensemble first and check it in one call,
+which hands the whole list to the oracle's list entry points, so that
+same-shaped problems are searched as one stack: ``linft`` and
+``chain-equivalence`` their whole ensemble, ``equivalence-ratio`` one (p, q,
+form) cell at a time.  The other suites check each instance as it is drawn,
+their per-instance check mapped over a list of one.  A failing instance is
+recorded as its suite name, its inputs in the wire format (windows as
+``{"start", "values"}``, scalars as numbers or strings) and the observed
+numbers.  :func:`replay_instance` decodes such a record and runs the same
+check on a list of one, so a replay reproduces the sweep's ``observed`` and
+verdict bit for bit (the oracle gives every problem the bits it has alone).
+All randomness flows from the sweep seed; reports are deterministic.
 
 Observed values per suite: ``chain`` the triple ``[sup, sum, powered sum]``;
 ``bridge`` ``{"gop": ..., "antigop": ...}``, the two bridge results;
@@ -193,13 +193,18 @@ def _check_partition(w: Window, n0: int) -> tuple[Any, bool]:
     return {**report.to_json(), "partition": bp.to_json()}, report.all_pass
 
 
-def _check_linft(u: Window, v: Window, p: float) -> tuple[Any, bool]:
-    ones = Window(u.start, (1.0,) * len(u))
-    prob = RatioProblem(u, v, ones, p, math.inf, ANTIGOP_SUP)
-    exact = charformulas.char_linft_exact(u, v, p)
-    brute = oracle.brute_force_constant(prob, FAST_CONFIG)
-    ok = math.isclose(brute.constant, exact, rel_tol=1e-9, abs_tol=0.0)
-    return {"exact": exact, "brute": brute.constant}, ok
+def _check_linft(instances: list[dict]) -> list[tuple[Any, bool]]:
+    problems = [
+        RatioProblem(x["u"], x["v"], x["u"].with_values([1.0] * len(x["u"])),
+                     x["p"], math.inf, ANTIGOP_SUP)
+        for x in instances
+    ]
+    out = []
+    for prob, brute in zip(problems, oracle.brute_force_constants(problems, FAST_CONFIG)):
+        exact = charformulas.char_linft_exact(prob.u, prob.v, prob.p)
+        ok = math.isclose(brute.constant, exact, rel_tol=1e-9, abs_tol=0.0)
+        out.append(({"exact": exact, "brute": brute.constant}, ok))
+    return out
 
 
 def _check_doubling(b: Window, c: Window, alpha: float) -> tuple[Any, bool]:
@@ -209,19 +214,32 @@ def _check_doubling(b: Window, c: Window, alpha: float) -> tuple[Any, bool]:
 
 
 def _check_equivalence(instances: list[dict]) -> list[tuple[Any, bool]]:
+    """F/B passes as a sentinel or finite and positive.  For gop where B
+    is the spike maximum C (certificate ``exact-spike``: p <= 1, p <= q)
+    and F and B are finite and positive, it must also lie in ``[1 - 1e-12,
+    2^(1/q) (1 + 1e-12)]``, the slack covering the roundings of F and B.
+
+    Proof of ``C <= F <= 2^(1/q) C``: with ``U_m = sup_{i >= m} u_i``, the
+    spike at m has ratio ``b(m)^(1/q) v_m^(-1/p)``, ``b(m) = sum_n w_n
+    U_max(n,m)^q`` nonincreasing in m, and C is the largest.  ``char_gop``'s
+    term at m is ``(b(m) + w_m U_m^q)^(1/q) max_{k <= m} v_k^(-1/p)``, and
+    ``w_m U_m^q`` is a term of ``b(m)``: so F >= C, and with k <= m the
+    argmax of the v-factor the term is at most ``(2 b(k))^(1/q) v_k^(-1/p)
+    <= 2^(1/q) C``."""
     problems = [
         RatioProblem(
             x["u"], x["v"], x["w"], x["p"], x["q"], hardyops.form_by_name(x["form"])
         )
         for x in instances
     ]
-    return [
-        (
-            {"F": eq.formula, "B": eq.brute, "ratio": eq.ratio},
-            eq.sentinel or 0 < eq.ratio < math.inf,
-        )
-        for eq in oracle.equivalence_ratios(problems, FAST_CONFIG)
-    ]
+    out = []
+    for x, eq in zip(instances, oracle.equivalence_ratios(problems, FAST_CONFIG)):
+        ok = eq.sentinel or 0 < eq.ratio < math.inf
+        if (ok and x["form"] == "gop" and eq.oracle.certificate == "exact-spike"
+                and 0 < eq.formula < math.inf and 0 < eq.brute < math.inf):
+            ok = 1 - 1e-12 <= eq.ratio <= 2.0 ** (1.0 / x["q"]) * (1 + 1e-12)
+        out.append(({"F": eq.formula, "B": eq.brute, "ratio": eq.ratio}, ok))
+    return out
 
 
 def _check_chain_equivalence(instances: list[dict]) -> list[tuple[Any, bool]]:
@@ -246,7 +264,7 @@ _CHECKS: dict[str, Callable[[list[dict]], list[tuple[Any, bool]]]] = {
     "chain": _each(_check_chain),
     "bridge": _each(_check_bridge),
     "partition": _each(_check_partition),
-    "linft": _each(_check_linft),
+    "linft": _check_linft,
     "equivalence-ratio": _check_equivalence,
     "chain-equivalence": _check_chain_equivalence,
     "doubling": _each(_check_doubling),
@@ -344,13 +362,15 @@ def _suite_partition(spec: SweepSpec, rng: np.random.Generator) -> dict:
 
 def _suite_linft(spec: SweepSpec, rng: np.random.Generator) -> dict:
     failures: list = []
+    instances = []
     for _ in range(spec.ensemble):
         n_len = int(_pick(rng, spec.window_sizes))
         start = int(rng.integers(-4, 5))
         u = rand_window(rng, n_len, start, spec.weight_exponent)
         v = rand_window(rng, n_len, start, spec.weight_exponent)
         p = _pick(rng, (0.25, 0.5, 1.0))
-        _check(failures, "linft", [{"u": u, "v": v, "p": p}])
+        instances.append({"u": u, "v": v, "p": p})
+    _check(failures, "linft", instances)
     return {"passed": not failures, "checks": spec.ensemble, "failures": failures}
 
 

@@ -180,6 +180,27 @@ class TestRoot:
                 assert F(float(lo)) ** k <= x, (e, r)
                 assert math.isinf(hi) or x <= F(float(hi)) ** k, (e, r)
 
+    def test_q_one_rounds_once(self):
+        """At q = 1 the root is the exact power rounded once, as ``float()``
+        rounds it (inf past the float range): random values from 2**-1130
+        to 2**1030, and subnormal ties, halfway between two subnormals and
+        nudged towards the odd one, which a rounding to 53 bits and then to
+        the subnormal's precision sends to the even one: it gave 0 for
+        (2**54 + 1) / 2**1129."""
+        rng = np.random.default_rng(1)
+        xs = [F(2**54 + 1, 2**1129)]
+        for e in range(-1130, 1031, 3):
+            xs.append(F(int(rng.integers(1, 2**62)), int(rng.integers(1, 2**20)) | 1) * F(2) ** e)
+        for bits in range(1, 52):
+            j = int(rng.integers(2 ** (bits - 1), 2**bits)) if bits > 1 else 0
+            xs.append(F((2 * j + 1) * 2**60 + (1 if j % 2 == 0 else -1), 2**1135))
+        for x in xs:
+            try:
+                want = float(x)
+            except OverflowError:
+                want = math.inf
+            assert _root(x, 1.0) == want, x
+
 
 class TestEmbedding:
     def test_embed_example(self):

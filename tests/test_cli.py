@@ -251,13 +251,13 @@ class TestReplay:
     def test_failing_replay_entry_exits_one(self, tmp_path, monkeypatch, capsys):
         """A linft entry whose brute-force bound misses the exact value fails
         on replay."""
-        real = oracle.brute_force_constant
+        real = oracle.brute_force_constants
 
         def halved(*args, **kwargs):
-            res = real(*args, **kwargs)
-            return dataclasses.replace(res, constant=res.constant / 2)
+            return [dataclasses.replace(res, constant=res.constant / 2)
+                    for res in real(*args, **kwargs)]
 
-        monkeypatch.setattr(oracle, "brute_force_constant", halved)
+        monkeypatch.setattr(oracle, "brute_force_constants", halved)
         entry = {
             "suite": "linft",
             "u": {"start": 0, "values": [2, 1]},

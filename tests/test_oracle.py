@@ -35,6 +35,7 @@ from hardyseq.oracle import (
     _dirichlet_draws,
     _dirichlet_rows,
     _offsets,
+    _polish,
     _polish_top,
     _pool_ratios,
     _pool_rows,
@@ -46,7 +47,6 @@ from hardyseq.oracle import (
     _result,
     _spike_exact,
     _stack,
-    _staircase,
     _starts,
     _to_polish,
     brute_force_constant,
@@ -249,29 +249,28 @@ class TestBruteForce:
         assert res.evaluations == n + blocks + 2 * 4 == expected
 
     def test_cached_pool_rows_are_read_only(self):
-        """The block ends, the staircase and the Dirichlet draws are cached
-        read-only; rows built after earlier ones were overwritten equal a
-        fresh build and the full pool, shared indices or one set per
-        problem."""
+        """The block ends and the Dirichlet draws are cached read-only; rows
+        built after earlier ones were overwritten equal a fresh build and
+        the full pool, shared indices or one set per problem."""
         rng = np.random.default_rng(71)
         probs = [RatioProblem(*rand_triple(rng, 7), 1.5, 0.8, GOP) for _ in range(3)]
         cfg = OracleConfig(restarts=3, iterations=10, seed=5, dirichlet_per_restart=4)
-        every = np.arange(_pool_size(_dirichlet_rows(probs, cfg)))
-        first = _pool_rows(_dirichlet_rows(probs, cfg), every)
-        for cached in (*_block_ends(7), _staircase(7), _dirichlet_draws(7, cfg)):
+        drawn = lambda: _dirichlet_rows(probs[0], _stack(probs), cfg)
+        every = np.arange(_pool_size(drawn()))
+        first = _pool_rows(drawn(), every)
+        for cached in (*_block_ends(7), _dirichlet_draws(7, cfg)):
             assert not cached.flags.writeable
             with pytest.raises(ValueError):
                 cached[(0,) * cached.ndim] = 2
         first[...] = -1.0
-        again = _pool_rows(_dirichlet_rows(probs, cfg), every)
+        again = _pool_rows(drawn(), every)
         _block_ends.cache_clear()
-        _staircase.cache_clear()
         _dirichlet_draws.cache_clear()
-        assert again.tobytes() == _pool_rows(_dirichlet_rows(probs, cfg), every).tobytes()
+        assert again.tobytes() == _pool_rows(drawn(), every).tobytes()
         assert again.tobytes() == _full_pool(probs, cfg).tobytes()
         picked = rng.integers(len(every), size=(len(probs), 9))
         want = np.take_along_axis(_full_pool(probs, cfg), picked[:, :, None], axis=1)
-        assert _pool_rows(_dirichlet_rows(probs, cfg), picked).tobytes() == want.tobytes()
+        assert _pool_rows(drawn(), picked).tobytes() == want.tobytes()
 
     def test_list_matches_each_problem_alone(self):
         """One call on a mixed list returns, in input order, the result each
@@ -449,7 +448,7 @@ def _search_reference(problems, cfg):
     fin = _to_polish(problems[0], ratios)
     if fin.any():
         extra, best, used = _polish_reference(
-            problems[0], pool[fin], ratios[fin], tuple(x[fin] for x in weights), cfg
+            problems[0], pool[fin], ratios[fin], weights[:, fin], cfg
         )
     out, j = [], 0
     for i, prob in enumerate(problems):
@@ -475,12 +474,12 @@ def _chain_reference(instances, cfg):
         r = _ratio_batch(ref, pool, weights)
         fin = _to_polish(ref, r)
         if fin.any():
-            polished = _polish_reference(ref, pool[fin], r[fin], tuple(x[fin] for x in weights), cfg)[0]
+            polished = _polish_reference(ref, pool[fin], r[fin], weights[:, fin], cfg)[0]
             for i, rows in zip(np.flatnonzero(fin), polished):
                 candidates[i].extend(rows)
     out = []
     for i, (family, _) in enumerate(items):
-        a, one = np.array(candidates[i])[None], tuple(x[i : i + 1] for x in weights)
+        a, one = np.array(candidates[i])[None], weights[:, i : i + 1]
         r1, r2, r3 = (_ratio_batch(ref, a, one)[0] for ref in refs)
         a1, a2, a3 = float(r1.max()), float(r2.max()), float(r3.max())
         out.append({"family": family, "A1": a1, "A2": a2, "A3": a3,
@@ -558,7 +557,8 @@ class TestPrunedPool:
                                       p, q, form) for _ in range(int(rng.choice([1, 3])))]
                 if _spike_exact(probs[0]):
                     continue
-                weights, drawn = _stack(probs), _dirichlet_rows(probs, cfg)
+                weights = _stack(probs)
+                drawn = _dirichlet_rows(probs[0], weights, cfg)
                 starts = _starts(probs[0], cfg, _pool_size(drawn))
                 pruned += int((_pool_ratios(probs[0], drawn, weights, starts) == _PRUNED).sum())
                 for got, want in zip(brute_force_constants(probs, cfg), _search_reference(probs, cfg)):
@@ -576,7 +576,8 @@ class TestPrunedPool:
         all evaluated, so the start rows are those of the full pool."""
         probs = [RatioProblem(*(Window(0, np.full(64, c)) for c in (1.0, 2.0, 0.5)), 2.0, 3.0, GOP)]
         cfg = OracleConfig(4, 80, 0, 8)
-        weights, drawn = _stack(probs), _dirichlet_rows(probs, cfg)
+        weights = _stack(probs)
+        drawn = _dirichlet_rows(probs[0], weights, cfg)
         full = _ratio_batch(probs[0], _full_pool(probs, cfg), weights)
         got = _pool_ratios(probs[0], drawn, weights, _starts(probs[0], cfg, _pool_size(drawn)))
         assert got.tobytes() == full.tobytes()
@@ -668,7 +669,6 @@ class TestPoolByIndex:
         prob = RatioProblem(*(Window(0, 2.0 ** rng.uniform(-3, 3, 256)) for _ in range(3)),
                             p, q, form)
         _block_ends.cache_clear()
-        _staircase.cache_clear()
         _dirichlet_draws.cache_clear()
         tracemalloc.start()
         try:
@@ -678,6 +678,45 @@ class TestPoolByIndex:
             tracemalloc.stop()
         assert res.search == "power"
         assert peak < 32 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_pool_rows_match_their_ends(self, n):
+        """Each pool row is the indicator of its ends ``[start, stop)`` or
+        its problem's Dirichlet row: (K,) and (B, K) indices, unsorted and
+        repeated, stacks of one and three, with and without Dirichlet
+        rows."""
+        rng = np.random.default_rng(n)
+        start, stop = _block_ends(n)
+        for b, d in [(1, 0), (3, 0), (1, 4), (3, 5)]:
+            drawn = rng.random((b, d, n))
+            size = len(start) + d
+            for at in (rng.integers(size, size=9), rng.integers(size, size=(b, 9)),
+                       np.arange(size)[::-1], np.full(4, size - 1)):
+                got = _pool_rows(drawn, at)
+                assert got.shape == (b, at.shape[-1], n) and got.flags.c_contiguous
+                for i, row in enumerate(np.broadcast_to(at, (b, at.shape[-1]))):
+                    for j, k in enumerate(row):
+                        if k < len(start):
+                            want = np.zeros(n)
+                            want[start[k] : stop[k]] = 1.0
+                        else:
+                            want = drawn[i, k - len(start)]
+                        assert got[i, j].tobytes() == want.tobytes(), (b, d, i, j, k)
+
+    @pytest.mark.parametrize("name", ["gop", "antigop-sup", "dual-gop-psum"])
+    def test_sub_stack_rows_match_each_problem_alone(self, name):
+        """A boolean sub-stack ``weights[:, sel]`` gives every selected
+        problem the ``_ratio_batch`` bits of its rows evaluated alone,
+        blocked batches included."""
+        rng = np.random.default_rng(len(name))
+        for n, k in [(1, 3), (5, 7), (40, 200)]:  # 3 x 200 x 40 entries: blocked
+            probs = [RatioProblem(*rand_triple(rng, n), 0.7, 2.5, form_by_name(name, 0.5))
+                     for _ in range(5)]
+            sel = np.array([True, False, True, True, False])
+            a = 2.0 ** rng.uniform(-3, 3, (sel.sum(), k, n)) * (rng.random((sel.sum(), k, n)) > 0.2)
+            got = _ratio_batch(probs[0], a, _stack(probs)[:, sel])
+            for row, i in enumerate(np.flatnonzero(sel)):
+                assert got[row].tobytes() == _ratio_batch(probs[i], a[row]).tobytes(), (n, i)
 
 
 class TestPolish:
@@ -709,6 +748,34 @@ class TestPolish:
                 assert got[b].tobytes() == np.array([a for a, _ in want]).tobytes()
                 assert evals[b] == sum(e for _, e in want)
                 assert best[b].tobytes() == _ratio_batch(prob, got[b]).tobytes()
+
+    @pytest.mark.parametrize("form", [GOP, GOP_SUP])
+    def test_polish_selects_what_can_rise(self, form):
+        """``_polish`` selects no problem in the spike range, nor one whose
+        pool ratios are all 0; a stack that mixes such problems with others
+        polishes the others as their own stack would."""
+        rng = np.random.default_rng(83)
+        cfg = FAST_CONFIG
+
+        def polish(probs):
+            weights = _stack(probs)
+            ratios = _ratio_batch(probs[0], _full_pool(probs, cfg), weights)
+            return _polish(probs[0], _dirichlet_rows(probs[0], weights, cfg), ratios, weights, cfg)
+
+        mk = lambda: Window(0, 2.0 ** rng.uniform(-3, 3, 4))
+        zero = Window(0, np.zeros(4))
+        for p, q, zero_u in [(0.5, 1.0, False), (2.0, 3.0, True)]:
+            probs = [RatioProblem(zero if zero_u else mk(), mk(), mk(), p, q, form)
+                     for _ in range(3)]
+            fin, a, best, evals = polish(probs)
+            assert fin.dtype == bool and fin.tolist() == [False] * 3
+            assert len(a) == len(best) == len(evals) == 0
+        live = RatioProblem(mk(), mk(), mk(), 2.0, 3.0, form)
+        dead = RatioProblem(zero, mk(), mk(), 2.0, 3.0, form)
+        fin, *mixed = polish([dead, live, dead])
+        assert fin.tolist() == [False, True, False]
+        for got, want in zip(mixed, polish([live])[1:]):
+            assert got.tobytes() == want.tobytes()
 
     def test_infinite_row_freezes(self):
         """A row whose ratio is infinite stops at once; the others go on."""

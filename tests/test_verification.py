@@ -283,7 +283,7 @@ def _antigop_above_discrete(res):
     return dataclasses.replace(res, continuous_lhs_pow=res.discrete_lhs_pow + 1)
 
 
-# (module, library call, change to its result) per suite.  The two oracle
+# (module, library call, change to its result) per suite.  The three oracle
 # suites check their whole ensemble through one list call, so their change
 # maps over the list.  Each change fails exactly one predicate of the suite's
 # check.  For bridge, linft,
@@ -296,8 +296,8 @@ REPLAY_FAULTS = {
     "partition": (blocks, "verify_partition_invariants", _failing_invariants),
     "linft": (
         oracle,
-        "brute_force_constant",
-        lambda r: dataclasses.replace(r, constant=r.constant / 2),
+        "brute_force_constants",
+        lambda rs: [dataclasses.replace(r, constant=r.constant / 2) for r in rs],
     ),
     "equivalence-ratio": (
         oracle,
@@ -336,3 +336,30 @@ def test_replay_reproduces_the_sweep_verdict(suite, monkeypatch):
         out = replay_instance(recorded)
         assert out["passed"] is False
         assert out["observed"] == recorded["observed"]
+
+
+@pytest.mark.parametrize("scale", [0.4, 2.5])
+def test_gop_spike_range_ratio_outside_its_bracket_fails(scale, monkeypatch):
+    """In regime III the oracle's gop constant is the spike maximum C, and
+    F lies in [C, 2^(1/q) C] (``_check_equivalence``).  A constant scaled
+    by 0.4 puts F/B above 2^(1/q) = 2, one scaled by 2.5 puts it below 1:
+    each gop instance fails, and so does its replay; antigop instances,
+    which have no such bracket, still pass."""
+    real = oracle.brute_force_constants
+    monkeypatch.setattr(
+        oracle,
+        "brute_force_constants",
+        lambda *a, **k: [dataclasses.replace(r, constant=r.constant * scale) for r in real(*a, **k)],
+    )
+    spec = SweepSpec(seed=4, suites=("equivalence-ratio",), ensemble=3,
+                     window_sizes=(3, 5), regimes=((1.0, 1.0), (0.5, 1.0)))
+    report = run_verification(spec)
+    failures = report["suites"]["equivalence-ratio"]["failures"]
+    assert len(failures) == 6 and report["passed"] is False
+    for entry in failures:
+        assert entry["form"] == "gop"
+        ratio = entry["observed"]["ratio"]
+        assert ratio > 2.0 if scale < 1 else ratio < 1.0
+        out = replay_instance(json.loads(json.dumps(entry)))
+        assert out["passed"] is False
+        assert out["observed"] == entry["observed"]
