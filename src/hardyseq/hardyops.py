@@ -178,26 +178,16 @@ class RatioProblem:
 _BLOCK_ENTRIES = 1 << 14
 
 
-def _sum_entries(
-    u: np.ndarray, a: np.ndarray, form: OperatorForm
-) -> tuple[np.ndarray, np.ndarray]:
-    """``x = u * inner(a)`` of a sum-inner form and its outer scan ``E``,
-    the iterated entries; both are contiguous.  The oracle's power loop
-    keeps both for the gradient of its next step."""
-    x = u * scan_sum(a, form.inner_dir == "right")
-    return x, scan_max(x, form.outer == "tail")
-
-
-def _iterated_entries(u: np.ndarray, a: np.ndarray, form: OperatorForm) -> np.ndarray:
-    """Entries of the iterated operator for a batch of candidates ``a``.
-
-    ``u`` has shape (N,), ``a`` shape (..., N); returns shape (..., N).
-    """
+def _entries(u: np.ndarray, a: np.ndarray, form: OperatorForm) -> tuple[np.ndarray, np.ndarray]:
+    """``x = u * inner(a)`` for a batch of candidates ``a`` (..., N), and
+    its outer scan ``E``, the iterated entries; both contiguous, shape
+    (..., N).  The oracle's power loop keeps both for the masses of its
+    next step."""
     right = form.inner_dir == "right"
     r = form.inner_exponent
     if form.inner_kind == "sum" or (form.inner_kind == "psum" and r == 1.0):
-        return _sum_entries(u, a, form)[1]
-    if form.inner_kind == "sup":
+        inner = scan_sum(a, right)
+    elif form.inner_kind == "sup":
         inner = scan_max(a, right)
     else:  # psum, entry = (sup u^r * sum a^r)^(1/r), computed on the rooted scale
         s = scan_sum(a**r, right)
@@ -205,7 +195,8 @@ def _iterated_entries(u: np.ndarray, a: np.ndarray, form: OperatorForm) -> np.nd
         # max; substituting that exact value avoids the pow round trip.
         counts = scan_sum((a > 0).astype(float), right)
         inner = np.where(counts <= 1.0, scan_max(a, right), s ** (1.0 / r))
-    return scan_max(u * inner, form.outer == "tail")
+    x = u * inner
+    return x, scan_max(x, form.outer == "tail")
 
 
 def _lhs_batch(w: np.ndarray, q: float, entries: np.ndarray, mul=ext_mul_array) -> np.ndarray:
@@ -273,7 +264,7 @@ def _ratio_batch(
     parts = []
     with np.errstate(over="ignore"):
         for block in blocks:
-            entries = _iterated_entries(u, block, problem.form)
+            entries = _entries(u, block, problem.form)[1]
             with np.errstate(invalid="ignore"):  # inf/inf, and 0 * inf in the sides
                 parts.append(_ratio_from_entries(problem, block, v, w, entries))
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
@@ -293,7 +284,7 @@ def apply_iterated(u: Window, a: Window, form: OperatorForm = GOP) -> Window:
     """
     common_window(u, a)
     with np.errstate(over="ignore"):  # an entry past the float range is inf
-        entries = _iterated_entries(u.as_array(), a.as_array(), form)
+        entries = _entries(u.as_array(), a.as_array(), form)[1]
     if not entries.max() < INF:  # also NaN, from u = 0 times an inf inner sum
         raise ValueError(
             "iterated entries overflow the float range, and a window holds only"
@@ -307,7 +298,7 @@ def lhs(problem: RatioProblem, a: Window) -> float:
     evaluated on a one-row batch as :func:`ratio` is."""
     common_window(problem.u, a)
     with np.errstate(over="ignore"):  # saturates to inf
-        entries = _iterated_entries(problem.u.as_array(), a.as_array()[None], problem.form)
+        entries = _entries(problem.u.as_array(), a.as_array()[None], problem.form)[1]
         return float(_lhs_batch(problem.w.as_array(), problem.q, entries)[0])
 
 

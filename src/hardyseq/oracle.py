@@ -8,113 +8,130 @@ constraint surface, and the polish of the best of them, unless a pool ratio
 is already infinite or every pool ratio is 0 (the constant is then exactly
 0).  The pool keeps that order, so the index of a candidate tells its
 family.  The best ratio found is always a certified lower bound on the true
-constant, and ``OracleResult.search`` says which search ran: ``"spike"``,
-``"power"`` or ``"ascent"``.
+constant, and ``OracleResult.search`` says which search ran: ``"spike"`` or
+``"power"``.
 
-For ``p <= min(1, q)`` (including ``q = inf``), and for the powered-sum
-forms also ``r >= p``, the maximum is attained at a spike.  Substitute
-``x = a^p``: the constraint set becomes the simplex ``sum x_m v_m = 1``,
-whose extreme points are single spikes, and the p-th power of the numerator
-becomes a weighted l^(q/p) norm (``q/p >= 1``; the sup for ``q = inf``) of
-nonnegative convex functions of ``x``.  Each is built from l^(1/p) norms
-(every sum of ``a`` is ``(sum x_k^(1/p))^p`` after the power, and
-``1/p >= 1``), suprema, and for the powered sum ``(sum x_k^(r/p))^(p/r)``,
-an l^(r/p) norm, which is convex only for ``r/p >= 1``.  A monotone norm of
-nonnegative convex functions is convex, so the ratio's p-th power is convex
-on the simplex and takes its maximum at a vertex; ``q >= 1`` is not needed.
-In that range :func:`brute_force_constant` evaluates the pool's ``n`` spike
-rows alone, with no Dirichlet rows and no polish, and returns their maximum,
-which is exact, certificate ``exact-spike``; everywhere else the full search
-runs and the result is ``heuristic``.  For a powered sum with ``r < p`` the
-spikes are beaten: the inner l^(r/p) quasi-norm favours spread-out
-candidates.
+Every inner aggregation has an exponent ``r``: 1 for a sum, ``r`` for the
+powered sum ``(sum a_k^r)^(1/r)``, and inf for a sup, its limit.  For
+``p <= min(r, q)`` (including ``q = inf``) the maximum is attained at a
+spike.  Substitute ``x = a^p``: the constraint set becomes the simplex
+``sum x_m v_m = 1``, whose extreme points are single spikes, and the p-th
+power of the numerator becomes a weighted l^(q/p) norm (``q/p >= 1``; the
+sup for ``q = inf``) of nonnegative convex functions of ``x``: after the
+power a sup is ``max_k x_k``, linear in each ``x_k``, and a powered sum is
+``(sum x_k^(r/p))^(p/r)``, an l^(r/p) norm, convex for ``r/p >= 1``; only
+a sum (``r = 1``) needs ``p <= 1``.  A monotone norm of nonnegative convex
+functions is convex, so the ratio's p-th power is convex on the simplex and
+takes its maximum at a vertex; ``q >= 1`` is not needed.  In that range
+:func:`brute_force_constant` evaluates the pool's ``n`` spike rows alone,
+with no Dirichlet rows and no polish, and returns their maximum, which is
+exact, certificate ``exact-spike``; everywhere else the full search runs and
+the result is ``heuristic``.  For ``p > r`` the inner l^(r/p) quasi-norm
+favours spread-out candidates, as the outer one does for ``q < p``.
 
-Outside the spike range the polish is one of two searches.  For finite
-``q`` and the four sum-inner forms (gop, antigop, dual-gop, dual-antigop),
-which leave the spike range only with ``p > 1`` or ``q < p <= 1``, it is a
-power iteration.  With ``g = grad(lhs^q)`` a step is
+Outside the spike range the polish is a power iteration.  A step is
 ``a <- a^alpha (g/v)^beta``, rescaled by its row maximum, so ``a_k = 0``
-where ``g_k = 0``:
+where ``g_k = 0``.  Each ``n`` puts a mass on ``i*(n)``, the record of the
+outer scan where ``E_n`` is attained, and ``g`` is the suffix sum of the
+masses for an inner-left form, their prefix sum for inner-right; a sup's
+masses go to ``k*(i*(n))`` instead, ``k*(i)`` the record of the inner scan
+where ``i``'s inner maximum is attained, and are ``g``:
 
-================  =================  ============
-range             ``alpha``          ``beta``
-================  =================  ============
-``p > 1``         0                  ``1/(p-1)``
-``q < p <= 1``    ``(1-q)/(p-q)``    ``1/(p-q)``
-================  =================  ============
+===========  ============  =============  =========  ==========================
+inner        range         alpha          beta       mass on i*(n)
+===========  ============  =============  =========  ==========================
+sum, psum    p > r         0              1/(p-r)    q w_n E_n^(q-r) u_i*^r
+sum, psum    q < p <= r    (r-q)/(p-q)    1/(p-q)    q w_n E_n^(q-r) u_i*^r
+sup          q < p         0              1/(p-q)    q w_n u_i*^q
+q = inf      p > r         0              1/(p-r)    u_i*^r at argmax w_n E_n
+===========  ============  =============  =========  ==========================
 
-For ``p > 1`` this is Boyd's power method for l^p -> l^q norms (D. W.
-Boyd, Linear Algebra Appl. 9, 1974), the stationarity condition of
-``lhs/rhs``.  For ``q < p <= 1`` it is a minorize-maximize (MM) step (D. R.
-Hunter and K. Lange, "A tutorial on MM algorithms", Am. Stat. 58, 2004).
-Put ``x = a^p v``, on the simplex ``sum x = 1``, and hold the record map
-``i*`` of the outer scan (below) fixed, so that ``lhs^q`` is
-``sum_n w_n (u_i*(n) S_n)^q`` with ``S_n`` the inner sum that ``i*(n)``
-takes.  Write ``S_n(a') = S_n sum_k theta_nk (x'_k/x_k)^(1/p)`` with
-``theta_nk = a_k / S_n`` over the terms of ``S_n``.  Jensen for the convex
-``t^(1/p)`` and then for the concave ``t^(q/p)`` gives
-``S_n(a')^q >= S_n^q sum_k theta_nk (x'_k/x_k)^(q/p)``, and summing over
-``n``, ``lhs(a')^q >= sum_k c_k (x'_k/x_k)^(q/p)`` with ``c_k = a_k g_k / q``
-and ``sum_k c_k = lhs(a)^q``.  Equality holds at ``a' = a``, and the step
-in the table is the exact maximizer of this bound on the simplex.  The true
-``lhs`` is a maximum over record maps, so it is at least the bound, and the
-ratio never falls, even when the records change.  ``v_k = 0`` with
-``g_k > 0`` never reaches the polish, since its spike already makes the
-pool ratio infinite.
+(At ``q = inf`` only the first ``n`` maximizing ``w_n E_n`` has a mass.)
+The reasons, row by row:
 
-``g`` takes two scans: with ``E`` the iterated entries, ``i*(n)`` is the
-first record position of the outer scan at or after ``n`` (head outer: the
-last one at or before ``n``, both from one
-``minimum``/``maximum.accumulate`` over record indices); ``i*(n)`` gets the
-mass ``q w_n E_n^(q-1) u_i*(n)``, and ``g`` is the suffix sum of the masses
-for an inner-left form, their prefix sum for inner-right.  A step costs one
-such pass and one ratio evaluation per row, where a coordinate-ascent step
-costs ``2n``.  It runs from the ``4 * restarts`` best pool candidates,
-and each row stops at its first step that does not raise its ratio.  For
-``q < p <= 1`` the MM step can converge slowly, so each plain step also
-evaluates the extrapolations ``a (a'/a)^omega`` of the step ``a'`` along
-``_POWER_REACH``, stretched per row while the farthest of them wins.  That
-step also keeps a zero entry at zero and brings an entry close to zero only
-slowly, so it stays on the face of the simplex it starts on, and can stop
-where reviving a zero entry would raise the ratio.  So the plain iteration
-runs once more from the ``n`` toggles of the best row, each of which sets
-one positive entry to zero or one zero entry to the row's least positive
-entry, and so starts on a neighbouring face.  The plain iteration stops at
-a fixed point of its record set, which can lie just off a kink of the ratio
-where a position is about to become (or stop being) a record; the ascent
-reaches such kinks.  So the best row of each problem then takes flip steps:
+- **sum, p > 1.**  Boyd's power method for l^p -> l^q norms (D. W. Boyd,
+  Linear Algebra Appl. 9, 1974): ``g = grad(lhs^q)``, and the step is the
+  stationarity condition of ``lhs/rhs``.
+- **sum, q < p <= 1.**  A minorize-maximize (MM) step (D. R. Hunter and K.
+  Lange, "A tutorial on MM algorithms", Am. Stat. 58, 2004).  Put ``x =
+  a^p v``, on the simplex ``sum x = 1``, and hold the record map ``i*``
+  fixed, so that ``lhs^q`` is ``sum_n w_n (u_i*(n) S_n)^q`` with ``S_n``
+  the inner sum that ``i*(n)`` takes.  Write ``S_n(a') = S_n sum_k
+  theta_nk (x'_k/x_k)^(1/p)`` with ``theta_nk = a_k / S_n`` over the terms
+  of ``S_n``.  Jensen for the convex ``t^(1/p)`` and then for the concave
+  ``t^(q/p)`` gives ``S_n(a')^q >= S_n^q sum_k theta_nk
+  (x'_k/x_k)^(q/p)``, and summing over ``n``, ``lhs(a')^q >= sum_k c_k
+  (x'_k/x_k)^(q/p)`` with ``c_k = a_k g_k / q`` and ``sum_k c_k =
+  lhs(a)^q``.  Equality holds at ``a' = a``, and the step is the exact
+  maximizer of this bound on the simplex.
+- **psum.**  The step is the sum-form step of the image ``a'' = a^r``,
+  written back in ``a``: ``C(psum r; p, q; u) = C(sum; p/r, q/r;
+  u^r)^(1/r)``, the image's mass ``(q/r) w_n E''_n^(q/r-1) u_i*^r`` is the
+  one above over ``r``, its ranges ``p/r > 1`` and ``q/r < p/r <= 1`` are
+  the two rows, and ``a = a''^(1/r)`` divides its ``beta`` by ``r``.
+- **sup.**  Fix both maps.  Then ``lhs^q = sum_k c_k a_k^q`` with ``c_k =
+  sum w_n u_i*(n)^q`` over the ``n`` with ``k*(i*(n)) = k``, whose exact
+  maximizer on ``sum a^p v = 1`` is ``a_k ~ (c_k/v_k)^(1/(p-q))``.  (As
+  ``grad(lhs^q)``, with masses ``q w_n E_n^(q-1) u_i*``, the same step
+  needs ``alpha = (1-q)/(p-q) < 0`` for ``q > 1``, and ``alpha log 0`` is
+  NaN at a zero entry.)
+- **q = inf.**  ``lhs >= w_n* u_i* inner_i*(a)`` at the ``n*`` maximizing
+  ``w_n E_n`` and ``i* = i*(n*)``, with equality at ``a``, and the step is
+  the Hoelder extremal of that functional on ``sum a^p v = 1``.
+
+In each case the true ``lhs`` is a maximum over the maps, so it is at least
+the fixed-map value: the MM, sup and ``q = inf`` steps never lower the
+ratio, even when the records change.  ``v_k = 0`` with ``g_k > 0`` never
+reaches the polish, since its spike already makes the pool ratio infinite.
+
+``i*(n)`` is the first record position of the outer scan at or after ``n``
+(head outer: the last one at or before ``n``), and ``k*`` likewise for the
+inner scan, each from one ``minimum``/``maximum.accumulate`` over record
+indices.  A step costs one ``bincount`` of the masses, one scan and one
+ratio evaluation per row.  It runs from the ``4 * restarts`` best pool
+candidates, and each row stops at its first step that does not raise its
+ratio.  For ``p <= r`` (a sum with ``p <= 1``, and every sup) the step can
+converge slowly, so each plain step also evaluates the extrapolations ``a
+(a'/a)^omega`` of the step ``a'`` along ``_POWER_REACH`` (0 where ``a`` or
+``a'`` is), stretched per row while the farthest of them wins.  The MM step
+also keeps a zero entry at zero and brings an entry close to zero only
+slowly, so it stays on the face of the simplex it starts on.  So for
+``p <= r`` the plain iteration runs once more from the ``n`` toggles of the
+best row, each of which sets one positive entry to zero or one zero entry
+to the row's least positive entry, and so starts on a neighbouring face.
+The plain iteration stops at a fixed point of its record set, which can lie
+just off a kink of the ratio where a position is about to become (or stop
+being) a record.  So the best row of each problem then takes flip steps:
 each evaluates the ``n`` candidates that flip one position's record status,
 one of them the plain step, and moves to the best while that raises its
-ratio.  On the power path ``evaluations`` counts one per ratio evaluation
-of a live row: one per plain step (three for ``q < p <= 1``, and ``n`` for
-the toggles), ``n`` per flip step.  Everywhere else, that is powered sums
-with ``r < p``, the sup and powered-sum forms with ``p > 1`` or ``q < p``,
-and ``q = inf``, the polish is the multiplicative coordinate ascent of
-:func:`_polish_top`, ``2n`` evaluations per live row and iteration.
+ratio.  At ``q = inf`` they try every ``i*`` for ``n*``, and so reach the
+closed form ``max_i W_i u_i D_i`` of the swapped suprema.  ``evaluations``
+counts one per ratio evaluation of a live row: one per plain step (three
+for ``p <= r``, and ``n`` for the toggles), ``n`` per flip step.
 
-Both searches run every restart in lock-step, with one batched ratio
-evaluation per iteration for all of them.  The evaluation is row-independent
+The iteration runs every restart in lock-step, with one batched ratio
+evaluation per step for all of them.  The evaluation is row-independent
 (a row's ratio does not depend on the other rows of its batch), and so is a
 power step: it takes every power, log and exp on a contiguous array and
 every sum as a row reduction or a per-row ``bincount``.  So each restart
 ends exactly where a polish of that restart alone would.  The power loop
-evaluates its candidates through ``hardyops._sum_entries``, which returns
+evaluates its candidates through ``hardyops._entries``, which returns
 ``x = u * inner(a)`` with its outer scan ``E``, and keeps both for every
-live row: they are exactly what the gradient of the row's next step reads,
+live row: they are exactly what the masses of the row's next step read,
 so that step does not compute them again.
 
 A step on small windows costs NumPy calls, not arithmetic, so the loop
-(:func:`_power_steps`) makes few.  Per call it extends the stack of ``u``,
-``v`` and ``w`` by ``q * w`` once, with the row offsets of the gradient; per
-live set (the rows not yet stopped) it keeps each row's ``a``, ratio,
-stretch, ``x`` and ``E``, and takes its weights in one gather.  A step
-allocates the gradient and its temporaries, one candidate buffer, into which
-the ``q < p <= 1`` step and its extrapolations are written in place before
-one ``exp``, and the evaluation's ``x``, ``E`` and sides; ``a`` and the
-ratios are written back only when a row stops.  Rows run in chunks of at
-most ``_STEP_ENTRIES`` entries per step (at least one row), so a step of the
-``n`` toggles of a ``q < p <= 1`` search, ``3 n^2`` entries, is taken a
-chunk at a time.
+(:func:`_power_steps`) makes few.  Per call it chooses the inner kind's
+masses and extends the stack of ``u``, ``v`` and ``w`` by ``q * w`` and
+``u^r`` once, with the row offsets of the masses; per live set (the rows
+not yet stopped) it keeps each row's ``a``, ratio, stretch, ``x`` and
+``E``, and takes its weights in one gather.  A step allocates the direction
+and its temporaries, one candidate buffer, into which the ``p <= r`` step
+and its extrapolations are written in place before one ``exp``, and the
+evaluation's ``x``, ``E`` and sides; ``a`` and the ratios are written back
+only when a row stops.  Rows run in chunks of at most ``_STEP_ENTRIES``
+entries per step (at least one row), so a step of the ``n`` toggles of a
+``p <= r`` search, ``3 n^2`` entries, is taken a chunk at a time.
 
 No pool is held in memory.  :func:`_pool_rows` builds any pool row, a fresh
 float array, from its index: a spike or a block is the indicator of its
@@ -185,8 +202,8 @@ from .hardyops import (
     OperatorForm,
     RatioProblem,
     _ratio_batch,
+    _entries,
     _ratio_from_entries,
-    _sum_entries,
     antigop_psum,
     gop_psum,
 )
@@ -206,13 +223,9 @@ __all__ = [
     "chain_equivalence_sweeps",
 ]
 
-#: Coordinate-ascent step: initial multiplicative step, and its decay on a
-#: step that finds no better probe.
-_STEP_INIT = 0.5
-_STEP_DECAY = 0.9
 #: The power iteration starts from this many pool rows per restart.
 _POWER_STARTS = 4
-#: Extrapolations ``a (a'/a)^omega`` that each plain step for ``q < p <= 1``
+#: Extrapolations ``a (a'/a)^omega`` that each plain step for ``p <= r``
 #: evaluates with the step ``a'`` itself, ``omega`` times the row's stretch.
 _POWER_REACH = (2.0, 4.0)
 #: Window sizes whose block ends, and ``(n, cfg)`` pairs whose Dirichlet
@@ -259,7 +272,7 @@ class OracleResult:
     argmax: Window
     certificate: str  # "exact-spike" or "heuristic"
     evaluations: int
-    search: str = "ascent"  # "spike", "power" or "ascent"
+    search: str = "power"  # "spike" or "power"
 
     def to_json(self) -> dict:
         return {
@@ -271,20 +284,18 @@ class OracleResult:
         }
 
 
+def _inner_exponent(form: OperatorForm) -> float:
+    """The exponent ``r`` of the inner aggregation: 1 for a sum, ``r`` for
+    a powered sum, inf for a sup (module docstring)."""
+    if form.inner_kind == "psum":
+        return form.inner_exponent
+    return 1.0 if form.inner_kind == "sum" else math.inf
+
+
 def _spike_exact(problem: RatioProblem) -> bool:
     """Whether the least constant is the spike maximum (module docstring):
-    ``p <= min(1, q)``, and ``r >= p`` for the powered-sum forms."""
-    form = problem.form
-    return problem.p <= min(1.0, problem.q) and (
-        form.inner_kind != "psum" or form.inner_exponent >= problem.p
-    )
-
-
-def _power_search(problem: RatioProblem) -> bool:
-    """Whether the polish is the power iteration (module docstring): finite
-    ``q`` and a sum-inner form.  Only read outside the spike range, so the
-    sum forms reach it with ``p > 1`` or ``q < p <= 1``."""
-    return math.isfinite(problem.q) and problem.form.inner_kind == "sum"
+    ``p <= min(r, q)``."""
+    return problem.p <= min(_inner_exponent(problem.form), problem.q)
 
 
 def _result(
@@ -297,7 +308,7 @@ def _result(
         argmax=Window(problem.u.start, row),
         certificate="exact-spike" if exact else "heuristic",
         evaluations=int(evaluations),
-        search="spike" if exact else "power" if _power_search(problem) else "ascent",
+        search="spike" if exact else "power",
     )
 
 
@@ -385,12 +396,10 @@ def _pool_rows(drawn: np.ndarray, at: np.ndarray) -> np.ndarray:
     return out
 
 
-def _starts(problem: RatioProblem, cfg: OracleConfig, size: int) -> int:
+def _starts(cfg: OracleConfig, size: int) -> int:
     """How many of the best pool rows the polish starts from: ``4 *
-    restarts`` for the power iteration, ``restarts`` for the ascent, at most
-    the pool size ``size``."""
-    per = _POWER_STARTS if _power_search(problem) else 1
-    return min(per * cfg.restarts, size)
+    restarts``, at most the pool size ``size``."""
+    return min(_POWER_STARTS * cfg.restarts, size)
 
 
 def _blocks_in_range(problem: RatioProblem, uvw: np.ndarray, cmax: float) -> np.ndarray:
@@ -557,64 +566,6 @@ def _evaluate_rows(
         out[:, at] = _ratio_batch(problem, a, weights)
 
 
-def _polish_top(
-    problem: RatioProblem,
-    a: np.ndarray,
-    best: np.ndarray,
-    weights: np.ndarray,
-    cfg: OracleConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The coordinate ascent: multiplicative one-coordinate moves from the
-    start rows of each stacked problem, all rows in lock-step.
-
-    ``a`` (B, R, n) holds the start rows of B problems that share
-    ``problem``'s ``p``, ``q`` and form, ``best`` (B, R) their ratios, and
-    ``weights`` the problems' stack (:func:`_stack`); ``a`` and ``best``
-    are updated in place.  Returns ``(polished, best, evals)`` of shapes
-    (B, R, n), (B, R) and (B,).
-
-    The rows start from their pool ratios, which ``_ratio_batch`` gives
-    bit for bit as it would give them alone.  Each iteration evaluates the
-    ``2n`` one-coordinate probes of every active row in one batch.  A row
-    moves to its best probe if that beats its best ratio, and otherwise
-    shrinks its own step; it freezes once its step falls below 1e-12 or its
-    best ratio is infinite.  Rows are independent
-    under :func:`_ratio_batch`, so each ends where a polish of that row alone
-    would, and a problem's ``evals`` counts only the probes of its rows while
-    they were active.
-    """
-    b, rows_per, n = a.shape
-    a, best = a.reshape(-1, n), best.reshape(-1)
-    step = np.full(len(a), _STEP_INIT)
-    moves = np.zeros(len(a), dtype=int)  # active iterations per row
-    idx = np.arange(n)
-    rows, ran = np.arange(len(a)), 0
-    live_uvw = weights[:, rows // rows_per]  # each row's problem
-    for _ in range(cfg.iterations):
-        live = np.flatnonzero((step >= 1e-12) & ~np.isinf(best))
-        if len(live) < len(rows):  # the active set only shrinks
-            moves[rows] += ran
-            rows, ran = live, 0
-            live_uvw = weights[:, rows // rows_per]
-        if not len(rows):
-            break
-        ran += 1
-        base, grow = a[rows], 1.0 + step[rows, None]
-        probes = np.repeat(base[:, None, :], 2 * n, axis=1)
-        probes[:, idx, idx] = base * grow
-        probes[:, n + idx, idx] = base / grow
-        r = _ratio_batch(problem, probes, live_uvw)
-        k = np.argmax(r, axis=1)
-        top = r[np.arange(len(rows)), k]
-        up = top > best[rows]
-        best[rows[up]] = top[up]
-        a[rows[up]] = probes[up, k[up]]
-        step[rows[~up]] *= _STEP_DECAY
-    moves[rows] += ran
-    evals = 2 * n * moves.reshape(b, rows_per).sum(axis=1)
-    return a.reshape(b, rows_per, n), best.reshape(b, rows_per), evals
-
-
 def _offsets(rows: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The flat offsets of ``rows`` rows of shape (1, n), as ``x`` and ``E``
     are held, and of their gradients, ``k`` each; shapes (rows, 1, 1) and
@@ -623,62 +574,81 @@ def _offsets(rows: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return n * np.arange(rows)[:, None, None], n * np.arange(rows * k).reshape(rows, k, 1)
 
 
+def _record_index(rec: np.ndarray, after: bool) -> np.ndarray:
+    """For each position, the first position at or after it where ``rec``
+    holds (``after``), else the last one at or before it: one
+    ``minimum``/``maximum.accumulate`` over record indices."""
+    n = rec.shape[-1]
+    idx = np.arange(n)
+    if after:
+        return scan_min(np.where(rec, idx, n), right=True)
+    return scan_max(np.where(rec, idx, -1))
+
+
 def _power_gradient(
-    form: OperatorForm,
-    q: float,
-    u: np.ndarray,
-    qw: np.ndarray,
+    problem: RatioProblem,
+    r: float,
+    ur: np.ndarray,
+    wq: np.ndarray,
+    a: np.ndarray,
     x: np.ndarray,
     e: np.ndarray,
     flip: np.ndarray | None,
     offsets: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """``g = grad(lhs^q)`` of a sum-inner form at L candidates, K rows for
-    each; shape (L, K, n).
+    """The direction ``g`` of a power step at L candidates ``a`` (L, n), K
+    rows for each; shape (L, K, n).
 
-    ``x = u * inner(a)`` and ``E``, its outer scan (the entries of
-    :func:`_iterated_entries`), come from :func:`_sum_entries`; they and
-    ``u`` have shape (L, 1, n) and are contiguous, and ``qw``, which is
-    ``q * w``, broadcasts against them.  The records are the positions
-    where ``x = E``.  ``i*(n)`` is the first record at or after ``n`` (head
-    outer: the last one at or before ``n``), where ``E_n`` is attained.
-    Each ``n`` puts the mass ``q w_n E_n^(q-1) u_i*(n)`` (0 where ``E_n =
-    0``; multiplied in that order) on ``i*(n)``; one ``bincount`` sums the
-    masses per row, and ``g`` is their suffix sum for an inner-left form,
-    their prefix sum for inner-right.  ``offsets`` are :func:`_offsets`
+    ``x = u * inner(a)`` and ``E``, its outer scan, come from
+    :func:`_entries`, shape (L, 1, n) and contiguous; ``ur`` is ``u^r``
+    with ``r`` the step's exponent (1 for a sum, ``q`` for a sup), and
+    ``wq`` is ``q * w`` (``w`` at ``q = inf``).  The records are the
+    positions where ``x = E``.  The masses on ``i*(n)`` and ``g`` are those
+    of the module docstring's table (multiplied in that order, and 0 where
+    ``E_n = 0``); for a sum or a powered sum ``g`` is the gradient of
+    ``lhs^q`` in ``a^r``, times ``r``.  ``offsets`` are :func:`_offsets`
     ``(L, K, n)``.
 
     ``flip`` is None for the plain step (K = 1), or a bool mask (K, n)
     whose row k flips the record status of the positions it marks; ``E_n``
-    is then read as ``x_i*(n)``, so ``g`` is the gradient of a lower bound
-    on ``lhs^q`` that takes the flipped record set.  The end of the outer
+    is then read as ``x_i*(n)``, so ``g`` belongs to a lower bound on
+    ``lhs^q`` that takes the flipped record set.  The end of the outer
     scan (the last position for a tail outer, the first for a head outer)
     stays a record, so flipping it flips nothing: that row is the plain
-    step's gradient.
+    step's direction.
     """
+    form, q = problem.form, problem.q
     tail = form.outer == "tail"
     n = x.shape[-1]
-    idx = np.arange(n)
     rec = x == e
     if flip is not None:
         rec = rec ^ flip
     rec[..., n - 1 if tail else 0] = True
-    if tail:
-        star = scan_min(np.where(rec, idx, n), right=True)
-    else:
-        star = scan_max(np.where(rec, idx, -1))
+    star = _record_index(rec, tail)
     at = star + offsets[0]  # into the rows of x
-    ustar = u.take(at)
-    # Without a flip x_i*(n) is E_n, bit for bit (E_n is first attained
-    # there), unless x holds a NaN; that makes a NaN of E, which fails the
-    # test below and takes the gather.
-    estar = e if flip is None else x.take(at)
-    if np.minimum.reduce(estar, axis=None) > 0:
-        mass = qw * estar ** (q - 1.0) * ustar
+    ustar = ur.take(at)
+    if math.isinf(q):  # one mass per row, from the first n maximizing w_n E_n
+        top = _ext_mul(wq, e).argmax(axis=-1)[..., None]
+        mass = np.where(np.arange(n) == top, ustar, 0.0)
+    elif form.inner_kind == "sup":
+        mass = wq * ustar
     else:
-        estar = x.take(at) if flip is None else estar
-        pos = estar > 0
-        mass = np.where(pos, qw * np.where(pos, estar, 1.0) ** (q - 1.0) * ustar, 0.0)
+        # Without a flip x_i*(n) is E_n, bit for bit (E_n is first attained
+        # there), unless x holds a NaN; that makes a NaN of E, which fails
+        # the test below and takes the gather.
+        estar = e if flip is None else x.take(at)
+        if np.minimum.reduce(estar, axis=None) > 0:
+            mass = wq * estar ** (q - r) * ustar
+        else:
+            estar = x.take(at) if flip is None else estar
+            pos = estar > 0
+            mass = np.where(pos, wq * np.where(pos, estar, 1.0) ** (q - r) * ustar, 0.0)
+    if form.inner_kind == "sup":
+        right = form.inner_dir == "right"
+        a = a[:, None]
+        bins = _record_index(a == scan_max(a, right), right).take(at) + offsets[1]
+        return np.bincount(bins.ravel(), weights=mass.ravel(),
+                           minlength=mass.size).reshape(mass.shape)
     m = np.bincount((at if flip is None else star + offsets[1]).ravel(),  # K = 1: at
                     weights=mass.ravel(), minlength=mass.size)
     return scan_sum(m.reshape(mass.shape), form.inner_dir != "right")
@@ -700,49 +670,41 @@ def _power_steps(
     ``weights`` is the stack (:func:`_stack`) of B problems; problem ``i``
     owns the ``i``-th run of L/B consecutive rows of ``a``.  A plain step
     evaluates one candidate, a flip step (``flip``) the ``n`` candidates
-    that flip one record position each:
-    ``a <- a^alpha (g/v)^beta``, rescaled by its row maximum, with ``g``
-    from :func:`_power_gradient` (so ``a_k = 0`` where ``g_k = 0``) and
-
-    ================  =================  ============
-    range             ``alpha``          ``beta``
-    ================  =================  ============
-    ``p > 1``         0                  ``1/(p-1)``
-    ``q < p <= 1``    ``(1-q)/(p-q)``    ``1/(p-q)``
-    ================  =================  ============
-
-    The first is Boyd's step.  The second maximizes the minorizer of
-    ``lhs^q`` set out in the module docstring, so it never lowers the
-    ratio.  It is taken in log space, where each ``omega`` in ``reach``
-    adds the extrapolated candidate ``a (a'/a)^(omega s)`` of the step
-    ``a'``.  ``s`` is the row's stretch, 1 at the start, doubled when the
-    farthest candidate wins and halved, down to 1, when the step itself
-    wins.  A candidate that leaves the float range is set to zero,
-    whose ratio 0 never wins.  A row moves to its best candidate if that
-    raises its best ratio, and otherwise stops; it also stops once its
-    ratio is infinite.
+    that flip one record position each: ``a <- a^alpha (g/v)^beta``,
+    rescaled by its row maximum, with ``g`` from :func:`_power_gradient`
+    and ``alpha``, ``beta`` from the module docstring's table (a sup's rows
+    are a powered sum's with ``r = q``).  Where ``alpha`` is not 0, or
+    ``reach`` is given, the step is taken in log space, and each ``omega``
+    in ``reach`` adds the extrapolated candidate ``a (a'/a)^(omega s)`` of
+    the step ``a'``, 0 where ``a`` or ``a'`` is 0.  ``s`` is the row's
+    stretch, 1 at the start, doubled when the farthest candidate wins and
+    halved, down to 1, when the step itself wins.  A candidate that leaves
+    the float range is set to zero, whose ratio 0 never wins.  A row moves
+    to its best candidate if that raises its best ratio, and otherwise
+    stops; it also stops once its ratio is infinite.
 
     The rows run in chunks of at most ``_STEP_ENTRIES`` entries per step
     (rows times candidates times ``n``; at least one row), one after the other;
     rows are independent, so a chunk ends where its rows alone would.
-    ``u``, ``v``, ``w`` and ``q * w`` are stacked once per call, and a live
-    set takes its rows of them in one gather by problem index.  A live set
-    keeps its rows' ``a``, ratio and stretch, and the ``x`` and ``E`` of
-    :func:`_sum_entries` that the evaluation of their last winning candidate
-    computed, so its next gradient starts from them; ``a`` and ``best`` are
-    written, and evaluations counted, only when a row stops and at the end.
-    The row offsets are sliced from one set per call.  A step allocates the
-    gradient and its temporaries, one (L, K, n) candidate buffer (the
-    ``q < p <= 1`` step and its extrapolations are written into it in place
-    and end in ``exp``), and the evaluation's ``x``, ``E`` and sides.
+    ``u``, ``v``, ``w``, ``q * w`` (``w`` at ``q = inf``) and ``u^r`` are
+    stacked once per call, and a live set takes its rows of them in one
+    gather by problem index.  A live set keeps its rows' ``a``, ratio and
+    stretch, and the ``x`` and ``E`` of :func:`_entries` that the
+    evaluation of their last winning candidate computed, so its next step
+    starts from them; ``a`` and ``best`` are written, and evaluations
+    counted, only when a row stops and at the end.  The row offsets are
+    sliced from one set per call.  A step allocates the direction and its
+    temporaries, one (L, K, n) candidate buffer (the log-space step and its
+    extrapolations are written into it in place and end in ``exp``), and the
+    evaluation's ``x``, ``E`` and sides.
     """
     p, q, form = problem.p, problem.q, problem.form
-    alpha, beta = (0.0, 1.0 / (p - 1.0)) if p > 1 else ((1.0 - q) / (p - q), 1.0 / (p - q))
+    rs = q if form.inner_kind == "sup" else _inner_exponent(form)  # the step's exponent
+    alpha, beta = (0.0, 1.0 / (p - rs)) if p > rs else ((rs - q) / (p - q), 1.0 / (p - q))
     n = a.shape[-1]
     mask, grads = (np.eye(n, dtype=bool), n) if flip else (None, 1)  # gradients per row
     width = grads + len(reach)  # candidates per row and step
     per = len(a) // max(weights.shape[1], 1)  # rows per problem
-    state = np.concatenate([weights, q * weights[2:]])  # u, v, w, q * w
     omega = np.array(reach)
     factor = np.array([0.5, *[1.0] * (len(reach) - 1), 2.0])  # the stretch's, by winner
     todo = (~np.isinf(best)).nonzero()[0]
@@ -752,38 +714,44 @@ def _power_steps(
     rowmax = functools.partial(np.maximum.reduce, axis=-1, keepdims=True)
     evals = np.zeros(len(a), dtype=int)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        wq = weights[2:] if math.isinf(q) else q * weights[2:]
+        ur = weights[:1]
+        if rs != 1.0:  # u^r over a per-problem constant, so it stays in the float range
+            ur = (ur / np.maximum.reduce(ur, axis=-1, keepdims=True)) ** rs
+        state = np.concatenate([weights, wq, ur])
         for lo in range(0, len(todo), chunk):
             rows = todo[lo : lo + chunk]
             al, bl, sl = a[rows], best[rows], np.ones(len(rows))  # a, ratio, stretch
-            u, v, w, qw = state[:, rows // per]
-            x, e = _sum_entries(u, al[:, None], form)
+            u, v, w, wq, urs = state[:, rows // per]
+            x, e = _entries(u, al[:, None], form)
             m, ran = len(rows), 0  # live rows, and their steps
             off, at = (offsets[0][:m], offsets[1][:m]), base[:m]
             for _ in range(iterations):
                 if not m:
                     break
-                g = _power_gradient(form, q, u, qw, x, e, mask, off)
+                g = _power_gradient(problem, rs, urs, wq, al, x, e, mask, off)
                 g /= rowmax(g)
                 t = np.divide(g, v, out=np.zeros(g.shape), where=g > 0)
                 t /= rowmax(t)
-                if alpha:
+                if alpha or reach:
                     cand = np.empty((m, width, n))
                     la, step = np.log(al)[:, None], cand[:, :grads]
                     np.log(t, out=step)
                     step *= beta
-                    step += alpha * la
-                    if reach:  # a (a'/a)^(omega s), -inf where a' = 0
+                    if alpha:
+                        step += alpha * la
+                    if reach:  # a (a'/a)^(omega s), -inf where a' = 0 or a = 0
                         ext = cand[:, grads:]
                         np.multiply((sl[:, None] * omega)[:, :, None], step - la, out=ext)
                         ext += la
-                        np.copyto(ext, -np.inf, where=~(step > -np.inf))
+                        np.copyto(ext, -np.inf, where=np.isnan(ext))
                     cand -= rowmax(cand)
                     np.exp(cand, out=cand)
                 else:
                     cand = t**beta
                 if not math.isfinite(np.add.reduce(cand, axis=None)):  # in [0, 1] or NaN
                     cand[~np.isfinite(cand.sum(axis=-1))] = 0.0
-                cx, ce = _sum_entries(u, cand, form)
+                cx, ce = _entries(u, cand, form)
                 r = _ratio_from_entries(problem, cand, v, w, ce, mul=_ext_mul)
                 ran += 1
                 if width == 1:
@@ -808,7 +776,7 @@ def _power_steps(
                 kept = keep.nonzero()[0]
                 m, ran, rows = len(kept), 0, rows[kept]
                 al, bl, sl, x, e = won[kept], top[kept], sl[kept], cx[kept], ce[kept]
-                u, v, w, qw = state[:, rows // per]
+                u, v, w, wq, urs = state[:, rows // per]
                 off, at = (off[0][:m], off[1][:m]), at[:m]
             a[rows], best[rows] = al, bl
             evals[rows] += ran * width
@@ -824,16 +792,19 @@ def _power_top(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The power iteration for the stacked problems, in two or three phases.
 
-    Arguments and contract as in :func:`_polish_top`, from S start rows per
-    problem, and the result has R = S + 1 rows per problem for ``p > 1``
-    and R = S + n + 1 for ``q < p <= 1``.  First the plain iteration (no
-    flip) runs from the start rows; for ``q < p <= 1`` each of
-    its steps also evaluates the extrapolations of ``_POWER_REACH``.  For
-    ``q < p <= 1`` the plain iteration then runs again from the ``n``
-    toggles of the best row: each sets one positive entry to zero, or one
-    zero entry to the row's least positive entry, and is rescaled by its
-    row maximum.  The step keeps a zero
-    entry at zero and takes many steps to bring one close to it, so it
+    ``a`` (B, S, n) holds the start rows of B problems that share
+    ``problem``'s ``p``, ``q`` and form, ``best`` (B, S) their ratios, and
+    ``weights`` the problems' stack (:func:`_stack`); ``a`` and ``best``
+    are updated in place.  Returns ``(polished, best, evals)`` of shapes
+    (B, R, n), (B, R) and (B,), with R = S + 1 rows per problem for
+    ``p > r`` and R = S + n + 1 for ``p <= r`` (``r`` of the inner
+    aggregation: 1 for a sum, inf for a sup).  First the plain iteration (no
+    flip) runs from the start rows; for ``p <= r`` each of its steps also
+    evaluates the extrapolations of ``_POWER_REACH``, and the plain
+    iteration then runs again from the ``n`` toggles of the best row: each
+    sets one positive entry to zero, or one zero entry to the row's least
+    positive entry, and is rescaled by its row maximum.  The MM step keeps a
+    zero entry at zero and takes many steps to bring one close to it, so it
     cannot leave the face of the simplex it started on.  Then the best
     row of each problem takes flip steps: each evaluates the ``n``
     candidates that flip one record position, one of them the plain step,
@@ -843,7 +814,8 @@ def _power_top(
     were live, and the ``n`` of the toggles.
     """
     b, _, n = a.shape
-    reach = _POWER_REACH if problem.p <= 1 else ()
+    spread = problem.p <= _inner_exponent(problem.form)
+    reach = _POWER_REACH if spread else ()
     pick = np.arange(b)
 
     def plain(a: np.ndarray, best: np.ndarray) -> np.ndarray:
@@ -859,7 +831,7 @@ def _power_top(
         return a[pick, k], best[pick, k]
 
     evals = plain(a, best)
-    if problem.p <= 1:
+    if spread:
         row = lead(a, best)[0]
         low = np.where(row > 0, row, np.inf).min(axis=1, keepdims=True)
         low[np.isinf(low)] = 0.0  # a zero row has no entry to revive
@@ -888,20 +860,18 @@ def _polish(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The polish of the stacked problems that :func:`_to_polish` selects
     from their pool ratios ``ratios`` (B, P), with Dirichlet rows
-    ``drawn``: from the :func:`_starts` best pool rows of each, rebuilt by
-    index, the power iteration where :func:`_power_search` holds, else the
-    coordinate ascent.  Returns the selection (B,), a bool mask, and for
-    the F problems it selects, in order, their polished rows (F, R, n),
-    ratios (F, R) and evaluations (F,); F = 0 in the spike range."""
+    ``drawn``: the power iteration from the :func:`_starts` best pool rows
+    of each, rebuilt by index.  Returns the selection (B,), a bool mask,
+    and for the F problems it selects, in order, their polished rows (F,
+    R, n), ratios (F, R) and evaluations (F,); F = 0 in the spike range."""
     fin = _to_polish(problem, ratios)
     if not fin.any():
         return fin, np.empty((0, 0, drawn.shape[-1])), np.empty((0, 0)), np.zeros(0, dtype=int)
     if not fin.all():  # copy the draws only if needed
         drawn, ratios, weights = drawn[fin], ratios[fin], weights[:, fin]
-    top = np.argsort(ratios, axis=1)[:, ::-1][:, : _starts(problem, cfg, ratios.shape[1])]
-    polish = _power_top if _power_search(problem) else _polish_top
+    top = np.argsort(ratios, axis=1)[:, ::-1][:, : _starts(cfg, ratios.shape[1])]
     best = ratios[np.arange(len(top))[:, None], top]
-    return fin, *polish(problem, _pool_rows(drawn, top), best, weights, cfg)
+    return fin, *_power_top(problem, _pool_rows(drawn, top), best, weights, cfg)
 
 
 def _shape(problem: RatioProblem) -> tuple:
@@ -951,7 +921,7 @@ def _search(problems: Sequence[RatioProblem], cfg: OracleConfig) -> list[OracleR
         _evaluate_rows(ref, drawn, weights, np.arange(n), ratios)
     else:
         drawn = _dirichlet_rows(ref, weights, cfg)
-        ratios = _pool_ratios(ref, drawn, weights, _starts(ref, cfg, _pool_size(drawn)))
+        ratios = _pool_ratios(ref, drawn, weights, _starts(cfg, _pool_size(drawn)))
     return _finish(problems, drawn, ratios, weights, cfg)
 
 
@@ -986,17 +956,13 @@ def _finish(
 def spike_oracle(problem: RatioProblem) -> OracleResult:
     """Exact maximization over single-spike candidates for sup-inner forms.
 
-    Requires the spike range ``p <= 1`` and ``q >= p``: for ``q < p``
-    spread-out candidates beat every spike, so the spike maximum is no
-    answer there.
+    Requires the spike range ``p <= q``: for ``q < p`` spread-out candidates
+    beat every spike, so the spike maximum is no answer there.
     """
     if problem.form.inner_kind != "sup":
         raise ValueError("spike oracle requires a sup-inner operator form")
     if not _spike_exact(problem):
-        raise ValueError(
-            "spike oracle requires p <= 1 and q >= p, "
-            f"got p={problem.p}, q={problem.q}"
-        )
+        raise ValueError(f"spike oracle requires q >= p, got p={problem.p}, q={problem.q}")
     return _search([problem], OracleConfig())[0]
 
 

@@ -172,9 +172,47 @@ def _weight_triple(rng: np.random.Generator, n: int, exponent: float) -> tuple[W
 # Checks: one per suite, shared by the sweep and by replay
 # ---------------------------------------------------------------------------
 
+def _fsum(x: list[float]) -> float:
+    """``math.fsum`` of nonnegative terms; inf past the float range."""
+    try:
+        return math.fsum(x)
+    except OverflowError:
+        return math.inf
+
+
 def _check_chain(a: Window, p: float, n: int) -> tuple[Any, bool]:
+    """``s1 <= s2 <= s3``, with s1 the tail's maximum, s2 within
+    ``gamma_(m+2)`` of ``fsum(tail)`` and s3 within ``1.01 L`` of ``G =
+    fsum(tail**p) ** (1/p)`` (relative; ``m`` terms, ``gamma_k = k eps /
+    (1 - k eps)``).
+
+    ``elementary_chain_check`` divides the tail by s1, sums (``gamma_(m-1)``
+    for nonnegative terms) and multiplies by s1: ``gamma_(m+1)`` from the
+    exact sum, which fsum rounds once.  L bounds ``|ln(s3/G)|`` with every
+    ``pow`` within 2^-48 and rounding its exponent ``1/p`` adding ``|ln
+    result| eps``, as :func:`oracle._block_caps` takes them: s3's terms
+    ``(tail/s1)^p`` err by ``p eps + 2^-48``, their sum (1 to ``m``) by
+    ``gamma_(m-1)`` more, the root multiplies that by ``1/p`` and adds
+    ``2^-48 + eps ln(m)/p``, the product with s1 ``eps``, and ``max(t3,
+    t1)`` taking ``t1`` at most ``gamma_(m+1)``, since the sum is at most
+    ``T = (sum tail^p)^(1/p)``; a quotient below 2^-1022, and its power,
+    err by less than ``2^(-1022 p)`` against a sum of at least 1.  G errs by
+    ``2^-48 + (2^-48 + eps)/p + eps |ln G|``.  The 1% covers ``e^L - 1 - L``
+    and the bound's own rounding.  The count takes every value to be a
+    normal float, as weights within 2^(+-1000) keep them.
+    """
     s1, s2, s3 = hardyops.elementary_chain_check(a, p, n)
-    return [s1, s2, s3], s1 <= s2 <= s3
+    tail = a.as_array()[n - a.start:]
+    vals, m, eps, pw = tail.tolist(), len(tail), oracle._EPS, oracle._POW_ERR
+    gamma = lambda k: k * eps / (1.0 - k * eps)
+    g = float(np.float64(_fsum((tail**p).tolist())) ** (1.0 / p)) if s1 > 0 else 0.0
+    low = min((x for x in vals if x > 0), default=math.inf)
+    under = m * 2.0 ** (-1022.0 * p) if low < s1 * 2.0**-1022 else 0.0
+    lam = (max(gamma(m + 1), 2 * eps + pw + (pw + gamma(m - 1) + under + eps * math.log(m)) / p)
+           + pw + (pw + eps) / p + (eps * abs(math.log(g)) if 0 < g < math.inf else 0.0))
+    near = lambda x, y, bound: x == y or abs(x - y) <= 1.01 * bound * max(x, y) < math.inf
+    ok = s1 <= s2 <= s3 and s1 == max(vals) and near(s2, _fsum(vals), gamma(m + 2))
+    return [s1, s2, s3], ok and near(s3, g, lam)
 
 
 def _check_bridge(

@@ -16,7 +16,7 @@ from hardyseq.hardyops import (
     OperatorForm,
     RatioProblem,
     _BLOCK_ENTRIES,
-    _iterated_entries,
+    _entries,
     _ratio_batch,
     _ratio_from_entries,
     antigop_psum,
@@ -341,7 +341,7 @@ class TestBatch:
                             0.7, 0.4, form_by_name(name, 1.7))
         row = 2.0 ** rng.uniform(-4, 4, size)
         u, v, w = (x.as_array() for x in (prob.u, prob.v, prob.w))
-        whole = _ratio_from_entries(prob, row, v, w, _iterated_entries(u, row, prob.form))
+        whole = _ratio_from_entries(prob, row, v, w, _entries(u, row, prob.form)[1])
         assert _ratio_batch(prob, row).tobytes() == whole.tobytes()
 
 

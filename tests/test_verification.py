@@ -363,3 +363,27 @@ def test_gop_spike_range_ratio_outside_its_bracket_fails(scale, monkeypatch):
         out = replay_instance(json.loads(json.dumps(entry)))
         assert out["passed"] is False
         assert out["observed"] == entry["observed"]
+
+
+@pytest.mark.parametrize(
+    "alter,failing",
+    [(lambda t: (t[0], t[1], t[1]), 533), (lambda t: (t[0], t[0], t[0]), 671)],
+    ids=["powered-sum-dropped", "all-the-max"],
+)
+def test_chain_check_catches_a_wrong_chain(alter, failing, monkeypatch):
+    """The chain triple is held to independent values, not only to its own
+    order: an ``elementary_chain_check`` that returns s2 for s3, or s1 for
+    all three, still satisfies ``s1 <= s2 <= s3`` but fails the default
+    sweep at seed 0, in every probe whose tail has two positive entries (and
+    p < 1 for the first).  Unchanged, every probe passes, also at weights
+    2^(+-300) and 2^(+-1000)."""
+    for exponent in (3.0, 300.0, 1000.0):
+        spec = SweepSpec(seed=0, suites=("chain",), weight_exponent=exponent)
+        assert run_verification(spec)["passed"], exponent
+    real = hardyops.elementary_chain_check
+    monkeypatch.setattr(hardyops, "elementary_chain_check", lambda *a: alter(real(*a)))
+    report = run_verification(SweepSpec(seed=0, suites=("chain",)))
+    assert len(report["suites"]["chain"]["failures"]) == failing
+    for entry in report["suites"]["chain"]["failures"][:20]:
+        observed = entry["observed"]
+        assert observed[0] <= observed[1] <= observed[2]
