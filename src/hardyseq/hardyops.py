@@ -22,14 +22,8 @@ batch: every power is taken on a contiguous array and every sum is a row
 reduction (no BLAS matrix-vector product), so a candidate evaluated alone or
 in any batch gives the same bits.  That holds across problems too: weights
 stacked along a leading axis give every row the bits of its own problem
-evaluated alone.
-
-A batch of more than ``_BLOCK_ENTRIES`` entries is evaluated in blocks of
-consecutive candidates, about ``_BLOCK_ENTRIES`` entries each, so that the
-temporaries of a block stay in cache.  A block of a stacked batch is a
-strided slice, and the SIMD path of a power may round differently on one;
-so each block is a contiguous copy, and by row independence the blocked
-result is bit-identical to the unblocked one.
+evaluated alone.  A batch is evaluated in one pass, on C-contiguous rows;
+the oracle, which builds many rows, chunks them where it builds them.
 """
 
 from __future__ import annotations
@@ -42,8 +36,8 @@ import numpy as np
 from .seqcore import (
     INF,
     Window,
+    _ext_mul,
     common_window,
-    ext_mul_array,
     scan_max,
     scan_sum,
 )
@@ -173,11 +167,6 @@ class RatioProblem:
 # Batched evaluation (candidates stacked along axis 0)
 # ---------------------------------------------------------------------------
 
-#: Entries (candidates times window size) per block of a blocked
-#: :func:`_ratio_batch` call; 2^14 float64 entries are 128 kB.
-_BLOCK_ENTRIES = 1 << 14
-
-
 def _entries(u: np.ndarray, a: np.ndarray, form: OperatorForm) -> tuple[np.ndarray, np.ndarray]:
     """``x = u * inner(a)`` for a batch of candidates ``a`` (..., N), and
     its outer scan ``E``, the iterated entries; both contiguous, shape
@@ -199,13 +188,12 @@ def _entries(u: np.ndarray, a: np.ndarray, form: OperatorForm) -> tuple[np.ndarr
     return x, scan_max(x, form.outer == "tail")
 
 
-def _lhs_batch(w: np.ndarray, q: float, entries: np.ndarray, mul=ext_mul_array) -> np.ndarray:
-    """The left sides; ``mul`` is :func:`ext_mul_array` or, under a caller's
-    ``np.errstate(invalid="ignore")``, its unguarded body
-    :func:`seqcore._ext_mul` (the oracle's power loop)."""
+def _lhs_batch(w: np.ndarray, q: float, entries: np.ndarray) -> np.ndarray:
+    """The left sides, under a caller's ``np.errstate`` that ignores
+    overflow and invalid operations (``0 * inf`` is 0)."""
     if math.isinf(q):
-        return np.max(mul(w, entries), axis=-1)
-    return np.add.reduce(mul(entries**q, w), axis=-1) ** (1.0 / q)
+        return np.max(_ext_mul(w, entries), axis=-1)
+    return np.add.reduce(_ext_mul(entries**q, w), axis=-1) ** (1.0 / q)
 
 
 def _rhs_batch(v: np.ndarray, p: float, a: np.ndarray) -> np.ndarray:
@@ -228,11 +216,10 @@ def _ratio_from_entries(
     v: np.ndarray,
     w: np.ndarray,
     entries: np.ndarray,
-    mul=ext_mul_array,
 ) -> np.ndarray:
     """Ratios lhs/rhs of the candidates ``a`` with iterated ``entries``, as
-    :func:`_quotient` gives them.  ``mul`` as in :func:`_lhs_batch`."""
-    return _quotient(_lhs_batch(w, problem.q, entries, mul), _rhs_batch(v, problem.p, a))
+    :func:`_quotient` gives them, under the errstate of :func:`_lhs_batch`."""
+    return _quotient(_lhs_batch(w, problem.q, entries), _rhs_batch(v, problem.p, a))
 
 
 def _ratio_batch(
@@ -246,28 +233,19 @@ def _ratio_batch(
     problem gives ``p``, ``q`` and the form; ``weights`` unpack to stacked
     ``u, v, w`` (the oracle's (3, B, 1, N) stack) that broadcast against
     ``a`` with size 1 on its candidate axis -2 (shape (B, 1, N) for
-    candidates (B, K, N)), and default to the problem's own windows.  A
-    batch of more than ``_BLOCK_ENTRIES`` entries is evaluated in
-    contiguous copies of consecutive candidates along axis -2 (module
-    docstring), each through :func:`_ratio_from_entries`.  Saturation to
-    inf, inf/inf (NaN) and ``0 * inf`` in the sides do not warn; an invalid
-    operation in the iterated entries still does.
+    candidates (B, K, N)), and default to the problem's own windows.  The
+    rows of ``a`` are C-contiguous, as every caller builds them: the SIMD
+    path of a power may round differently on a strided view.  Saturation
+    to inf, inf/inf (NaN) and ``0 * inf`` in the sides do not warn; an
+    invalid operation in the iterated entries still does.
     """
     if weights is None:
         weights = (problem.u.as_array(), problem.v.as_array(), problem.w.as_array())
     u, v, w = weights[0], weights[1], weights[2]  # indexing: iterating an array costs more
-    if a.size <= _BLOCK_ENTRIES or a.ndim < 2:
-        blocks = [a]
-    else:
-        k = max(1, _BLOCK_ENTRIES * a.shape[-2] // a.size)  # candidates per block
-        blocks = (np.ascontiguousarray(a[..., lo : lo + k, :]) for lo in range(0, a.shape[-2], k))
-    parts = []
     with np.errstate(over="ignore"):
-        for block in blocks:
-            entries = _entries(u, block, problem.form)[1]
-            with np.errstate(invalid="ignore"):  # inf/inf, and 0 * inf in the sides
-                parts.append(_ratio_from_entries(problem, block, v, w, entries))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        entries = _entries(u, a, problem.form)[1]
+        with np.errstate(invalid="ignore"):  # inf/inf, and 0 * inf in the sides
+            return _ratio_from_entries(problem, a, v, w, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +277,8 @@ def lhs(problem: RatioProblem, a: Window) -> float:
     common_window(problem.u, a)
     with np.errstate(over="ignore"):  # saturates to inf
         entries = _entries(problem.u.as_array(), a.as_array()[None], problem.form)[1]
-        return float(_lhs_batch(problem.w.as_array(), problem.q, entries)[0])
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            return float(_lhs_batch(problem.w.as_array(), problem.q, entries)[0])
 
 
 def rhs(v: Window, p: float, a: Window) -> float:

@@ -8,8 +8,8 @@ constraint surface, and the polish of the best of them, unless a pool ratio
 is already infinite or every pool ratio is 0 (the constant is then exactly
 0).  The pool keeps that order, so the index of a candidate tells its
 family.  The best ratio found is always a certified lower bound on the true
-constant, and ``OracleResult.search`` says which search ran: ``"spike"`` or
-``"power"``.
+constant, and ``OracleResult.certificate`` says which search ran:
+``"exact-spike"`` or ``"heuristic"``.
 
 Every inner aggregation has an exponent ``r``: 1 for a sum, ``r`` for the
 powered sum ``(sum a_k^r)^(1/r)``, and inf for a sup, its limit.  For
@@ -129,15 +129,18 @@ not yet stopped) it keeps each row's ``a``, ratio, stretch, ``x`` and
 and its temporaries, one candidate buffer, into which the ``p <= r`` step
 and its extrapolations are written in place before one ``exp``, and the
 evaluation's ``x``, ``E`` and sides; ``a`` and the ratios are written back
-only when a row stops.  Rows run in chunks of at most ``_STEP_ENTRIES``
+only when a row stops.  Rows run in chunks of at most ``_CHUNK_ENTRIES``
 entries per step (at least one row), so a step of the ``n`` toggles of a
-``p <= r`` search, ``3 n^2`` entries, is taken a chunk at a time.
+``p <= r`` search, ``3 n^2`` entries, is taken a chunk at a time.  The pool
+evaluation (below) builds its rows in chunks of the same size; these are
+the only chunks, and :func:`_ratio_batch` evaluates whatever batch it is
+given in one pass, such as the toggles' start ratios, ``B n^2`` entries.
 
 No pool is held in memory.  :func:`_pool_rows` builds any pool row, a fresh
 float array, from its index: a spike or a block is the indicator of its
 ends, two comparisons against them, and the Dirichlet rows are the only rows
 stored per problem.  The pool evaluation builds its rows in chunks of about
-``_BLOCK_ENTRIES`` entries, and only the rows it evaluates; the polish
+``_CHUNK_ENTRIES`` entries, and only the rows it evaluates; the polish
 rebuilds its start rows by index, and the result its argmax.  Two things are
 cached, as read-only arrays in small ``functools.lru_cache`` caches: the
 block ends, which depend only on ``n``, and the Dirichlet draws, which
@@ -153,7 +156,7 @@ Not every block of the pool is evaluated.  The spikes and Dirichlet rows
 are evaluated first, and the ``S``-th best of their ratios is a threshold,
 ``S`` being the number of rows the polish starts from.  A block ``[m1,
 m2]`` of ``L`` points has a ratio of at most ``c(L) K / V^(1/p)``: ``c(L)``
-is ``L``, 1 or ``L^(1/r)`` for a sum, sup or powered-sum inner, ``K`` is
+is ``L^(1/r)`` (``L`` for a sum, 1 for a sup), ``K`` is
 ``(sum_n w_n U_n^q)^(1/q)`` (``max_n w_n U_n`` at ``q = inf``) with ``U``
 the running max of ``u`` in the outer direction, and ``V`` is the block's
 v-mass.  That bound times ``exp(1.01 (16 + 8/q + 8/p) delta)``, ``delta``
@@ -198,7 +201,6 @@ from .hardyops import (
     ANTIGOP_SUP,
     GOP,
     GOP_SUP,
-    _BLOCK_ENTRIES,
     OperatorForm,
     RatioProblem,
     _ratio_batch,
@@ -241,9 +243,10 @@ _PRUNED = -1.0
 #: about this size the bounds and a second evaluation cost more than the
 #: skipped rows (one problem: break-even near n = 24).
 _PRUNE_ENTRIES = 1 << 13
-#: Entries (rows times candidates times window size) per step of one chunk
-#: of :func:`_power_steps`' rows.
-_STEP_ENTRIES = 4 * _BLOCK_ENTRIES
+#: Entries per chunk of rows, as :func:`_pool_chunks` builds them (rows
+#: times window size) and :func:`_power_steps` steps them (times candidates
+#: per row); 2^14 float64 entries are 128 kB.
+_CHUNK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -272,7 +275,6 @@ class OracleResult:
     argmax: Window
     certificate: str  # "exact-spike" or "heuristic"
     evaluations: int
-    search: str = "power"  # "spike" or "power"
 
     def to_json(self) -> dict:
         return {
@@ -280,7 +282,6 @@ class OracleResult:
             "argmax": self.argmax.to_json(),
             "certificate": self.certificate,
             "evaluations": self.evaluations,
-            "search": self.search,
         }
 
 
@@ -308,7 +309,6 @@ def _result(
         argmax=Window(problem.u.start, row),
         certificate="exact-spike" if exact else "heuristic",
         evaluations=int(evaluations),
-        search="spike" if exact else "power",
     )
 
 
@@ -442,15 +442,15 @@ def _block_caps(problem: RatioProblem, weights: np.ndarray) -> np.ndarray:
     is not certified.
 
     A block ``[m1, m2]`` is the indicator of ``L = m2 - m1 + 1`` points.
-    Its inner aggregation is at most ``c(L)`` everywhere: ``L`` for a sum,
-    1 for a sup and ``L^(1/r)`` for a powered sum.  So each iterated entry
-    ``E_n`` is at most ``c(L) U_n``, with ``U`` the running max of ``u`` in
-    the outer direction, ``lhs <= c(L) K`` with ``K = (sum_n w_n
-    U_n^q)^(1/q)`` (``max_n w_n U_n`` at ``q = inf``), and ``rhs =
-    V^(1/p)`` with ``V = sum_{m1 <= k <= m2} v_k``, the block's v-mass.
-    ``V`` is read from one ``cumsum`` along each row ``m1`` of the
-    triangle ``k >= m1``, never as a difference of prefix sums, which can
-    cancel to nothing.  So ``ratio <= c(L) K / V^(1/p)``.
+    Its inner aggregation is at most ``c(L) = L^(1/r)`` everywhere, with
+    ``r`` the inner exponent (:func:`_inner_exponent`): ``L`` for a sum, 1
+    for a sup.  So each iterated entry ``E_n`` is at most ``c(L) U_n``, with
+    ``U`` the running max of ``u`` in the outer direction, ``lhs <= c(L)
+    K`` with ``K = (sum_n w_n U_n^q)^(1/q)`` (``max_n w_n U_n`` at ``q =
+    inf``), and ``rhs = V^(1/p)`` with ``V = sum_{m1 <= k <= m2} v_k``, the
+    block's v-mass.  ``V`` is read from one ``cumsum`` along each row ``m1``
+    of the triangle ``k >= m1``, never as a difference of prefix sums, which
+    can cancel to nothing.  So ``ratio <= c(L) K / V^(1/p)``.
 
     The margin bounds how far the float ratio of :func:`_ratio_batch` can
     exceed that float bound.  Put ``eps = 2^-53``, take every ``pow`` to be
@@ -480,12 +480,7 @@ def _block_caps(problem: RatioProblem, weights: np.ndarray) -> np.ndarray:
     idx = np.arange(n)
     delta = n * _EPS / (1.0 - n * _EPS) + _POW_ERR + 712.0 * _EPS
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if form.inner_kind == "sup":
-            c = np.ones_like(length)
-        elif form.inner_kind == "psum":
-            c = length ** (1.0 / form.inner_exponent)  # inf for a tiny r: no cap
-        else:
-            c = length
+        c = length ** (1.0 / _inner_exponent(form))  # inf for a tiny r: no cap
         lam = (16.0 + 8.0 / q + 8.0 / p) * delta
         top = scan_max(u, right=form.outer == "tail")
         if math.isinf(q):
@@ -544,10 +539,9 @@ def _pool_ratios(
 
 def _pool_chunks(drawn: np.ndarray, rows: np.ndarray):
     """The pool rows ``rows`` of every stacked problem, in chunks of
-    consecutive indices of about ``_BLOCK_ENTRIES`` entries, as
-    :func:`_ratio_batch` evaluates a large batch: pairs of the indices and
-    their rows (:func:`_pool_rows`), never all rows at once."""
-    step = max(1, _BLOCK_ENTRIES // (drawn.shape[0] * drawn.shape[-1]))
+    consecutive indices of about ``_CHUNK_ENTRIES`` entries: pairs of the
+    indices and their rows (:func:`_pool_rows`), never all rows at once."""
+    step = max(1, _CHUNK_ENTRIES // (drawn.shape[0] * drawn.shape[-1]))
     for lo in range(0, len(rows), step):
         at = rows[lo : lo + step]
         yield at, _pool_rows(drawn, at)
@@ -683,7 +677,7 @@ def _power_steps(
     to its best candidate if that raises its best ratio, and otherwise
     stops; it also stops once its ratio is infinite.
 
-    The rows run in chunks of at most ``_STEP_ENTRIES`` entries per step
+    The rows run in chunks of at most ``_CHUNK_ENTRIES`` entries per step
     (rows times candidates times ``n``; at least one row), one after the other;
     rows are independent, so a chunk ends where its rows alone would.
     ``u``, ``v``, ``w``, ``q * w`` (``w`` at ``q = inf``) and ``u^r`` are
@@ -708,7 +702,7 @@ def _power_steps(
     omega = np.array(reach)
     factor = np.array([0.5, *[1.0] * (len(reach) - 1), 2.0])  # the stretch's, by winner
     todo = (~np.isinf(best)).nonzero()[0]
-    chunk = max(1, _STEP_ENTRIES // (width * n))
+    chunk = max(1, _CHUNK_ENTRIES // (width * n))
     size = min(chunk, len(todo))
     offsets, base = _offsets(size, grads, n), width * np.arange(size)
     rowmax = functools.partial(np.maximum.reduce, axis=-1, keepdims=True)
@@ -752,7 +746,7 @@ def _power_steps(
                 if not math.isfinite(np.add.reduce(cand, axis=None)):  # in [0, 1] or NaN
                     cand[~np.isfinite(cand.sum(axis=-1))] = 0.0
                 cx, ce = _entries(u, cand, form)
-                r = _ratio_from_entries(problem, cand, v, w, ce, mul=_ext_mul)
+                r = _ratio_from_entries(problem, cand, v, w, ce)
                 ran += 1
                 if width == 1:
                     top, won = r[:, 0], cand[:, 0]

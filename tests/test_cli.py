@@ -116,11 +116,11 @@ class TestOracle:
         assert code == 2
         assert "hardyseq: error: iterations must be >= 0" in capsys.readouterr().err
 
-    def test_search_is_reported(self, weights_file, capsys):
+    def test_certificate_is_reported(self, weights_file, capsys):
         code = main(["oracle", "--weights", weights_file, "--p", "2", "--q", "3",
                      "--restarts", "2", "--iterations", "20"])
         assert code == 0
-        assert json.loads(capsys.readouterr().out)["search"] == "power"
+        assert json.loads(capsys.readouterr().out)["certificate"] == "heuristic"
 
 
 class TestBridge:

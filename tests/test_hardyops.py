@@ -15,10 +15,7 @@ from hardyseq.hardyops import (
     GOP_SUP,
     OperatorForm,
     RatioProblem,
-    _BLOCK_ENTRIES,
-    _entries,
     _ratio_batch,
-    _ratio_from_entries,
     antigop_psum,
     apply_iterated,
     dual_problem,
@@ -309,13 +306,11 @@ class TestBatch:
                     assert stacked.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("name", sorted(set(FORM_NAMES.values())))
-    def test_blocked_batches_match_each_row_alone(self, name):
-        """A batch above ``_BLOCK_ENTRIES`` is evaluated in blocks of
-        consecutive candidates, strided slices of a stacked batch; each row
-        still gives the bits it gives alone, as a one-row batch.  The empty
-        stack (0, 1, n) gives an empty result, and a 1-D row above the block
-        size is evaluated whole (its 0-d sums take scalar powers, so it is
-        compared with the unblocked evaluation, not with a one-row batch)."""
+    def test_large_stacked_batches_match_each_row_alone(self, name):
+        """A stacked batch of 134,400 entries, larger than any chunk of
+        rows the oracle builds, is evaluated in one pass and gives each row
+        the bits it gives alone, as a one-row batch.  The empty stack (0, 1,
+        n) gives an empty result."""
         n, height, rows = 64, 3, 700
         for k, (p, q, r) in enumerate([(0.7, 0.4, 1.7), (2.0, INF, 0.3)]):
             rng = np.random.default_rng((n, k, 11))
@@ -324,7 +319,6 @@ class TestBatch:
                      for _ in range(height)]
             a = 2.0 ** rng.uniform(-4, 4, (height, rows, n)) * (rng.random((height, rows, n)) > 0.2)
             a[:, :, 0] += a.sum(axis=2) == 0
-            assert a.size > _BLOCK_ENTRIES
             weights = tuple(
                 np.stack([getattr(pr, x).as_array() for pr in probs])[:, None, :] for x in "uvw"
             )
@@ -336,13 +330,6 @@ class TestBatch:
             assert stacked.tobytes() == alone.tobytes()
             empty = tuple(x[:0] for x in weights)
             assert _ratio_batch(probs[0], np.empty((0, 1, n)), empty).shape == (0, 1)
-        size = 3 * _BLOCK_ENTRIES
-        prob = RatioProblem(*(Window(0, 2.0 ** rng.uniform(-3, 3, size)) for _ in "uvw"),
-                            0.7, 0.4, form_by_name(name, 1.7))
-        row = 2.0 ** rng.uniform(-4, 4, size)
-        u, v, w = (x.as_array() for x in (prob.u, prob.v, prob.w))
-        whole = _ratio_from_entries(prob, row, v, w, _entries(u, row, prob.form)[1])
-        assert _ratio_batch(prob, row).tobytes() == whole.tobytes()
 
 
 class TestMonotonicity:
