@@ -301,6 +301,9 @@ class DoublingQuantities:
     rhs_sum: float
     rhs_sup: float
 
+    def to_json(self) -> dict:
+        return dict(vars(self))
+
 
 def doubling_lemma_check(
     b: Window, c: Window, alpha: float, kmin: int, kmax: int

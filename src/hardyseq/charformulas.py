@@ -8,6 +8,11 @@ to constants depending only on p and q), not exact values, except for
 two shapes, the sup term ``max_n x_n^(1/q) y_n`` or the summed term
 ``sum_n x_n^r y_n m_n``, built by ``_sup_term`` and ``_sum_term``.
 
+The terms run on (B, n) weight rows along the last axis, outer powers and G
+per row, so a row has its bits alone: ``oracle.equivalence_ratios`` calls
+``_gop_rows``/``_antigop_rows`` once per group, and :func:`char_gop` and
+:func:`char_antigop` are one-row calls on views.
+
 Two printed sub-expressions of the reflected (antigop) estimator are
 suspicious (a weight-sum direction and two exponents; they break the scaling
 laws a least constant must satisfy).  They are transcribed as printed, and a
@@ -22,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelopes import EnvelopeKind, envelope
 from .seqcore import (
     Regime,
     RegimeCase,
@@ -216,27 +220,117 @@ def _lifted_weight(w: np.ndarray, uq: np.ndarray) -> np.ndarray:
     return G[:n]
 
 
-def _sup_term(x: np.ndarray, q: float, y: np.ndarray) -> float:
-    """``max_n x_n^(1/q) y_n``."""
-    return float(np.max(ext_mul_array(ext_pow_array(x, 1.0 / q), y)))
+def _iterated_rows(w: np.ndarray, uq: np.ndarray) -> np.ndarray:
+    """:func:`_iterated_weight` of each row of (B, n) arrays, by its size."""
+    G = np.empty(w.shape)
+    for i in range(len(w)):
+        G[i] = _iterated_weight(w[i], uq[i])
+    return G
 
 
-def _sum_term(x: np.ndarray, r: float, y: np.ndarray, m: np.ndarray) -> float:
-    """``sum_n x_n^r y_n m_n``, multiplied in that order."""
-    return float(np.sum(ext_mul_array(ext_mul_array(ext_pow_array(x, r), y), m)))
+def _sup_term(x: np.ndarray, q: float, y: np.ndarray) -> np.ndarray:
+    """``max_n x_n^(1/q) y_n`` of each row."""
+    return np.maximum.reduce(ext_mul_array(ext_pow_array(x, 1.0 / q), y), axis=-1)
 
 
-def _result(
-    form: str, regime: Regime, value: float, terms: dict, variant: str = "printed"
-) -> CharacterizationResult:
-    """A result whose ``formula_id`` is ``<form>-<case>``, e.g. ``gop-iii``."""
-    formula_id = f"{form}-{regime.case_id.lower()}"
-    return CharacterizationResult(value, regime, terms, formula_id, variant)
+def _sum_term(x: np.ndarray, r: float, y: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``sum_n x_n^r y_n m_n`` of each row, multiplied in that order."""
+    return np.add.reduce(ext_mul_array(ext_mul_array(ext_pow_array(x, r), y), m), axis=-1)
 
 
-def _validated(u: Window, v: Window, w: Window, p: float, q: float) -> Regime:
-    common_window(u, v, w)
-    return classify_regime(p, q)
+def _pow_rows(x: np.ndarray, alpha: float) -> np.ndarray:
+    """:func:`ext_pow` of each row's value, taken on a Python float: a power
+    of the (B,) array would round differently in about 5% of values."""
+    return np.array([ext_pow(t, alpha) for t in x.tolist()])
+
+
+def _results(
+    form: str, regime: Regime, values: np.ndarray, terms: dict, variant: str = "printed"
+) -> list[CharacterizationResult]:
+    """One result per row; ``formula_id`` is ``<form>-<case>``, e.g. ``gop-iii``."""
+    fid, cols = f"{form}-{regime.case_id.lower()}", {k: x.tolist() for k, x in terms.items()}
+    return [CharacterizationResult(x, regime, {k: c[i] for k, c in cols.items()}, fid, variant)
+            for i, x in enumerate(values.tolist())]
+
+
+def _gop_rows(
+    u: np.ndarray, v: np.ndarray, w: np.ndarray, regime: Regime
+) -> list[CharacterizationResult]:
+    """:func:`char_gop` of each row of the (B, n) weights, bit for bit."""
+    p, q, case = regime.p, regime.q, regime.case_id
+    U = scan_max(u, right=True)  # the decreasing upper envelope
+    duq = ext_pow_array(U, q)
+    duqW = ext_mul_array(duq, w)
+    Wle = scan_sum(w)
+    Tge = scan_sum(duqW, right=True)
+
+    if case is RegimeCase.I or case is RegimeCase.III:
+        bracket = ext_mul_array(duq, Wle) + Tge
+        if case is RegimeCase.I:
+            SV = ext_pow_array(scan_sum(ext_pow_array(v, 1.0 / (1.0 - p))), (p - 1.0) / p)
+        else:
+            SV = scan_max(ext_pow_array(v, -1.0 / p))
+        val = _sup_term(bracket, q, SV)
+        return _results("gop", regime, val, {"B1": val})
+
+    # cases II and IV: the same two terms with different v-factors
+    r = q / (p - q)
+    outer = (p - q) / (p * q)
+    if case is RegimeCase.II:
+        Vle = scan_sum(ext_pow_array(v, 1.0 / (1.0 - p)))
+        v1 = v2 = ext_pow_array(Vle, (p - 1.0) * q / (p - q))
+    else:
+        v2 = ext_pow_array(v, q / (q - p))
+        v1 = scan_max(v2)
+    t1 = _sum_term(Tge, r, duqW, v1)
+    M = scan_max(ext_mul_array(ext_pow_array(U, p * r), v2), right=True)
+    t2 = _sum_term(Wle, r, w, M)
+    if case is RegimeCase.II:
+        B1, B2 = _pow_rows(t1, outer), _pow_rows(t2, outer)
+        return _results("gop", regime, B1 + B2, {"B1": B1, "B2": B2})
+    return _results("gop", regime, _pow_rows(t1 + t2, outer), {"S1": t1, "S2": t2})
+
+
+def _antigop_rows(
+    u: np.ndarray, v: np.ndarray, w: np.ndarray, regime: Regime, variant: str = "printed"
+) -> list[CharacterizationResult]:
+    """:func:`char_antigop` of each row of the (B, n) weights, bit for bit."""
+    if variant not in ("printed", "flipped"):
+        raise ValueError(f"variant must be 'printed' or 'flipped', got {variant!r}")
+    printed = variant == "printed"
+    p, q, case = regime.p, regime.q, regime.case_id
+    uq = ext_pow_array(u, q)
+    Wle = scan_sum(w)
+
+    if case is RegimeCase.I:
+        Vge = scan_sum(ext_pow_array(v, 1.0 / (1.0 - p)), right=True)
+        val = _sup_term(_iterated_rows(w, uq), q, ext_pow_array(Vge, (p - 1.0) / p))
+        return _results("antigop", regime, val, {"B1": val}, variant)
+
+    if case is RegimeCase.III:
+        bracket = ext_mul_array(uq, Wle) + scan_sum(ext_mul_array(uq, w), right=True)
+        SV = scan_max(ext_pow_array(v, -1.0 / p), right=not printed)
+        val = _sup_term(bracket, q, SV)
+        return _results("antigop", regime, val, {"B1": val}, variant)
+
+    r = q / (p - q)
+    outer = (p - q) / (p * q)
+    G = _iterated_rows(w, uq)
+    if case is RegimeCase.II:
+        s = (p - 1.0) * q / (p - q)
+        Vp = ext_pow_array(v, 1.0 / (1.0 - p))
+        vtail = ext_pow_array(scan_sum(Vp, right=True), s)
+        v1 = ext_pow_array(scan_sum(Vp), s) if printed else vtail
+        u_exp, x1 = p * r, scan_sum(w, right=True)
+        y1 = ext_pow_array(w, r) if printed else w
+    else:  # case IV: 0 < q < p <= 1
+        v1 = vtail = scan_max(ext_pow_array(v, q / (q - p)), right=True)
+        u_exp, x1, y1 = (r if printed else p * r), Wle, w
+    M1 = scan_max(ext_mul_array(ext_pow_array(u, u_exp), v1), right=True)
+    M2 = scan_max(ext_mul_array(uq, vtail), right=True)
+    B1 = _pow_rows(_sum_term(x1, r, y1, M1), outer)
+    B2 = _pow_rows(_sum_term(G, r, w, M2), outer)
+    return _results("antigop", regime, B1 + B2, {"B1": B1, "B2": B2}, variant)
 
 
 def char_gop(u: Window, v: Window, w: Window, p: float, q: float) -> CharacterizationResult:
@@ -246,41 +340,9 @@ def char_gop(u: Window, v: Window, w: Window, p: float, q: float) -> Characteriz
     Regimes I/III are suprema of a single product; II is a sum of two terms;
     IV is one bracketed sum of two pieces raised to ``(p-q)/(pq)``.
     """
-    regime = _validated(u, v, w, p, q)
-    U = envelope(u, EnvelopeKind.DECREASING_UPPER).as_array()
-    V = v.as_array()
-    W = w.as_array()
-    duq = ext_pow_array(U, q)
-    duqW = ext_mul_array(duq, W)
-    Wle = scan_sum(W)
-    Tge = scan_sum(duqW, right=True)
-    case = regime.case_id
-
-    if case is RegimeCase.I or case is RegimeCase.III:
-        bracket = ext_mul_array(duq, Wle) + Tge
-        if case is RegimeCase.I:
-            SV = ext_pow_array(scan_sum(ext_pow_array(V, 1.0 / (1.0 - p))), (p - 1.0) / p)
-        else:
-            SV = scan_max(ext_pow_array(V, -1.0 / p))
-        val = _sup_term(bracket, q, SV)
-        return _result("gop", regime, val, {"B1": val})
-
-    # cases II and IV: the same two terms with different v-factors
-    r = q / (p - q)
-    outer = (p - q) / (p * q)
-    if case is RegimeCase.II:
-        Vle = scan_sum(ext_pow_array(V, 1.0 / (1.0 - p)))
-        v1 = v2 = ext_pow_array(Vle, (p - 1.0) * q / (p - q))
-    else:
-        v2 = ext_pow_array(V, q / (q - p))
-        v1 = scan_max(v2)
-    t1 = _sum_term(Tge, r, duqW, v1)
-    M = scan_max(ext_mul_array(ext_pow_array(U, p * r), v2), right=True)
-    t2 = _sum_term(Wle, r, W, M)
-    if case is RegimeCase.II:
-        B1, B2 = ext_pow(t1, outer), ext_pow(t2, outer)
-        return _result("gop", regime, B1 + B2, {"B1": B1, "B2": B2})
-    return _result("gop", regime, ext_pow(t1 + t2, outer), {"S1": t1, "S2": t2})
+    common_window(u, v, w)
+    rows = u.as_array()[None], v.as_array()[None], w.as_array()[None]
+    return _gop_rows(*rows, classify_regime(p, q))[0]
 
 
 def char_antigop(
@@ -303,46 +365,9 @@ def char_antigop(
     regime IV the first term uses the exponent ``pq/(p-q)`` on ``u``.
     Regime I has a single printed reading.
     """
-    if variant not in ("printed", "flipped"):
-        raise ValueError(f"variant must be 'printed' or 'flipped', got {variant!r}")
-    printed = variant == "printed"
-    regime = _validated(u, v, w, p, q)
-    U = u.as_array()
-    V = v.as_array()
-    W = w.as_array()
-    uq = ext_pow_array(U, q)
-    Wle = scan_sum(W)
-    case = regime.case_id
-
-    if case is RegimeCase.I:
-        Vge = scan_sum(ext_pow_array(V, 1.0 / (1.0 - p)), right=True)
-        val = _sup_term(_iterated_weight(W, uq), q, ext_pow_array(Vge, (p - 1.0) / p))
-        return _result("antigop", regime, val, {"B1": val}, variant)
-
-    if case is RegimeCase.III:
-        bracket = ext_mul_array(uq, Wle) + scan_sum(ext_mul_array(uq, W), right=True)
-        SV = scan_max(ext_pow_array(V, -1.0 / p), right=not printed)
-        val = _sup_term(bracket, q, SV)
-        return _result("antigop", regime, val, {"B1": val}, variant)
-
-    r = q / (p - q)
-    outer = (p - q) / (p * q)
-    G = _iterated_weight(W, uq)
-    if case is RegimeCase.II:
-        s = (p - 1.0) * q / (p - q)
-        Vp = ext_pow_array(V, 1.0 / (1.0 - p))
-        vtail = ext_pow_array(scan_sum(Vp, right=True), s)
-        v1 = ext_pow_array(scan_sum(Vp), s) if printed else vtail
-        u_exp, x1 = p * r, scan_sum(W, right=True)
-        y1 = ext_pow_array(W, r) if printed else W
-    else:  # case IV: 0 < q < p <= 1
-        v1 = vtail = scan_max(ext_pow_array(V, q / (q - p)), right=True)
-        u_exp, x1, y1 = (r if printed else p * r), Wle, W
-    M1 = scan_max(ext_mul_array(ext_pow_array(U, u_exp), v1), right=True)
-    M2 = scan_max(ext_mul_array(uq, vtail), right=True)
-    B1 = ext_pow(_sum_term(x1, r, y1, M1), outer)
-    B2 = ext_pow(_sum_term(G, r, W, M2), outer)
-    return _result("antigop", regime, B1 + B2, {"B1": B1, "B2": B2}, variant)
+    common_window(u, v, w)
+    rows = u.as_array()[None], v.as_array()[None], w.as_array()[None]
+    return _antigop_rows(*rows, classify_regime(p, q), variant)[0]
 
 
 def char_linft_exact(u: Window, v: Window, p: float) -> float:

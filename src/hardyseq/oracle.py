@@ -172,14 +172,17 @@ The search also has a problem axis.  The list entry points
 (:func:`brute_force_constants`, :func:`equivalence_ratios`,
 :func:`chain_equivalence_sweeps`) group the problems that share ``p``,
 ``q``, form and window size, and polish every restart of every problem of a
-group with one batched evaluation per iteration.  A group's weights are one
-contiguous (3, B, 1, n) array (:func:`_stack`): ``u, v, w = weights`` gives
-each as (B, 1, n) against candidates of shape (B, K, n), ``weights[:, sel]``
-is the stack of the problems ``sel`` (those the polish selects), and rows of
-several problems take their weights by problem index
-(``weights[:, rows // rows_per]``).  Rows are independent across problems as
-well, so each result equals the problem's own result, bit for bit, and comes
-back in input order; :func:`brute_force_constant` is the one-element call.
+group with one batched evaluation per iteration.  :func:`equivalence_ratios`
+takes a group's closed forms in one call, and a chain triple (sup, sum,
+psum(p)), whose psum(1) is the sum, searches each distinct form once
+(:func:`_chain_group`).  A group's weights are one contiguous (3, B, 1, n)
+array (:func:`_stack`): ``u, v, w = weights`` gives each as (B, 1, n)
+against candidates of shape (B, K, n), ``weights[:, sel]`` is the stack of
+the problems ``sel`` (those the polish selects), and rows of several
+problems take their weights by problem index (``weights[:, rows //
+rows_per]``).  Rows are independent across problems as well, so each result
+equals the problem's own result, bit for bit, and comes back in input order;
+:func:`brute_force_constant` is the one-element call.
 
 Everything is deterministic given the config seed: per-restart generators are
 derived from ``(seed, restart_index)`` and results merge by max, so the
@@ -195,7 +198,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charformulas import CharacterizationResult, char_antigop, char_gop
+from .charformulas import CharacterizationResult, _antigop_rows, _gop_rows
 from .hardyops import (
     ANTIGOP,
     ANTIGOP_SUP,
@@ -209,7 +212,7 @@ from .hardyops import (
     antigop_psum,
     gop_psum,
 )
-from .seqcore import Window, _ext_mul, ext_div, scan_max, scan_min, scan_sum
+from .seqcore import Window, _ext_mul, classify_regime, ext_div, scan_max, scan_min, scan_sum
 
 __all__ = [
     "OracleConfig",
@@ -1006,20 +1009,6 @@ class EquivalenceRatio:
         }
 
 
-def _characterize(problem: RatioProblem, variant: str) -> CharacterizationResult:
-    """The closed-form estimate F of a gop/antigop sum-form problem."""
-    if problem.form == GOP:
-        return char_gop(problem.u, problem.v, problem.w, problem.p, problem.q)
-    if problem.form == ANTIGOP:
-        return char_antigop(
-            problem.u, problem.v, problem.w, problem.p, problem.q, variant=variant
-        )
-    raise ValueError(
-        "equivalence ratios are defined for the gop/antigop sum forms, "
-        f"got {problem.form.name}"
-    )
-
-
 def _equivalence(ch: CharacterizationResult, res: OracleResult) -> EquivalenceRatio:
     F, B = ch.value, res.constant
     if (F == 0 and B == 0) or (math.isinf(F) and math.isinf(B)):
@@ -1027,14 +1016,28 @@ def _equivalence(ch: CharacterizationResult, res: OracleResult) -> EquivalenceRa
     return EquivalenceRatio(F, B, ext_div(F, B), False, ch, res)
 
 
+def _closed_forms(problems: Sequence[RatioProblem], variant: str) -> list[CharacterizationResult]:
+    """The closed-form estimates F of same-shaped gop/antigop sum-form
+    problems (:func:`_shape`), by one row-kernel call on their stack."""
+    ref = problems[0]
+    if ref.form not in (GOP, ANTIGOP):
+        raise ValueError("equivalence ratios are defined for the gop/antigop sum forms, "
+                         f"got {ref.form.name}")
+    rows, regime = _stack(problems)[:, :, 0], classify_regime(ref.p, ref.q)
+    if ref.form == GOP:
+        return _gop_rows(*rows, regime)
+    return _antigop_rows(*rows, regime, variant)
+
+
 def equivalence_ratios(
     problems: Sequence[RatioProblem],
     cfg: OracleConfig | None = None,
     variant: str = "printed",
 ) -> list[EquivalenceRatio]:
-    """:func:`equivalence_ratio` of every problem, in input order, with one
-    :func:`brute_force_constants` call for all of them."""
-    chars = [_characterize(prob, variant) for prob in problems]
+    """:func:`equivalence_ratio` of every problem, in input order, bit for
+    bit: each ``(p, q, form, n)`` group's closed forms in one call, and one
+    :func:`brute_force_constants` call, which searches the groups as stacks."""
+    chars = _in_groups(problems, _shape, lambda group: _closed_forms(group, variant))
     return [
         _equivalence(ch, res)
         for ch, res in zip(chars, brute_force_constants(problems, cfg))
@@ -1051,7 +1054,7 @@ def equivalence_ratio(
     Degenerate 0/0 (and inf/inf) comparisons report the sentinel ratio 1
     with a flag rather than NaN.
     """
-    ch = _characterize(problem, variant)
+    ch = _closed_forms([problem], variant)[0]
     return _equivalence(ch, brute_force_constant(problem, cfg))
 
 
@@ -1082,7 +1085,9 @@ class ChainEquivalenceReport:
 def _chain_problems(
     u: Window, v: Window, w: Window, p: float, q: float, family: str
 ) -> tuple[RatioProblem, ...]:
-    """The sup, sum and powered-sum problems of one chain instance."""
+    """The sup, sum and powered-sum problems of one chain instance.  At
+    ``p = 1`` the powered sum is the sum operator, and its problem takes the
+    sum form, so that :func:`_chain_group` searches it once."""
     if not 0 < p <= 1:
         raise ValueError(f"the chain equivalences require p in (0, 1], got {p}")
     if family == "antigop":
@@ -1094,6 +1099,8 @@ def _chain_problems(
         u = u.with_values([1.0] * len(u))
     else:
         raise ValueError(f"family must be antigop/gop/simple, got {family!r}")
+    if p == 1:
+        forms = forms[:2] + forms[1:2]
     return tuple(RatioProblem(u, v, w, p, q, f) for f in forms)
 
 
@@ -1103,28 +1110,31 @@ def _chain_group(
     """Chain reports for ``(family, problems)`` items whose sup problems
     share their shape, so that all three forms agree.
 
-    Every pool row is evaluated for all three forms, chunk by chunk, since
-    the violation count and ``pool_size`` cover every candidate.  In the
-    spike range (``p <= q`` here, since every form's inner exponent is
+    Every pool row is evaluated for each distinct form, chunk by chunk,
+    since the violation count and ``pool_size`` cover every candidate.  In
+    the spike range (``p <= q`` here, since every form's inner exponent is
     ``p``) each maximum is a spike of the shared pool, so no form is
-    polished (:func:`_to_polish`).
+    polished (:func:`_to_polish`).  A repeated form (the sum at ``p = 1``) is
+    searched once, and its polished rows join the candidates twice.
     """
     refs = items[0][1]
+    forms = {ref.form: ref for ref in refs}  # each distinct operator once
     weights = _stack([problems[0] for _, problems in items])
     drawn = _dirichlet_rows(refs[0], weights, cfg)
     size = _pool_size(drawn)
-    base = [np.empty((len(items), size)) for _ in refs]
+    base = {form: np.empty((len(items), size)) for form in forms}
     for at, a in _pool_chunks(drawn, np.arange(size)):
-        for ref, r in zip(refs, base):
-            r[:, at] = _ratio_batch(ref, a, weights)
-    polished = [_polish(ref, drawn, r, weights, cfg)[:2] for ref, r in zip(refs, base)]
+        for form, ref in forms.items():
+            base[form][:, at] = _ratio_batch(ref, a, weights)
+    polish = {f: _polish(ref, drawn, base[f], weights, cfg)[:2] for f, ref in forms.items()}
+    polished = [polish[ref.form] for ref in refs]
     extra_rows = np.concatenate([a.reshape(-1, drawn.shape[-1]) for _, a in polished])[:, None]
     owner = np.concatenate([np.repeat(np.flatnonzero(fin), a.shape[1]) for fin, a in polished])
-    again = [_ratio_batch(ref, extra_rows, weights[:, owner])[:, 0] for ref in refs]
+    again = {f: _ratio_batch(ref, extra_rows, weights[:, owner])[:, 0] for f, ref in forms.items()}
     out = []
     for i, (family, _) in enumerate(items):
         mine = owner == i
-        r1, r2, r3 = (np.concatenate([b[i], e[mine]]) for b, e in zip(base, again))
+        r1, r2, r3 = (np.concatenate([base[ref.form][i], again[ref.form][mine]]) for ref in refs)
         violations = int(np.sum((r1 > r2) | (r2 > r3)))
         a1, a2, a3 = float(np.max(r1)), float(np.max(r2)), float(np.max(r3))
         sentinel = a1 == 0 and a3 == 0

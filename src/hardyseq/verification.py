@@ -28,7 +28,7 @@ chain report; ``doubling`` both sides of the sum and the sup pair.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -248,7 +248,7 @@ def _check_linft(instances: list[dict]) -> list[tuple[Any, bool]]:
 def _check_doubling(b: Window, c: Window, alpha: float) -> tuple[Any, bool]:
     out = blocks.doubling_lemma_check(b, c, alpha, b.start, b.last)
     ok = out.lhs_sum <= 2.0 * out.rhs_sum and out.lhs_sup <= 2.0 * out.rhs_sup
-    return asdict(out), ok
+    return out.to_json(), ok
 
 
 def _check_equivalence(instances: list[dict]) -> list[tuple[Any, bool]]:

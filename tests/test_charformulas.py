@@ -6,6 +6,8 @@ import pytest
 
 from hardyseq import charformulas
 from hardyseq.charformulas import (
+    _antigop_rows,
+    _gop_rows,
     _iterated_weight,
     _lifted_weight,
     _stack_weight,
@@ -14,7 +16,7 @@ from hardyseq.charformulas import (
     char_linft_exact,
 )
 from hardyseq.envelopes import EnvelopeKind, envelope
-from hardyseq.seqcore import INF, RegimeCase, Window, ext_pow_array
+from hardyseq.seqcore import INF, RegimeCase, Window, classify_regime, ext_pow, ext_pow_array
 
 ONES2 = Window(0, (1.0, 1.0))
 
@@ -111,6 +113,89 @@ def test_formula_id_names_form_and_case(p, q, case):
     for variant in ("printed", "flipped"):
         res = char_antigop(ONES2, ONES2, ONES2, p, q, variant=variant)
         assert (res.formula_id, res.variant) == (f"antigop-{case}", variant)
+
+
+class TestRowKernels:
+    """``char_gop`` and ``char_antigop`` are one-row calls of the row
+    kernels, and every row of a stack has the bits of its own one-row call,
+    in the value and in every term: the regime terms are reduced along each
+    row, and the outer powers are taken per row on Python floats."""
+
+    # every regime, the diagonal p = q on both sides of p = 1 included
+    REGIMES = [(2.0, 3.0), (2.0, 2.0), (3.0, 2.0), (1.0, 1.0), (0.5, 0.5),
+               (0.5, 1.0), (1.0, 0.5), (0.5, 0.25)]
+
+    @staticmethod
+    def _stack(rng, b, n):
+        """(3, b, n) weights 2^U(+-8), 20% zeros in u and w, the first row
+        scaled by 2^300 and the second by 2^-300."""
+        x = 2.0 ** rng.uniform(-8, 8, (3, b, n))
+        for k in (0, 2):
+            x[k][rng.random((b, n)) < 0.2] = 0.0
+        x[:, 0] *= 2.0**300
+        x[:, 1] *= 2.0**-300
+        return x
+
+    @staticmethod
+    def _assert_rows_alone(x, p, q):
+        regime = classify_regime(p, q)
+        stacked = {
+            ("gop", "printed"): _gop_rows(*x, regime),
+            **{("antigop", var): _antigop_rows(*x, regime, var) for var in ("printed", "flipped")},
+        }
+        for (form, variant), rows in stacked.items():
+            assert len(rows) == x.shape[1]
+            for i, got in enumerate(rows):
+                u, v, w = (Window(0, y[i]) for y in x)
+                if form == "gop":
+                    alone = char_gop(u, v, w, p, q)
+                else:
+                    alone = char_antigop(u, v, w, p, q, variant)
+                assert got.value.hex() == alone.value.hex(), (form, variant, p, q, i)
+                assert {k: t.hex() for k, t in got.terms.items()} == {
+                    k: t.hex() for k, t in alone.terms.items()
+                }, (form, variant, p, q, i)
+                assert (got.regime, got.formula_id, got.variant) == (
+                    alone.regime, alone.formula_id, alone.variant
+                )
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 40])
+    @pytest.mark.parametrize("p,q", REGIMES)
+    def test_each_row_equals_its_one_row_call(self, n, p, q):
+        rng = np.random.default_rng(int(100 * p + 10 * q + n))
+        self._assert_rows_alone(self._stack(rng, 7, n), p, q)
+
+    @pytest.mark.parametrize("p,q", [(2.0, 3.0), (3.0, 2.0), (1.0, 0.5)])
+    def test_rows_past_the_lifting_size(self, p, q):
+        """At N = 1,100 each row builds its G by the lifting (regimes I, II
+        and IV of char_antigop)."""
+        assert 1100 >= charformulas._LIFT_MIN
+        rng = np.random.default_rng(int(10 * p + q))
+        self._assert_rows_alone(self._stack(rng, 3, 1100), p, q)
+
+    @pytest.mark.parametrize("p,q", [(1.0, 0.3), (0.8, 0.5)])
+    def test_outer_power_is_a_python_float_power(self, p, q):
+        """gop regime IV reports both summed terms, so its value can be
+        checked against ``ext_pow`` on their Python-float sum: an array
+        power of the (B,) sums differs by an ulp in about 5% of rows at
+        these outer exponents, 7/3 and 3/4 (at (1, 0.5) and (0.5, 0.25)
+        they are 1 and 2, where the two powers agree)."""
+        rng = np.random.default_rng(int(10 * p))
+        x = 2.0 ** rng.uniform(-8, 8, (3, 300, 5))
+        outer = (p - q) / (p * q)
+        for res in _gop_rows(*x, classify_regime(p, q)):
+            want = ext_pow(res.terms["S1"] + res.terms["S2"], outer)
+            assert res.value.hex() == want.hex()
+
+    def test_one_row_call_copies_no_weights(self, monkeypatch):
+        """The public call validates its windows once and hands the kernel
+        views of their values, not copies."""
+        seen = []
+        real = charformulas._gop_rows
+        monkeypatch.setattr(charformulas, "_gop_rows", lambda *a: seen.extend(a[:3]) or real(*a))
+        u, v, w = rand_triple(np.random.default_rng(5), 6)
+        char_gop(u, v, w, 2.0, 3.0)
+        assert [np.shares_memory(x, y.values) for x, y in zip(seen, (u, v, w))] == [True] * 3
 
 
 class TestZeroTimesInfinity:

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -536,11 +537,20 @@ def _search_reference(problems, cfg):
     return out
 
 
+def _literal_triple(u, v, w, p, q, family):
+    """The chain triple with the powered sum as the psum(p) form, also at
+    p = 1, where :func:`_chain_problems` gives it the sum form."""
+    sup, total, _ = _chain_problems(u, v, w, p, q, family)
+    psum = (gop_psum if family == "gop" else antigop_psum)(p)
+    return sup, total, RatioProblem(total.u, v, w, p, q, psum)
+
+
 def _chain_reference(instances, cfg):
     """Chain reports of instances that share forms, ``p``, ``q`` and size,
-    from the full pool: every row for all three forms, then each form's
-    polished rows, every candidate evaluated for all three forms."""
-    items = [(inst[5], _chain_problems(*inst)) for inst in instances]
+    from the full pool: every row for all three forms of the literal triple
+    (:func:`_literal_triple`), then each form's polished rows, every
+    candidate evaluated for all three forms."""
+    items = [(inst[5], _literal_triple(*inst)) for inst in instances]
     refs = items[0][1]
     sups = [probs[0] for _, probs in items]
     weights, pool = _stack(sups), _full_pool(sups, cfg)
@@ -1392,6 +1402,67 @@ class TestEquivalenceRatio:
         prob = RatioProblem(ONES2, ONES2, ONES2, 1.0, 1.0, GOP_SUP)
         with pytest.raises(ValueError):
             equivalence_ratio(prob, FAST_CONFIG)
+
+    @pytest.mark.parametrize("form,variant", [(GOP, "printed"), (ANTIGOP, "printed"), (ANTIGOP, "flipped")])
+    def test_alone_equals_its_row_in_a_stack(self, form, variant):
+        """A problem's ratio alone equals, field for field, its ratio as the
+        middle of a stack of three: closed form (value, terms), search
+        (constant, argmax, evaluations), ratio and sentinel."""
+        rng = np.random.default_rng(7)
+        for p, q in [(2.0, 3.0), (3.0, 2.0), (1.0, 1.0), (0.5, 1.0), (1.0, 0.5), (0.5, 0.25)]:
+            for n in (1, 3, 8):
+                mk = lambda: Window(2, 2.0 ** rng.uniform(-3, 3, n) * (rng.random(n) > 0.15))
+                a, prob, b = (RatioProblem(mk(), mk(), mk(), p, q, form) for _ in range(3))
+                alone = equivalence_ratio(prob, FAST_CONFIG, variant)
+                stacked = equivalence_ratios([a, prob, b], FAST_CONFIG, variant)[1]
+                assert json.dumps(alone.to_json()) == json.dumps(stacked.to_json()), (p, q, n)
+
+
+class TestSharedSearch:
+    """psum(1) is the sum operator: the oracle gives both forms the same
+    bits, so a chain group searches the sum once for both places."""
+
+    @pytest.mark.parametrize("psum,total", [(gop_psum(1.0), GOP), (antigop_psum(1.0), ANTIGOP)])
+    @pytest.mark.parametrize("p,q", [(1.0, 0.5), (1.0, 2.0)])
+    def test_psum_one_searches_as_the_sum(self, psum, total, p, q):
+        rng = np.random.default_rng(int(10 * q))
+        for n in (3, 5, 8, 12, 16):
+            u, v, w = (Window(x.start, x.values * (rng.random(n) > 0.15))
+                       for x in rand_triple(rng, n))
+            a, b = brute_force_constants(
+                [RatioProblem(u, v, w, p, q, form) for form in (psum, total)], FAST_CONFIG
+            )
+            assert a.constant.hex() == b.constant.hex(), n
+            assert a.argmax.start == b.argmax.start
+            assert a.argmax.values.tobytes() == b.argmax.values.tobytes(), n
+            assert (a.evaluations, a.certificate) == (b.evaluations, b.certificate)
+
+    @pytest.mark.parametrize("p,q,searches", [(1.0, 0.5, 2), (0.5, 0.25, 3)])
+    def test_each_distinct_form_is_polished_once(self, p, q, searches, monkeypatch):
+        """Two chain groups (gop, and antigop with simple) polish two forms
+        each at p = 1 and three at p = 0.5, and their reports equal, field
+        by field, the full-pool reference that searches the literal triple
+        with psum(p)."""
+        import hardyseq.oracle as oracle
+
+        forms = []
+        real = oracle._polish
+        monkeypatch.setattr(oracle, "_polish", lambda prob, *a: forms.append(prob.form) or real(prob, *a))
+        rng = np.random.default_rng(int(10 * p))
+        mk = lambda: Window(0, 2.0 ** rng.uniform(-3, 3, 6))
+        insts = [(mk(), mk(), mk(), p, q, family)
+                 for family in ("gop", "antigop", "simple", "gop", "antigop")]
+        got = chain_equivalence_sweeps(insts, FAST_CONFIG)
+        assert len(forms) == 2 * searches and len(set(forms)) == 2 * searches
+        groups = {"gop": [0, 3], "antigop": [1, 2, 4]}
+        for members in groups.values():
+            want = _chain_reference([insts[i] for i in members], FAST_CONFIG)
+            for i, ref in zip(members, want):
+                rep = got[i].to_json()
+                for key in ("A1", "A2", "A3"):
+                    assert rep[key].hex() == ref[key].hex(), (i, key)
+                for key in ("family", "violations", "pool_size"):
+                    assert rep[key] == ref[key], (i, key)
 
 
 class TestChainEquivalence:
