@@ -333,17 +333,18 @@ def doubling_lemma_check(
         )
     bb = b.as_array()[kmin - b.start:kmax - b.start + 1]
     cc = c.as_array()[kmin - c.start:kmax - c.start + 1]
-    for i in range(len(bb) - 2):
-        if not bb[i + 1] >= 2.0 * bb[i]:
+    bl = bb.tolist()
+    for i in range(len(bl) - 2):
+        if not bl[i + 1] >= 2.0 * bl[i]:
             raise ValueError(
                 f"doubling b_{{k+1}} >= 2 b_k violated at k={kmin + i}"
             )
     tails = scan_sum(cc, right=True)
     sups = scan_max(cc, right=True)
     return DoublingQuantities(
-        lhs_sum=float(np.sum(tails**alpha * bb)),
-        lhs_sup=float(np.sum(sups * bb)),
-        rhs_sum=float(np.sum(cc**alpha * bb)),
-        rhs_sup=float(np.sum(cc * bb)),
+        lhs_sum=float(np.add.reduce(tails**alpha * bb)),
+        lhs_sup=float(np.add.reduce(sups * bb)),
+        rhs_sum=float(np.add.reduce(cc**alpha * bb)),
+        rhs_sup=float(np.add.reduce(cc * bb)),
     )
 

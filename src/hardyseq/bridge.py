@@ -22,12 +22,17 @@ each cell at the crossing of the moving and frozen suprema.
 ``StepFunction``, ``PiecewiseLinear``, ``cumulative`` and
 ``sup_weighted_tail`` work in ``Fraction`` arithmetic, one operation at a
 time.  ``bridge_check`` computes the same values without per-operation
-``Fraction`` objects.  Every float is ``m * 2**e``, so each window converts
-once to Python ints on one power-of-two scale (``x_n = m_n / 2**s``).  Sums,
-products, maxima and integer powers of such numbers are ints on a scale
-that is tracked alongside them.  So the cumulatives, the iterated entries,
-the tail suprema, the moving/frozen comparisons and the power sums are int
-arithmetic, and each returned power becomes one ``Fraction`` at the end.
+``Fraction`` objects.  Every float is ``m * 2**e``, so the four windows
+convert together, in one NumPy pass (``_scaled``), to Python ints on one
+power-of-two scale (``x_n = m_n / 2**s``).  Sums, products, maxima and
+integer powers of such numbers are ints on a scale that is tracked
+alongside them.  So the cumulatives, the iterated entries, the tail
+suprema, the moving/frozen comparisons and the power sums are int
+arithmetic, and each returned power becomes one ``Fraction`` at the end;
+every such value is an exact rational, so the shared scale moves none of
+them.  The per-cell lists are built by ``map`` and ``accumulate`` over
+``operator.mul``, ``max`` and ``pow``, so the loops over the cells run in C
+and only the big-int arithmetic is left per value.
 The only non-dyadic values are the reflected cells whose crossing ``tau``
 lies strictly inside (0, 1); their sum is carried as one unreduced
 fraction.  For a non-integer exponent the exact values are rounded to float
@@ -40,7 +45,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import mul
+
+import numpy as np
+
 from .seqcore import Window, _scaled, common_window
 
 __all__ = [
@@ -233,7 +242,7 @@ def _tail_sups(U: list[int], knots: list[int]) -> list[int]:
     one pass from the right, ``F`` a monotone cumulative with ``knots``:
     ``tails[k] = max(U[k] * max(knots[k], knots[k+1]), tails[k+1])``,
     ``tails[N] = 0``."""
-    cells = [uk * max(lo, hi) for uk, lo, hi in zip(U, knots, knots[1:])]
+    cells = list(map(mul, U, map(max, knots, knots[1:])))
     return _running_max_from_right(cells) + [0]
 
 
@@ -243,7 +252,7 @@ def _power_sum(W: list[int], sw: int, xs: list[int], t: int, q: float) -> Fracti
     ``x_i`` otherwise."""
     if float(q).is_integer():
         k = int(q)
-        return Fraction(sum(wi * x**k for wi, x in zip(W, xs)), 1 << (sw + k * t))
+        return Fraction(sum(map(mul, W, map(pow, xs, repeat(k)))), 1 << (sw + k * t))
     dw, d = 1 << sw, 1 << t
     return sum((wi / dw * (x / d) ** q for wi, x in zip(W, xs)), 0.0)
 
@@ -253,7 +262,7 @@ def _antigop_cells(U, A, knots, tails, W, sw: int, t: int, q: float) -> Fraction
     the moving supremum falls from ``m0 = U_k F_k`` with slope ``U_k A_k``
     and meets the frozen one, ``f = tails[k+1]``, at ``tau = (m0 - f) /
     slope``; the frozen one holds after that."""
-    cells = [(wk, uk * fk, uk * ak, f) for wk, uk, ak, fk, f in zip(W, U, A, knots, tails[1:])]
+    cells = zip(W, map(mul, U, knots), map(mul, U, A), tails[1:])
     if float(q).is_integer():
         k = int(q)
         acc, rn, rd = 0, 0, 1  # (k+1) * sum of w * cell = acc + rn / rd
@@ -359,8 +368,10 @@ def bridge_check(
     if form not in ("gop", "antigop"):
         raise ValueError(f"form must be 'gop' or 'antigop', got {form!r}")
 
-    (U, su), (V, sv), (W, sw), (A, sa) = (_scaled(x.values) for x in (u, v, w, a))
-    t = su + sa  # the scale of every product of u with a cumulative of a
+    ints, s = _scaled(np.concatenate([x.values for x in (u, v, w, a)]))
+    n = len(a)
+    U, V, W, A = (ints[k * n:(k + 1) * n] for k in range(4))
+    t = 2 * s  # the scale of every product of u with a cumulative of a
 
     # The knots of the inner cumulative F give the discrete inner sums:
     # sum_{k <= i} a_k = F(i + 1) for gop, sum_{k >= i} a_k = F(i) for antigop.
@@ -368,18 +379,18 @@ def bridge_check(
     knots = list(accumulate(A if gop else reversed(A), initial=0))
     knots = knots if gop else knots[::-1]
     inner = knots[1:] if gop else knots[:-1]
-    entries = _running_max_from_right([x * y for x, y in zip(U, inner)])
-    discrete_lhs_pow = _power_sum(W, sw, entries, t, q)
+    entries = _running_max_from_right(list(map(mul, U, inner)))
+    discrete_lhs_pow = _power_sum(W, s, entries, t, q)
 
     tails = _tail_sups(U, knots)
     if gop:
-        continuous_lhs_pow = _power_sum(W, sw, tails[:-1], t, q)
+        continuous_lhs_pow = _power_sum(W, s, tails[:-1], t, q)
     else:
-        continuous_lhs_pow = _antigop_cells(U, A, knots, tails, W, sw, t, q)
+        continuous_lhs_pow = _antigop_cells(U, A, knots, tails, W, s, t, q)
 
     # Right sides: for cell-constant data the integral of f^p v over a cell
     # is a_n^p v_n, so both are this one sum.
-    rhs_pow = _power_sum(V, sv, A, sa, p)
+    rhs_pow = _power_sum(V, s, A, s, p)
     rhs_root = _root(rhs_pow, p)
 
     return BridgeCheckResult(

@@ -313,18 +313,18 @@ def elementary_chain_check(a: Window, p: float, n: int) -> tuple[float, float, f
     tail = a.as_array()[n - a.start:] if n in a else None
     if tail is None:
         raise IndexError(f"index {n} outside window [{a.start}, {a.last}]")
-    s1 = float(np.max(tail))
+    s1 = float(np.maximum.reduce(tail))
     if s1 == 0.0:
         return 0.0, 0.0, 0.0
     # Evaluate on the max-normalized tail: the largest ratio is exactly 1, so
     # r**p >= r holds entry by entry in floating point and the summed chain
     # cannot invert by roundoff.
     r = tail / s1
-    t1 = float(np.sum(r))
-    if p == 1.0 or int((tail > 0).sum()) <= 1:
+    t1 = float(np.add.reduce(r))
+    if p == 1.0 or np.count_nonzero(tail) <= 1:
         t3 = t1
     else:
-        t3 = float(np.sum(r**p) ** (1.0 / p))
+        t3 = float(np.add.reduce(r**p) ** (1.0 / p))
         # exact t3 >= exact t1; flooring repairs sub-ulp pow drift near p = 1,
         # keeping the returned value a faithful rounding of the true one
         t3 = max(t3, t1)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import lshift
 from typing import Sequence
 
 import numpy as np
@@ -156,11 +157,29 @@ def scan_min(x: np.ndarray, right: bool = False) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _scaled(values: np.ndarray) -> tuple[list[int], int]:
-    """Nonempty finite floats as ints on one power-of-two scale, exactly:
-    ``values[i] = ints[i] / 2**shift``, with the least ``shift >= 0``."""
-    ratios = [v.as_integer_ratio() for v in values.tolist()]
-    s = max(d for _, d in ratios).bit_length() - 1
-    return [m << (s + 1 - d.bit_length()) for m, d in ratios], s
+    """Nonempty finite nonnegative floats as ints on one power-of-two scale,
+    exactly: ``values[i] = ints[i] / 2**shift`` with the least shift >= 0.
+
+    Every step is exact in NumPy.  ``frexp`` splits each value into ``mant *
+    2**ex`` (subnormals included), so ``m = mant * 2**53`` is its integer
+    significand, 0 or in [2**52, 2**53).  ``v = m - 2**53`` is exact in
+    float64 and int64, and ``v & -v`` is the lowest set bit ``low`` of ``m``
+    (``v`` and ``m`` agree mod 2**53), or 2**53 for a zero (-0.0 too), so a
+    zero needs no mask.  ``m / low`` is an odd int below 2**53 (0 for a
+    zero), and ``low * 2**(ex - 53)`` is the value's own lowest set bit
+    ``2**(e - 1)``: a power of two between 2**-1074 and the value, so a
+    float; 1.0 for a zero.  The least shift is ``1 - min(e)``, at least 0,
+    and each value is its odd int shifted left by ``e - 1 + shift >= 0``,
+    as Python ints in one ``map``.
+    """
+    mant, ex = np.frexp(values)
+    v = (np.ldexp(mant, 53) - 2.0**53).astype(np.int64)
+    low = (v & -v).astype(np.float64)
+    odd = ((v + (1 << 53)) / low).astype(np.int64)
+    lowest = np.ldexp(low * 2.0**-53, ex)
+    s = max(1 - math.frexp(lowest.min())[1], 0)
+    shifts = np.frexp(lowest)[1].astype(np.int64) + (s - 1)
+    return list(map(lshift, odd.tolist(), shifts.tolist())), s
 
 
 # ---------------------------------------------------------------------------

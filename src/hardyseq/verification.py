@@ -160,12 +160,11 @@ def _pick(rng: np.random.Generator, seq: Sequence) -> Any:
 
 
 def _weight_triple(rng: np.random.Generator, n: int, exponent: float) -> tuple[Window, Window, Window]:
+    """Three ``rand_window`` draws as one (3, n) block: the same values and
+    the same generator state after it."""
     start = int(rng.integers(-4, 5))
-    return (
-        rand_window(rng, n, start, exponent),
-        rand_window(rng, n, start, exponent),
-        rand_window(rng, n, start, exponent),
-    )
+    u, v, w = 2.0 ** rng.uniform(-exponent, exponent, size=(3, n))
+    return Window(start, u), Window(start, v), Window(start, w)
 
 
 # ---------------------------------------------------------------------------

@@ -100,12 +100,26 @@ def _draws(seed):
         yield tuple(_wide_window(rng, n, start) for _ in range(4))
 
 
+def _scales_draw(seed):
+    """u and w near 2**-1000, v and a near 2**+1000, each with zeros: the
+    four windows share one scale in ``bridge_check``, so the ints of v and a
+    carry about 2,000 more bits than their own scale would need."""
+    rng = np.random.default_rng(seed)
+    n, start = 24, int(rng.integers(-4, 5))
+    out = []
+    for e in (-1000, 1000, -1000, 1000):
+        x = 2.0 ** rng.uniform(e - 20, e + 20, n)
+        x[rng.random(n) < 0.2] = 0.0
+        out.append(Window(start, x))
+    return tuple(out)
+
+
 class TestExactReference:
     @pytest.mark.parametrize("form", ["gop", "antigop"])
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_integer_exponents(self, form, p):
         for q in (1, 2, 3):
-            for u, v, w, a in _draws((p, q, form == "gop")):
+            for u, v, w, a in (*_draws((p, q, form == "gop")), _scales_draw((p, q))):
                 res = bridge_check(u, v, w, a, float(p), float(q), form)
                 assert res.exact_lhs and res.exact_rhs
                 _assert_same_result(res, _bridge_exact_reference(u, v, w, a, p, q, form))
@@ -114,7 +128,10 @@ class TestExactReference:
     def test_non_integer_exponents(self, form):
         for p in (0.5, 1.5, 2.5):
             for q in (0.5, 1.5, 2.5):
-                for u, v, w, a in _draws((int(2 * p), int(2 * q), form == "gop", 1)):
+                draws = list(_draws((int(2 * p), int(2 * q), form == "gop", 1)))
+                if p < 1:  # a**p of a near 2**1000 is no float above p = 1
+                    draws.append(_scales_draw((int(2 * p), int(2 * q))))
+                for u, v, w, a in draws:
                     res = bridge_check(u, v, w, a, p, q, form)
                     assert not (res.exact_lhs or res.exact_rhs)
                     _assert_same_result(res, _bridge_exact_reference(u, v, w, a, p, q, form))

@@ -154,15 +154,24 @@ class TestScans:
 class TestScaled:
     def test_exact_on_one_scale(self):
         """``_scaled`` gives ints ``m`` and the least shift ``s >= 0`` with
-        ``m / 2**s`` equal to each entry exactly: zeros, subnormals,
-        2**+-1000 and full mantissas."""
+        ``m / 2**s`` equal to each entry exactly: zeros (-0.0 too),
+        subnormals, every binade, the largest float, 2**+-1000 and full
+        mantissas."""
         rng = np.random.default_rng(3)
+        dyadic = rng.integers(0, 17, 24) / 2.0 ** rng.integers(0, 4, 24)
         cases = [
             np.array([0.0]),
             np.array([0.0, 1.0, 3.0]),
+            np.array([-0.0, 8.0, 4.0]),
+            np.array([8.0, 12.0, 2.0**1000]),
             np.array([5e-324, 2.0**-1074 * 12345, 2.0**-1022, 0.0]),
             np.array([2.0**-1000, 2.0**1000, 1.5, 0.0]),
             2.0 ** rng.uniform(-1070, 1020, 50) * (rng.random(50) > 0.1),
+            2.0 ** np.arange(-1074.0, 1024.0),
+            np.ldexp(1 - 2.0**-53, np.arange(-1073, 1025)),
+            np.array([np.finfo(float).max, 2.0**1023, 0.0]),
+            rng.integers(2**51, 2**52, 20) * 2.0**-1074,
+            np.concatenate([dyadic, 2.0 ** (rng.choice([-1000, 1000], 24) + rng.uniform(-9, 9, 24))]),
         ]
         for x in cases:
             ints, shift = _scaled(x)
