@@ -13,9 +13,13 @@ u(s) * int_{-inf}^s f`` is constant on every cell, which collapses the
 continuous integral to the discrete sum exactly.  For the reflected
 (antigop) form the inner cumulative decreases, the integrand genuinely
 depends on ``t`` inside the first cell, and only ``continuous <= discrete``
-holds (the inequalities are still equivalent, with the same least constant,
-by a spike-shrinking limit; the pointwise identity fails, e.g. on a
-one-cell window with unit data the continuous side is ``(q+1)^(-1/q)``).
+holds (e.g. on a one-cell window with unit data the continuous side is
+``(q+1)^(-1/q)``).  The least constants agree only at ``p = 1``, where
+refining step data to cells of width ``1/m`` keeps either form's constant.
+At ``p > 1`` the reflected form's continuous constant can be smaller: 2/pi
+against 1 on one unit cell at ``p = q = 2`` (E. Schmidt, Math. Ann. 117,
+1940); at ``p < 1`` refining multiplies it by ``m^(1/p - 1)``, so it is
+infinite for both forms.
 The checker computes the reflected cell integrals in closed form, splitting
 each cell at the crossing of the moving and frozen suprema.
 
@@ -243,7 +247,7 @@ def _tail_sups(U: list[int], knots: list[int]) -> list[int]:
     ``tails[k] = max(U[k] * max(knots[k], knots[k+1]), tails[k+1])``,
     ``tails[N] = 0``."""
     cells = list(map(mul, U, map(max, knots, knots[1:])))
-    return _running_max_from_right(cells) + [0]
+    return list(accumulate(reversed(cells), max, initial=0))[::-1]
 
 
 def _power_sum(W: list[int], sw: int, xs: list[int], t: int, q: float) -> Fraction | float:

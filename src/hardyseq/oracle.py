@@ -171,10 +171,11 @@ benchmark's oracle-wide workload 79% of the block rows are skipped
 The search also has a problem axis.  The list entry points
 (:func:`brute_force_constants`, :func:`equivalence_ratios`,
 :func:`chain_equivalence_sweeps`) group the problems that share ``p``,
-``q``, form and window size, and polish every restart of every problem of a
-group with one batched evaluation per iteration.  :func:`equivalence_ratios`
-takes a group's closed forms in one call, and a chain triple (sup, sum,
-psum(p)), whose psum(1) is the sum, searches each distinct form once
+``q``, form and window size, stack each group once, and polish every
+restart of every problem of a group with one batched evaluation per
+iteration.  :func:`equivalence_ratios` takes a group's closed forms in one
+call on the stack it searches, and a chain triple (sup, sum, psum(p)),
+whose psum(1) is the sum, searches each distinct form once
 (:func:`_chain_group`).  A group's weights are one contiguous (3, B, 1, n)
 array (:func:`_stack`): ``u, v, w = weights`` gives each as (B, 1, n)
 against candidates of shape (B, K, n), ``weights[:, sel]`` is the stack of
@@ -182,7 +183,7 @@ the problems ``sel`` (those the polish selects), and rows of several
 problems take their weights by problem index (``weights[:, rows //
 rows_per]``).  Rows are independent across problems as well, so each result
 equals the problem's own result, bit for bit, and comes back in input order;
-:func:`brute_force_constant` is the one-element call.
+each singular function is the one-element call of its list entry point.
 
 Everything is deterministic given the config seed: per-restart generators are
 derived from ``(seed, restart_index)`` and results merge by max, so the
@@ -902,8 +903,11 @@ def _to_polish(problem: RatioProblem, ratios: np.ndarray) -> np.ndarray:
     return ~np.isinf(ratios).any(axis=1) & ~(ratios == 0).all(axis=1)
 
 
-def _search(problems: Sequence[RatioProblem], cfg: OracleConfig) -> list[OracleResult]:
-    """The search for same-size problems sharing ``p``, ``q`` and the form.
+def _search(
+    problems: Sequence[RatioProblem], weights: np.ndarray, cfg: OracleConfig
+) -> list[OracleResult]:
+    """The search for same-size problems sharing ``p``, ``q`` and the form,
+    stacked as ``weights`` (:func:`_stack`).
 
     In the spike range the ``n`` spike rows of the pool alone, with no
     Dirichlet rows, are evaluated; elsewhere the whole pool is
@@ -912,7 +916,6 @@ def _search(problems: Sequence[RatioProblem], cfg: OracleConfig) -> list[OracleR
     range.
     """
     ref, n = problems[0], problems[0].size
-    weights = _stack(problems)
     if _spike_exact(ref):
         drawn, ratios = np.empty((len(problems), 0, n)), np.empty((len(problems), n))
         _evaluate_rows(ref, drawn, weights, np.arange(n), ratios)
@@ -960,7 +963,7 @@ def spike_oracle(problem: RatioProblem) -> OracleResult:
         raise ValueError("spike oracle requires a sup-inner operator form")
     if not _spike_exact(problem):
         raise ValueError(f"spike oracle requires q >= p, got p={problem.p}, q={problem.q}")
-    return _search([problem], OracleConfig())[0]
+    return brute_force_constant(problem)
 
 
 def brute_force_constants(
@@ -975,7 +978,7 @@ def brute_force_constants(
     for bit.
     """
     cfg = cfg or OracleConfig()
-    return _in_groups(problems, _shape, lambda group: _search(group, cfg))
+    return _in_groups(problems, _shape, lambda group: _search(group, _stack(group), cfg))
 
 
 def brute_force_constant(
@@ -1016,17 +1019,20 @@ def _equivalence(ch: CharacterizationResult, res: OracleResult) -> EquivalenceRa
     return EquivalenceRatio(F, B, ext_div(F, B), False, ch, res)
 
 
-def _closed_forms(problems: Sequence[RatioProblem], variant: str) -> list[CharacterizationResult]:
-    """The closed-form estimates F of same-shaped gop/antigop sum-form
-    problems (:func:`_shape`), by one row-kernel call on their stack."""
+def _equivalences(
+    problems: Sequence[RatioProblem], cfg: OracleConfig, variant: str
+) -> list[EquivalenceRatio]:
+    """The ratios of same-shaped gop/antigop sum-form problems
+    (:func:`_shape`): one stack, its rows' closed forms F in one call, and
+    its search."""
     ref = problems[0]
     if ref.form not in (GOP, ANTIGOP):
         raise ValueError("equivalence ratios are defined for the gop/antigop sum forms, "
                          f"got {ref.form.name}")
-    rows, regime = _stack(problems)[:, :, 0], classify_regime(ref.p, ref.q)
-    if ref.form == GOP:
-        return _gop_rows(*rows, regime)
-    return _antigop_rows(*rows, regime, variant)
+    weights, regime = _stack(problems), classify_regime(ref.p, ref.q)
+    rows = weights[:, :, 0]
+    chars = _gop_rows(*rows, regime) if ref.form == GOP else _antigop_rows(*rows, regime, variant)
+    return list(map(_equivalence, chars, _search(problems, weights, cfg)))
 
 
 def equivalence_ratios(
@@ -1035,13 +1041,10 @@ def equivalence_ratios(
     variant: str = "printed",
 ) -> list[EquivalenceRatio]:
     """:func:`equivalence_ratio` of every problem, in input order, bit for
-    bit: each ``(p, q, form, n)`` group's closed forms in one call, and one
-    :func:`brute_force_constants` call, which searches the groups as stacks."""
-    chars = _in_groups(problems, _shape, lambda group: _closed_forms(group, variant))
-    return [
-        _equivalence(ch, res)
-        for ch, res in zip(chars, brute_force_constants(problems, cfg))
-    ]
+    bit: each ``(p, q, form, n)`` group is stacked once, for its closed forms
+    and its search (:func:`_equivalences`)."""
+    cfg = cfg or OracleConfig()
+    return _in_groups(problems, _shape, lambda group: _equivalences(group, cfg, variant))
 
 
 def equivalence_ratio(
@@ -1054,8 +1057,7 @@ def equivalence_ratio(
     Degenerate 0/0 (and inf/inf) comparisons report the sentinel ratio 1
     with a flag rather than NaN.
     """
-    ch = _closed_forms([problem], variant)[0]
-    return _equivalence(ch, brute_force_constant(problem, cfg))
+    return equivalence_ratios([problem], cfg, variant)[0]
 
 
 @dataclass(frozen=True)

@@ -258,13 +258,22 @@ class Window:
     def from_json(cls, obj: dict) -> "Window":
         """The window of ``{"start": int, "values": [number, ...]}``; a
         boolean, string or other non-number entry raises ``ValueError``,
-        and so does a ``start`` that :func:`_wire_int` rejects."""
+        and so do non-list values and a ``start`` that :func:`_wire_int`
+        rejects."""
         if not isinstance(obj, dict) or "start" not in obj or "values" not in obj:
             raise ValueError('window JSON must be {"start": int, "values": [...]}')
-        for v in obj["values"]:
+        for v in _wire_list(obj["values"], "window values"):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"unrecognized window entry {v!r}")
         return cls(_wire_int(obj["start"], "window start"), [float(v) for v in obj["values"]])
+
+
+def _wire_list(x: object, name: str) -> list:
+    """A list field of the JSON wire format; anything else raises
+    ``ValueError`` naming the field."""
+    if not isinstance(x, list):
+        raise ValueError(f"{name} must be a list, got {x!r}")
+    return x
 
 
 def _wire_int(x: object, name: str) -> int:

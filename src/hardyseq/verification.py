@@ -36,7 +36,7 @@ import numpy as np
 from . import blocks, bridge, charformulas, hardyops, oracle
 from .hardyops import ANTIGOP_SUP, RatioProblem
 from .oracle import FAST_CONFIG
-from .seqcore import Window, _wire_float, _wire_int
+from .seqcore import Window, _wire_float, _wire_int, _wire_list
 
 __all__ = ["SweepSpec", "run_verification", "replay_instance", "SCHEMA_VERSION"]
 
@@ -53,6 +53,24 @@ ALL_SUITES = (
 )
 
 DEFAULT_REGIMES = ((2.0, 3.0), (3.0, 2.0), (1.0, 1.0), (0.5, 1.0), (1.0, 0.5), (0.5, 0.25))
+
+
+#: How :meth:`SweepSpec.from_json` reads each field it is given.
+_SPEC_FIELDS: dict[str, Callable[[Any], Any]] = {
+    "seed": lambda x: _wire_int(x, "seed"),
+    "suites": lambda x: tuple(_wire_list(x, "suites")),
+    "regimes": lambda x: tuple(
+        (_wire_float(p, "regime p"), _wire_float(q, "regime q"))
+        for p, q in (_wire_list(pq, "regime") for pq in _wire_list(x, "regimes"))
+    ),
+    "window_sizes": lambda x: tuple(
+        _wire_int(n, "window size") for n in _wire_list(x, "window_sizes")
+    ),
+    "ensemble": lambda x: _wire_int(x, "ensemble"),
+    "weight_exponent": lambda x: _wire_float(x, "weight_exponent"),
+    "out": lambda x: None if x is None else str(x),
+    "replay": lambda x: tuple(_wire_list(x, "replay")),
+}
 
 
 @dataclass(frozen=True)
@@ -86,26 +104,7 @@ class SweepSpec:
     def from_json(cls, obj: dict) -> "SweepSpec":
         if not isinstance(obj, dict):
             raise ValueError("sweep spec must be a JSON object")
-        kwargs: dict[str, Any] = {}
-        if "seed" in obj:
-            kwargs["seed"] = _wire_int(obj["seed"], "seed")
-        if "suites" in obj:
-            kwargs["suites"] = tuple(obj["suites"])
-        if "regimes" in obj:
-            kwargs["regimes"] = tuple(
-                (_wire_float(p, "regime p"), _wire_float(q, "regime q")) for p, q in obj["regimes"]
-            )
-        if "window_sizes" in obj:
-            kwargs["window_sizes"] = tuple(_wire_int(n, "window size") for n in obj["window_sizes"])
-        if "ensemble" in obj:
-            kwargs["ensemble"] = _wire_int(obj["ensemble"], "ensemble")
-        if "weight_exponent" in obj:
-            kwargs["weight_exponent"] = _wire_float(obj["weight_exponent"], "weight_exponent")
-        if "out" in obj and obj["out"] is not None:
-            kwargs["out"] = str(obj["out"])
-        if "replay" in obj:
-            kwargs["replay"] = tuple(obj["replay"])
-        return cls(**kwargs)
+        return cls(**{k: read(obj[k]) for k, read in _SPEC_FIELDS.items() if k in obj})
 
     def to_json(self) -> dict:
         obj = {
@@ -295,29 +294,6 @@ def _each(check: Callable[..., tuple[Any, bool]]) -> Callable[[list[dict]], list
     return lambda instances: [check(**inputs) for inputs in instances]
 
 
-#: Each suite's check: a list of instances (dicts of inputs) in, one
-#: ``(observed, passed)`` per instance out.
-_CHECKS: dict[str, Callable[[list[dict]], list[tuple[Any, bool]]]] = {
-    "chain": _each(_check_chain),
-    "bridge": _each(_check_bridge),
-    "partition": _each(_check_partition),
-    "linft": _check_linft,
-    "equivalence-ratio": _check_equivalence,
-    "chain-equivalence": _check_chain_equivalence,
-    "doubling": _each(_check_doubling),
-}
-
-#: The input fields of each suite's instances.
-_FIELDS: dict[str, tuple[str, ...]] = {
-    "chain": ("a", "p", "n"),
-    "bridge": ("u", "v", "w", "a", "q"),
-    "partition": ("w", "n0"),
-    "linft": ("u", "v", "p"),
-    "equivalence-ratio": ("u", "v", "w", "p", "q", "form"),
-    "chain-equivalence": ("u", "v", "w", "p", "q", "family"),
-    "doubling": ("b", "c", "alpha"),
-}
-
 #: How replay decodes each recorded input field.
 _DECODE: dict[str, Callable[[Any], Any]] = {
     **dict.fromkeys("abcuvw", Window.from_json),
@@ -334,7 +310,7 @@ _DECODE: dict[str, Callable[[Any], Any]] = {
 def _check(failures: list, suite: str, instances: list[dict]) -> list:
     """Run the suite's check on every instance; record each failure, in
     instance order, as a replayable entry; return the observed values."""
-    outcomes = _CHECKS[suite](instances)
+    outcomes = _SUITES[suite][1](instances)
     for inputs, (observed, passed) in zip(instances, outcomes):
         if not passed:
             encoded = {
@@ -346,34 +322,40 @@ def _check(failures: list, suite: str, instances: list[dict]) -> list:
 
 def replay_instance(entry: dict) -> dict:
     """Re-run one recorded failure through its suite's check, as a list of one."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"a replay entry must be a JSON object, got {entry!r}")
     suite = entry.get("suite")
-    if suite not in _CHECKS:
+    if suite not in _SUITES:
         raise ValueError(f"cannot replay suite {suite!r}")
-    inputs = {k: _DECODE[k](entry[k]) for k in _FIELDS[suite]}
-    [(observed, passed)] = _CHECKS[suite]([inputs])
+    _, check, fields = _SUITES[suite]
+    [(observed, passed)] = check([{k: _DECODE[k](entry[k]) for k in fields}])
     return {"suite": suite, "observed": observed, "passed": passed}
 
 
 # ---------------------------------------------------------------------------
-# Suites.  equivalence-ratio checks one (p, q, form) cell per call: problems
-# of different cells never share a stack, and holding the whole ensemble with
-# its results at once costs memory for nothing.
+# Suites.  A runner draws its instances, hands them to ``check`` (which
+# records the failures and returns the observed values) and returns only its
+# own report fields; :func:`run_verification` adds ``passed`` and
+# ``failures``.  equivalence-ratio checks one (p, q, form) cell per call:
+# problems of different cells never share a stack, and holding the whole
+# ensemble with its results at once costs memory for nothing.
 # ---------------------------------------------------------------------------
 
-def _suite_chain(spec: SweepSpec, rng: np.random.Generator) -> dict:
-    failures: list = []
+Check = Callable[[list[dict]], list]
+
+
+def _suite_chain(spec: SweepSpec, rng: np.random.Generator, check: Check) -> dict:
     probes = max(spec.ensemble * 25, 100)
     for _ in range(probes):
         n_len = int(_pick(rng, spec.window_sizes))
         a = rand_window(rng, n_len, int(rng.integers(-4, 5)), spec.weight_exponent, 0.2)
         p = float(rng.uniform(0.05, 1.0)) if rng.random() < 0.8 else 1.0
         n = int(rng.integers(a.start, a.stop))
-        _check(failures, "chain", [{"a": a, "p": p, "n": n}])
-    return {"passed": not failures, "probes": probes, "failures": failures}
+        check([{"a": a, "p": p, "n": n}])
+    return {"probes": probes}
 
 
-def _suite_bridge(spec: SweepSpec, rng: np.random.Generator) -> dict:
-    failures: list = []
+def _suite_bridge(spec: SweepSpec, rng: np.random.Generator, check: Check) -> dict:
     for _ in range(spec.ensemble):
         n_len = int(min(max(spec.window_sizes), 12))
         n_len = int(rng.integers(1, n_len + 1))
@@ -383,22 +365,20 @@ def _suite_bridge(spec: SweepSpec, rng: np.random.Generator) -> dict:
         w = rand_dyadic_window(rng, n_len, start)
         a = rand_dyadic_window(rng, n_len, start, allow_zero=True)
         q = float(rng.integers(1, 4))
-        _check(failures, "bridge", [{"u": u, "v": v, "w": w, "a": a, "q": q}])
-    return {"passed": not failures, "checks": spec.ensemble, "failures": failures}
+        check([{"u": u, "v": v, "w": w, "a": a, "q": q}])
+    return {"checks": spec.ensemble}
 
 
-def _suite_partition(spec: SweepSpec, rng: np.random.Generator) -> dict:
-    failures: list = []
+def _suite_partition(spec: SweepSpec, rng: np.random.Generator, check: Check) -> dict:
     for _ in range(spec.ensemble):
         n_len = int(_pick(rng, spec.window_sizes))
         w = rand_window(rng, n_len, int(rng.integers(-4, 5)), spec.weight_exponent, 0.25)
         n0 = int(rng.integers(w.start, w.stop))
-        _check(failures, "partition", [{"w": w, "n0": n0}])
-    return {"passed": not failures, "checks": spec.ensemble, "failures": failures}
+        check([{"w": w, "n0": n0}])
+    return {"checks": spec.ensemble}
 
 
-def _suite_linft(spec: SweepSpec, rng: np.random.Generator) -> dict:
-    failures: list = []
+def _suite_linft(spec: SweepSpec, rng: np.random.Generator, check: Check) -> dict:
     instances = []
     for _ in range(spec.ensemble):
         n_len = int(_pick(rng, spec.window_sizes))
@@ -407,12 +387,11 @@ def _suite_linft(spec: SweepSpec, rng: np.random.Generator) -> dict:
         v = rand_window(rng, n_len, start, spec.weight_exponent)
         p = _pick(rng, (0.25, 0.5, 1.0))
         instances.append({"u": u, "v": v, "p": p})
-    _check(failures, "linft", instances)
-    return {"passed": not failures, "checks": spec.ensemble, "failures": failures}
+    check(instances)
+    return {"checks": spec.ensemble}
 
 
-def _suite_equivalence(spec: SweepSpec, rng: np.random.Generator) -> dict:
-    failures: list = []
+def _suite_equivalence(spec: SweepSpec, rng: np.random.Generator, check: Check) -> dict:
     stats: dict[str, dict] = {}
     for p, q in spec.regimes:
         for form in ("gop", "antigop"):
@@ -421,18 +400,16 @@ def _suite_equivalence(spec: SweepSpec, rng: np.random.Generator) -> dict:
                 n_len = int(_pick(rng, [n for n in spec.window_sizes if n <= 8] or [5]))
                 u, v, w = _weight_triple(rng, n_len, spec.weight_exponent)
                 cell.append({"u": u, "v": v, "w": w, "p": p, "q": q, "form": form})
-            observed = _check(failures, "equivalence-ratio", cell)
-            arr = np.asarray([obs["ratio"] for obs in observed])
+            arr = np.asarray([obs["ratio"] for obs in check(cell)])
             stats[f"{form}:p={p},q={q}"] = {
                 "min": float(arr.min()),
                 "median": float(np.median(arr)),
                 "max": float(arr.max()),
             }
-    return {"passed": not failures, "ratio_stats": stats, "failures": failures}
+    return {"ratio_stats": stats}
 
 
-def _suite_chain_equivalence(spec: SweepSpec, rng: np.random.Generator) -> dict:
-    failures: list = []
+def _suite_chain_equivalence(spec: SweepSpec, rng: np.random.Generator, check: Check) -> dict:
     regimes = [(p, q) for p, q in spec.regimes if p <= 1] or [(1.0, 1.0)]
     instances = []
     for p, q in regimes:
@@ -443,16 +420,11 @@ def _suite_chain_equivalence(spec: SweepSpec, rng: np.random.Generator) -> dict:
                 instances.append(
                     {"u": u, "v": v, "w": w, "p": p, "q": q, "family": family}
                 )
-    ratios = [obs["ratio_A3_A1"] for obs in _check(failures, "chain-equivalence", instances)]
-    return {
-        "passed": not failures,
-        "max_ratio_A3_A1": float(max(ratios)) if ratios else None,
-        "failures": failures,
-    }
+    ratios = [obs["ratio_A3_A1"] for obs in check(instances)]
+    return {"max_ratio_A3_A1": float(max(ratios)) if ratios else None}
 
 
-def _suite_doubling(spec: SweepSpec, rng: np.random.Generator) -> dict:
-    failures: list = []
+def _suite_doubling(spec: SweepSpec, rng: np.random.Generator, check: Check) -> dict:
     probes = max(spec.ensemble * 10, 50)
     for _ in range(probes):
         n_len = int(rng.integers(3, 10))
@@ -460,18 +432,22 @@ def _suite_doubling(spec: SweepSpec, rng: np.random.Generator) -> dict:
         b = Window(0, np.concatenate([[rng.uniform(0.5, 2.0)], factors]).cumprod())
         c = rand_window(rng, n_len, 0, spec.weight_exponent, 0.3)
         alpha = _pick(rng, (0.25, 0.5, 1.0))
-        _check(failures, "doubling", [{"b": b, "c": c, "alpha": alpha}])
-    return {"passed": not failures, "probes": probes, "failures": failures}
+        check([{"b": b, "c": c, "alpha": alpha}])
+    return {"probes": probes}
 
 
-_SUITE_RUNNERS: dict[str, Callable[[SweepSpec, np.random.Generator], dict]] = {
-    "chain": _suite_chain,
-    "bridge": _suite_bridge,
-    "partition": _suite_partition,
-    "linft": _suite_linft,
-    "equivalence-ratio": _suite_equivalence,
-    "chain-equivalence": _suite_chain_equivalence,
-    "doubling": _suite_doubling,
+#: Each suite's runner; its check, a list of instances (dicts of inputs) in
+#: and one ``(observed, passed)`` per instance out; and its instances' fields.
+_SUITES: dict[str, tuple[Callable[..., dict], Check, tuple[str, ...]]] = {
+    "chain": (_suite_chain, _each(_check_chain), ("a", "p", "n")),
+    "bridge": (_suite_bridge, _each(_check_bridge), ("u", "v", "w", "a", "q")),
+    "partition": (_suite_partition, _each(_check_partition), ("w", "n0")),
+    "linft": (_suite_linft, _check_linft, ("u", "v", "p")),
+    "equivalence-ratio": (_suite_equivalence, _check_equivalence, ("u", "v", "w", "p", "q", "form")),
+    "chain-equivalence": (
+        _suite_chain_equivalence, _check_chain_equivalence, ("u", "v", "w", "p", "q", "family")
+    ),
+    "doubling": (_suite_doubling, _each(_check_doubling), ("b", "c", "alpha")),
 }
 
 
@@ -484,7 +460,9 @@ def run_verification(spec: SweepSpec) -> dict:
     }
     for name in spec.suites:
         rng = np.random.default_rng((spec.seed, ALL_SUITES.index(name)))
-        report["suites"][name] = _SUITE_RUNNERS[name](spec, rng)
+        failures: list = []
+        fields = _SUITES[name][0](spec, rng, lambda instances: _check(failures, name, instances))
+        report["suites"][name] = {"passed": not failures, **fields, "failures": failures}
     if spec.replay:
         report["replay"] = [replay_instance(entry) for entry in spec.replay]
     report["passed"] = all(s["passed"] for s in report["suites"].values()) and all(

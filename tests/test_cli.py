@@ -66,6 +66,12 @@ class TestChar:
         out = capsys.readouterr().out
         assert "value,3.0" in out
 
+    def test_values_not_a_list_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({k: {"start": 0, "values": 5} for k in "uvw"}))
+        assert main(["char", "--weights", str(path), "--p", "1", "--q", "1"]) == 2
+        assert "window values must be a list" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_linft_fixture_spikes_only(self, linft_file, capsys):
@@ -182,6 +188,12 @@ class TestPartition:
     def test_n0_out_of_range(self, weights_file):
         assert main(["partition", "--weights", weights_file, "--n0", "99"]) == 2
 
+    def test_values_not_a_list_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"start": 0, "values": 5}))
+        assert main(["partition", "--weights", str(path)]) == 2
+        assert "window values must be a list" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_default_small_spec(self, tmp_path, capsys):
@@ -225,6 +237,13 @@ class TestVerify:
         path.write_text(json.dumps({field: value}))
         assert main(["verify", "--spec", str(path)]) == 2
         assert "must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["suites", "regimes", "window_sizes", "replay"])
+    def test_list_spec_field_given_a_number_exits_two(self, tmp_path, field, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({field: 5}))
+        assert main(["verify", "--spec", str(path)]) == 2
+        assert f"{field} must be a list" in capsys.readouterr().err
 
     def test_output_file_round_trips(self, tmp_path):
         spec = {"seed": 3, "ensemble": 3, "suites": ["chain"], "window_sizes": [4]}
@@ -276,6 +295,12 @@ class TestReplay:
             assert report["replay"][0]["passed"] is False
             observed = report["replay"][0]["observed"]
             assert observed["exact"] == 2 * observed["brute"]
+
+    def test_replay_entry_not_an_object_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"suites": ["chain"], "ensemble": 1, "replay": [5]}))
+        assert main(["verify", "--spec", str(path)]) == 2
+        assert "replay entry must be a JSON object" in capsys.readouterr().err
 
     def test_replay_reproduces_identical_numbers(self):
         entry = {

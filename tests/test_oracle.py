@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hardyseq.charformulas import char_linft_exact
+from hardyseq import oracle
+from hardyseq.charformulas import char_antigop, char_gop, char_linft_exact
 from hardyseq.hardyops import (
     ANTIGOP,
     ANTIGOP_SUP,
@@ -1417,6 +1418,25 @@ class TestEquivalenceRatio:
                 stacked = equivalence_ratios([a, prob, b], FAST_CONFIG, variant)[1]
                 assert json.dumps(alone.to_json()) == json.dumps(stacked.to_json()), (p, q, n)
 
+    def test_one_stack_per_group(self, monkeypatch):
+        """Each (p, q, form, n) group is stacked once, for its closed forms
+        and its search alike, and each ratio is the closed form and the
+        oracle's constant of its problem alone, field for field."""
+        rng = np.random.default_rng(3)
+        probs = [RatioProblem(*rand_triple(rng, n), p, q, form)
+                 for n, p, q, form in [(3, 3.0, 2.0, GOP), (3, 3.0, 2.0, ANTIGOP),
+                                       (5, 1.0, 0.5, GOP), (5, 1.0, 0.5, GOP)]]
+        sizes, real = [], oracle._stack
+        monkeypatch.setattr(oracle, "_stack", lambda group: sizes.append(len(group)) or real(group))
+        got = equivalence_ratios(probs, FAST_CONFIG)
+        assert sizes == [1, 1, 2]
+        for prob, eq in zip(probs, got):
+            char = (char_gop if prob.form == GOP else char_antigop)(prob.u, prob.v, prob.w, prob.p, prob.q)
+            res = brute_force_constant(prob, FAST_CONFIG)
+            want = {"formula": char.value, "brute": res.constant, "ratio": char.value / res.constant,
+                    "sentinel": False, "char": char.to_json(), "oracle": res.to_json()}
+            assert json.dumps(eq.to_json()) == json.dumps(want)
+
 
 class TestSharedSearch:
     """psum(1) is the sum operator: the oracle gives both forms the same
@@ -1443,8 +1463,6 @@ class TestSharedSearch:
         each at p = 1 and three at p = 0.5, and their reports equal, field
         by field, the full-pool reference that searches the literal triple
         with psum(p)."""
-        import hardyseq.oracle as oracle
-
         forms = []
         real = oracle._polish
         monkeypatch.setattr(oracle, "_polish", lambda prob, *a: forms.append(prob.form) or real(prob, *a))

@@ -344,11 +344,13 @@ def test_gop_spike_range_ratio_outside_its_bracket_fails(scale, monkeypatch):
     F lies in [C, 2^(1/q) C] (``_check_equivalence``).  A constant scaled
     by 0.4 puts F/B above 2^(1/q) = 2, one scaled by 2.5 puts it below 1:
     each gop instance fails, and so does its replay; antigop instances,
-    which have no such bracket, still pass."""
-    real = oracle.brute_force_constants
+    which have no such bracket, still pass.  The fault is planted in the
+    search of each group, which ``equivalence_ratios`` reaches through
+    ``_equivalences``."""
+    real = oracle._search
     monkeypatch.setattr(
         oracle,
-        "brute_force_constants",
+        "_search",
         lambda *a, **k: [dataclasses.replace(r, constant=r.constant * scale) for r in real(*a, **k)],
     )
     spec = SweepSpec(seed=4, suites=("equivalence-ratio",), ensemble=3,
