@@ -34,10 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .seqcore import INF, Window, _scaled, common_window, scan_max, scan_sum
+from .seqcore import INF, Window, _in_groups, _scaled, common_window, scan_max, scan_sum
 
 __all__ = [
     "BlockPartition",
@@ -45,6 +46,7 @@ __all__ = [
     "block_partition",
     "verify_partition_invariants",
     "doubling_lemma_check",
+    "doubling_lemma_checks",
     "DoublingQuantities",
 ]
 
@@ -305,10 +307,11 @@ class DoublingQuantities:
         return dict(vars(self))
 
 
-def doubling_lemma_check(
-    b: Window, c: Window, alpha: float, kmin: int, kmax: int
-) -> DoublingQuantities:
-    """Evaluate both sides of the doubling-sequence inequality.
+def doubling_lemma_checks(
+    probes: Sequence[tuple[Window, Window, float, int, int]],
+) -> list[DoublingQuantities]:
+    """Both sides of the doubling-sequence inequality for every ``(b, c,
+    alpha, kmin, kmax)`` probe, in input order.
 
     Requires ``b_{k+1} >= 2 b_k`` for ``kmin <= k <= kmax - 2`` (the last gap
     is exempt, exactly as in the statement) and at least three indices.
@@ -323,28 +326,46 @@ def doubling_lemma_check(
     through the last gap, ``C = 2`` suffices for ``alpha <= 1`` (and for the
     sup pair regardless of alpha); the exempt last gap admits no universal
     constant when ``c`` spikes at ``kmax``.
+
+    The probes are evaluated as C-contiguous (B, m) rows, one batch per
+    length m and ``alpha``, whose powers take ``alpha`` as a scalar as one
+    probe alone does (NumPy takes a scalar 0.5 as ``sqrt``), so every probe
+    gets the bits it has alone.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    common_window(b, c)
-    if not (b.start <= kmin and kmax <= b.last and kmin <= kmax - 2):
-        raise ValueError(
-            f"need kmin <= kmax - 2 inside the window, got [{kmin}, {kmax}]"
-        )
-    bb = b.as_array()[kmin - b.start:kmax - b.start + 1]
-    cc = c.as_array()[kmin - c.start:kmax - c.start + 1]
-    bl = bb.tolist()
-    for i in range(len(bl) - 2):
-        if not bl[i + 1] >= 2.0 * bl[i]:
+    for b, c, alpha, kmin, kmax in probes:
+        if not alpha > 0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
+        common_window(b, c)
+        if not (b.start <= kmin and kmax <= b.last and kmin <= kmax - 2):
             raise ValueError(
-                f"doubling b_{{k+1}} >= 2 b_k violated at k={kmin + i}"
+                f"need kmin <= kmax - 2 inside the window, got [{kmin}, {kmax}]"
             )
+    return _in_groups(probes, lambda probe: (probe[4] - probe[3], float(probe[2])), _doubling_rows)
+
+
+def _doubling_rows(
+    probes: list[tuple[Window, Window, float, int, int]],
+) -> list[DoublingQuantities]:
+    """:func:`doubling_lemma_checks` of probes of one length and ``alpha``."""
+    bb = np.stack([b.as_array()[k0 - b.start:k1 - b.start + 1] for b, _, _, k0, k1 in probes])
+    cc = np.stack([c.as_array()[k0 - c.start:k1 - c.start + 1] for _, c, _, k0, k1 in probes])
+    with np.errstate(over="ignore"):  # 2 b_k past the float range fails the test
+        bad = np.argwhere(~(bb[:, 1:-1] >= 2.0 * bb[:, :-2]))
+    if len(bad):
+        row, i = bad[0].tolist()
+        raise ValueError(f"doubling b_{{k+1}} >= 2 b_k violated at k={probes[row][3] + i}")
+    alpha = float(probes[0][2])
     tails = scan_sum(cc, right=True)
     sups = scan_max(cc, right=True)
-    return DoublingQuantities(
-        lhs_sum=float(np.add.reduce(tails**alpha * bb)),
-        lhs_sup=float(np.add.reduce(sups * bb)),
-        rhs_sum=float(np.add.reduce(cc**alpha * bb)),
-        rhs_sup=float(np.add.reduce(cc * bb)),
-    )
+    sides = (tails**alpha * bb, sups * bb, cc**alpha * bb, cc * bb)
+    return [
+        DoublingQuantities(*q) for q in zip(*(np.add.reduce(x, axis=-1).tolist() for x in sides))
+    ]
 
+
+def doubling_lemma_check(
+    b: Window, c: Window, alpha: float, kmin: int, kmax: int
+) -> DoublingQuantities:
+    """Both sides of the doubling-sequence inequality on ``[kmin, kmax]``:
+    the one-element call of :func:`doubling_lemma_checks`."""
+    return doubling_lemma_checks([(b, c, alpha, kmin, kmax)])[0]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +38,9 @@ from .seqcore import (
     INF,
     Window,
     _ext_mul,
+    _in_groups,
     common_window,
+    ext_pow,
     scan_max,
     scan_sum,
 )
@@ -60,6 +63,7 @@ __all__ = [
     "rhs",
     "ratio",
     "elementary_chain_check",
+    "elementary_chain_checks",
 ]
 
 
@@ -301,34 +305,67 @@ def ratio(problem: RatioProblem, a: Window) -> float:
     return float(_ratio_batch(problem, a.as_array()[None, :])[0])
 
 
-def elementary_chain_check(a: Window, p: float, n: int) -> tuple[float, float, float]:
-    """The elementary tail chain at index ``n`` for ``p in (0, 1]``.
+def elementary_chain_checks(
+    probes: Sequence[tuple[Window, float, int]],
+) -> list[tuple[float, float, float]]:
+    """The elementary tail chain of every ``(a, p, n)`` probe, ``p in (0,
+    1]``, in input order.
 
-    Returns ``(sup_{i>=n} a_i, sum_{i>=n} a_i, (sum_{i>=n} a_i^p)^(1/p))``,
-    which is nondecreasing.  Tails supported on at most one index are
-    evaluated exactly (all three coincide there).
+    Each result is ``(sup_{i>=n} a_i, sum_{i>=n} a_i, (sum_{i>=n}
+    a_i^p)^(1/p))``, which is nondecreasing.  Tails supported on at most one
+    index are evaluated exactly (all three coincide there).  The tails are
+    evaluated as C-contiguous (B, m) rows, one batch per tail length m, with
+    each row's ``p`` its exponent of one power and each root taken on a
+    Python float, so every probe gets the bits it has alone.
     """
-    if not 0 < p <= 1:
-        raise ValueError(f"the chain requires p in (0, 1], got {p}")
-    tail = a.as_array()[n - a.start:] if n in a else None
-    if tail is None:
-        raise IndexError(f"index {n} outside window [{a.start}, {a.last}]")
-    s1 = float(np.maximum.reduce(tail))
-    if s1 == 0.0:
-        return 0.0, 0.0, 0.0
+    for a, p, n in probes:
+        if not 0 < p <= 1:
+            raise ValueError(f"the chain requires p in (0, 1], got {p}")
+        if n not in a:
+            raise IndexError(f"index {n} outside window [{a.start}, {a.last}]")
+    return _in_groups(probes, lambda probe: probe[0].stop - probe[2], _chain_rows)
+
+
+def _row_powers(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``x[i] ** p[i]`` for the C-contiguous rows of ``x`` (B, m) and the
+    exponents ``p`` (B,) in (0, 1], each row with the bits of its 1-D power
+    ``x[i] ** p[i]``: NumPy takes an exponent of 0.5 that is one number for
+    the whole power as ``sqrt``, and a column of them as ``pow``, which
+    differs in about 5% of values; every other such exponent rounds alike
+    either way."""
+    out = x ** p[:, None]
+    half = p == 0.5
+    out[half] = np.sqrt(x[half])
+    return out
+
+
+def _chain_rows(probes: list[tuple[Window, float, int]]) -> list[tuple[float, float, float]]:
+    """:func:`elementary_chain_checks` of probes with tails of one length."""
+    tails = np.stack([a.as_array()[n - a.start:] for a, _, n in probes])
+    p = np.array([probe[1] for probe in probes], dtype=float)
+    s1 = np.maximum.reduce(tails, axis=-1)
     # Evaluate on the max-normalized tail: the largest ratio is exactly 1, so
     # r**p >= r holds entry by entry in floating point and the summed chain
-    # cannot invert by roundoff.
-    r = tail / s1
-    t1 = float(np.add.reduce(r))
-    if p == 1.0 or np.count_nonzero(tail) <= 1:
-        t3 = t1
-    else:
-        t3 = float(np.add.reduce(r**p) ** (1.0 / p))
+    # cannot invert by roundoff.  An all-zero tail is divided by 1.
+    r = tails / np.where(s1 > 0, s1, 1.0)[:, None]
+    t1 = np.add.reduce(r, axis=-1).tolist()
+    t3 = list(t1)
+    rooted = np.flatnonzero((p != 1.0) & (np.count_nonzero(tails, axis=-1) > 1))
+    sums = np.add.reduce(_row_powers(r[rooted], p[rooted]), axis=-1)
+    for i, total, pi in zip(rooted.tolist(), sums.tolist(), p[rooted].tolist()):
         # exact t3 >= exact t1; flooring repairs sub-ulp pow drift near p = 1,
         # keeping the returned value a faithful rounding of the true one
-        t3 = max(t3, t1)
-    return s1, s1 * t1, s1 * t3
+        t3[i] = max(ext_pow(total, 1.0 / pi), t1[i])
+    return [
+        (top, top * x, top * y) if top > 0 else (0.0, 0.0, 0.0)
+        for top, x, y in zip(s1.tolist(), t1, t3)
+    ]
+
+
+def elementary_chain_check(a: Window, p: float, n: int) -> tuple[float, float, float]:
+    """The elementary tail chain at index ``n`` for ``p in (0, 1]``: the
+    one-element call of :func:`elementary_chain_checks`."""
+    return elementary_chain_checks([(a, p, n)])[0]
 
 
 def dual_problem(problem: RatioProblem) -> RatioProblem:

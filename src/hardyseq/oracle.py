@@ -194,7 +194,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,7 +213,9 @@ from .hardyops import (
     antigop_psum,
     gop_psum,
 )
-from .seqcore import Window, _ext_mul, classify_regime, ext_div, scan_max, scan_min, scan_sum
+from .seqcore import (
+    Window, _ext_mul, _in_groups, classify_regime, ext_div, scan_max, scan_min, scan_sum,
+)
 
 __all__ = [
     "OracleConfig",
@@ -875,19 +877,6 @@ def _polish(
 def _shape(problem: RatioProblem) -> tuple:
     """What the problems of one stack share: exponents, form and size."""
     return problem.p, problem.q, problem.form, problem.size
-
-
-def _in_groups(items: Sequence, key: Callable, run: Callable[[list], list]) -> list:
-    """``run`` on each group of items with equal ``key``, in order of first
-    appearance; the results come back in input order."""
-    groups: dict = {}
-    for i, item in enumerate(items):
-        groups.setdefault(key(item), []).append(i)
-    out: list = [None] * len(items)
-    for members in groups.values():
-        for i, res in zip(members, run([items[i] for i in members])):
-            out[i] = res
-    return out
 
 
 def _to_polish(problem: RatioProblem, ratios: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import lshift
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -307,6 +307,19 @@ def common_window(*windows: Window) -> None:
                 "windows must share the same index range: "
                 f"[{first.start}, {first.last}] vs [{w.start}, {w.last}]"
             )
+
+
+def _in_groups(items: Sequence, key: Callable, run: Callable[[list], list]) -> list:
+    """``run`` on each group of items with equal ``key``, in order of first
+    appearance; the results come back in input order."""
+    groups: dict = {}
+    for i, item in enumerate(items):
+        groups.setdefault(key(item), []).append(i)
+    out: list = [None] * len(items)
+    for members in groups.values():
+        for i, res in zip(members, run([items[i] for i in members])):
+            out[i] = res
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,16 @@ The three oracle suites draw an ensemble first and check it in one call,
 which hands the whole list to the oracle's list entry points, so that
 same-shaped problems are searched as one stack: ``linft`` and
 ``chain-equivalence`` their whole ensemble, ``equivalence-ratio`` one (p, q,
-form) cell at a time.  The other suites check each instance as it is drawn,
+form) cell at a time.  ``chain`` and ``doubling`` check their probes in
+bounded chunks, through the list entry points that evaluate them as row
+batches.  ``bridge`` and ``partition`` check each instance as it is drawn,
 their per-instance check mapped over a list of one.  A failing instance is
 recorded as its suite name, its inputs in the wire format (windows as
 ``{"start", "values"}``, scalars as numbers or strings) and the observed
 numbers.  :func:`replay_instance` decodes such a record and runs the same
 check on a list of one, so a replay reproduces the sweep's ``observed`` and
-verdict bit for bit (the oracle gives every problem the bits it has alone).
-All randomness flows from the sweep seed; reports are deterministic.
+verdict bit for bit (every list entry point gives each item the bits it has
+alone).  All randomness flows from the sweep seed; reports are deterministic.
 
 Observed values per suite: ``chain`` the triple ``[sup, sum, powered sum]``;
 ``bridge`` ``{"gop": ..., "antigop": ...}``, the two bridge results;
@@ -36,7 +38,7 @@ import numpy as np
 from . import blocks, bridge, charformulas, hardyops, oracle
 from .hardyops import ANTIGOP_SUP, RatioProblem
 from .oracle import FAST_CONFIG
-from .seqcore import Window, _wire_float, _wire_int, _wire_list
+from .seqcore import Window, _in_groups, _wire_float, _wire_int, _wire_list, ext_pow
 
 __all__ = ["SweepSpec", "run_verification", "replay_instance", "SCHEMA_VERSION"]
 
@@ -99,11 +101,16 @@ class SweepSpec:
             raise ValueError("ensemble size must be >= 1")
         if not self.window_sizes or not all(n >= 1 for n in self.window_sizes):
             raise ValueError("window sizes must be a non-empty list of values >= 1")
+        for entry in self.replay:  # a bad entry fails before any suite runs
+            _decode(entry)
 
     @classmethod
     def from_json(cls, obj: dict) -> "SweepSpec":
         if not isinstance(obj, dict):
             raise ValueError("sweep spec must be a JSON object")
+        unknown = sorted(set(obj) - set(_SPEC_FIELDS))
+        if unknown:
+            raise ValueError(f"unknown sweep spec fields {unknown}; known: {list(_SPEC_FIELDS)}")
         return cls(**{k: read(obj[k]) for k, read in _SPEC_FIELDS.items() if k in obj})
 
     def to_json(self) -> dict:
@@ -178,13 +185,13 @@ def _fsum(x: list[float]) -> float:
         return math.inf
 
 
-def _check_chain(a: Window, p: float, n: int) -> tuple[Any, bool]:
+def _check_chain(instances: list[dict]) -> list[tuple[Any, bool]]:
     """``s1 <= s2 <= s3``, with s1 the tail's maximum, s2 within
     ``gamma_(m+2)`` of ``fsum(tail)`` and s3 within ``1.01 L`` of ``G =
     fsum(tail**p) ** (1/p)`` (relative; ``m`` terms, ``gamma_k = k eps /
     (1 - k eps)``).
 
-    ``elementary_chain_check`` divides the tail by s1, sums (``gamma_(m-1)``
+    ``elementary_chain_checks`` divides the tail by s1, sums (``gamma_(m-1)``
     for nonnegative terms) and multiplies by s1: ``gamma_(m+1)`` from the
     exact sum, which fsum rounds once.  L bounds ``|ln(s3/G)|`` with every
     ``pow`` within 2^-48 and rounding its exponent ``1/p`` adding ``|ln
@@ -199,18 +206,34 @@ def _check_chain(a: Window, p: float, n: int) -> tuple[Any, bool]:
     and the bound's own rounding.  The count takes every value to be a
     normal float, as weights within 2^(+-1000) keep them.
     """
-    s1, s2, s3 = hardyops.elementary_chain_check(a, p, n)
-    tail = a.as_array()[n - a.start:]
-    vals, m, eps, pw = tail.tolist(), len(tail), oracle._EPS, oracle._POW_ERR
+    triples = hardyops.elementary_chain_checks([(x["a"], x["p"], x["n"]) for x in instances])
+    tail_length = lambda item: item[0]["a"].stop - item[0]["n"]
+    return _in_groups(list(zip(instances, triples)), tail_length, _chain_verdicts)
+
+
+def _chain_verdicts(items: list[tuple[dict, tuple]]) -> list[tuple[Any, bool]]:
+    """:func:`_check_chain` on probes whose tails have one length m, the
+    bounds read from the (B, m) rows of the tails."""
+    tails = np.stack([x["a"].as_array()[x["n"] - x["a"].start:] for x, _ in items])
+    ps = [x["p"] for x, _ in items]
+    powered = hardyops._row_powers(tails, np.array(ps, dtype=float))
+    tops = np.maximum.reduce(tails, axis=-1)
+    lows = np.where(tails > 0, tails, math.inf).min(axis=-1)
+    m, eps, pw = tails.shape[1], oracle._EPS, oracle._POW_ERR
     gamma = lambda k: k * eps / (1.0 - k * eps)
-    g = float(np.float64(_fsum((tail**p).tolist())) ** (1.0 / p)) if s1 > 0 else 0.0
-    low = min((x for x in vals if x > 0), default=math.inf)
-    under = m * 2.0 ** (-1022.0 * p) if low < s1 * 2.0**-1022 else 0.0
-    lam = (max(gamma(m + 1), 2 * eps + pw + (pw + gamma(m - 1) + under + eps * math.log(m)) / p)
-           + pw + (pw + eps) / p + (eps * abs(math.log(g)) if 0 < g < math.inf else 0.0))
     near = lambda x, y, bound: x == y or abs(x - y) <= 1.01 * bound * max(x, y) < math.inf
-    ok = s1 <= s2 <= s3 and s1 == max(vals) and near(s2, _fsum(vals), gamma(m + 2))
-    return [s1, s2, s3], ok and near(s3, g, lam)
+    out = []
+    for (_, (s1, s2, s3)), p, vals, terms, top, low in zip(
+        items, ps, tails.tolist(), powered.tolist(), tops.tolist(), lows.tolist()
+    ):
+        # tail**1 is the tail itself, which the row's power need not return
+        g = ext_pow(_fsum(vals if p == 1.0 else terms), 1.0 / p)
+        under = m * 2.0 ** (-1022.0 * p) if low < s1 * 2.0**-1022 else 0.0
+        lam = (max(gamma(m + 1), 2 * eps + pw + (pw + gamma(m - 1) + under + eps * math.log(m)) / p)
+               + pw + (pw + eps) / p + (eps * abs(math.log(g)) if 0 < g < math.inf else 0.0))
+        ok = s1 <= s2 <= s3 and s1 == top and near(s2, _fsum(vals), gamma(m + 2))
+        out.append(([s1, s2, s3], ok and near(s3, g, lam)))
+    return out
 
 
 def _check_bridge(
@@ -243,10 +266,14 @@ def _check_linft(instances: list[dict]) -> list[tuple[Any, bool]]:
     return out
 
 
-def _check_doubling(b: Window, c: Window, alpha: float) -> tuple[Any, bool]:
-    out = blocks.doubling_lemma_check(b, c, alpha, b.start, b.last)
-    ok = out.lhs_sum <= 2.0 * out.rhs_sum and out.lhs_sup <= 2.0 * out.rhs_sup
-    return out.to_json(), ok
+def _check_doubling(instances: list[dict]) -> list[tuple[Any, bool]]:
+    outs = blocks.doubling_lemma_checks(
+        [(x["b"], x["c"], x["alpha"], x["b"].start, x["b"].last) for x in instances]
+    )
+    return [
+        (out.to_json(), out.lhs_sum <= 2.0 * out.rhs_sum and out.lhs_sup <= 2.0 * out.rhs_sup)
+        for out in outs
+    ]
 
 
 def _check_equivalence(instances: list[dict]) -> list[tuple[Any, bool]]:
@@ -320,15 +347,26 @@ def _check(failures: list, suite: str, instances: list[dict]) -> list:
     return [observed for observed, _ in outcomes]
 
 
-def replay_instance(entry: dict) -> dict:
-    """Re-run one recorded failure through its suite's check, as a list of one."""
+def _decode(entry: dict) -> tuple[str, dict]:
+    """A recorded failure's suite and its inputs, decoded as its suite's
+    check reads them; ``ValueError`` for an entry that is not an object,
+    names no known suite or lacks one of that suite's fields."""
     if not isinstance(entry, dict):
         raise ValueError(f"a replay entry must be a JSON object, got {entry!r}")
     suite = entry.get("suite")
-    if suite not in _SUITES:
+    if suite not in ALL_SUITES:
         raise ValueError(f"cannot replay suite {suite!r}")
-    _, check, fields = _SUITES[suite]
-    [(observed, passed)] = check([{k: _DECODE[k](entry[k]) for k in fields}])
+    fields = _SUITES[suite][2]
+    missing = [k for k in fields if k not in entry]
+    if missing:
+        raise ValueError(f"a {suite} replay entry needs the fields {', '.join(missing)}")
+    return suite, {k: _DECODE[k](entry[k]) for k in fields}
+
+
+def replay_instance(entry: dict) -> dict:
+    """Re-run one recorded failure through its suite's check, as a list of one."""
+    suite, inputs = _decode(entry)
+    [(observed, passed)] = _SUITES[suite][1]([inputs])
     return {"suite": suite, "observed": observed, "passed": passed}
 
 
@@ -336,22 +374,38 @@ def replay_instance(entry: dict) -> dict:
 # Suites.  A runner draws its instances, hands them to ``check`` (which
 # records the failures and returns the observed values) and returns only its
 # own report fields; :func:`run_verification` adds ``passed`` and
-# ``failures``.  equivalence-ratio checks one (p, q, form) cell per call:
-# problems of different cells never share a stack, and holding the whole
-# ensemble with its results at once costs memory for nothing.
+# ``failures``.  What one ``check`` call gets, suite by suite: linft and
+# chain-equivalence their whole ensemble, same-shaped problems sharing one
+# oracle stack; equivalence-ratio one (p, q, form) cell, since problems of
+# different cells never share a stack and holding the whole ensemble with its
+# results at once costs memory for nothing; chain and doubling chunks of at
+# most ``_CHUNK_PROBES`` probes, checked as row batches, so that memory stays
+# bounded at any ensemble (the default spec's probes are one chunk per suite);
+# bridge and partition one instance, their checks having no batch form.
 # ---------------------------------------------------------------------------
 
 Check = Callable[[list[dict]], list]
 
+#: The most chain or doubling probes one ``check`` call gets.
+_CHUNK_PROBES = 1024
+
+
+def _in_chunks(check: Check, draw: Callable[[], dict], count: int) -> None:
+    """Draw ``count`` instances in order and hand them to ``check`` in
+    chunks of at most :data:`_CHUNK_PROBES`."""
+    for done in range(0, count, _CHUNK_PROBES):
+        check([draw() for _ in range(min(_CHUNK_PROBES, count - done))])
+
 
 def _suite_chain(spec: SweepSpec, rng: np.random.Generator, check: Check) -> dict:
-    probes = max(spec.ensemble * 25, 100)
-    for _ in range(probes):
+    def draw() -> dict:
         n_len = int(_pick(rng, spec.window_sizes))
         a = rand_window(rng, n_len, int(rng.integers(-4, 5)), spec.weight_exponent, 0.2)
         p = float(rng.uniform(0.05, 1.0)) if rng.random() < 0.8 else 1.0
-        n = int(rng.integers(a.start, a.stop))
-        check([{"a": a, "p": p, "n": n}])
+        return {"a": a, "p": p, "n": int(rng.integers(a.start, a.stop))}
+
+    probes = max(spec.ensemble * 25, 100)
+    _in_chunks(check, draw, probes)
     return {"probes": probes}
 
 
@@ -425,21 +479,22 @@ def _suite_chain_equivalence(spec: SweepSpec, rng: np.random.Generator, check: C
 
 
 def _suite_doubling(spec: SweepSpec, rng: np.random.Generator, check: Check) -> dict:
-    probes = max(spec.ensemble * 10, 50)
-    for _ in range(probes):
+    def draw() -> dict:
         n_len = int(rng.integers(3, 10))
         factors = rng.uniform(2.0, 4.0, size=n_len - 1)
         b = Window(0, np.concatenate([[rng.uniform(0.5, 2.0)], factors]).cumprod())
         c = rand_window(rng, n_len, 0, spec.weight_exponent, 0.3)
-        alpha = _pick(rng, (0.25, 0.5, 1.0))
-        check([{"b": b, "c": c, "alpha": alpha}])
+        return {"b": b, "c": c, "alpha": _pick(rng, (0.25, 0.5, 1.0))}
+
+    probes = max(spec.ensemble * 10, 50)
+    _in_chunks(check, draw, probes)
     return {"probes": probes}
 
 
 #: Each suite's runner; its check, a list of instances (dicts of inputs) in
 #: and one ``(observed, passed)`` per instance out; and its instances' fields.
 _SUITES: dict[str, tuple[Callable[..., dict], Check, tuple[str, ...]]] = {
-    "chain": (_suite_chain, _each(_check_chain), ("a", "p", "n")),
+    "chain": (_suite_chain, _check_chain, ("a", "p", "n")),
     "bridge": (_suite_bridge, _each(_check_bridge), ("u", "v", "w", "a", "q")),
     "partition": (_suite_partition, _each(_check_partition), ("w", "n0")),
     "linft": (_suite_linft, _check_linft, ("u", "v", "p")),
@@ -447,7 +502,7 @@ _SUITES: dict[str, tuple[Callable[..., dict], Check, tuple[str, ...]]] = {
     "chain-equivalence": (
         _suite_chain_equivalence, _check_chain_equivalence, ("u", "v", "w", "p", "q", "family")
     ),
-    "doubling": (_suite_doubling, _each(_check_doubling), ("b", "c", "alpha")),
+    "doubling": (_suite_doubling, _check_doubling, ("b", "c", "alpha")),
 }
 
 

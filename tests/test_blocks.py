@@ -9,9 +9,10 @@ from hardyseq.blocks import (
     PartitionReport,
     block_partition,
     doubling_lemma_check,
+    doubling_lemma_checks,
     verify_partition_invariants,
 )
-from hardyseq.seqcore import INF, Window, scan_sum
+from hardyseq.seqcore import INF, Window, scan_max, scan_sum
 
 
 def calibrate_doubling_constant(
@@ -302,7 +303,67 @@ class TestVerifyInvariants:
             assert report.all_pass, (w, n0, report.failures)
 
 
+def _doubling_alone(b, c, alpha, kmin, kmax):
+    """Both sides for one probe on its 1-D rows: the arithmetic of each
+    probe before probes were batched, kept as the reference for the batch."""
+    bb = b.as_array()[kmin - b.start:kmax - b.start + 1]
+    cc = c.as_array()[kmin - c.start:kmax - c.start + 1]
+    tails, sups = scan_sum(cc, right=True), scan_max(cc, right=True)
+    sides = (tails**alpha * bb, sups * bb, cc**alpha * bb, cc * bb)
+    return tuple(float(np.add.reduce(x)) for x in sides)
+
+
+def _doubling_probes(rng, count):
+    """Ragged probes: 3-33 indices inside windows of up to 36, alpha in
+    {0.25, 0.5, 1}, b doubling by factors in [2, 4], c at 2^U(-3, 3) or
+    near 2^(+-1000) with zeros (b small enough to keep the products
+    finite), all-zero c and c with one nonzero entry."""
+    probes = []
+    for i in range(count):
+        m = i % 31 + 3
+        size, kmin = m + int(rng.integers(0, 4)), int(rng.integers(-4, 5))
+        start = kmin - int(rng.integers(0, size - m + 1))
+        kind = i % 4
+        b0 = 2.0 ** rng.uniform(-1, 1) if kind == 0 else 2.0 ** rng.uniform(-1000, -80)
+        b = np.concatenate([[b0], rng.uniform(2.0, 4.0, size - 1)]).cumprod()
+        if kind == 0:
+            c = 2.0 ** rng.uniform(-3, 3, size)
+        else:
+            c = 2.0 ** (rng.choice([-1.0, 1.0], size) * rng.uniform(990, 1000, size))
+        c[rng.random(size) < 0.3] = 0.0
+        if kind >= 2:
+            c[:] = 0.0
+        if kind == 3:
+            c[int(rng.integers(0, size))] = 2.0 ** rng.uniform(-1000, 1000)
+        alpha = (0.25, 0.5, 1.0)[i % 3]
+        probes.append((Window(start, b), Window(start, c), alpha, kmin, kmin + m - 1))
+    return probes
+
+
 class TestDoublingLemma:
+    def test_batch_equals_one_probe_bit_for_bit(self):
+        """Each probe of a batch, grouped into (B, m) rows by length and
+        alpha, has the bits of its one-element call and of its rows alone."""
+        probes = _doubling_probes(np.random.default_rng(4), 1240)
+        hexes = lambda sides: [tuple(x.hex() for x in s) for s in sides]
+        batch = hexes(vars(q).values() for q in doubling_lemma_checks(probes))
+        assert batch == hexes(vars(doubling_lemma_check(*pr)).values() for pr in probes)
+        assert batch == hexes(_doubling_alone(*pr) for pr in probes)
+
+    def test_batch_raises_what_one_probe_raises(self):
+        """A ratio of exactly 2 passes the doubling test; one just below 2
+        fails it, in a batch with the same error as alone."""
+        c = Window(0, (1.0, 1.0, 1.0, 1.0))
+        exact = (Window(0, (1.0, 2.0, 4.0, 8.0)), c, 0.5, 0, 3)
+        below = (Window(0, (1.0, 2.0, 2.0 * np.nextafter(2.0, 0.0), 8.0)), c, 0.5, 0, 3)
+        assert doubling_lemma_checks([exact]) == [doubling_lemma_check(*exact)]
+        with pytest.raises(ValueError, match="violated at k=1") as alone:
+            doubling_lemma_check(*below)
+        for batch in ([exact, below], [below, exact], [(*exact[:2], 1.0, 0, 3), below]):
+            with pytest.raises(ValueError) as batched:
+                doubling_lemma_checks(batch)
+            assert str(batched.value) == str(alone.value)
+
     def test_hand_example(self):
         out = doubling_lemma_check(
             Window(0, (1.0, 2.0, 4.0)), Window(0, (1.0, 1.0, 1.0)), 1.0, 0, 2

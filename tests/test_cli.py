@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hardyseq import oracle
+from hardyseq import oracle, verification
 from hardyseq.cli import main
 from hardyseq.verification import SweepSpec, run_verification
 
@@ -245,6 +245,13 @@ class TestVerify:
         assert main(["verify", "--spec", str(path)]) == 2
         assert f"{field} must be a list" in capsys.readouterr().err
 
+    def test_unknown_spec_fields_exit_two(self, tmp_path, capsys):
+        """A misspelt field would otherwise run the default sweep and pass."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"suites": ["chain"], "ensembel": 1, "sede": 3}))
+        assert main(["verify", "--spec", str(path)]) == 2
+        assert "unknown sweep spec fields ['ensembel', 'sede']" in capsys.readouterr().err
+
     def test_output_file_round_trips(self, tmp_path):
         spec = {"seed": 3, "ensemble": 3, "suites": ["chain"], "window_sizes": [4]}
         path = tmp_path / "spec.json"
@@ -301,6 +308,29 @@ class TestReplay:
         path.write_text(json.dumps({"suites": ["chain"], "ensemble": 1, "replay": [5]}))
         assert main(["verify", "--spec", str(path)]) == 2
         assert "replay entry must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [({"suite": "nope"}, "cannot replay suite 'nope'"),
+         ({"suite": "chain", "a": {"start": 0, "values": [1, 2]}, "n": 0},
+          "a chain replay entry needs the fields p"),
+         ({"suite": "doubling", "b": {"start": 0, "values": [1, 2, 4]}, "c": [1, 1, 1],
+           "alpha": 1.0}, "window JSON must be")],
+    )
+    def test_bad_replay_entry_exits_two_before_any_suite_runs(
+        self, tmp_path, monkeypatch, capsys, entry, message
+    ):
+        def never(*args):
+            raise AssertionError("a suite ran")
+
+        for suite in ("doubling", "chain"):
+            monkeypatch.setitem(
+                verification._SUITES, suite, (never, *verification._SUITES[suite][1:])
+            )
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"suites": ["doubling", "chain"], "replay": [entry]}))
+        assert main(["verify", "--spec", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_replay_reproduces_identical_numbers(self):
         entry = {

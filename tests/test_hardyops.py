@@ -20,6 +20,7 @@ from hardyseq.hardyops import (
     apply_iterated,
     dual_problem,
     elementary_chain_check,
+    elementary_chain_checks,
     form_by_name,
     gop_psum,
     lhs,
@@ -217,7 +218,68 @@ class TestSides:
         assert lhs(prob, a) == 6.0
 
 
+def _chain_alone(a, p, n):
+    """The chain of one probe on its 1-D tail, the root a 0-d power: the
+    arithmetic of each probe before probes were batched, kept as the
+    reference for the batch."""
+    tail = a.as_array()[n - a.start:]
+    s1 = float(np.maximum.reduce(tail))
+    if s1 == 0.0:
+        return 0.0, 0.0, 0.0
+    r = tail / s1
+    t1 = float(np.add.reduce(r))
+    if p == 1.0 or np.count_nonzero(tail) <= 1:
+        return s1, s1 * t1, s1 * t1
+    return s1, s1 * t1, s1 * max(float(np.add.reduce(r**p) ** (1.0 / p)), t1)
+
+
+def _chain_probes(rng, count):
+    """Ragged probes: tail lengths 1-33, p = 1, 0.5 or in (0.05, 1), entries
+    2^U(-3, 3) or near 2^(+-1000) with zeros, all-zero tails (some of -0.0)
+    and tails with one nonzero entry."""
+    probes = []
+    for i in range(count):
+        m = i % 33 + 1
+        size = m + int(rng.integers(0, 4))
+        kind = i % 4
+        if kind == 0:
+            vals = 2.0 ** rng.uniform(-3, 3, size)
+        else:  # near 2^1000 or 2^-1000, both in one tail
+            vals = 2.0 ** (rng.choice([-1.0, 1.0], size) * rng.uniform(990, 1000, size))
+        vals[rng.random(size) < 0.3] = 0.0
+        if kind == 2:
+            vals[size - m:] = -0.0 if i % 8 == 2 else 0.0
+        elif kind == 3:
+            vals[size - m:] = 0.0
+            vals[size - 1 - int(rng.integers(0, m))] = 2.0 ** rng.uniform(-1000, 1000)
+        start = int(rng.integers(-4, 5))
+        p = (1.0, 0.5, float(rng.uniform(0.05, 1.0)))[min(int(rng.integers(0, 10)), 2)]
+        probes.append((Window(start, vals), p, start + size - m))
+    return probes
+
+
 class TestElementaryChain:
+    def test_batch_equals_one_probe_bit_for_bit(self):
+        """Each probe of a batch, grouped into (B, m) rows by tail length, has
+        the bits of its one-element call and of its tail alone: every root a
+        power of a Python float (a NumPy power of the batch's sums rounds
+        differently in about 5% of values)."""
+        probes = _chain_probes(np.random.default_rng(3), 1320)
+        hexes = lambda triples: [tuple(x.hex() for x in t) for t in triples]
+        batch = hexes(elementary_chain_checks(probes))
+        assert batch == hexes(elementary_chain_check(*probe) for probe in probes)
+        assert batch == hexes(_chain_alone(*probe) for probe in probes)
+
+    @pytest.mark.parametrize(
+        "bad,error", [((A11, 1.5, 0), ValueError), ((A11, 0.5, 7), IndexError)]
+    )
+    def test_batch_raises_what_one_probe_raises(self, bad, error):
+        with pytest.raises(error) as alone:
+            elementary_chain_check(*bad)
+        with pytest.raises(error) as batched:
+            elementary_chain_checks([(A11, 0.5, 0), bad])
+        assert str(batched.value) == str(alone.value)
+
     def test_p_one_collapses(self):
         assert elementary_chain_check(A11, 1.0, 0) == (1.0, 2.0, 2.0)
 

@@ -284,14 +284,18 @@ def _antigop_above_discrete(res):
 
 
 # (module, library call, change to its result) per suite.  The three oracle
-# suites check their whole ensemble through one list call, so their change
-# maps over the list.  Each change fails exactly one predicate of the suite's
-# check.  For bridge, linft,
+# suites check their whole ensemble, and chain and doubling their probes in
+# chunks, through one list call, so their change maps over the list.  Each
+# change fails exactly one predicate of the suite's check.  For bridge, linft,
 # chain-equivalence and doubling it is a predicate that a weaker replay would
 # skip: the reflected form, the brute-force bound, the finiteness of A3/A1
 # and the sup pair.
 REPLAY_FAULTS = {
-    "chain": (hardyops, "elementary_chain_check", lambda t: (t[2] + 1.0, t[1], t[2])),
+    "chain": (
+        hardyops,
+        "elementary_chain_checks",
+        lambda ts: [(t[2] + 1.0, t[1], t[2]) for t in ts],
+    ),
     "bridge": (bridge, "bridge_check", _antigop_above_discrete),
     "partition": (blocks, "verify_partition_invariants", _failing_invariants),
     "linft": (
@@ -314,8 +318,8 @@ REPLAY_FAULTS = {
     ),
     "doubling": (
         blocks,
-        "doubling_lemma_check",
-        lambda r: dataclasses.replace(r, lhs_sup=3.0 * r.rhs_sup),
+        "doubling_lemma_checks",
+        lambda rs: [dataclasses.replace(r, lhs_sup=3.0 * r.rhs_sup) for r in rs],
     ),
 }
 
@@ -374,7 +378,7 @@ def test_gop_spike_range_ratio_outside_its_bracket_fails(scale, monkeypatch):
 )
 def test_chain_check_catches_a_wrong_chain(alter, failing, monkeypatch):
     """The chain triple is held to independent values, not only to its own
-    order: an ``elementary_chain_check`` that returns s2 for s3, or s1 for
+    order: an ``elementary_chain_checks`` that returns s2 for s3, or s1 for
     all three, still satisfies ``s1 <= s2 <= s3`` but fails the default
     sweep at seed 0, in every probe whose tail has two positive entries (and
     p < 1 for the first).  Unchanged, every probe passes, also at weights
@@ -382,8 +386,10 @@ def test_chain_check_catches_a_wrong_chain(alter, failing, monkeypatch):
     for exponent in (3.0, 300.0, 1000.0):
         spec = SweepSpec(seed=0, suites=("chain",), weight_exponent=exponent)
         assert run_verification(spec)["passed"], exponent
-    real = hardyops.elementary_chain_check
-    monkeypatch.setattr(hardyops, "elementary_chain_check", lambda *a: alter(real(*a)))
+    real = hardyops.elementary_chain_checks
+    monkeypatch.setattr(
+        hardyops, "elementary_chain_checks", lambda probes: [alter(t) for t in real(probes)]
+    )
     report = run_verification(SweepSpec(seed=0, suites=("chain",)))
     assert len(report["suites"]["chain"]["failures"]) == failing
     for entry in report["suites"]["chain"]["failures"][:20]:
