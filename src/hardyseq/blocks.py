@@ -327,40 +327,49 @@ def doubling_lemma_checks(
     sup pair regardless of alpha); the exempt last gap admits no universal
     constant when ``c`` spikes at ``kmax``.
 
-    The probes are evaluated as C-contiguous (B, m) rows, one batch per
-    length m and ``alpha``, whose powers take ``alpha`` as a scalar as one
-    probe alone does (NumPy takes a scalar 0.5 as ``sqrt``), so every probe
-    gets the bits it has alone.
+    The probes are evaluated by :func:`_doubling_rows` as C-contiguous (B, m)
+    rows, one batch per length m and ``alpha``, so every probe gets the bits
+    it has alone.
     """
-    for b, c, alpha, kmin, kmax in probes:
-        if not alpha > 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        common_window(b, c)
-        if not (b.start <= kmin and kmax <= b.last and kmin <= kmax - 2):
-            raise ValueError(
-                f"need kmin <= kmax - 2 inside the window, got [{kmin}, {kmax}]"
-            )
-    return _in_groups(probes, lambda probe: (probe[4] - probe[3], float(probe[2])), _doubling_rows)
+    rows = [_doubling_sides(*probe) for probe in probes]
+    return _in_groups(rows, lambda row: (len(row[0]), row[2]), lambda group: [
+        DoublingQuantities(*q) for q in zip(*_doubling_rows(
+            np.stack([bb for bb, _, _ in group]), np.stack([cc for _, cc, _ in group]), group[0][2]
+        ))
+    ])
 
 
-def _doubling_rows(
-    probes: list[tuple[Window, Window, float, int, int]],
-) -> list[DoublingQuantities]:
-    """:func:`doubling_lemma_checks` of probes of one length and ``alpha``."""
-    bb = np.stack([b.as_array()[k0 - b.start:k1 - b.start + 1] for b, _, _, k0, k1 in probes])
-    cc = np.stack([c.as_array()[k0 - c.start:k1 - c.start + 1] for _, c, _, k0, k1 in probes])
+def _doubling_sides(
+    b: Window, c: Window, alpha: float, kmin: int, kmax: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``b`` and ``c`` on ``[kmin, kmax]``, and ``alpha`` as a float, of a
+    probe that meets the conditions of :func:`doubling_lemma_checks`;
+    ``ValueError`` for one that does not."""
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    common_window(b, c)
+    if not (b.start <= kmin and kmax <= b.last and kmin <= kmax - 2):
+        raise ValueError(
+            f"need kmin <= kmax - 2 inside the window, got [{kmin}, {kmax}]"
+        )
+    bb = b.as_array()[kmin - b.start:kmax - b.start + 1]
     with np.errstate(over="ignore"):  # 2 b_k past the float range fails the test
-        bad = np.argwhere(~(bb[:, 1:-1] >= 2.0 * bb[:, :-2]))
+        bad = np.flatnonzero(~(bb[1:-1] >= 2.0 * bb[:-2]))
     if len(bad):
-        row, i = bad[0].tolist()
-        raise ValueError(f"doubling b_{{k+1}} >= 2 b_k violated at k={probes[row][3] + i}")
-    alpha = float(probes[0][2])
+        raise ValueError(f"doubling b_{{k+1}} >= 2 b_k violated at k={kmin + int(bad[0])}")
+    return bb, c.as_array()[kmin - c.start:kmax - c.start + 1], float(alpha)
+
+
+def _doubling_rows(bb: np.ndarray, cc: np.ndarray, alpha: float) -> list[list[float]]:
+    """The four sums of :func:`doubling_lemma_checks`, ``[lhs_sum, lhs_sup,
+    rhs_sum, rhs_sup]``, each a list over the C-contiguous rows ``bb`` and
+    ``cc`` (B, m) of probes with one ``alpha``.  The powers take ``alpha`` as
+    a scalar, as one probe alone does (NumPy takes a scalar 0.5 as
+    ``sqrt``)."""
     tails = scan_sum(cc, right=True)
     sups = scan_max(cc, right=True)
     sides = (tails**alpha * bb, sups * bb, cc**alpha * bb, cc * bb)
-    return [
-        DoublingQuantities(*q) for q in zip(*(np.add.reduce(x, axis=-1).tolist() for x in sides))
-    ]
+    return [np.add.reduce(x, axis=-1).tolist() for x in sides]
 
 
 def doubling_lemma_check(

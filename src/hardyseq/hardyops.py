@@ -314,16 +314,23 @@ def elementary_chain_checks(
     Each result is ``(sup_{i>=n} a_i, sum_{i>=n} a_i, (sum_{i>=n}
     a_i^p)^(1/p))``, which is nondecreasing.  Tails supported on at most one
     index are evaluated exactly (all three coincide there).  The tails are
-    evaluated as C-contiguous (B, m) rows, one batch per tail length m, with
-    each row's ``p`` its exponent of one power and each root taken on a
-    Python float, so every probe gets the bits it has alone.
+    evaluated by :func:`_chain_rows` as C-contiguous (B, m) rows, one batch
+    per tail length m, so every probe gets the bits it has alone.
     """
-    for a, p, n in probes:
-        if not 0 < p <= 1:
-            raise ValueError(f"the chain requires p in (0, 1], got {p}")
-        if n not in a:
-            raise IndexError(f"index {n} outside window [{a.start}, {a.last}]")
-    return _in_groups(probes, lambda probe: probe[0].stop - probe[2], _chain_rows)
+    rows = [(_chain_tail(a, p, n), p) for a, p, n in probes]
+    return _in_groups(rows, lambda row: len(row[0]), lambda group: _chain_rows(
+        np.stack([tail for tail, _ in group]), np.array([p for _, p in group], dtype=float)
+    ))
+
+
+def _chain_tail(a: Window, p: float, n: int) -> np.ndarray:
+    """The tail ``a[n:]`` of a chain probe; raises for ``p`` outside (0, 1]
+    and for ``n`` outside the window."""
+    if not 0 < p <= 1:
+        raise ValueError(f"the chain requires p in (0, 1], got {p}")
+    if n not in a:
+        raise IndexError(f"index {n} outside window [{a.start}, {a.last}]")
+    return a.as_array()[n - a.start:]
 
 
 def _row_powers(x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -339,10 +346,11 @@ def _row_powers(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chain_rows(probes: list[tuple[Window, float, int]]) -> list[tuple[float, float, float]]:
-    """:func:`elementary_chain_checks` of probes with tails of one length."""
-    tails = np.stack([a.as_array()[n - a.start:] for a, _, n in probes])
-    p = np.array([probe[1] for probe in probes], dtype=float)
+def _chain_rows(tails: np.ndarray, p: np.ndarray) -> list[tuple[float, float, float]]:
+    """The chains of the C-contiguous tails ``tails`` (B, m) at the
+    exponents ``p`` (B,) in (0, 1], each row with the bits it has alone,
+    its powers taken by :func:`_row_powers` and its root on a Python
+    float."""
     s1 = np.maximum.reduce(tails, axis=-1)
     # Evaluate on the max-normalized tail: the largest ratio is exactly 1, so
     # r**p >= r holds entry by entry in floating point and the summed chain

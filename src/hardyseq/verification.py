@@ -1,22 +1,28 @@
 """Seeded verification sweeps: property suites with machine-readable reports.
 
 Each suite draws random instances from a seeded generator and runs its check
-on them.  A check takes a list of instances (each a dict of inputs: windows
-and scalars) and returns one ``(observed, passed)`` per instance, in order.
-The three oracle suites draw an ensemble first and check it in one call,
-which hands the whole list to the oracle's list entry points, so that
-same-shaped problems are searched as one stack: ``linft`` and
-``chain-equivalence`` their whole ensemble, ``equivalence-ratio`` one (p, q,
-form) cell at a time.  ``chain`` and ``doubling`` check their probes in
-bounded chunks, through the list entry points that evaluate them as row
-batches.  ``bridge`` and ``partition`` check each instance as it is drawn,
-their per-instance check mapped over a list of one.  A failing instance is
-recorded as its suite name, its inputs in the wire format (windows as
-``{"start", "values"}``, scalars as numbers or strings) and the observed
-numbers.  :func:`replay_instance` decodes such a record and runs the same
-check on a list of one, so a replay reproduces the sweep's ``observed`` and
-verdict bit for bit (every list entry point gives each item the bits it has
-alone).  All randomness flows from the sweep seed; reports are deterministic.
+on them.  A check takes a batch of instances and returns one ``(observed,
+passed)`` per instance, in order.  For five suites the batch is a list of
+dicts of inputs (windows and scalars).  The three oracle suites draw an
+ensemble first and check it in one call, which hands the whole list to the
+oracle's list entry points, so that same-shaped problems are searched as one
+stack: ``linft`` and ``chain-equivalence`` their whole ensemble,
+``equivalence-ratio`` one (p, q, form) cell at a time.  ``bridge`` and
+``partition`` check each instance as it is drawn, their per-instance check
+mapped over a list of one.  ``chain`` and ``doubling`` draw their probes
+straight into rows, with the Generator calls that :func:`rand_window` makes
+for a window, and check them in bounded chunks through the row kernels that
+their public entry points share (``hardyops._chain_rows``,
+``blocks._doubling_rows``); they build a window only to replay a probe.  A
+failing instance is recorded as its suite name, its inputs in the wire
+format (windows as ``{"start", "values"}``, scalars as numbers or strings)
+and the observed numbers.  :func:`replay_instance` decodes such a record
+and runs the same check on a list of one or a batch of one row, so a replay
+reproduces the sweep's ``observed`` and verdict bit for bit (every list
+entry point and row kernel gives each item the bits it has alone).  A spec's
+replay entries are decoded and checked against what their suites' checks
+accept before any suite runs.  All randomness flows from the sweep seed;
+reports are deterministic.
 
 Observed values per suite: ``chain`` the triple ``[sup, sum, powered sum]``;
 ``bridge`` ``{"gop": ..., "antigop": ...}``, the two bridge results;
@@ -29,6 +35,7 @@ chain report; ``doubling`` both sides of the sum and the sup pair.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -38,7 +45,7 @@ import numpy as np
 from . import blocks, bridge, charformulas, hardyops, oracle
 from .hardyops import ANTIGOP_SUP, RatioProblem
 from .oracle import FAST_CONFIG
-from .seqcore import Window, _in_groups, _wire_float, _wire_int, _wire_list, ext_pow
+from .seqcore import Window, _in_groups, _wire_float, _wire_int, _wire_list, common_window, ext_pow
 
 __all__ = ["SweepSpec", "run_verification", "replay_instance", "SCHEMA_VERSION"]
 
@@ -158,6 +165,22 @@ def rand_dyadic_window(
     return Window(start, num / den)
 
 
+def _rand_row(
+    rng: np.random.Generator, values: np.ndarray, draws: np.ndarray, exponent: float,
+    zero_prob: float,
+) -> None:
+    """The Generator calls of ``rand_window(rng, len(values), start,
+    exponent, zero_prob)`` for ``zero_prob > 0``, into a row: its entries
+    into ``values``, and its draws below ``zero_prob`` into ``draws``, where
+    they mark the entries that the caller sets to zero (one entry is raised
+    to 1 when every draw is below, as ``rand_window`` keeps it)."""
+    n = len(values)
+    values[:] = 2.0 ** rng.uniform(-exponent, exponent, size=n)
+    draws[:] = below = rng.random(n)
+    if max(below.tolist()) < zero_prob:
+        draws[int(rng.integers(0, n))] = 1.0
+
+
 def _pick(rng: np.random.Generator, seq: Sequence) -> Any:
     """An entry of ``seq`` drawn as ``Generator.choice(seq)`` draws it (one
     bounded integer from the same stream), without the argument handling
@@ -173,6 +196,63 @@ def _weight_triple(rng: np.random.Generator, n: int, exponent: float) -> tuple[W
     return Window(start, u), Window(start, v), Window(start, w)
 
 
+@dataclass(frozen=True)
+class _ChainRows:
+    """Chain probes as rows.  Probe i's window ``a`` starts at ``starts[i]``
+    and holds the last ``lengths[i]`` entries of row i of ``values`` (B, W),
+    zeros to their left; so its tail from the index ``n[i]`` on, of length
+    ``m = starts[i] + lengths[i] - n[i]``, is the row's last m entries.
+    ``p[i]`` is its exponent."""
+
+    starts: list[int]
+    lengths: list[int]
+    values: np.ndarray
+    p: list[float]
+    n: list[int]
+
+    @classmethod
+    def one(cls, x: dict) -> "_ChainRows":
+        """The one row of a decoded ``{"a", "p", "n"}`` probe, checked as
+        ``elementary_chain_checks`` checks it."""
+        a = x["a"]
+        hardyops._chain_tail(a, x["p"], x["n"])
+        return cls([a.start], [len(a)], a.values[None], [x["p"]], [x["n"]])
+
+    def record(self, i: int) -> dict:
+        """Probe i's inputs in the wire format."""
+        a = {"start": self.starts[i], "values": self.values[i, -self.lengths[i]:].tolist()}
+        return {"a": a, "p": self.p[i], "n": self.n[i]}
+
+
+@dataclass(frozen=True)
+class _DoublingRows:
+    """Doubling probes as rows.  Probe i's windows ``b`` and ``c`` start at
+    ``starts[i]`` and hold the first ``lengths[i]`` entries of row i of
+    ``b`` and ``c`` (B, W), the lemma taken over the whole window;
+    ``alpha[i]`` is its exponent."""
+
+    starts: list[int]
+    lengths: list[int]
+    b: np.ndarray
+    c: np.ndarray
+    alpha: list[float]
+
+    @classmethod
+    def one(cls, x: dict) -> "_DoublingRows":
+        """The one row of a decoded ``{"b", "c", "alpha"}`` probe, checked
+        as ``doubling_lemma_checks`` checks it over the whole window."""
+        b = x["b"]
+        bb, cc, alpha = blocks._doubling_sides(b, x["c"], x["alpha"], b.start, b.last)
+        return cls([b.start], [len(b)], bb[None], cc[None], [alpha])
+
+    def record(self, i: int) -> dict:
+        """Probe i's inputs in the wire format."""
+        start, length = self.starts[i], self.lengths[i]
+        b = {"start": start, "values": self.b[i, :length].tolist()}
+        c = {"start": start, "values": self.c[i, :length].tolist()}
+        return {"b": b, "c": c, "alpha": self.alpha[i]}
+
+
 # ---------------------------------------------------------------------------
 # Checks: one per suite, shared by the sweep and by replay
 # ---------------------------------------------------------------------------
@@ -185,13 +265,13 @@ def _fsum(x: list[float]) -> float:
         return math.inf
 
 
-def _check_chain(instances: list[dict]) -> list[tuple[Any, bool]]:
+def _check_chain(rows: _ChainRows) -> list[tuple[Any, bool]]:
     """``s1 <= s2 <= s3``, with s1 the tail's maximum, s2 within
     ``gamma_(m+2)`` of ``fsum(tail)`` and s3 within ``1.01 L`` of ``G =
     fsum(tail**p) ** (1/p)`` (relative; ``m`` terms, ``gamma_k = k eps /
     (1 - k eps)``).
 
-    ``elementary_chain_checks`` divides the tail by s1, sums (``gamma_(m-1)``
+    ``hardyops._chain_rows`` divides the tail by s1, sums (``gamma_(m-1)``
     for nonnegative terms) and multiplies by s1: ``gamma_(m+1)`` from the
     exact sum, which fsum rounds once.  L bounds ``|ln(s3/G)|`` with every
     ``pow`` within 2^-48 and rounding its exponent ``1/p`` adding ``|ln
@@ -206,31 +286,33 @@ def _check_chain(instances: list[dict]) -> list[tuple[Any, bool]]:
     and the bound's own rounding.  The count takes every value to be a
     normal float, as weights within 2^(+-1000) keep them.
     """
-    triples = hardyops.elementary_chain_checks([(x["a"], x["p"], x["n"]) for x in instances])
-    tail_length = lambda item: item[0]["a"].stop - item[0]["n"]
-    return _in_groups(list(zip(instances, triples)), tail_length, _chain_verdicts)
+    width = rows.values.shape[1]
+    p = np.array(rows.p, dtype=float)
+    m = [start + length - n for start, length, n in zip(rows.starts, rows.lengths, rows.n)]
+    return _in_groups(range(len(m)), m.__getitem__, lambda idx: _chain_verdicts(
+        rows.values[idx, width - m[idx[0]]:], p[idx]
+    ))
 
 
-def _chain_verdicts(items: list[tuple[dict, tuple]]) -> list[tuple[Any, bool]]:
-    """:func:`_check_chain` on probes whose tails have one length m, the
-    bounds read from the (B, m) rows of the tails."""
-    tails = np.stack([x["a"].as_array()[x["n"] - x["a"].start:] for x, _ in items])
-    ps = [x["p"] for x, _ in items]
-    powered = hardyops._row_powers(tails, np.array(ps, dtype=float))
+def _chain_verdicts(tails: np.ndarray, p: np.ndarray) -> list[tuple[Any, bool]]:
+    """:func:`_check_chain` on the C-contiguous tails (B, m) of one length
+    m, the bounds read from the rows the chains are evaluated on."""
+    triples = hardyops._chain_rows(tails, p)
+    powered = hardyops._row_powers(tails, p)
     tops = np.maximum.reduce(tails, axis=-1)
     lows = np.where(tails > 0, tails, math.inf).min(axis=-1)
     m, eps, pw = tails.shape[1], oracle._EPS, oracle._POW_ERR
     gamma = lambda k: k * eps / (1.0 - k * eps)
     near = lambda x, y, bound: x == y or abs(x - y) <= 1.01 * bound * max(x, y) < math.inf
     out = []
-    for (_, (s1, s2, s3)), p, vals, terms, top, low in zip(
-        items, ps, tails.tolist(), powered.tolist(), tops.tolist(), lows.tolist()
+    for (s1, s2, s3), e, vals, terms, top, low in zip(
+        triples, p.tolist(), tails.tolist(), powered.tolist(), tops.tolist(), lows.tolist()
     ):
         # tail**1 is the tail itself, which the row's power need not return
-        g = ext_pow(_fsum(vals if p == 1.0 else terms), 1.0 / p)
-        under = m * 2.0 ** (-1022.0 * p) if low < s1 * 2.0**-1022 else 0.0
-        lam = (max(gamma(m + 1), 2 * eps + pw + (pw + gamma(m - 1) + under + eps * math.log(m)) / p)
-               + pw + (pw + eps) / p + (eps * abs(math.log(g)) if 0 < g < math.inf else 0.0))
+        g = ext_pow(_fsum(vals if e == 1.0 else terms), 1.0 / e)
+        under = m * 2.0 ** (-1022.0 * e) if low < s1 * 2.0**-1022 else 0.0
+        lam = (max(gamma(m + 1), 2 * eps + pw + (pw + gamma(m - 1) + under + eps * math.log(m)) / e)
+               + pw + (pw + eps) / e + (eps * abs(math.log(g)) if 0 < g < math.inf else 0.0))
         ok = s1 <= s2 <= s3 and s1 == top and near(s2, _fsum(vals), gamma(m + 2))
         out.append(([s1, s2, s3], ok and near(s3, g, lam)))
     return out
@@ -266,14 +348,25 @@ def _check_linft(instances: list[dict]) -> list[tuple[Any, bool]]:
     return out
 
 
-def _check_doubling(instances: list[dict]) -> list[tuple[Any, bool]]:
-    outs = blocks.doubling_lemma_checks(
-        [(x["b"], x["c"], x["alpha"], x["b"].start, x["b"].last) for x in instances]
-    )
-    return [
-        (out.to_json(), out.lhs_sum <= 2.0 * out.rhs_sum and out.lhs_sup <= 2.0 * out.rhs_sup)
-        for out in outs
-    ]
+def _check_doubling(rows: _DoublingRows) -> list[tuple[Any, bool]]:
+    """``lhs <= 2 rhs`` for the sum pair and the sup pair, each (length,
+    ``alpha``) group of probes evaluated as one batch of rows."""
+    keys = list(zip(rows.lengths, rows.alpha))
+
+    def group(idx: list[int]) -> list[tuple[Any, bool]]:
+        length, alpha = keys[idx[0]]
+        sums = blocks._doubling_rows(rows.b[idx, :length], rows.c[idx, :length], alpha)
+        return [
+            (dict(zip(_DOUBLING_SIDES, q)), q[0] <= 2.0 * q[2] and q[1] <= 2.0 * q[3])
+            for q in zip(*sums)
+        ]
+
+    return _in_groups(range(len(keys)), keys.__getitem__, group)
+
+
+#: The observed fields of a doubling probe, as ``DoublingQuantities.to_json``
+#: names and orders them.
+_DOUBLING_SIDES = tuple(f.name for f in dataclasses.fields(blocks.DoublingQuantities))
 
 
 def _check_equivalence(instances: list[dict]) -> list[tuple[Any, bool]]:
@@ -321,6 +414,20 @@ def _each(check: Callable[..., tuple[Any, bool]]) -> Callable[[list[dict]], list
     return lambda instances: [check(**inputs) for inputs in instances]
 
 
+def _one_of(known: tuple[str, ...], name: str) -> Callable[[Any], str]:
+    """A reader of a field that must be one of the names ``known``."""
+    def read(x: Any) -> str:
+        if x not in known:
+            raise ValueError(f"{name} must be one of {', '.join(known)}, got {x!r}")
+        return x
+    return read
+
+
+#: The operator forms of the equivalence-ratio suite and the iterated
+#: triples of the chain-equivalence suite.
+_FORMS = ("gop", "antigop")
+_FAMILIES = ("antigop", "gop", "simple")
+
 #: How replay decodes each recorded input field.
 _DECODE: dict[str, Callable[[Any], Any]] = {
     **dict.fromkeys("abcuvw", Window.from_json),
@@ -329,28 +436,45 @@ _DECODE: dict[str, Callable[[Any], Any]] = {
     "alpha": lambda x: _wire_float(x, "alpha"),
     "n": lambda x: _wire_int(x, "n"),
     "n0": lambda x: _wire_int(x, "n0"),
-    "form": str,
-    "family": str,
+    "form": _one_of(_FORMS, "form"),
+    "family": _one_of(_FAMILIES, "family"),
 }
 
 
-def _check(failures: list, suite: str, instances: list[dict]) -> list:
+def _check(failures: list, suite: str, instances: Any) -> list:
     """Run the suite's check on every instance; record each failure, in
     instance order, as a replayable entry; return the observed values."""
     outcomes = _SUITES[suite][1](instances)
-    for inputs, (observed, passed) in zip(instances, outcomes):
+    rows = isinstance(instances, (_ChainRows, _DoublingRows))
+    for i, (observed, passed) in enumerate(outcomes):
         if not passed:
-            encoded = {
-                k: x.to_json() if isinstance(x, Window) else x for k, x in inputs.items()
+            inputs = instances.record(i) if rows else {
+                k: x.to_json() if isinstance(x, Window) else x for k, x in instances[i].items()
             }
-            failures.append({"suite": suite, **encoded, "observed": observed})
+            failures.append({"suite": suite, **inputs, "observed": observed})
     return [observed for observed, _ in outcomes]
 
 
-def _decode(entry: dict) -> tuple[str, dict]:
+def _listed(x: dict) -> list[dict]:
+    """A decoded instance as a list of one."""
+    return [x]
+
+
+def _partition_instance(x: dict) -> list[dict]:
+    """A decoded partition instance as a list of one, its ``n0`` inside its
+    window."""
+    if x["n0"] not in x["w"]:
+        raise IndexError(f"n0={x['n0']} outside window [{x['w'].start}, {x['w'].last}]")
+    return [x]
+
+
+def _decode(entry: dict) -> tuple[str, Any]:
     """A recorded failure's suite and its inputs, decoded as its suite's
-    check reads them; ``ValueError`` for an entry that is not an object,
-    names no known suite or lacks one of that suite's fields."""
+    check reads them (a list of one, or one row); ``ValueError`` or
+    ``IndexError`` for an entry that is not an object, names no known suite,
+    lacks one of that suite's fields or holds inputs that the check rejects
+    (windows of different index ranges, an unknown form or family, and the
+    conditions of the chain, partition and doubling checks)."""
     if not isinstance(entry, dict):
         raise ValueError(f"a replay entry must be a JSON object, got {entry!r}")
     suite = entry.get("suite")
@@ -360,13 +484,16 @@ def _decode(entry: dict) -> tuple[str, dict]:
     missing = [k for k in fields if k not in entry]
     if missing:
         raise ValueError(f"a {suite} replay entry needs the fields {', '.join(missing)}")
-    return suite, {k: _DECODE[k](entry[k]) for k in fields}
+    inputs = {k: _DECODE[k](entry[k]) for k in fields}
+    common_window(*(x for x in inputs.values() if isinstance(x, Window)))
+    return suite, _SUITES[suite][3](inputs)
 
 
 def replay_instance(entry: dict) -> dict:
-    """Re-run one recorded failure through its suite's check, as a list of one."""
-    suite, inputs = _decode(entry)
-    [(observed, passed)] = _SUITES[suite][1]([inputs])
+    """Re-run one recorded failure through its suite's check, as a list of
+    one or a batch of one row."""
+    suite, instances = _decode(entry)
+    [(observed, passed)] = _SUITES[suite][1](instances)
     return {"suite": suite, "observed": observed, "passed": passed}
 
 
@@ -378,31 +505,46 @@ def replay_instance(entry: dict) -> dict:
 # chain-equivalence their whole ensemble, same-shaped problems sharing one
 # oracle stack; equivalence-ratio one (p, q, form) cell, since problems of
 # different cells never share a stack and holding the whole ensemble with its
-# results at once costs memory for nothing; chain and doubling chunks of at
-# most ``_CHUNK_PROBES`` probes, checked as row batches, so that memory stays
-# bounded at any ensemble (the default spec's probes are one chunk per suite);
-# bridge and partition one instance, their checks having no batch form.
+# results at once costs memory for nothing; chain and doubling one chunk of at
+# most ``_CHUNK_PROBES`` probes as rows (``_ChainRows``, ``_DoublingRows``),
+# so that memory stays bounded at any ensemble (the default spec's probes are
+# one chunk per suite), which their checks split into (B, m) row batches by
+# tail length (and ``alpha``); bridge and partition one instance, their checks
+# having no batch form.
 # ---------------------------------------------------------------------------
 
-Check = Callable[[list[dict]], list]
+Check = Callable[[Any], list]
 
 #: The most chain or doubling probes one ``check`` call gets.
 _CHUNK_PROBES = 1024
 
 
-def _in_chunks(check: Check, draw: Callable[[], dict], count: int) -> None:
-    """Draw ``count`` instances in order and hand them to ``check`` in
-    chunks of at most :data:`_CHUNK_PROBES`."""
+def _in_chunks(check: Check, draw: Callable[[int], Any], count: int) -> None:
+    """Draw ``count`` probes in order and hand them to ``check`` in chunks
+    of at most :data:`_CHUNK_PROBES`, ``draw(k)`` drawing the next k."""
     for done in range(0, count, _CHUNK_PROBES):
-        check([draw() for _ in range(min(_CHUNK_PROBES, count - done))])
+        check(draw(min(_CHUNK_PROBES, count - done)))
 
 
 def _suite_chain(spec: SweepSpec, rng: np.random.Generator, check: Check) -> dict:
-    def draw() -> dict:
-        n_len = int(_pick(rng, spec.window_sizes))
-        a = rand_window(rng, n_len, int(rng.integers(-4, 5)), spec.weight_exponent, 0.2)
-        p = float(rng.uniform(0.05, 1.0)) if rng.random() < 0.8 else 1.0
-        return {"a": a, "p": p, "n": int(rng.integers(a.start, a.stop))}
+    sizes, e = spec.window_sizes, spec.weight_exponent
+    integers, uniform, random = rng.integers, rng.uniform, rng.random
+
+    def draw(count: int) -> _ChainRows:
+        # each window right-aligned in its row, so that its tail ends the row
+        width = int(max(sizes))
+        values, draws = np.zeros((count, width)), np.ones((count, width))
+        starts, lengths, ps, ns = [], [], [], []
+        for i in range(count):
+            size = int(_pick(rng, sizes))
+            start = int(integers(-4, 5))
+            _rand_row(rng, values[i, width - size:], draws[i, width - size:], e, 0.2)
+            ps.append(float(uniform(0.05, 1.0)) if random() < 0.8 else 1.0)
+            ns.append(int(integers(start, start + size)))
+            starts.append(start)
+            lengths.append(size)
+        values[draws < 0.2] = 0.0
+        return _ChainRows(starts, lengths, values, ps, ns)
 
     probes = max(spec.ensemble * 25, 100)
     _in_chunks(check, draw, probes)
@@ -448,7 +590,7 @@ def _suite_linft(spec: SweepSpec, rng: np.random.Generator, check: Check) -> dic
 def _suite_equivalence(spec: SweepSpec, rng: np.random.Generator, check: Check) -> dict:
     stats: dict[str, dict] = {}
     for p, q in spec.regimes:
-        for form in ("gop", "antigop"):
+        for form in _FORMS:
             cell = []
             for _ in range(spec.ensemble):
                 n_len = int(_pick(rng, [n for n in spec.window_sizes if n <= 8] or [5]))
@@ -467,7 +609,7 @@ def _suite_chain_equivalence(spec: SweepSpec, rng: np.random.Generator, check: C
     regimes = [(p, q) for p, q in spec.regimes if p <= 1] or [(1.0, 1.0)]
     instances = []
     for p, q in regimes:
-        for family in ("antigop", "gop", "simple"):
+        for family in _FAMILIES:
             for _ in range(max(spec.ensemble // 4, 1)):
                 n_len = int(_pick(rng, [n for n in spec.window_sizes if n <= 8] or [5]))
                 u, v, w = _weight_triple(rng, n_len, spec.weight_exponent)
@@ -479,30 +621,46 @@ def _suite_chain_equivalence(spec: SweepSpec, rng: np.random.Generator, check: C
 
 
 def _suite_doubling(spec: SweepSpec, rng: np.random.Generator, check: Check) -> dict:
-    def draw() -> dict:
-        n_len = int(rng.integers(3, 10))
-        factors = rng.uniform(2.0, 4.0, size=n_len - 1)
-        b = Window(0, np.concatenate([[rng.uniform(0.5, 2.0)], factors]).cumprod())
-        c = rand_window(rng, n_len, 0, spec.weight_exponent, 0.3)
-        return {"b": b, "c": c, "alpha": _pick(rng, (0.25, 0.5, 1.0))}
+    e, integers, uniform = spec.weight_exponent, rng.integers, rng.uniform
+
+    def draw(count: int) -> _DoublingRows:
+        # b doubling by factors in [2, 4) from a first entry in [0.5, 2), the
+        # factors drawn first; 9 entries at most
+        b, c, draws = np.zeros((count, 9)), np.zeros((count, 9)), np.ones((count, 9))
+        lengths, alphas = [], []
+        for i in range(count):
+            size = int(integers(3, 10))
+            b[i, 1:size] = uniform(2.0, 4.0, size=size - 1)
+            b[i, 0] = uniform(0.5, 2.0)
+            _rand_row(rng, c[i, :size], draws[i, :size], e, 0.3)
+            alphas.append(_pick(rng, (0.25, 0.5, 1.0)))
+            lengths.append(size)
+        c[draws < 0.3] = 0.0
+        # each row's running product, as the cumprod of its window alone
+        return _DoublingRows([0] * count, lengths, np.multiply.accumulate(b, axis=-1), c, alphas)
 
     probes = max(spec.ensemble * 10, 50)
     _in_chunks(check, draw, probes)
     return {"probes": probes}
 
 
-#: Each suite's runner; its check, a list of instances (dicts of inputs) in
-#: and one ``(observed, passed)`` per instance out; and its instances' fields.
-_SUITES: dict[str, tuple[Callable[..., dict], Check, tuple[str, ...]]] = {
-    "chain": (_suite_chain, _check_chain, ("a", "p", "n")),
-    "bridge": (_suite_bridge, _each(_check_bridge), ("u", "v", "w", "a", "q")),
-    "partition": (_suite_partition, _each(_check_partition), ("w", "n0")),
-    "linft": (_suite_linft, _check_linft, ("u", "v", "p")),
-    "equivalence-ratio": (_suite_equivalence, _check_equivalence, ("u", "v", "w", "p", "q", "form")),
-    "chain-equivalence": (
-        _suite_chain_equivalence, _check_chain_equivalence, ("u", "v", "w", "p", "q", "family")
+#: Each suite's runner; its check, a list of instances (dicts of inputs), or
+#: for chain and doubling their rows, in and one ``(observed, passed)`` per
+#: instance out; its instances' fields; and how replay turns one decoded
+#: instance into its check's input, rejecting what the check would.
+_SUITES: dict[str, tuple[Callable[..., dict], Check, tuple[str, ...], Callable[[dict], Any]]] = {
+    "chain": (_suite_chain, _check_chain, ("a", "p", "n"), _ChainRows.one),
+    "bridge": (_suite_bridge, _each(_check_bridge), ("u", "v", "w", "a", "q"), _listed),
+    "partition": (_suite_partition, _each(_check_partition), ("w", "n0"), _partition_instance),
+    "linft": (_suite_linft, _check_linft, ("u", "v", "p"), _listed),
+    "equivalence-ratio": (
+        _suite_equivalence, _check_equivalence, ("u", "v", "w", "p", "q", "form"), _listed
     ),
-    "doubling": (_suite_doubling, _check_doubling, ("b", "c", "alpha")),
+    "chain-equivalence": (
+        _suite_chain_equivalence, _check_chain_equivalence, ("u", "v", "w", "p", "q", "family"),
+        _listed,
+    ),
+    "doubling": (_suite_doubling, _check_doubling, ("b", "c", "alpha"), _DoublingRows.one),
 }
 
 

@@ -315,7 +315,30 @@ class TestReplay:
          ({"suite": "chain", "a": {"start": 0, "values": [1, 2]}, "n": 0},
           "a chain replay entry needs the fields p"),
          ({"suite": "doubling", "b": {"start": 0, "values": [1, 2, 4]}, "c": [1, 1, 1],
-           "alpha": 1.0}, "window JSON must be")],
+           "alpha": 1.0}, "window JSON must be"),
+         # inputs of the right types that the suite's check rejects
+         ({"suite": "equivalence-ratio", **{k: {"start": 0, "values": [1, 1]} for k in "uvw"},
+           "p": 2.0, "q": 3.0, "form": "nope"}, "form must be one of gop, antigop, got 'nope'"),
+         ({"suite": "chain-equivalence", **{k: {"start": 0, "values": [1, 1]} for k in "uvw"},
+           "p": 0.5, "q": 1.0, "family": "nope"},
+          "family must be one of antigop, gop, simple, got 'nope'"),
+         ({"suite": "chain", "a": {"start": 0, "values": [1, 2]}, "p": 0.5, "n": 2},
+          "index 2 outside window [0, 1]"),
+         ({"suite": "chain", "a": {"start": 0, "values": [1, 2]}, "p": 1.5, "n": 0},
+          "the chain requires p in (0, 1], got 1.5"),
+         ({"suite": "chain", "a": {"start": 0, "values": [1, 2]}, "p": 0.0, "n": 0},
+          "the chain requires p in (0, 1], got 0.0"),
+         ({"suite": "partition", "w": {"start": 0, "values": [1, 1, 1, 1]}, "n0": -1},
+          "n0=-1 outside window [0, 3]"),
+         ({"suite": "doubling", "b": {"start": 0, "values": [1, 2]},
+           "c": {"start": 0, "values": [1, 1]}, "alpha": 1.0},
+          "need kmin <= kmax - 2 inside the window, got [0, 1]"),
+         ({"suite": "doubling", "b": {"start": 0, "values": [1, 2, 3, 8]},
+           "c": {"start": 0, "values": [1, 1, 1, 1]}, "alpha": 1.0},
+          "doubling b_{k+1} >= 2 b_k violated at k=1"),
+         ({"suite": "linft", "u": {"start": 0, "values": [2, 1]},
+           "v": {"start": 1, "values": [4, 1]}, "p": 1.0},
+          "windows must share the same index range")],
     )
     def test_bad_replay_entry_exits_two_before_any_suite_runs(
         self, tmp_path, monkeypatch, capsys, entry, message

@@ -284,16 +284,17 @@ def _antigop_above_discrete(res):
 
 
 # (module, library call, change to its result) per suite.  The three oracle
-# suites check their whole ensemble, and chain and doubling their probes in
-# chunks, through one list call, so their change maps over the list.  Each
-# change fails exactly one predicate of the suite's check.  For bridge, linft,
-# chain-equivalence and doubling it is a predicate that a weaker replay would
-# skip: the reflected form, the brute-force bound, the finiteness of A3/A1
-# and the sup pair.
+# suites check their whole ensemble through one list call, so their change
+# maps over the list; chain and doubling check their probes as rows, through
+# the row kernel that the public entry points share, so theirs maps over the
+# kernel's per-row results.  Each change fails exactly one predicate of the
+# suite's check.  For bridge, linft, chain-equivalence and doubling it is a
+# predicate that a weaker replay would skip: the reflected form, the
+# brute-force bound, the finiteness of A3/A1 and the sup pair.
 REPLAY_FAULTS = {
     "chain": (
         hardyops,
-        "elementary_chain_checks",
+        "_chain_rows",
         lambda ts: [(t[2] + 1.0, t[1], t[2]) for t in ts],
     ),
     "bridge": (bridge, "bridge_check", _antigop_above_discrete),
@@ -318,8 +319,8 @@ REPLAY_FAULTS = {
     ),
     "doubling": (
         blocks,
-        "doubling_lemma_checks",
-        lambda rs: [dataclasses.replace(r, lhs_sup=3.0 * r.rhs_sup) for r in rs],
+        "_doubling_rows",
+        lambda sums: [sums[0], [3.0 * x for x in sums[3]], sums[2], sums[3]],
     ),
 }
 
@@ -378,20 +379,135 @@ def test_gop_spike_range_ratio_outside_its_bracket_fails(scale, monkeypatch):
 )
 def test_chain_check_catches_a_wrong_chain(alter, failing, monkeypatch):
     """The chain triple is held to independent values, not only to its own
-    order: an ``elementary_chain_checks`` that returns s2 for s3, or s1 for
-    all three, still satisfies ``s1 <= s2 <= s3`` but fails the default
-    sweep at seed 0, in every probe whose tail has two positive entries (and
-    p < 1 for the first).  Unchanged, every probe passes, also at weights
+    order: a chain kernel (``hardyops._chain_rows``, which the sweep and
+    ``elementary_chain_checks`` share) that returns s2 for s3, or s1 for all
+    three, still satisfies ``s1 <= s2 <= s3`` but fails the default sweep at
+    seed 0, in every probe whose tail has two positive entries (and p < 1
+    for the first).  Unchanged, every probe passes, also at weights
     2^(+-300) and 2^(+-1000)."""
     for exponent in (3.0, 300.0, 1000.0):
         spec = SweepSpec(seed=0, suites=("chain",), weight_exponent=exponent)
         assert run_verification(spec)["passed"], exponent
-    real = hardyops.elementary_chain_checks
+    real = hardyops._chain_rows
     monkeypatch.setattr(
-        hardyops, "elementary_chain_checks", lambda probes: [alter(t) for t in real(probes)]
+        hardyops, "_chain_rows", lambda tails, p: [alter(t) for t in real(tails, p)]
     )
     report = run_verification(SweepSpec(seed=0, suites=("chain",)))
     assert len(report["suites"]["chain"]["failures"]) == failing
     for entry in report["suites"]["chain"]["failures"][:20]:
         observed = entry["observed"]
         assert observed[0] <= observed[1] <= observed[2]
+
+
+def _probes_alone(spec, suite):
+    """The chain or doubling probes of ``spec``, drawn one at a time into
+    windows (``rand_window``, ``Window``) as the suites drew them before
+    they drew into rows, kept as the reference for the rows; chunked as
+    the suites chunk them."""
+    rng = np.random.default_rng((spec.seed, ALL_SUITES.index(suite)))
+
+    def chain():
+        n_len = int(_pick(rng, spec.window_sizes))
+        a = rand_window(rng, n_len, int(rng.integers(-4, 5)), spec.weight_exponent, 0.2)
+        p = float(rng.uniform(0.05, 1.0)) if rng.random() < 0.8 else 1.0
+        return {"a": a, "p": p, "n": int(rng.integers(a.start, a.stop))}
+
+    def doubling():
+        n_len = int(rng.integers(3, 10))
+        factors = rng.uniform(2.0, 4.0, size=n_len - 1)
+        b = verification.Window(0, np.concatenate([[rng.uniform(0.5, 2.0)], factors]).cumprod())
+        c = rand_window(rng, n_len, 0, spec.weight_exponent, 0.3)
+        return {"b": b, "c": c, "alpha": _pick(rng, (0.25, 0.5, 1.0))}
+
+    draw, count = {"chain": (chain, max(spec.ensemble * 25, 100)),
+                   "doubling": (doubling, max(spec.ensemble * 10, 50))}[suite]
+    size = verification._CHUNK_PROBES
+    return [[draw() for _ in range(min(size, count - done))] for done in range(0, count, size)]
+
+
+def _kernel_rows(chunk, suite):
+    """The rows a chunk of reference probes gives its kernel, group by
+    group in order of first appearance: the tails and ``p`` per tail length
+    for chain, ``b``, ``c`` and ``alpha`` per length and ``alpha`` for
+    doubling."""
+    groups = {}
+    for x in chunk:
+        if suite == "chain":
+            groups.setdefault(x["a"].stop - x["n"], []).append(x)
+        else:
+            groups.setdefault((len(x["b"]), x["alpha"]), []).append(x)
+    if suite == "chain":
+        return [(np.stack([x["a"].values[x["n"] - x["a"].start:] for x in xs]).tobytes(),
+                 np.array([x["p"] for x in xs]).tobytes()) for xs in groups.values()]
+    return [(np.stack([x["b"].values for x in xs]).tobytes(),
+             np.stack([x["c"].values for x in xs]).tobytes(), xs[0]["alpha"])
+            for xs in groups.values()]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize(
+    "fields",
+    [{}, {"window_sizes": (1, 9, 16, 33)}, {"weight_exponent": 1000.0}, {"ensemble": 41},
+     {"ensemble": 103}],
+    ids=["default", "sizes-1-33", "exponent-1000", "ensemble-41", "ensemble-103"],
+)
+def test_probe_rows_are_the_windows_drawn_one_at_a_time(seed, fields, monkeypatch):
+    """The chain and doubling suites draw into rows with the Generator calls
+    of the per-probe windows they drew before: every chunk holds the same
+    probes (window bytes, starts, ``p``, ``n``, ``alpha``), chunked at the
+    same boundaries, and every kernel call gets the rows, exponents and
+    groups that stacking those windows gives.  Ensemble 41 draws 1,025
+    chain probes and 103 draws 1,030 doubling probes, two chunks each."""
+    spec = SweepSpec(seed=seed, suites=("chain", "doubling"), **fields)
+    chunks, calls = {"chain": [], "doubling": []}, {"chain": [], "doubling": []}
+    real_check, real_chain, real_doubling = verification._check, hardyops._chain_rows, blocks._doubling_rows
+
+    def check(failures, suite, instances):
+        chunks[suite].append(instances)
+        return real_check(failures, suite, instances)
+
+    def chain_rows(tails, p):
+        assert tails.flags.c_contiguous
+        calls["chain"].append((tails.tobytes(), p.tobytes()))
+        return real_chain(tails, p)
+
+    def doubling_rows(bb, cc, alpha):
+        assert bb.flags.c_contiguous and cc.flags.c_contiguous
+        calls["doubling"].append((bb.tobytes(), cc.tobytes(), alpha))
+        return real_doubling(bb, cc, alpha)
+
+    monkeypatch.setattr(verification, "_check", check)
+    monkeypatch.setattr(hardyops, "_chain_rows", chain_rows)
+    monkeypatch.setattr(blocks, "_doubling_rows", doubling_rows)
+    assert run_verification(spec)["passed"]
+    for suite in ("chain", "doubling"):
+        want = _probes_alone(spec, suite)
+        assert [len(rows.lengths) for rows in chunks[suite]] == [len(c) for c in want]
+        for rows, ref in zip(chunks[suite], want):
+            for i, x in enumerate(ref):
+                if suite == "chain":
+                    a = rows.values[i, -rows.lengths[i]:]
+                    assert (rows.starts[i], rows.p[i], rows.n[i]) == (x["a"].start, x["p"], x["n"])
+                    assert a.tobytes() == x["a"].values.tobytes()
+                else:
+                    length = rows.lengths[i]
+                    assert (rows.starts[i], rows.alpha[i]) == (0, x["alpha"])
+                    assert rows.b[i, :length].tobytes() == x["b"].values.tobytes()
+                    assert rows.c[i, :length].tobytes() == x["c"].values.tobytes()
+        assert calls[suite] == [g for ref in want for g in _kernel_rows(ref, suite)]
+
+
+def test_a_passing_probe_sweep_builds_no_window(monkeypatch):
+    """The chain and doubling suites draw their probes into rows and build
+    a window only to replay one: their default sweep, 1,000 and 400 probes
+    that pass, builds none (1,800 when each probe drew its windows)."""
+    built = []
+    real = verification.Window.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(verification.Window, "__init__", init)
+    assert run_verification(SweepSpec(suites=("chain", "doubling")))["passed"]
+    assert len(built) == 0
