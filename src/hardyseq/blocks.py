@@ -144,10 +144,16 @@ class _TailMasses:
         return out
 
 
-def block_partition(w: Window, n0: int) -> BlockPartition:
-    """Construct the block partition of ``w`` starting at ``n0``."""
+def _partition_start(w: Window, n0: int) -> None:
+    """Raise ``IndexError`` for a start ``n0`` outside ``w``, which
+    :func:`block_partition` does not take."""
     if n0 not in w:
         raise IndexError(f"n0={n0} outside window [{w.start}, {w.last}]")
+
+
+def block_partition(w: Window, n0: int) -> BlockPartition:
+    """Construct the block partition of ``w`` starting at ``n0``."""
+    _partition_start(w, n0)
     t = _TailMasses(w)
     ns: list[float] = [n0]
     # Each step's passing set is an initial segment (see the module

@@ -370,6 +370,13 @@ def char_antigop(
     return _antigop_rows(*rows, classify_regime(p, q), variant)[0]
 
 
+def _linft_exponent(p: float) -> None:
+    """Raise ``ValueError`` for a ``p`` outside (0, 1], which
+    :func:`char_linft_exact` does not take."""
+    if not 0 < p <= 1:
+        raise ValueError(f"the exact q=inf formula requires p in (0, 1], got {p}")
+
+
 def char_linft_exact(u: Window, v: Window, p: float) -> float:
     """Exact optimal constant ``sup_n u_n sup_{j >= n} v_j^(-1/p)``.
 
@@ -377,8 +384,7 @@ def char_linft_exact(u: Window, v: Window, p: float) -> float:
     ``p in (0, 1]``; unlike the regime estimators it is an identity, not an
     equivalence.
     """
-    if not 0 < p <= 1:
-        raise ValueError(f"the exact q=inf formula requires p in (0, 1], got {p}")
+    _linft_exponent(p)
     common_window(u, v)
     SV = scan_max(ext_pow_array(v.as_array(), -1.0 / p), right=True)
     return float(np.max(ext_mul_array(u.as_array(), SV)))

@@ -1073,14 +1073,20 @@ class ChainEquivalenceReport:
         }
 
 
+def _chain_exponent(p: float) -> None:
+    """Raise ``ValueError`` for a ``p`` outside (0, 1], which the chain
+    equivalences do not take."""
+    if not 0 < p <= 1:
+        raise ValueError(f"the chain equivalences require p in (0, 1], got {p}")
+
+
 def _chain_problems(
     u: Window, v: Window, w: Window, p: float, q: float, family: str
 ) -> tuple[RatioProblem, ...]:
     """The sup, sum and powered-sum problems of one chain instance.  At
     ``p = 1`` the powered sum is the sum operator, and its problem takes the
     sum form, so that :func:`_chain_group` searches it once."""
-    if not 0 < p <= 1:
-        raise ValueError(f"the chain equivalences require p in (0, 1], got {p}")
+    _chain_exponent(p)
     if family == "antigop":
         forms = (ANTIGOP_SUP, ANTIGOP, antigop_psum(p))
     elif family == "gop":

@@ -163,23 +163,24 @@ def _scaled(values: np.ndarray) -> tuple[list[int], int]:
     Every step is exact in NumPy.  ``frexp`` splits each value into ``mant *
     2**ex`` (subnormals included), so ``m = mant * 2**53`` is its integer
     significand, 0 or in [2**52, 2**53).  ``v = m - 2**53`` is exact in
-    float64 and int64, and ``v & -v`` is the lowest set bit ``low`` of ``m``
-    (``v`` and ``m`` agree mod 2**53), or 2**53 for a zero (-0.0 too), so a
-    zero needs no mask.  ``m / low`` is an odd int below 2**53 (0 for a
-    zero), and ``low * 2**(ex - 53)`` is the value's own lowest set bit
-    ``2**(e - 1)``: a power of two between 2**-1074 and the value, so a
-    float; 1.0 for a zero.  The least shift is ``1 - min(e)``, at least 0,
-    and each value is its odd int shifted left by ``e - 1 + shift >= 0``,
-    as Python ints in one ``map``.
+    float64 and int64, and the int64 ``v & -v`` is the lowest set bit
+    ``low = 2**j`` of ``m`` (``v`` and ``m`` agree mod 2**53), or 2**53 for
+    a zero (-0.0 too), so a zero needs no mask.  The int64 floor division
+    ``(v + 2**53) // low`` is the odd int ``m / low`` below 2**53 (0 for a
+    zero).  ``low`` converts to float64 exactly, so ``frexp`` of it gives
+    ``j + 1``, and ``k = j + 1 + ex`` (int32) places the value's own lowest
+    set bit at ``2**(k - 54)``; a zero has ``k = 54``, a lowest bit of 1.
+    The least shift is ``54 - min(k)``, at least 0, and each value is its
+    odd int shifted left by ``k + shift - 54 >= 0``, as Python ints in one
+    ``map``.
     """
     mant, ex = np.frexp(values)
     v = (np.ldexp(mant, 53) - 2.0**53).astype(np.int64)
-    low = (v & -v).astype(np.float64)
-    odd = ((v + (1 << 53)) / low).astype(np.int64)
-    lowest = np.ldexp(low * 2.0**-53, ex)
-    s = max(1 - math.frexp(lowest.min())[1], 0)
-    shifts = np.frexp(lowest)[1].astype(np.int64) + (s - 1)
-    return list(map(lshift, odd.tolist(), shifts.tolist())), s
+    low = v & -v
+    odd = (v + (1 << 53)) // low
+    k = np.frexp(low.astype(np.float64))[1] + ex
+    s = max(54 - int(k.min()), 0)
+    return list(map(lshift, odd.tolist(), (k + (s - 54)).tolist())), s
 
 
 # ---------------------------------------------------------------------------

@@ -460,12 +460,13 @@ def _listed(x: dict) -> list[dict]:
     return [x]
 
 
-def _partition_instance(x: dict) -> list[dict]:
-    """A decoded partition instance as a list of one, its ``n0`` inside its
-    window."""
-    if x["n0"] not in x["w"]:
-        raise IndexError(f"n0={x['n0']} outside window [{x['w'].start}, {x['w'].last}]")
-    return [x]
+def _listed_after(check: Callable[[dict], Any]) -> Callable[[dict], list[dict]]:
+    """A decoded instance as a list of one, after ``check`` (an argument
+    check of the suite's entry point, which raises) has passed it."""
+    def listed(x: dict) -> list[dict]:
+        check(x)
+        return [x]
+    return listed
 
 
 def _decode(entry: dict) -> tuple[str, Any]:
@@ -474,7 +475,8 @@ def _decode(entry: dict) -> tuple[str, Any]:
     ``IndexError`` for an entry that is not an object, names no known suite,
     lacks one of that suite's fields or holds inputs that the check rejects
     (windows of different index ranges, an unknown form or family, and the
-    conditions of the chain, partition and doubling checks)."""
+    argument checks of the chain, partition, doubling, bridge and linft
+    entry points and of the chain equivalences' ``p``)."""
     if not isinstance(entry, dict):
         raise ValueError(f"a replay entry must be a JSON object, got {entry!r}")
     suite = entry.get("suite")
@@ -650,15 +652,24 @@ def _suite_doubling(spec: SweepSpec, rng: np.random.Generator, check: Check) -> 
 #: instance into its check's input, rejecting what the check would.
 _SUITES: dict[str, tuple[Callable[..., dict], Check, tuple[str, ...], Callable[[dict], Any]]] = {
     "chain": (_suite_chain, _check_chain, ("a", "p", "n"), _ChainRows.one),
-    "bridge": (_suite_bridge, _each(_check_bridge), ("u", "v", "w", "a", "q"), _listed),
-    "partition": (_suite_partition, _each(_check_partition), ("w", "n0"), _partition_instance),
-    "linft": (_suite_linft, _check_linft, ("u", "v", "p"), _listed),
+    "bridge": (
+        _suite_bridge, _each(_check_bridge), ("u", "v", "w", "a", "q"),
+        _listed_after(lambda x: bridge._bridge_arguments(1.0, x["q"], "gop")),
+    ),
+    "partition": (
+        _suite_partition, _each(_check_partition), ("w", "n0"),
+        _listed_after(lambda x: blocks._partition_start(x["w"], x["n0"])),
+    ),
+    "linft": (
+        _suite_linft, _check_linft, ("u", "v", "p"),
+        _listed_after(lambda x: charformulas._linft_exponent(x["p"])),
+    ),
     "equivalence-ratio": (
         _suite_equivalence, _check_equivalence, ("u", "v", "w", "p", "q", "form"), _listed
     ),
     "chain-equivalence": (
         _suite_chain_equivalence, _check_chain_equivalence, ("u", "v", "w", "p", "q", "family"),
-        _listed,
+        _listed_after(lambda x: oracle._chain_exponent(x["p"])),
     ),
     "doubling": (_suite_doubling, _check_doubling, ("b", "c", "alpha"), _DoublingRows.one),
 }

@@ -1,7 +1,10 @@
 import dataclasses
 import math
+import random
 import time
 from fractions import Fraction as F
+from itertools import accumulate, cycle, islice, repeat
+from operator import mul
 
 import numpy as np
 import pytest
@@ -9,7 +12,10 @@ import pytest
 from hardyseq.bridge import (
     BridgeCheckResult,
     PiecewiseLinear,
+    _power_sum,
     _root,
+    _running_max_from_right,
+    _tail_sups,
     bridge_check,
     cumulative,
     embed_sequence,
@@ -68,6 +74,44 @@ def _bridge_exact_reference(u, v, w, a, p, q, form):
         _root(rhs, p), _root(rhs, p), discrete, continuous, rhs, rhs,
         num is F, rhs_num is F,
     )
+
+
+def _running_max_reference(xs):
+    """``_running_max_from_right`` as ``accumulate`` over builtin ``max``:
+    the reference for its comparison loop."""
+    return list(accumulate(reversed(xs), max))[::-1]
+
+
+def _tail_sups_reference(U, knots):
+    """``_tail_sups`` as ``map`` and ``accumulate`` over builtin ``max``."""
+    cells = list(map(mul, U, map(max, knots, knots[1:])))
+    return list(accumulate(reversed(cells), max, initial=0))[::-1]
+
+
+def _power_sum_reference(W, sw, xs, t, k):
+    """The integer branch of ``_power_sum``, a ``pow`` per cell at every
+    ``k``."""
+    return F(sum(map(mul, W, map(pow, xs, repeat(k)))), 1 << (sw + k * t))
+
+
+def _cell_lists(seed):
+    """Lists of nonnegative ints as the per-cell passes get them: one cell
+    up to 96 cells, entries up to 2**300, with zeros and runs of equal
+    neighbours."""
+    rng = random.Random(seed)
+    yield from ([0], [5], [0, 0, 0], [7, 7, 7])
+    for n in (1, 2, 3, 12, 96):
+        for bits in (1, 8, 300):
+            xs = [rng.getrandbits(bits) for _ in range(n)]
+            for i in range(1, n):
+                r = rng.random()
+                xs[i] = 0 if r < 0.2 else xs[i - 1] if r < 0.4 else xs[i]
+            yield xs
+
+
+def _assert_same_ints(got, want):
+    assert type(got) is list and all(type(x) is int for x in got)
+    assert got == want
 
 
 def _assert_same_result(res, ref):
@@ -177,6 +221,56 @@ class TestExactReference:
         assert bridge_check(w, w, w, w, 2000.0, 2000.0, "gop").exact_lhs
         res = bridge_check(w, w, w, w, 1.0, 2500.5, "antigop")
         assert not res.exact_lhs and res.exact_rhs
+
+
+class TestCellPasses:
+    """The per-cell passes of ``bridge_check`` against the ``accumulate`` and
+    ``pow`` forms they replaced, int for int."""
+
+    def test_running_max_from_right(self):
+        for xs in _cell_lists(1):
+            _assert_same_ints(_running_max_from_right(xs), _running_max_reference(xs))
+
+    @pytest.mark.parametrize("form", ["gop", "antigop"])
+    def test_tail_sups(self, form):
+        """Knots as ``bridge_check`` builds them: increasing from the left
+        for gop, decreasing (the sums from the right) for antigop."""
+        lists = list(_cell_lists(2))
+        for U, A in zip(lists, lists[1:] + lists[:1]):
+            A = list(islice(cycle(A), len(U)))
+            knots = list(accumulate(A if form == "gop" else reversed(A), initial=0))
+            knots = knots if form == "gop" else knots[::-1]
+            _assert_same_ints(_tail_sups(U, knots), _tail_sups_reference(U, knots))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_integer_power_sum(self, k):
+        rng = random.Random(k)
+        lists = list(_cell_lists(3))
+        for W, xs in zip(lists, lists[1:] + lists[:1]):
+            xs = list(islice(cycle(xs), len(W)))
+            sw, t = rng.randrange(0, 40), rng.randrange(0, 80)
+            got, want = _power_sum(W, sw, xs, t, float(k)), _power_sum_reference(W, sw, xs, t, k)
+            assert type(got) is F
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    @pytest.mark.parametrize("form", ["gop", "antigop"])
+    def test_bridge_exact_shapes(self, form):
+        """``bridge_check`` against the ``Fraction`` reference on the
+        shapes of the bridge-exact benchmark: dyadic steps, n in {12, 24,
+        48, 96}, q in {1, 2, 3}, and windows whose products ``u_k * F_k``
+        repeat (constant ``u``, runs of zeros in ``a``) so that the suffix
+        maxima tie."""
+        rng = np.random.default_rng(30 if form == "gop" else 31)
+        for n in (12, 24, 48, 96):
+            for q in (1, 2, 3):
+                start = int(rng.integers(-4, 5))
+                u, v, w = (rand_dyadic_window(rng, n, start) for _ in range(3))
+                a = rand_dyadic_window(rng, n, start, allow_zero=True)
+                flat = Window(start, np.full(n, 0.5))
+                runs = a.with_values(np.where(np.arange(n) % 4 < 2, 0.0, a.values))
+                for args in ((u, v, w, a), (flat, v, flat, runs), (flat, flat, w, flat)):
+                    res = bridge_check(*args, 1.0, float(q), form)
+                    _assert_same_result(res, _bridge_exact_reference(*args, 1, q, form))
 
 
 class TestRoot:

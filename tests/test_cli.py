@@ -338,7 +338,15 @@ class TestReplay:
           "doubling b_{k+1} >= 2 b_k violated at k=1"),
          ({"suite": "linft", "u": {"start": 0, "values": [2, 1]},
            "v": {"start": 1, "values": [4, 1]}, "p": 1.0},
-          "windows must share the same index range")],
+          "windows must share the same index range"),
+         # the argument checks of the suites' entry points
+         ({"suite": "linft", **{k: {"start": 0, "values": [2, 1]} for k in "uv"}, "p": 2.0},
+          "the exact q=inf formula requires p in (0, 1], got 2.0"),
+         ({"suite": "chain-equivalence", **{k: {"start": 0, "values": [1, 1]} for k in "uvw"},
+           "p": 2.0, "q": 1.0, "family": "gop"},
+          "the chain equivalences require p in (0, 1], got 2.0"),
+         ({"suite": "bridge", **{k: {"start": 0, "values": [1, 1]} for k in "uvwa"}, "q": -1.0},
+          "exponents must be positive and finite, got p=1.0, q=-1.0")],
     )
     def test_bad_replay_entry_exits_two_before_any_suite_runs(
         self, tmp_path, monkeypatch, capsys, entry, message
