@@ -12,7 +12,6 @@ from .blocks import (
     PartitionReport,
     block_partition,
     doubling_lemma_check,
-    doubling_lemma_checks,
     verify_partition_invariants,
 )
 from .bridge import (
@@ -44,7 +43,6 @@ from .hardyops import (
     apply_iterated,
     dual_problem,
     elementary_chain_check,
-    elementary_chain_checks,
     gop_psum,
     lhs,
     ratio,
@@ -105,7 +103,6 @@ __all__ = [
     "rhs",
     "ratio",
     "elementary_chain_check",
-    "elementary_chain_checks",
     "dual_problem",
     "BlockPartition",
     "PartitionReport",
@@ -113,7 +110,6 @@ __all__ = [
     "block_partition",
     "verify_partition_invariants",
     "doubling_lemma_check",
-    "doubling_lemma_checks",
     "CharacterizationResult",
     "char_gop",
     "char_antigop",

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .seqcore import INF, Window, _in_groups, _scaled, common_window, scan_max, scan_sum
+from .seqcore import INF, Window, _scaled, common_window, scan_max, scan_sum
 
 __all__ = [
     "BlockPartition",
@@ -46,7 +45,6 @@ __all__ = [
     "block_partition",
     "verify_partition_invariants",
     "doubling_lemma_check",
-    "doubling_lemma_checks",
     "DoublingQuantities",
 ]
 
@@ -313,43 +311,11 @@ class DoublingQuantities:
         return dict(vars(self))
 
 
-def doubling_lemma_checks(
-    probes: Sequence[tuple[Window, Window, float, int, int]],
-) -> list[DoublingQuantities]:
-    """Both sides of the doubling-sequence inequality for every ``(b, c,
-    alpha, kmin, kmax)`` probe, in input order.
-
-    Requires ``b_{k+1} >= 2 b_k`` for ``kmin <= k <= kmax - 2`` (the last gap
-    is exempt, exactly as in the statement) and at least three indices.
-    Returns
-
-        lhs_sum = sum_k (sum_{m=k}^{kmax} c_m)^alpha * b_k
-        lhs_sup = sum_k (sup_{k<=m<=kmax} c_m) * b_k
-        rhs_sum = sum_k c_k^alpha * b_k
-        rhs_sup = sum_k c_k * b_k
-
-    and the caller asserts ``lhs <= C(alpha) * rhs``.  With doubling holding
-    through the last gap, ``C = 2`` suffices for ``alpha <= 1`` (and for the
-    sup pair regardless of alpha); the exempt last gap admits no universal
-    constant when ``c`` spikes at ``kmax``.
-
-    The probes are evaluated by :func:`_doubling_rows` as C-contiguous (B, m)
-    rows, one batch per length m and ``alpha``, so every probe gets the bits
-    it has alone.
-    """
-    rows = [_doubling_sides(*probe) for probe in probes]
-    return _in_groups(rows, lambda row: (len(row[0]), row[2]), lambda group: [
-        DoublingQuantities(*q) for q in zip(*_doubling_rows(
-            np.stack([bb for bb, _, _ in group]), np.stack([cc for _, cc, _ in group]), group[0][2]
-        ))
-    ])
-
-
 def _doubling_sides(
     b: Window, c: Window, alpha: float, kmin: int, kmax: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """``b`` and ``c`` on ``[kmin, kmax]``, and ``alpha`` as a float, of a
-    probe that meets the conditions of :func:`doubling_lemma_checks`;
+    probe that meets the conditions of :func:`doubling_lemma_check`;
     ``ValueError`` for one that does not."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -367,7 +333,7 @@ def _doubling_sides(
 
 
 def _doubling_rows(bb: np.ndarray, cc: np.ndarray, alpha: float) -> list[list[float]]:
-    """The four sums of :func:`doubling_lemma_checks`, ``[lhs_sum, lhs_sup,
+    """The four sums of :func:`doubling_lemma_check`, ``[lhs_sum, lhs_sup,
     rhs_sum, rhs_sup]``, each a list over the C-contiguous rows ``bb`` and
     ``cc`` (B, m) of probes with one ``alpha``.  The powers take ``alpha`` as
     a scalar, as one probe alone does (NumPy takes a scalar 0.5 as
@@ -381,6 +347,22 @@ def _doubling_rows(bb: np.ndarray, cc: np.ndarray, alpha: float) -> list[list[fl
 def doubling_lemma_check(
     b: Window, c: Window, alpha: float, kmin: int, kmax: int
 ) -> DoublingQuantities:
-    """Both sides of the doubling-sequence inequality on ``[kmin, kmax]``:
-    the one-element call of :func:`doubling_lemma_checks`."""
-    return doubling_lemma_checks([(b, c, alpha, kmin, kmax)])[0]
+    """Both sides of the doubling-sequence inequality on ``[kmin, kmax]``.
+
+    Requires ``b_{k+1} >= 2 b_k`` for ``kmin <= k <= kmax - 2`` (the last gap
+    is exempt, exactly as in the statement) and at least three indices.
+    Returns
+
+        lhs_sum = sum_k (sum_{m=k}^{kmax} c_m)^alpha * b_k
+        lhs_sup = sum_k (sup_{k<=m<=kmax} c_m) * b_k
+        rhs_sum = sum_k c_k^alpha * b_k
+        rhs_sup = sum_k c_k * b_k
+
+    and the caller asserts ``lhs <= C(alpha) * rhs``.  With doubling holding
+    through the last gap, ``C = 2`` suffices for ``alpha <= 1`` (and for the
+    sup pair regardless of alpha); the exempt last gap admits no universal
+    constant when ``c`` spikes at ``kmax``.  The probe is one row of
+    :func:`_doubling_rows`, so it has the bits of that row in any batch.
+    """
+    bb, cc, alpha = _doubling_sides(b, c, alpha, kmin, kmax)
+    return DoublingQuantities(*(x[0] for x in _doubling_rows(bb[None], cc[None], alpha)))

@@ -148,9 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--form", default="gop", choices=list(FORM_NAMES.values()))
     o.add_argument("--inner-exponent", type=float, default=None,
                    help="r for the psum forms (defaults to p)")
-    o.add_argument("--restarts", type=int, default=32)
-    o.add_argument("--iterations", type=int, default=500)
-    o.add_argument("--seed", type=int, default=0)
+    o.add_argument("--restarts", type=int, default=OracleConfig.restarts)
+    o.add_argument("--iterations", type=int, default=OracleConfig.iterations)
+    o.add_argument("--seed", type=int, default=OracleConfig.seed)
     common(o)
     o.set_defaults(func=_cmd_oracle)
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .seqcore import (
     INF,
     Window,
     _ext_mul,
-    _in_groups,
     common_window,
     ext_pow,
     scan_max,
@@ -63,7 +61,6 @@ __all__ = [
     "rhs",
     "ratio",
     "elementary_chain_check",
-    "elementary_chain_checks",
 ]
 
 
@@ -157,8 +154,8 @@ class RatioProblem:
 
     def __post_init__(self) -> None:
         common_window(self.u, self.v, self.w)
-        if not self.p > 0:
-            raise ValueError(f"p must be positive, got {self.p}")
+        if not 0 < self.p < math.inf:
+            raise ValueError(f"p must be positive and finite, got {self.p}")
         if not self.q > 0:
             raise ValueError(f"q must be positive, got {self.q}")
 
@@ -289,8 +286,8 @@ def rhs(v: Window, p: float, a: Window) -> float:
     """Right-hand side ``(sum a_n^p v_n)^(1/p)``, evaluated on a one-row
     batch as :func:`ratio` is."""
     common_window(v, a)
-    if not p > 0:
-        raise ValueError(f"p must be positive, got {p}")
+    if not 0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
     with np.errstate(over="ignore"):  # saturates to inf
         return float(_rhs_batch(v.as_array(), p, a.as_array()[None])[0])
 
@@ -303,24 +300,6 @@ def ratio(problem: RatioProblem, a: Window) -> float:
     if not a.values.max() > 0:
         raise ValueError("ratio requires a nonzero candidate sequence")
     return float(_ratio_batch(problem, a.as_array()[None, :])[0])
-
-
-def elementary_chain_checks(
-    probes: Sequence[tuple[Window, float, int]],
-) -> list[tuple[float, float, float]]:
-    """The elementary tail chain of every ``(a, p, n)`` probe, ``p in (0,
-    1]``, in input order.
-
-    Each result is ``(sup_{i>=n} a_i, sum_{i>=n} a_i, (sum_{i>=n}
-    a_i^p)^(1/p))``, which is nondecreasing.  Tails supported on at most one
-    index are evaluated exactly (all three coincide there).  The tails are
-    evaluated by :func:`_chain_rows` as C-contiguous (B, m) rows, one batch
-    per tail length m, so every probe gets the bits it has alone.
-    """
-    rows = [(_chain_tail(a, p, n), p) for a, p, n in probes]
-    return _in_groups(rows, lambda row: len(row[0]), lambda group: _chain_rows(
-        np.stack([tail for tail, _ in group]), np.array([p for _, p in group], dtype=float)
-    ))
 
 
 def _chain_tail(a: Window, p: float, n: int) -> np.ndarray:
@@ -371,9 +350,12 @@ def _chain_rows(tails: np.ndarray, p: np.ndarray) -> list[tuple[float, float, fl
 
 
 def elementary_chain_check(a: Window, p: float, n: int) -> tuple[float, float, float]:
-    """The elementary tail chain at index ``n`` for ``p in (0, 1]``: the
-    one-element call of :func:`elementary_chain_checks`."""
-    return elementary_chain_checks([(a, p, n)])[0]
+    """The elementary tail chain at index ``n`` for ``p in (0, 1]``:
+    ``(sup_{i>=n} a_i, sum_{i>=n} a_i, (sum_{i>=n} a_i^p)^(1/p))``, which
+    is nondecreasing.  Tails supported on at most one index are evaluated
+    exactly (all three coincide there).  The tail is one row of
+    :func:`_chain_rows`, so it has the bits of that row in any batch."""
+    return _chain_rows(_chain_tail(a, p, n)[None], np.array([float(p)]))[0]
 
 
 def dual_problem(problem: RatioProblem) -> RatioProblem:

@@ -356,11 +356,12 @@ class Regime:
 
 
 def classify_regime(p: float, q: float) -> Regime:
-    """Classify positive exponents (p, q) into the unique case I-IV."""
+    """Classify positive exponents (p, q), p finite, into the unique case
+    I-IV; ``q = inf`` falls in case I or III."""
     p = float(p)
     q = float(q)
-    if not (p > 0 and q > 0) or math.isnan(p) or math.isnan(q):
-        raise ValueError(f"exponents must be positive, got p={p}, q={q}")
+    if not (0 < p < math.inf and q > 0):
+        raise ValueError(f"exponents must be positive and p finite, got p={p}, q={q}")
     if p > 1:
         case = RegimeCase.I if p <= q else RegimeCase.II
     else:

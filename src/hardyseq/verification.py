@@ -11,9 +11,9 @@ stack: ``linft`` and ``chain-equivalence`` their whole ensemble,
 ``partition`` check each instance as it is drawn, their per-instance check
 mapped over a list of one.  ``chain`` and ``doubling`` draw their probes
 straight into rows, with the Generator calls that :func:`rand_window` makes
-for a window, and check them in bounded chunks through the row kernels that
-their public entry points share (``hardyops._chain_rows``,
-``blocks._doubling_rows``); they build a window only to replay a probe.  A
+for a window, and check them in bounded chunks through the row kernels
+(``hardyops._chain_rows``, ``blocks._doubling_rows``), of which their public
+checks are one-row calls; they build a window only to replay a probe.  A
 failing instance is recorded as its suite name, its inputs in the wire
 format (windows as ``{"start", "values"}``, scalars as numbers or strings)
 and the observed numbers.  :func:`replay_instance` decodes such a record
@@ -35,7 +35,6 @@ chain report; ``doubling`` both sides of the sum and the sup pair.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -102,8 +101,10 @@ class SweepSpec:
         if not self.regimes:
             raise ValueError("regime list must not be empty")
         for pq in self.regimes:
-            if len(pq) != 2 or not (pq[0] > 0 and pq[1] > 0):
-                raise ValueError(f"regimes must be positive (p, q) pairs, got {pq}")
+            if len(pq) != 2 or not (0 < pq[0] < math.inf and pq[1] > 0):
+                raise ValueError(f"regimes must be positive (p, q) pairs with p finite, got {pq}")
+        if not 0 <= self.weight_exponent < 1024:  # weights 2**U(-e, e) stay finite
+            raise ValueError(f"weight_exponent must be in [0, 1024), got {self.weight_exponent}")
         if self.ensemble < 1:
             raise ValueError("ensemble size must be >= 1")
         if not self.window_sizes or not all(n >= 1 for n in self.window_sizes):
@@ -213,7 +214,7 @@ class _ChainRows:
     @classmethod
     def one(cls, x: dict) -> "_ChainRows":
         """The one row of a decoded ``{"a", "p", "n"}`` probe, checked as
-        ``elementary_chain_checks`` checks it."""
+        ``elementary_chain_check`` checks it."""
         a = x["a"]
         hardyops._chain_tail(a, x["p"], x["n"])
         return cls([a.start], [len(a)], a.values[None], [x["p"]], [x["n"]])
@@ -240,7 +241,7 @@ class _DoublingRows:
     @classmethod
     def one(cls, x: dict) -> "_DoublingRows":
         """The one row of a decoded ``{"b", "c", "alpha"}`` probe, checked
-        as ``doubling_lemma_checks`` checks it over the whole window."""
+        as ``doubling_lemma_check`` checks it over the whole window."""
         b = x["b"]
         bb, cc, alpha = blocks._doubling_sides(b, x["c"], x["alpha"], b.start, b.last)
         return cls([b.start], [len(b)], bb[None], cc[None], [alpha])
@@ -357,16 +358,11 @@ def _check_doubling(rows: _DoublingRows) -> list[tuple[Any, bool]]:
         length, alpha = keys[idx[0]]
         sums = blocks._doubling_rows(rows.b[idx, :length], rows.c[idx, :length], alpha)
         return [
-            (dict(zip(_DOUBLING_SIDES, q)), q[0] <= 2.0 * q[2] and q[1] <= 2.0 * q[3])
+            (blocks.DoublingQuantities(*q).to_json(), q[0] <= 2.0 * q[2] and q[1] <= 2.0 * q[3])
             for q in zip(*sums)
         ]
 
     return _in_groups(range(len(keys)), keys.__getitem__, group)
-
-
-#: The observed fields of a doubling probe, as ``DoublingQuantities.to_json``
-#: names and orders them.
-_DOUBLING_SIDES = tuple(f.name for f in dataclasses.fields(blocks.DoublingQuantities))
 
 
 def _check_equivalence(instances: list[dict]) -> list[tuple[Any, bool]]:

@@ -7,12 +7,13 @@ import pytest
 from hardyseq.blocks import (
     BlockPartition,
     PartitionReport,
+    _doubling_rows,
+    _doubling_sides,
     block_partition,
     doubling_lemma_check,
-    doubling_lemma_checks,
     verify_partition_invariants,
 )
-from hardyseq.seqcore import INF, Window, scan_max, scan_sum
+from hardyseq.seqcore import INF, Window, _in_groups, scan_max, scan_sum
 
 
 def calibrate_doubling_constant(
@@ -342,27 +343,28 @@ def _doubling_probes(rng, count):
 
 class TestDoublingLemma:
     def test_batch_equals_one_probe_bit_for_bit(self):
-        """Each probe of a batch, grouped into (B, m) rows by length and
-        alpha, has the bits of its one-element call and of its rows alone."""
+        """Each probe's rows, stacked with the others of its length and
+        alpha into C-contiguous (B, m) rows of :func:`_doubling_rows` as the
+        sweep groups them, have the bits of its one-probe call and of its
+        rows alone."""
         probes = _doubling_probes(np.random.default_rng(4), 1240)
         hexes = lambda sides: [tuple(x.hex() for x in s) for s in sides]
-        batch = hexes(vars(q).values() for q in doubling_lemma_checks(probes))
+        rows = [_doubling_sides(*probe) for probe in probes]
+        batch = hexes(_in_groups(rows, lambda row: (len(row[0]), row[2]), lambda group: list(zip(
+            *_doubling_rows(np.stack([r[0] for r in group]), np.stack([r[1] for r in group]), group[0][2])
+        ))))
         assert batch == hexes(vars(doubling_lemma_check(*pr)).values() for pr in probes)
         assert batch == hexes(_doubling_alone(*pr) for pr in probes)
 
-    def test_batch_raises_what_one_probe_raises(self):
+    def test_ratio_of_exactly_two_passes(self):
         """A ratio of exactly 2 passes the doubling test; one just below 2
-        fails it, in a batch with the same error as alone."""
+        fails it."""
         c = Window(0, (1.0, 1.0, 1.0, 1.0))
         exact = (Window(0, (1.0, 2.0, 4.0, 8.0)), c, 0.5, 0, 3)
         below = (Window(0, (1.0, 2.0, 2.0 * np.nextafter(2.0, 0.0), 8.0)), c, 0.5, 0, 3)
-        assert doubling_lemma_checks([exact]) == [doubling_lemma_check(*exact)]
-        with pytest.raises(ValueError, match="violated at k=1") as alone:
+        assert tuple(vars(doubling_lemma_check(*exact)).values()) == _doubling_alone(*exact)
+        with pytest.raises(ValueError, match="violated at k=1"):
             doubling_lemma_check(*below)
-        for batch in ([exact, below], [below, exact], [(*exact[:2], 1.0, 0, 3), below]):
-            with pytest.raises(ValueError) as batched:
-                doubling_lemma_checks(batch)
-            assert str(batched.value) == str(alone.value)
 
     def test_hand_example(self):
         out = doubling_lemma_check(

@@ -252,6 +252,15 @@ class TestVerify:
         assert main(["verify", "--spec", str(path)]) == 2
         assert "unknown sweep spec fields ['ensembel', 'sede']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -3, 2000])
+    def test_bad_weight_exponent_exits_two(self, tmp_path, value, capsys):
+        """Caught before any suite runs, not as an ``OverflowError`` or as a
+        draw that fails or overflows after the earlier suites."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"suites": ["chain", "doubling"], "weight_exponent": value}))
+        assert main(["verify", "--spec", str(path)]) == 2
+        assert "weight_exponent must be in [0, 1024)" in capsys.readouterr().err
+
     def test_output_file_round_trips(self, tmp_path):
         spec = {"seed": 3, "ensemble": 3, "suites": ["chain"], "window_sizes": [4]}
         path = tmp_path / "spec.json"

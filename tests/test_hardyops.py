@@ -15,12 +15,13 @@ from hardyseq.hardyops import (
     GOP_SUP,
     OperatorForm,
     RatioProblem,
+    _chain_rows,
+    _chain_tail,
     _ratio_batch,
     antigop_psum,
     apply_iterated,
     dual_problem,
     elementary_chain_check,
-    elementary_chain_checks,
     form_by_name,
     gop_psum,
     lhs,
@@ -28,7 +29,7 @@ from hardyseq.hardyops import (
     rhs,
 )
 from hardyseq.oracle import FAST_CONFIG, brute_force_constant
-from hardyseq.seqcore import INF, Window
+from hardyseq.seqcore import INF, Window, _in_groups
 
 U11 = Window(0, (1.0, 1.0))
 A11 = Window(0, (1.0, 1.0))
@@ -260,25 +261,19 @@ def _chain_probes(rng, count):
 
 class TestElementaryChain:
     def test_batch_equals_one_probe_bit_for_bit(self):
-        """Each probe of a batch, grouped into (B, m) rows by tail length, has
-        the bits of its one-element call and of its tail alone: every root a
-        power of a Python float (a NumPy power of the batch's sums rounds
-        differently in about 5% of values)."""
+        """Each probe's tail, stacked with the others of its length into
+        C-contiguous (B, m) rows of :func:`_chain_rows` as the sweep groups
+        them, has the bits of its one-probe call and of its tail alone: every
+        root a power of a Python float (a NumPy power of the batch's sums
+        rounds differently in about 5% of values)."""
         probes = _chain_probes(np.random.default_rng(3), 1320)
         hexes = lambda triples: [tuple(x.hex() for x in t) for t in triples]
-        batch = hexes(elementary_chain_checks(probes))
+        rows = [(_chain_tail(*probe), probe[1]) for probe in probes]
+        batch = hexes(_in_groups(rows, lambda row: len(row[0]), lambda group: _chain_rows(
+            np.stack([tail for tail, _ in group]), np.array([p for _, p in group], dtype=float)
+        )))
         assert batch == hexes(elementary_chain_check(*probe) for probe in probes)
         assert batch == hexes(_chain_alone(*probe) for probe in probes)
-
-    @pytest.mark.parametrize(
-        "bad,error", [((A11, 1.5, 0), ValueError), ((A11, 0.5, 7), IndexError)]
-    )
-    def test_batch_raises_what_one_probe_raises(self, bad, error):
-        with pytest.raises(error) as alone:
-            elementary_chain_check(*bad)
-        with pytest.raises(error) as batched:
-            elementary_chain_checks([(A11, 0.5, 0), bad])
-        assert str(batched.value) == str(alone.value)
 
     def test_p_one_collapses(self):
         assert elementary_chain_check(A11, 1.0, 0) == (1.0, 2.0, 2.0)
@@ -426,6 +421,16 @@ def test_form_by_name_round_trip():
     assert form_by_name("gop-psum", r=0.5).inner_exponent == 0.5
     with pytest.raises(ValueError):
         form_by_name("nope")
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_undefined_p_rejected(p):
+    """p is a positive finite exponent; q = inf stays valid (the sup norm)."""
+    with pytest.raises(ValueError, match="p must be positive and finite"):
+        RatioProblem(U11, U11, U11, p, 2.0)
+    with pytest.raises(ValueError, match="p must be positive and finite"):
+        rhs(U11, p, A11)
+    assert RatioProblem(U11, U11, U11, 2.0, math.inf).q == math.inf
 
 
 def test_operator_form_validation():

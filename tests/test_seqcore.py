@@ -197,7 +197,9 @@ class TestRegime:
     def test_examples(self, p, q, case):
         assert classify_regime(p, q).case_id is case
 
-    @pytest.mark.parametrize("p,q", [(0, 1), (1, 0), (-1, 2), (float("nan"), 1)])
+    @pytest.mark.parametrize(
+        "p,q", [(0, 1), (1, 0), (-1, 2), (float("nan"), 1), (math.inf, 1)]
+    )
     def test_invalid_parameters(self, p, q):
         with pytest.raises(ValueError):
             classify_regime(p, q)

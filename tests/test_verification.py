@@ -57,6 +57,9 @@ def test_spec_validation():
         SweepSpec(regimes=())
     with pytest.raises(ValueError):
         SweepSpec(regimes=((0.0, 1.0),))
+    with pytest.raises(ValueError, match="p finite"):
+        SweepSpec(regimes=((math.inf, 2.0),))
+    assert SweepSpec(regimes=((2.0, math.inf),)).regimes == ((2.0, math.inf),)
     with pytest.raises(ValueError):
         SweepSpec(ensemble=0)
     with pytest.raises(ValueError):
@@ -380,7 +383,7 @@ def test_gop_spike_range_ratio_outside_its_bracket_fails(scale, monkeypatch):
 def test_chain_check_catches_a_wrong_chain(alter, failing, monkeypatch):
     """The chain triple is held to independent values, not only to its own
     order: a chain kernel (``hardyops._chain_rows``, which the sweep and
-    ``elementary_chain_checks`` share) that returns s2 for s3, or s1 for all
+    ``elementary_chain_check`` share) that returns s2 for s3, or s1 for all
     three, still satisfies ``s1 <= s2 <= s3`` but fails the default sweep at
     seed 0, in every probe whose tail has two positive entries (and p < 1
     for the first).  Unchanged, every probe passes, also at weights
